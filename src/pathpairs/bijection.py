@@ -18,6 +18,11 @@ meeting sits:
                path tails after the meeting, and the flag records whether
                the pre-meeting north path stays north throughout.
 
+Meeting points and the rectangle scan come from ``paths``: the shared
+vertices of a pair are ``paths.shared_vertices`` under
+``intersections_interior``, and ``verify_correspondence`` walks
+``paths.scan_pairs`` over ``paths.all_paths``.
+
 Every constructed path is revalidated (endpoints, exact meeting count and
 location), and a violated postcondition raises with the construction case in
 the message; the word surgery below has enough edits that silent slips must
@@ -33,34 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
-from .paths import EAST, NORTH, PathNE, Point
+from . import paths
+from .paths import EAST, NORTH, PathNE, PathPair, Point
 
 NONMEETING = "nonmeeting"
 ONE_MEETING = "one-meeting"
-
-
-def _verts(word: str) -> list[Point]:
-    x = y = 0
-    out = [(0, 0)]
-    for c in word:
-        if c == EAST:
-            x += 1
-        else:
-            y += 1
-        out.append((x, y))
-    return out
-
-
-def _meetings(wa: str, wb: str) -> list[Point]:
-    va, vb = _verts(wa), _verts(wb)
-    return [va[t] for t in range(1, len(va) - 1) if va[t] == vb[t]]
-
-
-def _ordered(wa: str, wb: str) -> tuple[str, str]:
-    # 'N' sorts above 'E', so plain string order puts the north word first
-    return (wa, wb) if wa >= wb else (wb, wa)
 
 
 @dataclass(frozen=True)
@@ -88,8 +71,8 @@ class RectPair:
 
     @classmethod
     def of(cls, a: PathNE, b: PathNE) -> "RectPair":
-        ua, ub = _ordered(a.word, b.word)
-        return cls(PathNE.from_word(ua), PathNE.from_word(ub))
+        # 'N' sorts above 'E', so plain string order puts the north word first
+        return cls(a, b) if a.word >= b.word else cls(b, a)
 
     @classmethod
     def from_words(cls, a: str, b: str) -> "RectPair":
@@ -97,7 +80,7 @@ class RectPair:
 
     @cached_property
     def _meeting_points(self) -> tuple[Point, ...]:
-        return tuple(_meetings(self.upper.word, self.lower.word))
+        return paths.shared_vertices(PathPair(self.upper, self.lower), paths.intersections_interior)
 
     @property
     def kind(self) -> str:
@@ -227,9 +210,8 @@ def _classify(pair: RectPair) -> tuple[str, str]:
     return ("III", "")
 
 
-def _north_throughout(wa: str, wb: str) -> bool:
-    va, vb = _verts(wa), _verts(wb)
-    return all(a[1] >= b[1] for a, b in zip(va, vb))
+def _north_throughout(a: PathNE, b: PathNE) -> bool:
+    return all(va[1] >= vb[1] for va, vb in zip(a.vertices, b.vertices))
 
 
 def remove_meeting(pair: RectPair) -> tuple[RectPair, GroupTag]:
@@ -277,15 +259,16 @@ def remove_meeting(pair: RectPair) -> tuple[RectPair, GroupTag]:
     else:
         x0, y0 = pair.meeting_point
         t0 = x0 + y0
-        aligned = _north_throughout(up, lo)
+        aligned = _north_throughout(pair.upper, pair.lower)
         if aligned:
             north, south = up, lo
         else:
             # un-swap the tails; the result must be aligned
             cand_a, cand_b = up[:t0] + lo[t0:], lo[:t0] + up[t0:]
-            if _north_throughout(cand_a, cand_b):
+            path_a, path_b = PathNE.from_word(cand_a), PathNE.from_word(cand_b)
+            if _north_throughout(path_a, path_b):
                 north, south = cand_a, cand_b
-            elif _north_throughout(cand_b, cand_a):
+            elif _north_throughout(path_b, path_a):
                 north, south = cand_b, cand_a
             else:
                 raise RuntimeError(f"group III pair fails to align after unswap: {pair.words()}")
@@ -325,15 +308,6 @@ class CorrespondenceReport:
     rows: tuple[CorrespondenceRow, ...]
 
 
-def _all_words(r: int, s: int) -> list[str]:
-    n = r + s
-    out = []
-    for epos in combinations(range(n), r):
-        marks = set(epos)
-        out.append("".join(EAST if t in marks else NORTH for t in range(n)))
-    return out
-
-
 def _case_of(source: RectPair) -> str:
     r, _ = source.shape
     gaps = [
@@ -359,16 +333,14 @@ def verify_correspondence(r: int, s: int) -> CorrespondenceReport:
     """
     if r < 1 or s < 1:
         raise ValueError("need r >= 1 and s >= 1")
-    words = _all_words(r, s)
     nonmeeting: list[RectPair] = []
     one_meeting: set[RectPair] = set()
-    for i, wa in enumerate(words):
-        for wb in words[i:]:
-            hits = len(_meetings(wa, wb))
-            if hits == 0 and wa != wb:
-                nonmeeting.append(RectPair.from_words(wa, wb))
-            elif hits == 1:
-                one_meeting.add(RectPair.from_words(wa, wb))
+    scan = paths.scan_pairs(paths.all_paths(r + s, r), paths.intersections_interior)
+    for a, b, hits in scan:
+        if hits == 0 and a != b:
+            nonmeeting.append(RectPair.of(a, b))
+        elif hits == 1:
+            one_meeting.add(RectPair.of(a, b))
 
     failures: list[str] = []
     rows: list[CorrespondenceRow] = []

@@ -8,9 +8,16 @@ commands: ``{"command", "params", "results", "consistency"?}`` where each
 result row carries its value(s) and a ``provenance`` naming the computation
 route. CSV output emits the same rows with a header line.
 
+The commands with several routes (``nkr``, ``mrs``, ``fnk``, ``pnk`` and
+``barrier``) each check their own arguments and name their k range; the
+``ROUTES`` table holds their routes, and one runner picks the ``--method``
+routes, applies the size cap, builds each route once, tabulates it over the
+k range, sets the ``consistency`` flag under ``--method all`` and emits.
+
 Probabilities are accepted only as rational strings like ``1/3`` (or an
-integer); decimal notation is rejected so exactness survives end to end.
-Exit codes: 0 success, 1 verification failure, 2 usage or range error.
+integer); decimal notation and zero denominators are rejected so exactness
+survives end to end. Exit codes: 0 success, 1 verification failure, 2 usage
+or range error.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 from . import bijection, formulas, oracle, series, verify
@@ -42,7 +50,10 @@ def parse_rational(text: str) -> Fraction:
         raise UsageError(
             f"{text!r} is not an exact rational; write it as p/q (decimals are rejected)"
         )
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise UsageError(f"{text!r} has a zero denominator; write it as p/q with q >= 1") from None
 
 
 def parse_probability(text: str) -> Fraction:
@@ -93,13 +104,11 @@ def emit(record: dict, fmt_name: str, row_fields: list[str]) -> None:
         writer.writerow([row.get(field, "") for field in row_fields])
 
 
-def _cap(command: str, n: int, unsafe: int | None) -> None:
-    cap = max(SAFE_ORACLE_N[command], unsafe or 0)
-    if n > cap:
-        raise UsageError(
-            f"{command}: n={n} exceeds the default bound {SAFE_ORACLE_N[command]}; "
-            f"pass --unsafe-nmax {n} to allow it"
-        )
+def _limit(default: int, unsafe: int | None) -> int:
+    """The size bound in force: ``default``, raised by ``--unsafe-nmax``."""
+    if unsafe is not None and unsafe < 0:
+        raise UsageError(f"--unsafe-nmax must be nonnegative, got {unsafe}")
+    return max(default, unsafe or 0)
 
 
 def _record(command: str, params: dict, results: list[dict], consistency: bool | None = None) -> dict:
@@ -110,23 +119,104 @@ def _record(command: str, params: dict, results: list[dict], consistency: bool |
     return out
 
 
+# --- the route runner ------------------------------------------------------------
+
+
+def _rect_series(n: int, r: int, k: int | None):
+    """Rectangle counts read off the base-series powers up to the k asked
+    for, or up to n - 1 for the whole table, built in one pass."""
+    powers = series.rect_pair_powers(n - 1 if k is None else k, n + r)
+    return lambda k: powers[k].coeff(n, r)
+
+
+def _same_endpoint_oracle(n: int, limit: int):
+    table = oracle.same_endpoint_pair_table(n, limit=limit)
+    denom = comb(2 * n, n)
+    return lambda k: (Fraction(table.get(k), denom), table.get(k))
+
+
+# Route builders of every multi-route command, in the order ``--method all``
+# reports them; the ``--method`` choices are these names plus "all". A
+# builder takes the command's query and the oracle size limit and returns
+# the route's value as a function of k (barrier has no k and is passed
+# None). Builders look library functions up through their modules when they
+# run, so a patched or traced function is the one that gets called.
+ROUTES = {
+    "nkr": {
+        "formula-a": lambda q, _: partial(formulas.rect_pair_count_a, q.n, q.r),
+        "formula-b": lambda q, _: partial(formulas.rect_pair_count_b, q.n, q.r),
+        "series": lambda q, _: _rect_series(q.n, q.r, q.k),
+        "oracle": lambda q, limit: oracle.rect_pair_table(q.n, q.r, limit=limit).get,
+    },
+    "mrs": {
+        "formula": lambda q, _: partial(formulas.endpoint_pair_count, q.n, q.r, q.s),
+        "oracle": lambda q, limit: oracle.endpoint_pair_table(q.n, q.r, q.s, limit=limit).get,
+    },
+    "fnk": {
+        "formula": lambda q, _: partial(formulas.free_pair_count, q.n),
+        "oracle": lambda q, limit: oracle.free_pair_table(q.n, limit=limit).get,
+    },
+    "pnk": {
+        "formula": lambda q, _: lambda k: (
+            formulas.same_endpoint_meet_prob(q.n, k), formulas.same_endpoint_pair_count(q.n, k)
+        ),
+        "oracle": lambda q, limit: _same_endpoint_oracle(q.n, limit),
+    },
+    "barrier": {
+        "dp": lambda c, _: lambda _: oracle.barrier_meet_prob(c),
+        "single-walker": lambda c, _: lambda _: oracle.endpoint_probability(
+            (c.a, c.b + c.x + 1), c.a + c.b + c.x, [(-t, 1 + t) for t in range(c.x + 1)], c.rate
+        ),
+        "formula": lambda c, _: lambda _: formulas.barrier_meet_formula(c.a, c.b, c.x, c.rate.p),
+    },
+}
+
+# Routes that enumerate or expand series, and so obey SAFE_ORACLE_N.
+_CAPPED_ROUTES = {"series", "oracle"}
+
+
+def _value_row(k, value) -> dict:
+    return {"k": str(k), "value": fmt(value)}
+
+
+def _run_routes(
+    command: str, args, query, ks, params: dict, fields: list[str],
+    row=_value_row, covers=lambda route, k: True, fallback: str | None = None,
+) -> int:
+    """Answer one query: pick the routes ``--method`` names, build each once,
+    tabulate them over ``ks``, check that they agree, and emit the record.
+
+    ``covers(route, k)`` says whether a route reaches k; under ``all`` a
+    route skips the k it misses, and a single method hands it to
+    ``fallback``, whose rows carry the fallback's provenance.
+    """
+    routes = ROUTES[command]
+    chosen = list(routes) if args.method == "all" else [args.method]
+    plan = {k: [route for route in chosen if covers(route, k)] or [fallback] for k in ks}
+    used = {route for names in plan.values() for route in names}
+    limit = None
+    if command in SAFE_ORACLE_N:
+        limit = _limit(SAFE_ORACLE_N[command], args.unsafe_nmax)
+        if used & _CAPPED_ROUTES and args.n > limit:
+            raise UsageError(
+                f"{command}: n={args.n} exceeds the default bound {SAFE_ORACLE_N[command]}; "
+                f"pass --unsafe-nmax {args.n} to allow it"
+            )
+    value_at = {route: build(query, limit) for route, build in routes.items() if route in used}
+    results = []
+    consistent = True
+    for k, names in plan.items():
+        values = [(route, value_at[route](k)) for route in names]
+        consistent = consistent and len({value for _, value in values}) == 1
+        results += [{**row(k, value), "provenance": route} for route, value in values]
+    record = _record(
+        command, params, results, consistency=consistent if args.method == "all" else None
+    )
+    emit(record, args.format, fields)
+    return 0
+
+
 # --- rectangle counts -------------------------------------------------------
-
-
-def _nkr_routes(n: int, r: int, k: int, method: str, limit: int):
-    """(route, value) pairs for one (n, r, k); formulas cover k <= n-2."""
-    routes = []
-    wants = ("formula-a", "formula-b", "series", "oracle") if method == "all" else (method,)
-    for want in wants:
-        if want == "formula-a" and k <= n - 2:
-            routes.append(("formula-a", formulas.rect_pair_count_a(n, r, k)))
-        elif want == "formula-b" and k <= n - 2:
-            routes.append(("formula-b", formulas.rect_pair_count_b(n, r, k)))
-        elif want == "series":
-            routes.append(("series", series.rect_pair_power(k, n + r).coeff(n, r)))
-        elif want == "oracle":
-            routes.append(("oracle", oracle.rect_pair_table(n, r, limit=limit).get(k)))
-    return routes
 
 
 def cmd_nkr(args) -> int:
@@ -136,28 +226,13 @@ def cmd_nkr(args) -> int:
     ks = [args.k] if args.k is not None else list(range(n))
     if any(k < 0 or k > n - 1 for k in ks):
         raise UsageError(f"meeting count k must lie in [0, {n - 1}]")
-    needs_oracle = args.method in ("oracle", "all") or (
-        args.method in ("formula-a", "formula-b") and any(k > n - 2 for k in ks)
+    return _run_routes(
+        "nkr", args, args, ks, {"n": n, "r": r, "k": args.k, "method": args.method},
+        ["k", "value", "provenance"],
+        # the top entry is outside the formulas' range
+        covers=lambda route, k: k <= n - 2 or not route.startswith("formula"),
+        fallback="oracle",
     )
-    if needs_oracle or args.method == "series":
-        _cap("nkr", n, args.unsafe_nmax)
-    results = []
-    consistent = True
-    for k in ks:
-        method = args.method
-        if method in ("formula-a", "formula-b") and k > n - 2:
-            method = "oracle"  # the top entry is outside the formulas' range
-        routes = _nkr_routes(n, r, k, method, max(SAFE_ORACLE_N["nkr"], args.unsafe_nmax or 0))
-        values = {v for _, v in routes}
-        consistent = consistent and len(values) == 1
-        for route, value in routes:
-            results.append({"k": str(k), "value": fmt(value), "provenance": route})
-    record = _record(
-        "nkr", {"n": n, "r": r, "k": args.k, "method": args.method}, results,
-        consistency=consistent if args.method == "all" else None,
-    )
-    emit(record, args.format, ["k", "value", "provenance"])
-    return 0
 
 
 def cmd_mrs(args) -> int:
@@ -168,32 +243,12 @@ def cmd_mrs(args) -> int:
     ks = [args.k] if args.k is not None else list(range(top + 1))
     if any(k < 0 or k > top for k in ks):
         raise UsageError(f"meeting count k must lie in [0, {top}]")
-    if args.method in ("oracle", "all"):
-        if r == s:
-            raise UsageError("the enumeration route needs r < s; equal endpoints reduce to nkr")
-        _cap("mrs", n, args.unsafe_nmax)
-    results = []
-    consistent = True
-    table = None
-    if args.method in ("oracle", "all"):
-        table = oracle.endpoint_pair_table(
-            n, r, s, limit=max(SAFE_ORACLE_N["mrs"], args.unsafe_nmax or 0)
-        )
-    for k in ks:
-        values = []
-        if args.method in ("formula", "all"):
-            values.append(("formula", formulas.endpoint_pair_count(n, r, s, k)))
-        if table is not None:
-            values.append(("oracle", table.get(k)))
-        consistent = consistent and len({v for _, v in values}) == 1
-        for route, value in values:
-            results.append({"k": str(k), "value": fmt(value), "provenance": route})
-    record = _record(
-        "mrs", {"n": n, "r": r, "s": s, "k": args.k, "method": args.method}, results,
-        consistency=consistent if args.method == "all" else None,
+    if args.method in ("oracle", "all") and r == s:
+        raise UsageError("the enumeration route needs r < s; equal endpoints reduce to nkr")
+    return _run_routes(
+        "mrs", args, args, ks, {"n": n, "r": r, "s": s, "k": args.k, "method": args.method},
+        ["k", "value", "provenance"],
     )
-    emit(record, args.format, ["k", "value", "provenance"])
-    return 0
 
 
 def cmd_fnk(args) -> int:
@@ -203,36 +258,12 @@ def cmd_fnk(args) -> int:
     ks = [args.k] if args.k is not None else list(range(n + 1))
     if any(k < 0 or k > n for k in ks):
         raise UsageError(f"meeting count k must lie in [0, {n}]")
-    if args.method in ("oracle", "all"):
-        _cap("fnk", n, args.unsafe_nmax)
-    table = None
-    if args.method in ("oracle", "all"):
-        table = oracle.free_pair_table(n, limit=max(SAFE_ORACLE_N["fnk"], args.unsafe_nmax or 0))
-    results = []
-    consistent = True
     denom = 4 ** n
-    for k in ks:
-        values = []
-        if args.method in ("formula", "all"):
-            values.append(("formula", formulas.free_pair_count(n, k)))
-        if table is not None:
-            values.append(("oracle", table.get(k)))
-        consistent = consistent and len({v for _, v in values}) == 1
-        for route, value in values:
-            results.append(
-                {
-                    "k": str(k),
-                    "value": fmt(value),
-                    "probability": fmt(Fraction(value, denom)),
-                    "provenance": route,
-                }
-            )
-    record = _record(
-        "fnk", {"n": n, "k": args.k, "method": args.method}, results,
-        consistency=consistent if args.method == "all" else None,
+    return _run_routes(
+        "fnk", args, args, ks, {"n": n, "k": args.k, "method": args.method},
+        ["k", "value", "probability", "provenance"],
+        row=lambda k, value: {"k": str(k), "value": fmt(value), "probability": fmt(Fraction(value, denom))},
     )
-    emit(record, args.format, ["k", "value", "probability", "provenance"])
-    return 0
 
 
 def cmd_pnk(args) -> int:
@@ -242,35 +273,11 @@ def cmd_pnk(args) -> int:
     ks = [args.k] if args.k is not None else list(range(n))
     if any(k < 0 or k > n - 1 for k in ks):
         raise UsageError(f"meeting count k must lie in [0, {n - 1}]")
-    if args.method in ("oracle", "all"):
-        _cap("pnk", n, args.unsafe_nmax)
-    table = None
-    if args.method in ("oracle", "all"):
-        table = oracle.same_endpoint_pair_table(
-            n, limit=max(SAFE_ORACLE_N["pnk"], args.unsafe_nmax or 0)
-        )
-    denom = comb(2 * n, n)
-    results = []
-    consistent = True
-    for k in ks:
-        values = []
-        if args.method in ("formula", "all"):
-            values.append(
-                ("formula", formulas.same_endpoint_meet_prob(n, k), formulas.same_endpoint_pair_count(n, k))
-            )
-        if table is not None:
-            values.append(("oracle", Fraction(table.get(k), denom), table.get(k)))
-        consistent = consistent and len({v for _, v, _ in values}) == 1
-        for route, prob, count in values:
-            results.append(
-                {"k": str(k), "probability": fmt(prob), "count": fmt(count), "provenance": route}
-            )
-    record = _record(
-        "pnk", {"n": n, "k": args.k, "method": args.method}, results,
-        consistency=consistent if args.method == "all" else None,
+    return _run_routes(
+        "pnk", args, args, ks, {"n": n, "k": args.k, "method": args.method},
+        ["k", "probability", "count", "provenance"],
+        row=lambda k, value: {"k": str(k), "probability": fmt(value[0]), "count": fmt(value[1])},
     )
-    emit(record, args.format, ["k", "probability", "count", "provenance"])
-    return 0
 
 
 def cmd_diag(args) -> int:
@@ -319,39 +326,16 @@ def cmd_barrier(args) -> int:
     constant = isinstance(rate, oracle.ConstantRate)
     if args.method == "formula" and not constant:
         raise UsageError("the closed form needs a constant rate; use dp or single-walker")
-    config = oracle.BarrierConfig(args.a, args.b, args.x, rate)
-    routes = []
-    wanted = ("dp", "single-walker", "formula") if args.method == "all" else (args.method,)
-    for want in wanted:
-        if want == "dp":
-            routes.append(("dp", oracle.barrier_meet_prob(config)))
-        elif want == "single-walker":
-            routes.append(
-                (
-                    "single-walker",
-                    oracle.endpoint_probability(
-                        (args.a, args.b + args.x + 1),
-                        args.a + args.b + args.x,
-                        [(-t, 1 + t) for t in range(args.x + 1)],
-                        rate,
-                    ),
-                )
-            )
-        elif want == "formula" and constant:
-            routes.append(("formula", formulas.barrier_meet_formula(args.a, args.b, args.x, rate.p)))
-    results = [{"value": fmt(v), "provenance": route} for route, v in routes]
-    consistent = len({v for _, v in routes}) == 1
-    record = _record(
-        "barrier",
+    return _run_routes(
+        "barrier", args, oracle.BarrierConfig(args.a, args.b, args.x, rate), [None],
         {
             "a": args.a, "b": args.b, "x": args.x,
             "p": args.p, "level_file": args.level_file, "method": args.method,
         },
-        results,
-        consistency=consistent if args.method == "all" else None,
+        ["value", "provenance"],
+        row=lambda _, value: {"value": fmt(value)},
+        covers=lambda route, _: constant or route != "formula",
     )
-    emit(record, args.format, ["value", "provenance"])
-    return 0
 
 
 # --- correspondence and verification ---------------------------------------------
@@ -361,8 +345,7 @@ def cmd_bijection(args) -> int:
     r, s = args.r, args.s
     if r < 1 or s < 1:
         raise UsageError("need r >= 1 and s >= 1")
-    cap = max(SAFE_BIJECTION_TOTAL, args.unsafe_nmax or 0)
-    if r + s > cap:
+    if r + s > _limit(SAFE_BIJECTION_TOTAL, args.unsafe_nmax):
         raise UsageError(
             f"r + s = {r + s} exceeds the default bound {SAFE_BIJECTION_TOTAL}; "
             f"pass --unsafe-nmax {r + s} to allow it"
@@ -405,6 +388,8 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.nmax is not None and args.nmax < 1:
+        raise UsageError(f"--nmax must be at least 1, got {args.nmax}")
     if args.all or not args.suite:
         suites = None
     else:
@@ -462,8 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument(
-        "--method", choices=("formula-a", "formula-b", "series", "oracle", "all"),
-        default="formula-a",
+        "--method", choices=(*ROUTES["nkr"], "all"), default="formula-a",
     )
     _add_common(p, oracle_cap=True)
     p.set_defaults(func=cmd_nkr)
@@ -473,21 +457,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--method", choices=("formula", "oracle", "all"), default="formula")
+    p.add_argument("--method", choices=(*ROUTES["mrs"], "all"), default="formula")
     _add_common(p, oracle_cap=True)
     p.set_defaults(func=cmd_mrs)
 
     p = subs.add_parser("fnk", help="free pair counts by post-origin meetings")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--method", choices=("formula", "oracle", "all"), default="formula")
+    p.add_argument("--method", choices=(*ROUTES["fnk"], "all"), default="formula")
     _add_common(p, oracle_cap=True)
     p.set_defaults(func=cmd_fnk)
 
     p = subs.add_parser("pnk", help="same-endpoint meeting probabilities")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--method", choices=("formula", "oracle", "all"), default="formula")
+    p.add_argument("--method", choices=(*ROUTES["pnk"], "all"), default="formula")
     _add_common(p, oracle_cap=True)
     p.set_defaults(func=cmd_pnk)
 
@@ -508,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--p", type=str, default=None, help="constant West rate, e.g. 1/3")
     p.add_argument("--level-file", type=str, default=None, help="one rate per line, level 1 first")
-    p.add_argument("--method", choices=("dp", "single-walker", "formula", "all"), default="all")
+    p.add_argument("--method", choices=(*ROUTES["barrier"], "all"), default="all")
     _add_common(p)
     p.set_defaults(func=cmd_barrier)
 

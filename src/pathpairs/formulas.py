@@ -15,7 +15,6 @@ integer upper argument, which the two convolution identities in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -145,63 +144,30 @@ def _endpoint_raw(n: int, r: int, s: int, k: int, reading: str) -> Fraction:
     return 2 * first + second
 
 
-@dataclass
-class EndpointCountMismatch(Exception):
-    """Raised in validation mode when the formula disagrees with enumeration."""
-
-    n: int
-    r: int
-    s: int
-    k: int
-    formula: str
-    oracle: str
-    reading: str
-
-    def __str__(self) -> str:
-        return (
-            f"two-endpoint count mismatch at n={self.n}, r={self.r}, s={self.s}, "
-            f"k={self.k} (reading {self.reading!r}): formula {self.formula} vs "
-            f"enumeration {self.oracle}"
-        )
-
-
-def endpoint_pair_count(
-    n: int, r: int, s: int, k: int, validate: bool = False, reading: str | None = None
-) -> int:
+def endpoint_pair_count(n: int, r: int, s: int, k: int) -> int:
     """Pairs from the origin to (r, n-r) and (s, n-s) sharing exactly k
     vertices beyond the start.
 
     For r == s the shared final vertex always contributes, and the count is
-    by definition the rectangle count at k-1 meetings. For r < s the closed
-    form is the fast path; ``validate=True`` recomputes by enumeration and
-    raises :class:`EndpointCountMismatch` rather than returning silently
-    wrong values.
+    by definition the rectangle count at k-1 meetings. For r < s it is the
+    closed form under the resolved reading; ``verify.check_mrs`` holds it to
+    the enumeration oracle.
     """
     if not 0 <= r <= s <= n:
         raise ValueError(f"need 0 <= r <= s <= n, got r={r}, s={s}, n={n}")
-    reading = RESOLVED_ENDPOINT_READING if reading is None else reading
     if r == s:
         if not 0 <= k <= n:
             raise ValueError(f"equal endpoints need 0 <= k <= n, got k={k}")
         if k == 0:
-            value = 0  # the shared endpoint alone already gives one meeting
-        elif k == n:
-            value = binom(n, r)  # identical-path pairs
-        else:
-            value = rect_pair_count_a(n, r, k - 1)
-        if validate and 1 <= k <= n - 1:
-            expect = oracle.rect_pair_table(n, r).get(k - 1)
-            if value != expect:
-                raise EndpointCountMismatch(n, r, s, k, str(value), str(expect), reading)
-        return value
+            return 0  # the shared endpoint alone already gives one meeting
+        if k == n:
+            return binom(n, r)  # identical-path pairs
+        return rect_pair_count_a(n, r, k - 1)
     if not 0 <= k <= n - 1:
         raise ValueError(f"distinct endpoints need 0 <= k <= n-1, got k={k}")
-    value = _as_count(_endpoint_raw(n, r, s, k, reading), f"endpoint_pair_count{(n, r, s, k)}")
-    if validate:
-        expect = oracle.endpoint_pair_table(n, r, s).get(k)
-        if value != expect:
-            raise EndpointCountMismatch(n, r, s, k, str(value), str(expect), reading)
-    return value
+    return _as_count(
+        _endpoint_raw(n, r, s, k, RESOLVED_ENDPOINT_READING), f"endpoint_pair_count{(n, r, s, k)}"
+    )
 
 
 def endpoint_pair_count_k0(n: int, r: int, s: int) -> int:

@@ -5,11 +5,10 @@ every pair of paths; probabilities come from evolving exact Fraction masses
 over walker states. The closed-form and series modules are checked against
 these outputs, never the other way around.
 
-Paths are iterated as combinations (the positions of the E steps) and carried
-as prefix profiles: ``xs[t]`` is the number of E steps among the first t.
-Two same-length origin walks share a vertex at time t exactly when their
-profiles agree at t, so every counting convention is a window of profile
-comparisons. Enumeration order is fixed, so results are reproducible.
+Paths come from ``paths.all_paths`` and every table is a
+``paths.meeting_census`` under the named convention its docstring states, so
+this module knows no step window and compares no vertices. Enumeration
+order is fixed, so results are reproducible.
 
 Walker model for the meeting probabilities: two walkers move simultaneously,
 one step per time unit, West or South. Strictly inside the first quadrant
@@ -24,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import comb
+
+from . import paths
 
 Point = tuple[int, int]
 
@@ -67,37 +67,14 @@ def _check_limit(n: int, limit: int, what: str) -> None:
         raise ValueError(f"{what}: n={n} exceeds the enumeration limit {limit}")
 
 
-def _profiles(n: int, r: int) -> list[tuple[int, ...]]:
-    """Prefix-E-count profiles of every n-step path with r east steps."""
-    out = []
-    for epos in combinations(range(n), r):
-        xs = [0] * (n + 1)
-        for t in epos:
-            xs[t + 1] = 1
-        for t in range(n):
-            xs[t + 1] += xs[t]
-        out.append(tuple(xs))
-    return out
-
-
-def _pair_counts(left, right, lo: int, hi: int) -> dict[int, int]:
-    table: dict[int, int] = {}
-    rng = range(lo, hi + 1)
-    for a in left:
-        for b in right:
-            k = sum(1 for t in rng if a[t] == b[t])
-            table[k] = table.get(k, 0) + 1
-    return table
-
-
 def rect_pair_table(n: int, r: int, limit: int = DEFAULT_ENUM_LIMIT) -> CountTable:
     """All ordered pairs of corner-to-corner paths on an r x (n-r) rectangle,
     keyed by interior shared vertices. Total is C(n, r)^2."""
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     _check_limit(n, limit, "rect_pair_table")
-    ps = _profiles(n, r)
-    return CountTable.from_entries(_pair_counts(ps, ps, 1, n - 1))
+    ps = paths.all_paths(n, r)
+    return CountTable.from_entries(paths.meeting_census(ps, ps, paths.intersections_interior))
 
 
 def endpoint_pair_table(n: int, r: int, s: int, limit: int = DEFAULT_ENUM_LIMIT) -> CountTable:
@@ -111,7 +88,10 @@ def endpoint_pair_table(n: int, r: int, s: int, limit: int = DEFAULT_ENUM_LIMIT)
     if not 0 <= r < s <= n:
         raise ValueError(f"need 0 <= r < s <= n, got r={r}, s={s}, n={n}")
     _check_limit(n, limit, "endpoint_pair_table")
-    return CountTable.from_entries(_pair_counts(_profiles(n, r), _profiles(n, s), 1, n))
+    census = paths.meeting_census(
+        paths.all_paths(n, r), paths.all_paths(n, s), paths.intersections_excluding_start
+    )
+    return CountTable.from_entries(census)
 
 
 def free_pair_table(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> CountTable:
@@ -120,8 +100,8 @@ def free_pair_table(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> CountTable:
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_limit(n, limit, "free_pair_table")
-    walks = [p for r in range(n + 1) for p in _profiles(n, r)]
-    return CountTable.from_entries(_pair_counts(walks, walks, 1, n))
+    walks = [p for r in range(n + 1) for p in paths.all_paths(n, r)]
+    return CountTable.from_entries(paths.meeting_census(walks, walks, paths.intersections_excluding_origin))
 
 
 def same_endpoint_pair_table(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> CountTable:
@@ -132,8 +112,8 @@ def same_endpoint_pair_table(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> CountTa
     _check_limit(n, limit, "same_endpoint_pair_table")
     table: dict[int, int] = {}
     for r in range(n + 1):
-        ps = _profiles(n, r)
-        for k, v in _pair_counts(ps, ps, 1, n - 1).items():
+        ps = paths.all_paths(n, r)
+        for k, v in paths.meeting_census(ps, ps, paths.intersections_interior).items():
             table[k] = table.get(k, 0) + v
     out = CountTable.from_entries(table)
     assert out.total == comb(2 * n, n)

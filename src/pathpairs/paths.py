@@ -3,8 +3,8 @@
 A path is a word of unit steps E (east, +x) and N (north, +y) starting at a
 lattice vertex. After t steps the coordinate sum is start.x + start.y + t, so
 two equal-length paths with the same start can only share a vertex at the
-same step index; every count below therefore reduces to comparing the two
-vertex sequences position by position.
+same step index; every count below is therefore the size of the
+intersection of the two vertex sets over a window of step indices.
 
 Three counting conventions coexist on purpose, one operation each, so no
 caller can silently use the wrong one:
@@ -16,6 +16,15 @@ caller can silently use the wrong one:
 * ``intersections_excluding_start``  -- shared vertices excluding the common
   start; a shared final vertex counts.
 
+This module is the only place that knows a convention's window. The
+enumeration oracle and the 2-to-1 correspondence pass the convention
+operation itself to ``meeting_census`` (a tally over a whole family of
+pairs), ``scan_pairs`` (the unordered pairs of one family, with their
+counts) or ``shared_vertices`` (the meeting points of one pair); each
+resolves the window and checks the precondition once per call, not once per
+pair. ``all_paths`` is the one enumerator, in the fixed order of the E-step
+positions as combinations.
+
 All values are immutable and all operations are pure functions.
 """
 
@@ -23,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 Point = tuple[int, int]
 
@@ -86,14 +96,26 @@ class PathNE:
         return tuple(vy for vx, vy in self.vertices if vx == x)
 
 
+def all_paths(n: int, r: int) -> list[PathNE]:
+    """Every n-step path from the origin with r east steps, in the order of
+    ``itertools.combinations`` over the E-step positions."""
+    if not 0 <= r <= n:
+        raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
+    out = []
+    for epos in combinations(range(n), r):
+        steps = [NORTH] * n
+        for t in epos:
+            steps[t] = EAST
+        out.append(PathNE(tuple(steps)))
+    return out
+
+
 @dataclass(frozen=True)
 class PathPair:
-    """Two same-start, same-length paths; ``ordered`` records whether the
-    pair is counted as ordered."""
+    """Two same-start, same-length paths."""
 
     first: PathNE
     second: PathNE
-    ordered: bool = True
 
     def __post_init__(self) -> None:
         if self.first.n != self.second.n:
@@ -106,27 +128,12 @@ class PathPair:
             )
 
     def swapped(self) -> "PathPair":
-        return PathPair(self.second, self.first, self.ordered)
-
-
-def _stepwise_matches(pair: PathPair, lo: int, hi: int) -> int:
-    """Number of indices t in [lo, hi] where the two vertex sequences agree.
-
-    Same start + equal length means this equals the size of the vertex-set
-    intersection restricted to those indices.
-    """
-    va = pair.first.vertices
-    vb = pair.second.vertices
-    return sum(1 for t in range(lo, hi + 1) if va[t] == vb[t])
+        return PathPair(self.second, self.first)
 
 
 def intersections_interior(pair: PathPair) -> int:
     """Shared vertices of a same-endpoints pair, excluding start and end."""
-    if pair.first.end != pair.second.end:
-        raise ValueError(
-            f"interior count needs equal endpoints: {pair.first.end} vs {pair.second.end}"
-        )
-    return _stepwise_matches(pair, 1, pair.first.n - 1)
+    return len(shared_vertices(pair, intersections_interior))
 
 
 def intersections_excluding_origin(pair: PathPair) -> int:
@@ -134,11 +141,71 @@ def intersections_excluding_origin(pair: PathPair) -> int:
 
     Endpoints may differ; a shared final vertex is counted.
     """
-    if pair.first.start != (0, 0):
-        raise ValueError(f"both paths must start at the origin, got {pair.first.start}")
-    return _stepwise_matches(pair, 1, pair.first.n)
+    return len(shared_vertices(pair, intersections_excluding_origin))
 
 
 def intersections_excluding_start(pair: PathPair) -> int:
     """Shared vertices excluding the common start; a shared end is counted."""
-    return _stepwise_matches(pair, 1, pair.first.n)
+    return len(shared_vertices(pair, intersections_excluding_start))
+
+
+_CONVENTIONS = (
+    intersections_interior,
+    intersections_excluding_origin,
+    intersections_excluding_start,
+)
+
+
+def _window(convention, paths) -> slice:
+    """Step indices ``convention`` counts on a nonempty family of paths,
+    after checking on every path that any two of them form a valid pair
+    for it."""
+    if convention not in _CONVENTIONS:
+        raise ValueError(f"unknown counting convention {convention!r}")
+    first = paths[0]
+    for p in paths:
+        PathPair(first, p)  # same start, same length
+    if convention is intersections_interior:
+        ends = {p.end for p in paths}
+        if len(ends) > 1:
+            raise ValueError(f"interior count needs equal endpoints, got {sorted(ends)}")
+        return slice(1, first.n)
+    if convention is intersections_excluding_origin and first.start != (0, 0):
+        raise ValueError(f"both paths must start at the origin, got {first.start}")
+    return slice(1, first.n + 1)
+
+
+def shared_vertices(pair: PathPair, convention) -> tuple[Point, ...]:
+    """The vertices ``pair`` shares under ``convention``, in step order."""
+    window = _window(convention, (pair.first, pair.second))
+    return tuple(a for a, b in zip(pair.first.vertices[window], pair.second.vertices[window]) if a == b)
+
+
+def _vertex_keys(paths, window: slice) -> list[frozenset[int]]:
+    """Each path's vertices inside ``window`` as one int each. The y values
+    of a same-start, n-step family span at most n, so x * (n + 1) + y tells
+    vertices apart, and shared vertices are a plain set intersection."""
+    side = paths[0].n + 1
+    return [frozenset(x * side + y for x, y in p.vertices[window]) for p in paths]
+
+
+def meeting_census(left, right, convention) -> dict[int, int]:
+    """How many pairs (a, b) in ``left`` x ``right`` share k vertices under
+    ``convention``, for every k that occurs: the tally of
+    ``convention(PathPair(a, b))`` over all pairs."""
+    window = _window(convention, [*left, *right])
+    keys_right = _vertex_keys(right, window)
+    tally = [0] * (right[0].n + 1)
+    for a in _vertex_keys(left, window):
+        for b in keys_right:
+            tally[len(a & b)] += 1
+    return {k: count for k, count in enumerate(tally) if count}
+
+
+def scan_pairs(paths, convention):
+    """Yield ``(a, b, k)`` for every pair ``a = paths[i]``, ``b = paths[j]``
+    with i <= j, in scan order, where k is ``convention(PathPair(a, b))``."""
+    keys = _vertex_keys(paths, _window(convention, paths))
+    for i, a in enumerate(keys):
+        for j in range(i, len(keys)):
+            yield paths[i], paths[j], len(a & keys[j])

@@ -1,10 +1,11 @@
 """Truncated formal power series over exact rationals.
 
-``UniSeries`` is a dense one-variable series up to a fixed degree.
-``BiSeries`` keeps coefficients for every monomial of total degree at most D;
-since total degree is additive, ring operations on truncated series are exact
-in every retained coefficient. Binary operations require equal truncation
-degrees so silent precision loss cannot happen.
+``BiSeries`` is the one series type. It keeps the nonzero coefficients of
+every monomial x^i y^j of total degree at most D; since total degree is
+additive, ring operations on truncated series are exact in every retained
+coefficient. A one-variable series is a ``BiSeries`` with no y terms, read
+with ``coeff(i)``. Binary operations require equal truncation degrees so
+silent precision loss cannot happen.
 
 Square roots expand (1 + w)^(1/2) binomially, where w is the input minus its
 constant term; they demand constant term 1 and return the branch whose
@@ -19,9 +20,8 @@ Lagrange-inversion coefficient extractor for solutions of f = x g(f).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, ceil, log2
+from math import ceil, log2
 
 
 def _half_binomials(count: int) -> list[Fraction]:
@@ -32,120 +32,9 @@ def _half_binomials(count: int) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class SeriesCheck:
-    """Outcome of a coefficientwise identity check."""
-
-    passed: bool
-    instances: int
-    first_failure: tuple | None = None
-
-
-class UniSeries:
-    """One-variable series with Fraction coefficients, exact up to ``degree``."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs, degree: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
-        if degree is not None:
-            cs = cs[: degree + 1] + [Fraction(0)] * (degree + 1 - len(cs))
-        if not cs:
-            raise ValueError("a series needs at least its constant term")
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, i: int) -> Fraction:
-        if not 0 <= i <= self.degree:
-            raise IndexError(f"coefficient {i} beyond truncation degree {self.degree}")
-        return self.coeffs[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UniSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"UniSeries({list(self.coeffs)!r})"
-
-    def _coerce(self, other) -> "UniSeries":
-        if isinstance(other, UniSeries):
-            if other.degree != self.degree:
-                raise ValueError(
-                    f"mixed truncation degrees {self.degree} and {other.degree}"
-                )
-            return other
-        return UniSeries([other], self.degree)
-
-    def __add__(self, other) -> "UniSeries":
-        o = self._coerce(other)
-        return UniSeries([a + b for a, b in zip(self.coeffs, o.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "UniSeries":
-        return UniSeries([-a for a in self.coeffs])
-
-    def __sub__(self, other) -> "UniSeries":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "UniSeries":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "UniSeries":
-        if not isinstance(other, UniSeries):
-            c = Fraction(other)
-            return UniSeries([a * c for a in self.coeffs])
-        o = self._coerce(other)
-        d = self.degree
-        out = [Fraction(0)] * (d + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(d + 1 - i):
-                b = o.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return UniSeries(out)
-
-    __rmul__ = __mul__
-
-    def pow(self, m: int) -> "UniSeries":
-        if m < 0:
-            raise ValueError("negative powers go through inverse()")
-        acc = UniSeries([1], self.degree)
-        for _ in range(m):
-            acc = acc * self
-        return acc
-
-    def sqrt(self) -> "UniSeries":
-        if self.coeffs[0] != 1:
-            raise ValueError(f"sqrt needs constant term 1, got {self.coeffs[0]}")
-        w = self - 1
-        halves = _half_binomials(self.degree + 1)
-        acc = UniSeries([1], self.degree)
-        wpow = UniSeries([1], self.degree)
-        for m in range(1, self.degree + 1):
-            wpow = wpow * w
-            acc = acc + wpow * halves[m]
-        return acc
-
-    def inverse(self) -> "UniSeries":
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ValueError("inverse needs a nonzero constant term")
-        v = UniSeries([1 / c0], self.degree)
-        for _ in range(max(1, ceil(log2(self.degree + 1)))):
-            v = v * (2 - self * v)
-        return v
-
-
 class BiSeries:
-    """Two-variable series truncated by total degree.
+    """Series in x and y truncated by total degree; a one-variable series
+    is one with no y terms.
 
     Coefficients live in a dict keyed by exponent pairs (i, j) with
     i + j <= degree; absent keys are zero.
@@ -168,7 +57,7 @@ class BiSeries:
                 cleaned[(i, j)] = c
         self.coeffs = cleaned
 
-    def coeff(self, i: int, j: int) -> Fraction:
+    def coeff(self, i: int, j: int = 0) -> Fraction:
         if i < 0 or j < 0 or i + j > self.degree:
             raise IndexError(f"monomial {(i, j)} beyond total degree {self.degree}")
         return self.coeffs.get((i, j), Fraction(0))
@@ -263,11 +152,6 @@ class BiSeries:
         return v
 
 
-def series_sqrt(s):
-    """Principal square root of a unit-constant-term series (either kind)."""
-    return s.sqrt()
-
-
 # --- the generating series under study ---------------------------------------
 
 
@@ -285,31 +169,23 @@ def rect_pair_base(degree: int) -> BiSeries:
     return 1 - _rect_kernel(degree).sqrt()
 
 
+def rect_pair_powers(k_max: int, degree: int) -> list[BiSeries]:
+    """The powers 1 .. k_max+1 of the base series, each built from the one
+    before it; entry k's (x^n y^r) coefficient counts ordered pairs with
+    exactly k interior meetings."""
+    if k_max < 0:
+        raise ValueError("k must be nonnegative")
+    base = rect_pair_base(degree)
+    powers = [base]
+    for _ in range(k_max):
+        powers.append(powers[-1] * base)
+    return powers
+
+
 def rect_pair_power(k: int, degree: int) -> BiSeries:
     """(k+1)-th power of the base series; its (x^n y^r) coefficient counts
     ordered pairs with exactly k interior meetings."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return rect_pair_base(degree).pow(k + 1)
-
-
-def total_pairs_identity_check(degree: int) -> SeriesCheck:
-    """Coefficientwise check that 1/sqrt(kernel) expands to sum C(n,r)^2 x^n y^r.
-
-    The kernel is the classical Legendre-polynomial generating kernel
-    evaluated along (x(y-1), (y+1)/(y-1)); here only the exact rational
-    expansion matters.
-    """
-    inv = _rect_kernel(degree).sqrt().inverse()
-    instances = 0
-    for n in range(degree + 1):
-        for r in range(degree + 1 - n):
-            instances += 1
-            want = comb(n, r) ** 2 if r <= n else 0
-            got = inv.coeff(n, r)
-            if got != want:
-                return SeriesCheck(False, instances, ((n, r), str(got), str(want)))
-    return SeriesCheck(True, instances)
+    return rect_pair_powers(k, degree)[k]
 
 
 def narayana_base(degree: int) -> BiSeries:
@@ -334,29 +210,16 @@ def meeting_poly_power(k: int, degree: int) -> BiSeries:
     return base.pow(k + 1)
 
 
-def free_pair_series(k: int, degree: int) -> UniSeries:
+def free_pair_series(k: int, degree: int) -> BiSeries:
     """(1 - sqrt(1-4x))^k / sqrt(1-4x); the x^n coefficient counts free pair
     walks with exactly k post-origin meetings (zero for n < k)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    sq = UniSeries([1, -4], degree).sqrt()
+    sq = BiSeries(degree, {(0, 0): 1, (1, 0): -4}).sqrt()
     return (1 - sq).pow(k) * sq.inverse()
 
 
 # --- Lagrange inversion -------------------------------------------------------
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction], cap: int) -> list[Fraction]:
-    out = [Fraction(0)] * (cap + 1)
-    for i, x in enumerate(a):
-        if not x or i > cap:
-            continue
-        for j, y in enumerate(b):
-            if i + j > cap:
-                break
-            if y:
-                out[i + j] += x * y
-    return out
 
 
 def lagrange_coefficient(phi_coeffs, g_coeffs, n: int) -> Fraction:
@@ -367,11 +230,7 @@ def lagrange_coefficient(phi_coeffs, g_coeffs, n: int) -> Fraction:
     g = [Fraction(c) for c in g_coeffs]
     if not g or g[0] == 0:
         raise ValueError("g must have a nonzero constant term")
-    phi = [Fraction(c) for c in phi_coeffs]
-    dphi = [i * c for i, c in enumerate(phi)][1:] or [Fraction(0)]
     cap = n - 1
-    gn = [Fraction(1)] + [Fraction(0)] * cap
-    for _ in range(n):
-        gn = _poly_mul(gn, g, cap)
-    res = _poly_mul(dphi, gn, cap)
-    return res[cap] / n
+    dphi = BiSeries(cap, {(i - 1, 0): i * Fraction(c) for i, c in enumerate(phi_coeffs) if i})
+    gn = BiSeries(cap, {(i, 0): c for i, c in enumerate(g)}).pow(n)
+    return (dphi * gn).coeff(cap) / n

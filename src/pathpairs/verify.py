@@ -417,25 +417,26 @@ def check_vandermonde(span: int = 8) -> CheckReport:
 
 def check_legendre(degree: int = 12) -> CheckReport:
     """The reciprocal square root of the rectangle kernel expands to the
-    squared binomials."""
-    result = series.total_pairs_identity_check(degree)
-    failure = None
-    if not result.passed:
-        (n, r), got, want = result.first_failure
-        failure = {"n": str(n), "r": str(r), "left": got, "right": want}
-    return CheckReport("legendre", result.passed, result.instances, failure)
+    squared binomials: 1/sqrt(kernel) = sum C(n,r)^2 x^n y^r.
+
+    The kernel is the classical Legendre-polynomial generating kernel
+    evaluated along (x(y-1), (y+1)/(y-1)); its square root is one minus the
+    nonmeeting base series, so this is also the geometric sum of the base
+    powers over every meeting count.
+    """
+    rec = _Recorder("legendre")
+    inv = (1 - series.rect_pair_base(degree)).inverse()
+    for n in range(degree + 1):
+        for r in range(degree + 1 - n):
+            rec.expect_equal(inv.coeff(n, r), comb(n, r) ** 2, n=n, r=r, sides="series vs C(n,r)^2")
+    return rec.report()
 
 
 def check_series_uk(n_max: int = 9) -> CheckReport:
     """Three-way agreement: power-series coefficients == closed form ==
     enumeration, for every rectangle with n <= n_max."""
     rec = _Recorder("series-uk")
-    degree = 2 * n_max
-    base = series.rect_pair_base(degree)
-    power = base
-    for k in range(n_max - 1):
-        if k:
-            power = power * base
+    for k, power in enumerate(series.rect_pair_powers(n_max - 2, 2 * n_max)):
         for n in range(k + 1, n_max + 1):
             for r in range(n + 1):
                 coeff = power.coeff(n, r)

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 from math import comb
 
-from pathpairs import bijection, formulas, oracle, series
+from pathpairs import bijection, formulas, oracle, series, verify
 
 _RECT_TABLES: dict[tuple[int, int], oracle.CountTable] = {}
 
@@ -141,7 +141,7 @@ def test_criterion_8_series_routes():
             for r in range(min(n, degree - n) + 1):
                 if k <= n - 2:
                     ok = ok and power.coeff(n, r) == formulas.rect_pair_count_a(n, r, k)
-    ok = ok and series.total_pairs_identity_check(degree).passed
+    ok = ok and verify.check_legendre(degree).passed
     f = series.narayana_base(degree)
     y = series.BiSeries(degree, {(1, 0): 1})
     z = series.BiSeries(degree, {(0, 1): 1})
@@ -159,45 +159,10 @@ def test_criterion_8_series_routes():
 
 
 def test_criterion_9_walker_probabilities():
-    ok = True
-    for p in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)):
-        rate = oracle.ConstantRate(p)
-        for a in range(5):
-            for b in range(5):
-                for x in range(5):
-                    dp = oracle.barrier_meet_prob(oracle.BarrierConfig(a, b, x, rate))
-                    ok = ok and dp == formulas.barrier_meet_formula(a, b, x, p)
-
-    import random
-
-    rng = random.Random(90125)
-    rates = []
-    for _ in range(20):
-        values = []
-        for _ in range(12):
-            den = rng.randint(2, 16)
-            values.append(Fraction(rng.randint(0, den), den))
-        rates.append(oracle.LevelRate(tuple(values)))
-    for rate in rates:
-        for a in range(11):
-            for b in range(11 - a):
-                for x in range(11 - a - b):
-                    steps = a + b + x
-                    dp = oracle.barrier_meet_prob(oracle.BarrierConfig(a, b, x, rate))
-                    single = oracle.endpoint_probability(
-                        (a, b + x + 1), steps, [(-t, 1 + t) for t in range(x + 1)], rate
-                    )
-                    ok = ok and dp == single
-                    u = oracle.endpoint_probability(
-                        (a, b + x + 1), steps, [(-t, 1 + t) for t in range(b + x + 1)], rate
-                    )
-                    l = oracle.endpoint_probability(
-                        (a + x + 1, b), steps, [(1 + t, -t) for t in range(a + x + 1)], rate
-                    )
-                    ok = ok and dp == u + l - 1
-
-    for p in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)):
-        for a in range(5):
-            for b in range(5):
-                ok = ok and oracle.same_start_meet_prob(a, b, p) == formulas.same_start_meet_formula(a, b, p)
+    # the verify suites with this criterion's pinned level-rate seed: pair DP
+    # vs closed form, vs single walker and vs u + l - 1, and the same-start walk
+    barrier = verify.check_barrier(seed=90125)
+    same_start = verify.check_same_start()
+    ok = barrier.passed and barrier.instances == 12565
+    ok = ok and same_start.passed and same_start.instances == 75
     report("9", "walker probabilities: closed form, single-walker reduction, u+l-1, same start", ok)

@@ -7,10 +7,15 @@ Core claims:
     - CSV output carries the same rows under a header
     - probabilities must be rational strings; decimals and bad ranges exit 2
     - verification failures exit 1, empty suite selection exits 0
+    - a golden set of invocations keeps its exit code, stdout bytes and
+      stderr text exactly
 """
 
+import hashlib
 import json
 from fractions import Fraction
+
+import pytest
 
 from pathpairs.cli import main
 
@@ -245,3 +250,188 @@ def test_every_emitted_number_round_trips(capsys):
     for row in record["results"]:
         assert Fraction(row["probability"]) <= 1
         assert Fraction(row["count"]) == Fraction(row["probability"]) * Fraction(924)  # C(12,6)
+
+
+def test_barrier_rejects_zero_denominator(capsys, tmp_path):
+    code, out, err = run(capsys, "barrier", "--a", "1", "--b", "1", "--x", "0", "--p", "1/0")
+    assert (code, out) == (2, "")
+    assert "zero denominator" in err and "'1/0'" in err
+    level = tmp_path / "levels.txt"
+    level.write_text("1/2\n1/0\n")
+    code, _, err = run(capsys, "barrier", "--a", "1", "--b", "0", "--x", "0", "--level-file", str(level))
+    assert code == 2
+    assert "levels.txt:2" in err and "zero denominator" in err
+
+
+def test_verify_rejects_nmax_below_one(capsys):
+    for nmax in ("-5", "0"):
+        code, out, err = run(capsys, "verify", "--suite", "theorem1", "--nmax", nmax)
+        assert (code, out) == (2, "")
+        assert "--nmax must be at least 1" in err
+
+
+def test_negative_unsafe_nmax_rejected(capsys):
+    for argv in (
+        ["nkr", "--n", "3", "--r", "1", "--k", "0"],
+        ["mrs", "--n", "3", "--r", "1", "--s", "2", "--method", "oracle"],
+        ["fnk", "--n", "3"],
+        ["pnk", "--n", "3", "--method", "all"],
+        ["bijection", "--r", "1", "--s", "2"],
+    ):
+        code, out, err = run(capsys, *argv, "--unsafe-nmax", "-3")
+        assert (code, out) == (2, ""), argv
+        assert "--unsafe-nmax must be nonnegative" in err
+
+
+def test_each_route_is_built_once_per_query(capsys, monkeypatch):
+    from pathpairs import oracle, series
+
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(oracle, "rect_pair_table")
+    counted(series, "rect_pair_powers")
+    record = run_json(capsys, "nkr", "--n", "7", "--r", "3", "--method", "all")
+    assert sorted(calls) == ["rect_pair_powers", "rect_pair_table"]
+    assert record["consistency"] is True
+    assert len(record["results"]) == 4 * 6 + 2  # the top k has no formula rows
+
+
+# --- golden outputs -------------------------------------------------------------
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# (argv, exit code, SHA-256 of stdout, stderr text). Every subcommand, every
+# --method value and both formats, the nkr top-k oracle fallback, and the
+# usage errors. Level files are read from the working directory so the
+# echoed path is fixed.
+GOLDEN = [
+    ("nkr --n 3 --r 1 --k 0 --method all", 0,
+     "7ed6f648113d406580593cbb1db068e02f560ad1e5f2336857daa71ab5b5f878", ""),
+    ("nkr --n 6 --r 2 --method all", 0,
+     "af7a1ebccfed402982128ca9466fb4b40ef57ef0465c5bc4015829f1597a5e46", ""),
+    ("nkr --n 7 --r 3 --method formula-a", 0,
+     "33184d48c8edf74cdf0ff07ec5e96ddef8302ad46b3b78d4e2425fb8699b89c7", ""),
+    ("nkr --n 7 --r 3 --method formula-b --format csv", 0,
+     "ad8e2ce62b9a48dd32ba36465229d5c52183dc39f38a17141e2e119c2a8054b0", ""),
+    ("nkr --n 8 --r 3 --k 2 --method series", 0,
+     "799ede122aeffa81aa222dfe452ca3e427d881053f6250fa2c0ef60f6f3c7950", ""),
+    ("nkr --n 6 --r 4 --method series", 0,
+     "454182bb4ed329eba2a1ebfe774e6a45b20f56299a46f3778ee5f81fbf0a4cb3", ""),
+    ("nkr --n 6 --r 0 --method oracle --format csv", 0,
+     "68bdf21ad32b2ebd949fbfa33bcf82a910a71c2b8269f4038521c48b3b3628e8", ""),
+    ("nkr --n 17 --r 9 --k 5 --method formula-b", 0,
+     "b3c0d8e943c81096e8bfd21f062b058140b5a78e53d703eccc207ace0d5ee53e", ""),
+    ("nkr --n 2 --r 1", 0,
+     "6d0d5e637238a4133beb0b6442a13a43bc258c25136e81542a59f127da91c0be", ""),
+    ("nkr --n 5 --r 2 --k 4", 0,
+     "dee74452f4f2f85da3a9d438b1b3430fadac2f9962fefb5a8674a5cd95286a62", ""),
+    ("nkr --n 13 --r 2 --k 3 --method oracle --unsafe-nmax 13", 0,
+     "3e3ff6b15e37c74cbded38a6a123328ead97a5d9c919ed3e431164549c77fe37", ""),
+    ("nkr --n 3 --r 5", 2, EMPTY,
+     "error: need n >= 1 and 0 <= r <= n, got n=3, r=5\n"),
+    ("nkr --n 5 --r 2 --k 5", 2, EMPTY,
+     "error: meeting count k must lie in [0, 4]\n"),
+    ("nkr --n 20 --r 3 --method oracle", 2, EMPTY,
+     "error: nkr: n=20 exceeds the default bound 12; pass --unsafe-nmax 20 to allow it\n"),
+    ("nkr --n 13 --r 2 --method formula-a", 2, EMPTY,
+     "error: nkr: n=13 exceeds the default bound 12; pass --unsafe-nmax 13 to allow it\n"),
+    ("nkr --n 3 --r 1 --method bogus", 2, EMPTY,
+     "usage: pathpairs nkr [-h] --n N --r R [--k K]\n                     [--method {formula-a,formula-b,series,oracle,all}]\n                     [--format {json,csv}] [--unsafe-nmax UNSAFE_NMAX]\npathpairs nkr: error: argument --method: invalid choice: 'bogus' (choose from 'formula-a', 'formula-b', 'series', 'oracle', 'all')\n"),
+    ("mrs --n 5 --r 1 --s 3 --method all", 0,
+     "3850d8b03b53fcf0123b59439dc35a1132a90a61c0641dea292644b1694ecb4e", ""),
+    ("mrs --n 4 --r 1 --s 3 --k 2 --method all", 0,
+     "b5056120684bdf16b55b3fa77afd4b76baee33d6e56a5718a2dd8c96c5685f80", ""),
+    ("mrs --n 6 --r 2 --s 2", 0,
+     "00a0a49b0b808de36421c2abc876002f4f1c230343796434c284f9691937cdef", ""),
+    ("mrs --n 6 --r 2 --s 4 --method oracle --format csv", 0,
+     "16400df6de6d564856529bf7ce657b1da772740f4fe7592eb38d2bf83c477d5a", ""),
+    ("mrs --n 40 --r 10 --s 25 --k 0 --method formula", 0,
+     "c92948bdb0c562125a65d63b199c72df911407bb28700a2d564edfa34f0a1ee4", ""),
+    ("mrs --n 3 --r 1 --s 1 --method oracle", 2, EMPTY,
+     "error: the enumeration route needs r < s; equal endpoints reduce to nkr\n"),
+    ("fnk --n 5 --method all", 0,
+     "3e7631389b0e382b7e24bc71168c72c7516a56716c5c11f6984bfcf1f1fe0845", ""),
+    ("fnk --n 6 --k 2 --method oracle --format csv", 0,
+     "42f3d5fb31d7287d5828ecad06db573228ef49e058647b41739f9f07975a2508", ""),
+    ("fnk --n 30 --method formula", 0,
+     "53de223652d71f0e849bf4580717280e4f479834222714016959db6fdf11bf21", ""),
+    ("fnk --n 10 --method oracle", 2, EMPTY,
+     "error: fnk: n=10 exceeds the default bound 9; pass --unsafe-nmax 10 to allow it\n"),
+    ("pnk --n 6 --method all", 0,
+     "e8b8831c00ebfbbe32c29d5ea9c7c46a704d5f7bec2cad0484976a01cfdb8829", ""),
+    ("pnk --n 5 --k 1 --method oracle", 0,
+     "9fb194677b3a49af8527a4e784efa7a1bc06abdf1ea3fb16297be2c68256849c", ""),
+    ("pnk --n 40 --k 3 --format csv", 0,
+     "aaa2dd01978424142cda42f291ef5a7dba2c7d46c920c7ac8a17f6c6f0b3f8b0", ""),
+    ("pnk --n 0", 2, EMPTY,
+     "error: n must be at least 1\n"),
+    ("diag --n 7", 0,
+     "36d205bbd08a8690987e62eba5f46a7d4aea212b4fa787ad04c0e45b3507262d", ""),
+    ("diag --n 9 --k 3 --format csv", 0,
+     "61c877883e7a8a6a79cd3b2ad61b463fe5a007842b474b79d8c07006ac1a7b26", ""),
+    ("diag --n 1", 2, EMPTY,
+     "error: n must be at least 2\n"),
+    ("avg --n 12", 0,
+     "726506d71a49ad114e354ae68ae4d601a59d1896fcfff35b146775497192946e", ""),
+    ("avg --n 5 --format csv", 0,
+     "88d33f0b030ab2f848415a1423e1367a15919468bde9e043a51e3528062d1092", ""),
+    ("barrier --a 1 --b 1 --x 0 --p 1/2 --method all", 0,
+     "57abe9cd3849f6bd61b193088b594f3bd93ee42abe31e545fb91e3cf8e38c9fe", ""),
+    ("barrier --a 2 --b 1 --x 1 --p 1/3 --method dp", 0,
+     "f3ad0a997b78f8dfaabb518feda53590618e9371bd622deef6af657b4bd616ae", ""),
+    ("barrier --a 2 --b 3 --x 2 --p 2/5 --method single-walker --format csv", 0,
+     "4546e43788c98fb45db62e7b988b70eb202b7cc51f7428e180a4a8f5d568ed81", ""),
+    ("barrier --a 3 --b 2 --x 1 --p 3/7 --method formula", 0,
+     "101d5b5853525c7c479778cbf42c6173d74ea14b60765f2be3d3f41b2697fe84", ""),
+    ("barrier --a 1 --b 0 --x 1 --level-file levels.txt --method all", 0,
+     "1afa01e4e21da7a6ca980bf301ad4f37c5825d8c27ceeb5da8f3e43a24fbf7ee", ""),
+    ("barrier --a 2 --b 1 --x 1 --level-file levels.txt --method formula", 2, EMPTY,
+     "error: the closed form needs a constant rate; use dp or single-walker\n"),
+    ("barrier --a 1 --b 1 --x 0 --p 0.5", 2, EMPTY,
+     "error: '0.5' is not an exact rational; write it as p/q (decimals are rejected)\n"),
+    ("barrier --a 1 --b 1 --x 0 --p 7/5", 2, EMPTY,
+     "error: probability 7/5 outside [0, 1]\n"),
+    ("barrier --a 1 --b 0 --x 0", 2, EMPTY,
+     "error: give exactly one of --p RATIONAL or --level-file PATH\n"),
+    ("barrier --a 1 --b 0 --x 0 --level-file bad.txt", 2, EMPTY,
+     "error: bad.txt:2: 'not-a-rational' is not an exact rational; write it as p/q (decimals are rejected)\n"),
+    ("barrier --a -1 --b 0 --x 0 --p 1/2", 2, EMPTY,
+     "error: a, b, x must be nonnegative\n"),
+    ("bijection --r 2 --s 3", 0,
+     "da51cfd01ebcca5435575a201e0537b4e1a790fa90474dbb5a5b2b541f256db7", ""),
+    ("bijection --r 3 --s 3 --format csv", 0,
+     "799c2c563b39b9bd7c70389d7e16632687a17993a058f6e106df9ccb40960aa5", ""),
+    ("bijection --r 7 --s 6", 2, EMPTY,
+     "error: r + s = 13 exceeds the default bound 12; pass --unsafe-nmax 13 to allow it\n"),
+    ("verify --suite theorem1,legendre --nmax 4", 0,
+     "8c66a14598961e9e3ae93b70c4b8f95919b4205b910dfd5ce96379918f7c0892", ""),
+    ("verify --all --nmax 2 --format csv", 0,
+     "89a445b3b1903c25f11e83482de6a8f3ed727a56117bdab750cbbc16c6364fae", ""),
+    ("verify --suite none", 0,
+     "dd19475cfe60523879ae09497757573b22178a378ca58a5cf29007ff23f4162e", ""),
+    ("verify --suite nope", 2, EMPTY,
+     "error: unknown suites ['nope']; known: theorem1, recurrence, eq8, wz, barrier, same-start, bijection, nkr, doubling, mrs, fnk, pnk, diag, avg, vandermonde, legendre, series-uk, series-f, series-fk, lagrange\n"),
+]
+
+
+@pytest.mark.parametrize("line, code, digest, err", GOLDEN, ids=[row[0] for row in GOLDEN])
+def test_golden_output(capsys, monkeypatch, tmp_path, line, code, digest, err):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to the terminal width
+    (tmp_path / "levels.txt").write_text("1/2\n1/3\n2/7\n")
+    (tmp_path / "bad.txt").write_text("1/2\nnot-a-rational\n")
+    try:
+        got_code = main(line.split())
+    except SystemExit as exc:  # argparse rejects before main's handlers run
+        got_code = exc.code
+    out = capsys.readouterr()
+    assert (got_code, hashlib.sha256(out.out.encode()).hexdigest(), out.err) == (code, digest, err)

@@ -6,7 +6,7 @@ Core claims:
       counts on a sweep
     - the two-endpoint formula's ambiguous reading resolves to the printed
       grouping: it alone has an empty discrepancy table, and a wrong reading
-      yields a structured, nonempty one (or a non-integer hard error)
+      yields a structured, nonempty one that names wrong and non-integer values
     - the free-pair, meeting-probability, same-endpoint-count, and average
       formulas match their oracles and special values
     - counts that fail to reduce to integers raise instead of rounding
@@ -121,10 +121,6 @@ def test_endpoint_count_matches_oracle_sweep():
                     assert formulas.endpoint_pair_count(n, r, s, k) == table.get(k)
 
 
-def test_endpoint_count_validation_mode_passes():
-    assert formulas.endpoint_pair_count(5, 1, 3, 2, validate=True) == oracle.endpoint_pair_table(5, 1, 3).get(2)
-
-
 def test_endpoint_reading_resolution():
     accepted, tables = formulas.resolve_endpoint_reading(6)
     assert accepted == "printed"
@@ -136,13 +132,12 @@ def test_endpoint_reading_resolution():
 
 
 def test_endpoint_wrong_reading_fails_loudly():
-    # (7, 3, 4, 4) under the minus-2t reading is not even an integer
-    with pytest.raises(ArithmeticError):
-        formulas.endpoint_pair_count(7, 3, 4, 4, reading="minus-2t")
-    # and where it is an integer but wrong, validation reports the instance
-    with pytest.raises(formulas.EndpointCountMismatch) as err:
-        formulas.endpoint_pair_count(7, 3, 4, 3, validate=True, reading="minus-2t")
-    assert err.value.n == 7 and err.value.oracle == "250"
+    # the discrepancy table names each instance a wrong reading gets wrong,
+    # whether its value is a wrong integer or not an integer at all
+    table = formulas.endpoint_reading_discrepancies("minus-2t", 7)
+    rows = {(row["n"], row["r"], row["s"], row["k"]): (row["formula"], row["oracle"]) for row in table}
+    assert rows[("7", "3", "4", "3")] == ("248", "250")
+    assert rows[("7", "3", "4", "4")] == ("518/3", "170")
 
 
 def test_endpoint_count_range_checks():

@@ -5,7 +5,7 @@ Core claims:
       totals are the expected binomial quantities
     - table keys stay inside the documented windows and tables reflect
       under r -> n - r
-    - profile-based counting agrees with the path-object counting operations
+    - the tables agree with applying the named path operation pair by pair
     - the walker programs reproduce hand-computed meeting probabilities and
       the documented degenerate cases
     - preconditions (ranges, size limits, probability bounds) are enforced
@@ -50,7 +50,7 @@ def test_rect_table_totals_and_reflection():
 
 
 def test_rect_table_matches_path_objects():
-    # the profile comparison is the same count the path operations define
+    # the batch census is the same count the per-pair operation defines
     def by_paths(n, r):
         vocab = [
             "".join("E" if t in epos else "N" for t in range(n))

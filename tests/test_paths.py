@@ -7,6 +7,9 @@ Core claims:
     - the three counting conventions give their documented values and differ
       exactly as documented (interior = excluding-start minus one shared end)
     - all three counts are symmetric in the pair order
+    - the one enumerator lists every path once, in combination order
+    - the batch forms (census, unordered scan, meeting points) agree with the
+      per-pair operations and enforce the same preconditions
 """
 
 from itertools import combinations, product
@@ -16,10 +19,16 @@ import pytest
 from pathpairs.paths import (
     PathNE,
     PathPair,
+    all_paths,
     intersections_excluding_origin,
     intersections_excluding_start,
     intersections_interior,
+    meeting_census,
+    scan_pairs,
+    shared_vertices,
 )
+
+CONVENTIONS = (intersections_interior, intersections_excluding_origin, intersections_excluding_start)
 
 
 def pair(a: str, b: str) -> PathPair:
@@ -155,3 +164,69 @@ def test_interior_is_excluding_start_minus_shared_end():
         for wb in words(4, 2):
             p = pair(wa, wb)
             assert intersections_interior(p) == intersections_excluding_start(p) - 1
+
+
+def test_all_paths_in_combination_order():
+    assert [p.word for p in all_paths(4, 2)] == words(4, 2)
+    assert [p.word for p in all_paths(3, 0)] == ["NNN"]
+    assert all_paths(0, 0) == [PathNE(())]
+    with pytest.raises(ValueError):
+        all_paths(3, 4)
+
+
+def test_shared_vertices_are_the_counted_points():
+    p = pair("ENEN", "EENN")
+    assert shared_vertices(p, intersections_interior) == ((1, 0), (2, 1))
+    assert shared_vertices(p, intersections_excluding_start) == ((1, 0), (2, 1), (2, 2))
+    assert shared_vertices(pair("NE", "EN"), intersections_interior) == ()
+
+
+def _tally(left, right, convention):
+    out = {}
+    for a in left:
+        for b in right:
+            k = convention(PathPair(a, b))
+            out[k] = out.get(k, 0) + 1
+    return out
+
+
+def test_census_matches_per_pair_counts():
+    for n in range(5):
+        walks = [p for r in range(n + 1) for p in all_paths(n, r)]
+        for convention in (intersections_excluding_origin, intersections_excluding_start):
+            assert meeting_census(walks, walks, convention) == _tally(walks, walks, convention)
+        for r in range(n + 1):
+            ps = all_paths(n, r)
+            assert meeting_census(ps, ps, intersections_interior) == _tally(ps, ps, intersections_interior)
+    left, right = all_paths(5, 1), all_paths(5, 3)
+    assert meeting_census(left, right, intersections_excluding_start) == _tally(
+        left, right, intersections_excluding_start
+    )
+
+
+def test_census_away_from_origin():
+    a = PathNE.from_word("NE", start=(3, 4))
+    b = PathNE.from_word("NN", start=(3, 4))
+    assert meeting_census([a], [a, b], intersections_excluding_start) == {1: 1, 2: 1}
+    with pytest.raises(ValueError):
+        meeting_census([a], [b], intersections_excluding_origin)
+
+
+def test_census_enforces_preconditions():
+    with pytest.raises(ValueError):
+        meeting_census(all_paths(3, 1), all_paths(3, 2), intersections_interior)
+    with pytest.raises(ValueError):
+        meeting_census(all_paths(3, 1), all_paths(2, 1), intersections_excluding_start)
+    with pytest.raises(ValueError):
+        meeting_census(all_paths(3, 1), all_paths(3, 1), len)
+
+
+def test_scan_visits_unordered_pairs_in_order():
+    ps = all_paths(4, 2)
+    scanned = list(scan_pairs(ps, intersections_interior))
+    expected = [
+        (ps[i], ps[j], intersections_interior(PathPair(ps[i], ps[j])))
+        for i in range(len(ps))
+        for j in range(i, len(ps))
+    ]
+    assert scanned == expected

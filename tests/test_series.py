@@ -1,10 +1,13 @@
 """Truncated series arithmetic and the generating-series builders.
 
 Core claims:
+    - one series type serves one and two variables: a series with no y terms
+      reads its coefficients as coeff(i)
     - sqrt and inverse satisfy their defining equations up to truncation and
       enforce their constant-term preconditions
     - the rectangle base series carries the nonmeeting counts, its powers the
       k-meeting counts, and the reciprocal-root kernel the squared binomials
+      (through verify.check_legendre)
     - the quadratic-equation series has zero residual and drives the meeting
       polynomial whose coefficients are again the rectangle counts
     - the free-pair series matches 2^k C(2n-k, n) and vanishes below degree k
@@ -17,26 +20,33 @@ from math import comb
 
 import pytest
 
-from pathpairs import formulas, oracle, series
-from pathpairs.series import BiSeries, UniSeries
+from pathpairs import formulas, oracle, series, verify
+from pathpairs.series import BiSeries
+
+
+def one_var(coeffs, degree: int) -> BiSeries:
+    return BiSeries(degree, {(i, 0): c for i, c in enumerate(coeffs)})
 
 
 def test_sqrt_of_one():
-    one = UniSeries([1], 5)
+    one = one_var([1], 5)
     assert one.sqrt() == one
     bi_one = BiSeries(4, {(0, 0): 1})
     assert bi_one.sqrt() == bi_one
 
 
 def test_sqrt_binomial_series():
-    s = UniSeries([1, -4], 3).sqrt()
+    s = one_var([1, -4], 3).sqrt()
     assert [s.coeff(i) for i in range(4)] == [1, -2, -2, -4]
+    assert [s.coeff(i, 0) for i in range(4)] == [1, -2, -2, -4]
+    with pytest.raises(IndexError):
+        s.coeff(4)
 
 
 def test_sqrt_squares_back():
     # fixed "random" rational series with unit constant term
     coeffs = [Fraction(1), Fraction(3, 2), Fraction(-2, 5), Fraction(7, 3), Fraction(-1, 8)]
-    s = UniSeries(coeffs, 8)
+    s = one_var(coeffs, 8)
     assert s.sqrt() * s.sqrt() == s
     bs = BiSeries(5, {(0, 0): 1, (1, 0): Fraction(2, 3), (0, 2): Fraction(-5, 7), (1, 1): 4})
     root = bs.sqrt()
@@ -46,25 +56,24 @@ def test_sqrt_squares_back():
 
 def test_sqrt_requires_unit_constant_term():
     with pytest.raises(ValueError):
-        UniSeries([2, 1], 3).sqrt()
+        one_var([2, 1], 3).sqrt()
     with pytest.raises(ValueError):
         BiSeries(3, {(0, 0): 0}).sqrt()
-    assert series.series_sqrt(UniSeries([1], 2)) == UniSeries([1], 2)
 
 
 def test_inverse_defining_property():
-    s = UniSeries([Fraction(2), 1, Fraction(1, 3)], 6)
-    assert s * s.inverse() == UniSeries([1], 6)
+    s = one_var([Fraction(2), 1, Fraction(1, 3)], 6)
+    assert s * s.inverse() == one_var([1], 6)
     bs = BiSeries(4, {(0, 0): Fraction(5, 2), (1, 0): -1, (0, 1): Fraction(2, 7)})
     product = bs * bs.inverse()
     assert product == BiSeries(4, {(0, 0): 1})
     with pytest.raises(ValueError):
-        UniSeries([0, 1], 3).inverse()
+        one_var([0, 1], 3).inverse()
 
 
 def test_mixed_truncation_rejected():
     with pytest.raises(ValueError):
-        UniSeries([1, 2], 3) + UniSeries([1], 5)
+        one_var([1, 2], 3) + one_var([1], 5)
     with pytest.raises(ValueError):
         BiSeries(3) * BiSeries(4)
 
@@ -88,7 +97,8 @@ def test_rect_power_coefficients():
 
 def test_rect_powers_sum_to_squared_binomials():
     degree = 7
-    powers = [series.rect_pair_power(k, degree) for k in range(degree)]
+    powers = series.rect_pair_powers(degree - 1, degree)
+    assert powers[3] == series.rect_pair_power(3, degree)
     for n in range(1, degree):
         for r in range(min(n, degree - n) + 1):
             total = sum(p.coeff(n, r) for p in powers[:n])
@@ -107,9 +117,10 @@ def test_rect_power_matches_oracle_including_top_key():
 
 
 def test_total_pairs_identity():
-    report = series.total_pairs_identity_check(8)
+    report = verify.check_legendre(8)
     assert report.passed
     assert report.first_failure is None
+    assert report.instances == 45
     # the same expansion as a geometric sum of base powers: 1 + sum u0^(k+1)
     base = series.rect_pair_base(6)
     geometric = BiSeries(6, {(0, 0): 1})
