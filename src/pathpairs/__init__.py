@@ -20,6 +20,7 @@ from .oracle import (
     CountTable,
     LevelRate,
     barrier_meet_prob,
+    endpoint_distribution,
     endpoint_pair_table,
     endpoint_probability,
     free_pair_table,
@@ -69,6 +70,7 @@ __all__ = [
     "same_endpoint_pair_table",
     "barrier_meet_prob",
     "same_start_meet_prob",
+    "endpoint_distribution",
     "endpoint_probability",
     "rect_pair_count_a",
     "rect_pair_count_b",

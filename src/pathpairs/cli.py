@@ -16,8 +16,9 @@ k range, sets the ``consistency`` flag under ``--method all`` and emits.
 
 Probabilities are accepted only as rational strings like ``1/3`` (or an
 integer); decimal notation and zero denominators are rejected so exactness
-survives end to end. Exit codes: 0 success, 1 verification failure, 2 usage
-or range error.
+survives end to end. Exit codes: 0 success, 1 verification failure or
+routes that disagree under ``--method all``, 2 usage or range error, 141
+when stdout is a pipe the reader closed early.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -185,6 +187,7 @@ def _run_routes(
 ) -> int:
     """Answer one query: pick the routes ``--method`` names, build each once,
     tabulate them over ``ks``, check that they agree, and emit the record.
+    Returns 1 when the routes disagree, after emitting the record.
 
     ``covers(route, k)`` says whether a route reaches k; under ``all`` a
     route skips the k it misses, and a single method hands it to
@@ -204,15 +207,24 @@ def _run_routes(
             )
     value_at = {route: build(query, limit) for route, build in routes.items() if route in used}
     results = []
-    consistent = True
+    disagree = []
     for k, names in plan.items():
         values = [(route, value_at[route](k)) for route in names]
-        consistent = consistent and len({value for _, value in values}) == 1
+        if len({value for _, value in values}) > 1:
+            disagree.append(k)
         results += [{**row(k, value), "provenance": route} for route, value in values]
     record = _record(
-        command, params, results, consistency=consistent if args.method == "all" else None
+        command, params, results, consistency=not disagree if args.method == "all" else None
     )
     emit(record, args.format, fields)
+    if disagree:
+        where = "" if disagree[0] is None else f" at k={disagree[0]}"
+        print(
+            f"error: {command}: the routes disagree{where} (consistency false); "
+            "the record on stdout holds every value",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
@@ -514,15 +526,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = parser.parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away (``| head``). Point stdout at the null device
+        # so the flush at exit cannot raise again, and exit as SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
 """Brute-force enumerators and exact dynamic programs used as ground truth.
 
 Nothing in this module knows a closed form. Pair counts come from iterating
-every pair of paths; probabilities come from evolving exact Fraction masses
-over walker states. The closed-form and series modules are checked against
-these outputs, never the other way around.
+every pair of paths; probabilities come from evolving exact integer masses
+over walker states. At each step every live state moves with integer
+weights over one scale, the lcm of the denominators of the West rates in
+use, and the running denominator grows by that scale (its square for the
+two-walker DP); one Fraction is built from the final masses, so no
+per-step rational is ever normalised. The closed-form and series modules
+are checked against these outputs, never the other way around.
 
 Paths come from ``paths.all_paths`` and every table is a
 ``paths.meeting_census`` under the named convention its docstring states, so
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from . import paths
 
@@ -183,22 +187,36 @@ class BarrierConfig:
             raise ValueError("a, b, x must be nonnegative")
 
 
-def _walker_moves(pos: Point, rate: RateModel):
-    """Next-position distribution for one constrained walker."""
-    r, s = pos
-    if r == 0 and s == 0:
-        return ((pos, Fraction(1)),)
-    if s == 0:  # swept West along the x-axis
-        return (((r - 1, 0), Fraction(1)),)
-    if r == 0:  # swept South along the y-axis
-        return (((0, s - 1), Fraction(1)),)
-    p = rate.west(r, s)
-    moves = []
-    if p:
-        moves.append(((r - 1, s), p))
-    if p != 1:
-        moves.append(((r, s - 1), 1 - p))
-    return tuple(moves)
+def _move_tables(positions, rate: RateModel) -> tuple[int, dict]:
+    """One step's integer move tables for constrained walkers at ``positions``.
+
+    Every weight is over the returned scale d, the lcm of the denominators
+    of the West rates the interior positions use: a West move weighs
+    p.numerator * (d // p.denominator), a South move weighs d minus that,
+    and a forced axis sweep or a stay at the origin weighs d. Zero-weight
+    moves are left out.
+    """
+    west = {pos: rate.west(*pos) for pos in positions if pos[0] and pos[1]}
+    d = lcm(*{p.denominator for p in west.values()})
+    tables = {}
+    for pos in positions:
+        r, s = pos
+        if r == 0 and s == 0:
+            tables[pos] = ((pos, d),)
+        elif s == 0:  # swept West along the x-axis
+            tables[pos] = (((r - 1, 0), d),)
+        elif r == 0:  # swept South along the y-axis
+            tables[pos] = (((0, s - 1), d),)
+        else:
+            p = west[pos]
+            w = p.numerator * (d // p.denominator)
+            moves = []
+            if w:
+                moves.append(((r - 1, s), w))
+            if w != d:
+                moves.append(((r, s - 1), d - w))
+            tables[pos] = tuple(moves)
+    return d, tables
 
 
 def _surviving_mass(u: Point, l: Point, rate: RateModel, steps: int) -> Fraction:
@@ -206,23 +224,27 @@ def _surviving_mass(u: Point, l: Point, rate: RateModel, steps: int) -> Fraction
     steps without ever occupying the same vertex at the same time.
 
     The starting state is exempt: callers that start both walkers on one
-    vertex are asking about meetings *after* time zero.
+    vertex are asking about meetings *after* time zero. Masses are integers
+    over one running denominator, which grows by d * d per step for the
+    step's scale d; the one Fraction is built at the end.
     """
-    states: dict[tuple[Point, Point], Fraction] = {(u, l): Fraction(1)}
+    states: dict[tuple[Point, Point], int] = {(u, l): 1}
+    den = 1
     for _ in range(steps):
-        nxt: dict[tuple[Point, Point], Fraction] = {}
+        d, tables = _move_tables({pos for pair in states for pos in pair}, rate)
+        nxt: dict[tuple[Point, Point], int] = {}
         for (pu, pl), mass in states.items():
-            for qu, wu in _walker_moves(pu, rate):
+            lower = tables[pl]
+            for qu, wu in tables[pu]:
                 w = mass * wu
-                for ql, wl in _walker_moves(pl, rate):
+                for ql, wl in lower:
                     if qu == ql:
                         continue  # met strictly before the origin
                     key = (qu, ql)
-                    prev = nxt.get(key)
-                    nxt[key] = w * wl if prev is None else prev + w * wl
+                    nxt[key] = nxt.get(key, 0) + w * wl
         states = nxt
-    total = sum(states.values(), Fraction(0))
-    return total
+        den *= d * d
+    return Fraction(sum(states.values()), den)
 
 
 def barrier_meet_prob(config: BarrierConfig) -> Fraction:
@@ -247,21 +269,50 @@ def same_start_meet_prob(a: int, b: int, p) -> Fraction:
     return _surviving_mass(start, start, ConstantRate(_as_prob(p)), a + b + 1)
 
 
+def endpoint_distribution(start: Point, steps: int, rate: RateModel) -> tuple[dict[Point, int], int]:
+    """Where one *unconstrained* West/South walker is after exactly ``steps``
+    steps, as integer masses over one denominator: the walker ends at q with
+    probability ``masses[q] / den``, and the masses sum to ``den``. No axis
+    rules; coordinates may go negative.
+    """
+    return _endpoint_masses(start, steps, rate)
+
+
+def _endpoint_masses(start: Point, steps: int, rate: RateModel) -> tuple[dict[Point, int], int]:
+    """The single-walker DP behind both public single-walker functions.
+    ``endpoint_probability`` calls it rather than ``endpoint_distribution``
+    so that a trace wrapping the public functions counts one walker call
+    per probability query.
+
+    Each step takes one scale d, the lcm of the denominators of the West
+    rates at the live positions; a West move weighs
+    p.numerator * (d // p.denominator), a South move d minus that, and the
+    denominator grows by d. Endpoints of zero mass are left out.
+    """
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    masses: dict[Point, int] = {start: 1}
+    den = 1
+    for _ in range(steps):
+        west = {pos: rate.west(*pos) for pos in masses}
+        d = lcm(*{p.denominator for p in west.values()})
+        nxt: dict[Point, int] = {}
+        for (r, s), mass in masses.items():
+            p = west[(r, s)]
+            w = p.numerator * (d // p.denominator)
+            if w:
+                key = (r - 1, s)
+                nxt[key] = nxt.get(key, 0) + mass * w
+            if w != d:
+                key = (r, s - 1)
+                nxt[key] = nxt.get(key, 0) + mass * (d - w)
+        masses = nxt
+        den *= d
+    return masses, den
+
+
 def endpoint_probability(start: Point, steps: int, targets, rate: RateModel) -> Fraction:
     """Probability that one *unconstrained* West/South walker is in ``targets``
     after exactly ``steps`` steps. No axis rules; coordinates may go negative."""
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    dist: dict[Point, Fraction] = {start: Fraction(1)}
-    for _ in range(steps):
-        nxt: dict[Point, Fraction] = {}
-        for (r, s), mass in dist.items():
-            p = rate.west(r, s)
-            if p:
-                key = (r - 1, s)
-                nxt[key] = nxt.get(key, Fraction(0)) + mass * p
-            if p != 1:
-                key = (r, s - 1)
-                nxt[key] = nxt.get(key, Fraction(0)) + mass * (1 - p)
-        dist = nxt
-    return sum((dist.get(t, Fraction(0)) for t in set(targets)), Fraction(0))
+    masses, den = _endpoint_masses(start, steps, rate)
+    return Fraction(sum(masses.get(t, 0) for t in set(targets)), den)

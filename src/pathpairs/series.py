@@ -108,14 +108,17 @@ class BiSeries:
             return BiSeries(self.degree, {k: v * c for k, v in self.coeffs.items()})
         o = self._coerce(other)
         d = self.degree
+        # the other factor's terms by total degree t, so each term of this
+        # one meets only the t <= d - (i1 + j1) that survive truncation
+        by_degree: list[list] = [[] for _ in range(d + 1)]
+        for (i2, j2), c2 in o.coeffs.items():
+            by_degree[i2 + j2].append((i2, j2, c2))
         out: dict[tuple[int, int], Fraction] = {}
         for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in o.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j > d:
-                    continue
-                key = (i, j)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+            for group in by_degree[: d + 1 - i1 - j1]:
+                for i2, j2, c2 in group:
+                    key = (i1 + i2, j1 + j2)
+                    out[key] = out.get(key, Fraction(0)) + c1 * c2
         return BiSeries(d, out)
 
     __rmul__ = __mul__

@@ -334,21 +334,32 @@ def _level_rates(seed: int, count: int, length: int) -> list[oracle.LevelRate]:
     return out
 
 
-def _axis_target_checks(rec, config: oracle.BarrierConfig, b_value: Fraction) -> None:
-    """Theorem-4 style cross checks for one configuration."""
-    a, b, x, rate = config.a, config.b, config.x, config.rate
-    steps = a + b + x
-    single = oracle.endpoint_probability(
-        (a, b + x + 1), steps, [(-t, 1 + t) for t in range(x + 1)], rate
-    )
+def _target_mass(distribution: tuple[dict, int], targets) -> Fraction:
+    masses, den = distribution
+    return Fraction(sum(masses.get(t, 0) for t in targets), den)
+
+
+def _axis_target_checks(rec, config: oracle.BarrierConfig, b_value: Fraction, distribution) -> None:
+    """Theorem-4 style cross checks for one configuration; ``distribution``
+    maps a start to the single walker's endpoint distribution under the
+    configuration's rate."""
+    a, b, x = config.a, config.b, config.x
+    upper = distribution((a, b + x + 1))
+    single = _target_mass(upper, [(-t, 1 + t) for t in range(x + 1)])
     rec.expect_equal(b_value, single, a=a, b=b, x=x, sides="pair walk vs single walker")
-    u = oracle.endpoint_probability(
-        (a, b + x + 1), steps, [(-t, 1 + t) for t in range(b + x + 1)], rate
-    )
-    l = oracle.endpoint_probability(
-        (a + x + 1, b), steps, [(1 + t, -t) for t in range(a + x + 1)], rate
-    )
+    u = _target_mass(upper, [(-t, 1 + t) for t in range(b + x + 1)])
+    l = _target_mass(distribution((a + x + 1, b)), [(1 + t, -t) for t in range(a + x + 1)])
     rec.expect_equal(b_value, u + l - 1, a=a, b=b, x=x, sides="pair walk vs u + l - 1")
+
+
+def _start_distributions(rate: oracle.RateModel):
+    """Single-walker endpoint distributions under one rate, each computed
+    once. Both starts of a configuration lie on the level a + b + x + 1 and
+    walk a + b + x steps, so a start (r, s) always runs r + s - 1 steps and
+    the start alone is the key."""
+    return lru_cache(maxsize=None)(
+        lambda start: oracle.endpoint_distribution(start, start[0] + start[1] - 1, rate)
+    )
 
 
 def check_barrier(
@@ -362,11 +373,14 @@ def check_barrier(
 
     Constant rates: pair DP == binomial closed form == single-walker DP,
     and u + l - 1. Level-dependent rates: pair DP == single-walker DP and
-    u + l - 1 over seeded pseudo-random rate tables.
+    u + l - 1 over seeded pseudo-random rate tables. The pair DP runs once
+    per configuration; the single-walker distributions are shared by every
+    configuration of one rate, but never feed the pair DP.
     """
     rec = _Recorder("barrier")
     for p in probs:
         rate = oracle.ConstantRate(Fraction(p))
+        distribution = _start_distributions(rate)
         for a in range(const_limit + 1):
             for b in range(const_limit + 1):
                 for x in range(const_limit + 1):
@@ -376,13 +390,14 @@ def check_barrier(
                         value, formulas.barrier_meet_formula(a, b, x, p),
                         a=a, b=b, x=x, p=p, sides="pair walk vs closed form",
                     )
-                    _axis_target_checks(rec, config, value)
+                    _axis_target_checks(rec, config, value, distribution)
     for rate in _level_rates(seed, level_seeds, level_total + 2):
+        distribution = _start_distributions(rate)
         for a in range(level_total + 1):
             for b in range(level_total + 1 - a):
                 for x in range(level_total + 1 - a - b):
                     config = oracle.BarrierConfig(a, b, x, rate)
-                    _axis_target_checks(rec, config, oracle.barrier_meet_prob(config))
+                    _axis_target_checks(rec, config, oracle.barrier_meet_prob(config), distribution)
     return rec.report()
 
 
@@ -529,9 +544,13 @@ class VerifyConfig:
     suites: tuple[str, ...] | None = None  # None selects every suite
     n_max: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.n_max is not None and self.n_max < 1:
+            raise ValueError(f"n_max must be at least 1, got {self.n_max}")
+
 
 def _sized(default: int, n_max: int | None) -> int:
-    return default if n_max is None else max(1, min(default, n_max))
+    return default if n_max is None else min(default, n_max)
 
 
 def _suite_runners(n_max: int | None):

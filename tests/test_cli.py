@@ -6,17 +6,25 @@ Core claims:
       all numbers round-trip through Fraction parsing
     - CSV output carries the same rows under a header
     - probabilities must be rational strings; decimals and bad ranges exit 2
-    - verification failures exit 1, empty suite selection exits 0
+    - verification failures and routes that disagree under --method all
+      exit 1 (the record is still emitted), empty suite selection exits 0
+    - a reader that closes the pipe early gets exit 141 and no traceback
     - a golden set of invocations keeps its exit code, stdout bytes and
       stderr text exactly
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import pathpairs
+from pathpairs import cli
 from pathpairs.cli import main
 
 
@@ -303,6 +311,56 @@ def test_each_route_is_built_once_per_query(capsys, monkeypatch):
     assert sorted(calls) == ["rect_pair_powers", "rect_pair_table"]
     assert record["consistency"] is True
     assert len(record["results"]) == 4 * 6 + 2  # the top k has no formula rows
+
+
+def _off_by_one(build):
+    """A route builder whose values are one more than ``build``'s."""
+
+    def built(query, limit):
+        route = build(query, limit)
+
+        def value(k):
+            v = route(k)
+            return (v[0], v[1] + 1) if isinstance(v, tuple) else v + 1  # pnk: (probability, count)
+
+        return value
+
+    return built
+
+
+@pytest.mark.parametrize(
+    "argv, route",
+    [
+        ("nkr --n 5 --r 2 --method all", "formula-b"),
+        ("mrs --n 4 --r 1 --s 2 --method all", "oracle"),
+        ("fnk --n 3 --method all", "formula"),
+        ("pnk --n 3 --method all", "oracle"),
+        ("barrier --a 1 --b 1 --x 1 --p 1/3 --method all", "single-walker"),
+    ],
+)
+def test_disagreeing_routes_exit_1(capsys, monkeypatch, argv, route):
+    command = argv.split()[0]
+    monkeypatch.setitem(cli.ROUTES[command], route, _off_by_one(cli.ROUTES[command][route]))
+    code, out, err = run(capsys, *argv.split())
+    assert code == 1
+    assert f"{command}: the routes disagree" in err
+    record = json.loads(out)  # the record is still emitted in full
+    assert record["consistency"] is False
+    assert route in {row["provenance"] for row in record["results"]}
+
+
+def test_closed_pipe_exits_141_quietly():
+    # the table is far larger than a pipe buffer, so writes go on after the
+    # reader has closed its end
+    env = {**os.environ, "PYTHONPATH": str(Path(pathpairs.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pathpairs.cli", "bijection", "--r", "5", "--s", "5", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"source,")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
 
 
 # --- golden outputs -------------------------------------------------------------

@@ -8,6 +8,8 @@ Core claims:
     - the tables agree with applying the named path operation pair by pair
     - the walker programs reproduce hand-computed meeting probabilities and
       the documented degenerate cases
+    - the integer-mass walker DPs equal a Fraction-mass reference DP exactly,
+      and a single walker's endpoint masses sum to their denominator
     - preconditions (ranges, size limits, probability bounds) are enforced
 """
 
@@ -15,6 +17,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pathpairs import oracle
 from pathpairs.paths import PathNE, PathPair, intersections_interior
@@ -200,3 +204,105 @@ def test_endpoint_probability_mass_is_conserved():
     start, steps = (2, 3), 4
     targets = [(start[0] - w, start[1] - (steps - w)) for w in range(steps + 1)]
     assert oracle.endpoint_probability(start, steps, targets, rate) == 1
+
+
+# --- integer-mass DPs against a Fraction-mass reference ------------------------
+
+
+def _reference_moves(pos, rate):
+    """Next-position distribution for one constrained walker, as Fractions."""
+    r, s = pos
+    if r == 0 and s == 0:
+        return ((pos, Fraction(1)),)
+    if s == 0:
+        return (((r - 1, 0), Fraction(1)),)
+    if r == 0:
+        return (((0, s - 1), Fraction(1)),)
+    p = rate.west(r, s)
+    return tuple(move for move in (((r - 1, s), p), ((r, s - 1), 1 - p)) if move[1])
+
+
+def _reference_surviving_mass(u, l, rate, steps):
+    """The pair DP with a normalised Fraction mass on every state."""
+    states = {(u, l): Fraction(1)}
+    for _ in range(steps):
+        nxt = {}
+        for (pu, pl), mass in states.items():
+            for qu, wu in _reference_moves(pu, rate):
+                for ql, wl in _reference_moves(pl, rate):
+                    if qu != ql:
+                        nxt[(qu, ql)] = nxt.get((qu, ql), Fraction(0)) + mass * wu * wl
+        states = nxt
+    return sum(states.values(), Fraction(0))
+
+
+def _reference_endpoint_probability(start, steps, targets, rate):
+    """The unconstrained single-walker DP with Fraction masses."""
+    dist = {start: Fraction(1)}
+    for _ in range(steps):
+        nxt = {}
+        for (r, s), mass in dist.items():
+            p = rate.west(r, s)
+            for key, w in (((r - 1, s), p), ((r, s - 1), 1 - p)):
+                if w:
+                    nxt[key] = nxt.get(key, Fraction(0)) + mass * w
+        dist = nxt
+    return sum((dist.get(t, Fraction(0)) for t in set(targets)), Fraction(0))
+
+
+# rates with denominators up to 16, always including the forced 0 and 1
+_probabilities = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.integers(1, 16).flatmap(lambda den: st.integers(0, den).map(lambda num: Fraction(num, den))),
+)
+_rates = st.one_of(
+    st.builds(oracle.ConstantRate, _probabilities),
+    st.lists(_probabilities, min_size=1, max_size=10).map(lambda v: oracle.LevelRate(tuple(v))),
+)
+_small = st.integers(0, 4)
+_mixed_levels = oracle.LevelRate(
+    (Fraction(1, 3), Fraction(0), Fraction(3, 16), Fraction(1), Fraction(5, 7), Fraction(2, 9))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example(a=1, b=2, x=1, rate=oracle.ConstantRate(Fraction(0)))
+@example(a=2, b=1, x=1, rate=oracle.ConstantRate(Fraction(1)))
+@example(a=2, b=2, x=1, rate=_mixed_levels)
+@given(a=_small, b=_small, x=_small, rate=_rates)
+def test_barrier_dp_equals_fraction_reference(a, b, x, rate):
+    config = oracle.BarrierConfig(a, b, x, rate)
+    want = _reference_surviving_mass((a, b + x + 1), (a + x + 1, b), rate, a + b + x)
+    got = oracle.barrier_meet_prob(config)
+    assert isinstance(got, Fraction)
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@example(a=1, b=1, p=Fraction(0))
+@example(a=1, b=1, p=Fraction(1))
+@given(a=_small, b=_small, p=_probabilities)
+def test_same_start_dp_equals_fraction_reference(a, b, p):
+    start = (a + 1, b + 1)
+    want = _reference_surviving_mass(start, start, oracle.ConstantRate(p), a + b + 1)
+    assert oracle.same_start_meet_prob(a, b, p) == want
+
+
+@settings(max_examples=150, deadline=None)
+@example(start=(2, 3), steps=5, west_steps=[0, 2, 5], rate=oracle.ConstantRate(Fraction(0)))
+@example(start=(2, 3), steps=5, west_steps=[0, 2, 5], rate=oracle.ConstantRate(Fraction(1)))
+@example(start=(4, 3), steps=6, west_steps=[1, 3, 4], rate=_mixed_levels)
+@given(
+    start=st.tuples(st.integers(-2, 6), st.integers(-2, 6)),
+    steps=st.integers(0, 9),
+    west_steps=st.lists(st.integers(0, 9), max_size=6),
+    rate=_rates,
+)
+def test_single_walker_equals_fraction_reference(start, steps, west_steps, rate):
+    targets = [(start[0] - w, start[1] - (steps - w)) for w in west_steps] + [(99, 99)]
+    got = oracle.endpoint_probability(start, steps, targets, rate)
+    assert isinstance(got, Fraction)
+    assert got == _reference_endpoint_probability(start, steps, targets, rate)
+    masses, den = oracle.endpoint_distribution(start, steps, rate)
+    assert all(isinstance(m, int) and m > 0 for m in masses.values())
+    assert sum(masses.values()) == den

@@ -6,7 +6,7 @@ Core claims:
     - reports are reproducible: the same configuration yields identical
       report objects
     - suite selection is honored in registry order, unknown names raise, an
-      empty selection runs nothing
+      empty selection runs nothing, an n_max below 1 is rejected
     - a shrunken n_max still passes every suite (smoke run)
 """
 
@@ -60,6 +60,13 @@ def test_empty_selection():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         verify.run_all(VerifyConfig(suites=("no-such-suite",)))
+
+
+def test_n_max_below_one_rejected():
+    for n_max in (0, -3):
+        with pytest.raises(ValueError, match="n_max must be at least 1"):
+            VerifyConfig(n_max=n_max)
+    assert VerifyConfig(n_max=1).n_max == 1
 
 
 def test_smoke_run_all_passes():
