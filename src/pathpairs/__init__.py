@@ -29,6 +29,7 @@ from .oracle import (
     same_start_meet_prob,
 )
 from .formulas import (
+    IntegralityError,
     average_crossings,
     barrier_meet_formula,
     endpoint_pair_count,
@@ -72,6 +73,7 @@ __all__ = [
     "same_start_meet_prob",
     "endpoint_distribution",
     "endpoint_probability",
+    "IntegralityError",
     "rect_pair_count_a",
     "rect_pair_count_b",
     "narayana",

@@ -17,8 +17,10 @@ k range, sets the ``consistency`` flag under ``--method all`` and emits.
 Probabilities are accepted only as rational strings like ``1/3`` (or an
 integer); decimal notation and zero denominators are rejected so exactness
 survives end to end. Exit codes: 0 success, 1 verification failure or
-routes that disagree under ``--method all``, 2 usage or range error, 141
-when stdout is a pipe the reader closed early.
+routes that disagree under ``--method all``, 2 usage or range error, 3 an
+internal integrality check failed (a closed-form count that is not a
+nonnegative integer: a program bug), 141 when stdout is a pipe the reader
+closed early. Exact values print in full however many digits they have.
 """
 
 from __future__ import annotations
@@ -526,6 +528,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # Exact results print in full, past the interpreter's default cap on
+    # int-to-decimal conversion; the cap is restored on return because
+    # callers may run ``main`` in process.
+    digit_cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         code = args.func(args)
@@ -534,6 +541,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except formulas.IntegralityError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -544,6 +554,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    finally:
+        sys.set_int_max_str_digits(digit_cap)
 
 
 if __name__ == "__main__":

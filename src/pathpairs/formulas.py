@@ -1,9 +1,14 @@
 """Closed-form pair counts and meeting probabilities, evaluated exactly.
 
-Everything is computed in Fraction arithmetic; results that are counts are
-asserted to reduce to nonnegative integers at the boundary, and a failed
-reduction raises instead of rounding. The prefactors of the rectangle-count
-formulas are not termwise integral, so the assertion is load bearing.
+The formulas are written as products and sums of binomials and falling
+factorials, so they are evaluated in Python ints; a ``Fraction`` is built
+once, at the boundary, from one integer numerator and one integer
+denominator. A sum whose terms are not integral (the second rectangle form)
+is taken over one common denominator that every term divides. Results that
+are counts are asserted to reduce to nonnegative integers there, and a failed
+reduction raises ``IntegralityError`` instead of rounding. The prefactors of
+the rectangle-count formulas are not termwise integral, so the assertion is
+load bearing.
 
 Binomials follow the factorial convention used throughout: a term whose
 denominator would contain the factorial of a negative integer vanishes.
@@ -16,7 +21,7 @@ integer upper argument, which the two convolution identities in
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from . import oracle
 
@@ -38,9 +43,15 @@ def binom_gen(x: int, m: int) -> int:
     return num // factorial(m)
 
 
+class IntegralityError(ArithmeticError):
+    """A closed form that must yield a count did not reduce to a nonnegative
+    integer: the program is wrong, not its input. The message names the
+    function and its inputs."""
+
+
 def _as_count(value: Fraction, context: str) -> int:
     if value.denominator != 1 or value < 0:
-        raise ArithmeticError(f"{context}: expected a nonnegative integer, got {value}")
+        raise IntegralityError(f"{context}: expected a nonnegative integer, got {value}")
     return int(value)
 
 
@@ -70,24 +81,24 @@ def rect_pair_count_b(n: int, r: int, k: int) -> int:
         2(k+1)/r * sum_i (-1)^i C(k,i) C(k-i,i) C(n-i-2,r-1) C(n-i-1,r-i-1)
                                  / C(n-i-2,i)
 
-    Terms are evaluated in factorial form so the division is exact and the
-    vanishing convention applies uniformly. The r = 0 column is defined by
-    the transpose symmetry with r = n.
+    With 1/C(n-i-2,i) = i! / ((n-i-2)(n-i-3)...(n-2i-1)), term i is an
+    integer over that falling product, whose factors lie in n-k-1 .. n-1
+    because 2i <= k; so every term divides exactly into the common
+    denominator (n-1)(n-2)...(n-k-1) = (n-1)!/(n-k-2)!, and the sum runs in
+    integers. ``binom``'s vanishing convention drops the same terms as the
+    factorial form. The r = 0 column is defined by the transpose symmetry
+    with r = n.
     """
     _check_rect_args(n, r, k)
     if r == 0:
         return rect_pair_count_a(n, n, k)
-    total = Fraction(0)
+    common = perm(n - 1, k + 1)
+    total = 0
     for i in range(k // 2 + 1):
-        denom_args = (i, k - 2 * i, r - 1, n - i - 1 - r, r - i - 1, n - r)
-        if any(d < 0 for d in denom_args):
-            continue
-        num = factorial(k) * factorial(n - i - 1) * factorial(n - 2 * i - 2)
-        den = 1
-        for d in denom_args:
-            den *= factorial(d)
-        total += (-1) ** i * Fraction(num, den)
-    return _as_count(Fraction(2 * (k + 1), r) * total, f"rect_pair_count_b{(n, r, k)}")
+        term = binom(k, i) * binom(k - i, i) * binom(n - i - 2, r - 1) * binom(n - i - 1, r - i - 1)
+        if term:
+            total += (-1) ** i * term * factorial(i) * (common // perm(n - i - 2, i))
+    return _as_count(Fraction(2 * (k + 1) * total, r * common), f"rect_pair_count_b{(n, r, k)}")
 
 
 def narayana(n: int, r: int) -> int:
@@ -234,14 +245,14 @@ def free_pair_count(n: int, k: int) -> int:
 def same_endpoint_pair_count(n: int, k: int) -> int:
     """Ordered same-endpoint pairs of n-step walks with k interior meetings:
 
-        2^(k+1) (k+1) (2n-k-2)! / (n! (n-k-1)!)
+        2^(k+1) (k+1) (2n-k-2)! / (n! (n-k-1)!) = 2^(k+1) (k+1) C(2n-k-2, n-1) / n
 
     Also the diagonal sum of the rectangle counts over every split r.
     """
     if n < 1 or not 0 <= k <= n - 1:
         raise ValueError(f"need n >= 1 and 0 <= k <= n-1, got n={n}, k={k}")
     return _as_count(
-        Fraction((1 << (k + 1)) * (k + 1) * factorial(2 * n - k - 2), factorial(n) * factorial(n - k - 1)),
+        Fraction((1 << (k + 1)) * (k + 1) * comb(2 * n - k - 2, n - 1), n),
         f"same_endpoint_pair_count{(n, k)}",
     )
 
@@ -250,15 +261,13 @@ def same_endpoint_meet_prob(n: int, k: int) -> Fraction:
     """Probability that a uniform same-endpoint pair has k interior meetings:
 
         2^(k+1) (k+1) (2n-k-2)! n! / ((n-k-1)! (2n)!)
+            = 2^(k+1) (k+1) C(2n-k-2, n-1) / (n C(2n, n))
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
-    return Fraction(
-        (1 << (k + 1)) * (k + 1) * factorial(2 * n - k - 2) * factorial(n),
-        factorial(n - k - 1) * factorial(2 * n),
-    )
+    return Fraction((1 << (k + 1)) * (k + 1) * comb(2 * n - k - 2, n - 1), n * comb(2 * n, n))
 
 
 def meet_prob_or_zero(n: int, k: int) -> Fraction:
@@ -282,10 +291,11 @@ def telescoping_companion(n: int, k: int) -> Fraction:
 
 def average_crossings(n: int) -> Fraction:
     """Exact mean number of shared vertices (after the origin) over all 4^n
-    pairs of free n-step walks: (2n+1)! / (4^n n!^2) - 1."""
+    pairs of free n-step walks: (2n+1)! / (4^n n!^2) - 1 = (2n+1) C(2n, n) / 4^n - 1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return Fraction(factorial(2 * n + 1), (1 << (2 * n)) * factorial(n) ** 2) - 1
+    four_n = 1 << (2 * n)
+    return Fraction((2 * n + 1) * comb(2 * n, n) - four_n, four_n)
 
 
 def average_crossings_asymptote(n: int) -> float:

@@ -7,6 +7,14 @@ coefficient. A one-variable series is a ``BiSeries`` with no y terms, read
 with ``coeff(i)``. Binary operations require equal truncation degrees so
 silent precision loss cannot happen.
 
+The arithmetic runs on Python ints: a series stores integer numerators
+keyed by (i, j) over one common positive denominator, kept in canonical
+form (the gcd of the denominator and every numerator is 1), so equal series
+have equal representations. Sums rescale both operands to the lcm of their
+denominators; products multiply numerators and denominators. A ``Fraction``
+is built only at the boundary: ``coeff()`` returns one, and ``coeffs`` is a
+read-only {(i, j): Fraction} view of the nonzero coefficients.
+
 Square roots expand (1 + w)^(1/2) binomially, where w is the input minus its
 constant term; they demand constant term 1 and return the branch whose
 constant term is +1. Inverses require a nonzero constant term and are grown
@@ -21,7 +29,7 @@ Lagrange-inversion coefficient extractor for solutions of f = x g(f).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, log2
+from math import ceil, gcd, lcm, log2
 
 
 def _half_binomials(count: int) -> list[Fraction]:
@@ -32,48 +40,79 @@ def _half_binomials(count: int) -> list[Fraction]:
     return out
 
 
+class _ReadOnlyDict(dict):
+    """A dict whose mutators raise, so a view cannot drift from its series."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("BiSeries coefficients are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
 class BiSeries:
     """Series in x and y truncated by total degree; a one-variable series
     is one with no y terms.
 
-    Coefficients live in a dict keyed by exponent pairs (i, j) with
-    i + j <= degree; absent keys are zero.
+    ``coeffs`` maps exponent pairs (i, j) with i + j <= degree to their
+    nonzero coefficients; absent keys are zero.
     """
 
-    __slots__ = ("degree", "coeffs")
+    __slots__ = ("degree", "_num", "_den", "_view")
 
     def __init__(self, degree: int, coeffs=None):
         if degree < 0:
             raise ValueError("truncation degree must be nonnegative")
-        self.degree = degree
-        cleaned: dict[tuple[int, int], Fraction] = {}
+        kept = {}
         for (i, j), c in (coeffs or {}).items():
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent pair {(i, j)}")
-            if i + j > degree:
-                continue
-            c = Fraction(c)
-            if c:
-                cleaned[(i, j)] = c
-        self.coeffs = cleaned
+            if i + j <= degree:
+                kept[(i, j)] = c if isinstance(c, int) else Fraction(c)
+        den = lcm(*(c.denominator for c in kept.values()))
+        self._store(degree, {key: c.numerator * (den // c.denominator) for key, c in kept.items()}, den)
+
+    def _store(self, degree: int, num: dict, den: int) -> None:
+        """Hold num/den in canonical form: zero numerators dropped, and the
+        denominator and numerators divided by their common gcd."""
+        num = {key: c for key, c in num.items() if c}
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {key: c // g for key, c in num.items()}
+            den //= g
+        self.degree, self._num, self._den, self._view = degree, num, den, None
+
+    @classmethod
+    def _of(cls, degree: int, num: dict, den: int) -> "BiSeries":
+        out = object.__new__(cls)
+        out._store(degree, num, den)
+        return out
+
+    @property
+    def coeffs(self) -> dict:
+        if self._view is None:
+            den = self._den
+            self._view = _ReadOnlyDict({key: Fraction(c, den) for key, c in self._num.items()})
+        return self._view
 
     def coeff(self, i: int, j: int = 0) -> Fraction:
         if i < 0 or j < 0 or i + j > self.degree:
             raise IndexError(f"monomial {(i, j)} beyond total degree {self.degree}")
-        return self.coeffs.get((i, j), Fraction(0))
+        return Fraction(self._num.get((i, j), 0), self._den)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BiSeries)
             and self.degree == other.degree
-            and self.coeffs == other.coeffs
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self):
-        return hash((self.degree, frozenset(self.coeffs.items())))
+        return hash((self.degree, self._den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
-        return f"BiSeries(degree={self.degree}, terms={len(self.coeffs)})"
+        return f"BiSeries(degree={self.degree}, terms={len(self._num)})"
 
     def _coerce(self, other) -> "BiSeries":
         if isinstance(other, BiSeries):
@@ -82,19 +121,22 @@ class BiSeries:
                     f"mixed truncation degrees {self.degree} and {other.degree}"
                 )
             return other
-        return BiSeries(self.degree, {(0, 0): Fraction(other)})
+        return BiSeries(self.degree, {(0, 0): other})
 
     def __add__(self, other) -> "BiSeries":
         o = self._coerce(other)
-        out = dict(self.coeffs)
-        for key, c in o.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return BiSeries(self.degree, out)
+        g = gcd(self._den, o._den)
+        # scale both sides to the lcm of the denominators
+        mine, theirs = o._den // g, self._den // g
+        out = {key: c * mine for key, c in self._num.items()}
+        for key, c in o._num.items():
+            out[key] = out.get(key, 0) + c * theirs
+        return self._of(self.degree, out, self._den * mine)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BiSeries":
-        return BiSeries(self.degree, {k: -c for k, c in self.coeffs.items()})
+        return self._of(self.degree, {key: -c for key, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "BiSeries":
         return self + (-self._coerce(other))
@@ -105,21 +147,22 @@ class BiSeries:
     def __mul__(self, other) -> "BiSeries":
         if not isinstance(other, BiSeries):
             c = Fraction(other)
-            return BiSeries(self.degree, {k: v * c for k, v in self.coeffs.items()})
+            num = {key: v * c.numerator for key, v in self._num.items()}
+            return self._of(self.degree, num, self._den * c.denominator)
         o = self._coerce(other)
         d = self.degree
         # the other factor's terms by total degree t, so each term of this
         # one meets only the t <= d - (i1 + j1) that survive truncation
         by_degree: list[list] = [[] for _ in range(d + 1)]
-        for (i2, j2), c2 in o.coeffs.items():
+        for (i2, j2), c2 in o._num.items():
             by_degree[i2 + j2].append((i2, j2, c2))
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.coeffs.items():
+        out: dict[tuple[int, int], int] = {}
+        for (i1, j1), c1 in self._num.items():
             for group in by_degree[: d + 1 - i1 - j1]:
                 for i2, j2, c2 in group:
                     key = (i1 + i2, j1 + j2)
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return BiSeries(d, out)
+                    out[key] = out.get(key, 0) + c1 * c2
+        return self._of(d, out, self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -140,7 +183,7 @@ class BiSeries:
         wpow = acc
         for m in range(1, self.degree + 1):
             wpow = wpow * w
-            if not wpow.coeffs:
+            if not wpow._num:
                 break
             acc = acc + wpow * halves[m]
         return acc

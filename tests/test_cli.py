@@ -9,6 +9,10 @@ Core claims:
     - verification failures and routes that disagree under --method all
       exit 1 (the record is still emitted), empty suite selection exits 0
     - a reader that closes the pipe early gets exit 141 and no traceback
+    - a closed-form count that fails its integrality check is a program bug
+      and exits 3, not 2
+    - exact values print in full past the interpreter's digit limit, and
+      main leaves that process-wide limit as it found it
     - a golden set of invocations keeps its exit code, stdout bytes and
       stderr text exactly
 """
@@ -24,7 +28,7 @@ from pathlib import Path
 import pytest
 
 import pathpairs
-from pathpairs import cli
+from pathpairs import cli, formulas
 from pathpairs.cli import main
 
 
@@ -127,6 +131,31 @@ def test_avg_exact_and_float(capsys):
     row = record["results"][0]
     assert row["value"] == "1/2"
     assert row["value_float"] == 0.5
+
+
+def test_avg_prints_exact_values_past_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    record = run_json(capsys, "avg", "--n", "8000")
+    assert sys.get_int_max_str_digits() == limit
+    text = record["results"][0]["value"]
+    assert len(text) > sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(0)
+    try:
+        value = Fraction(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert value == formulas.average_crossings(8000)
+
+
+def test_integrality_failure_exits_3(capsys, monkeypatch):
+    # an off-by-one binomial leaves the first rectangle form's sum at
+    # 272/3 instead of 24
+    binom = formulas.binom
+    monkeypatch.setattr(formulas, "binom", lambda a, b: binom(a, b) + 1)
+    code, out, err = run(capsys, "nkr", "--n", "5", "--r", "2", "--k", "1", "--method", "formula-a")
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal check failed: rect_pair_count_a(5, 2, 1): expected a nonnegative integer, got 272/3\n"
 
 
 def test_barrier_all_routes(capsys):

@@ -9,12 +9,19 @@ Core claims:
       yields a structured, nonempty one that names wrong and non-integer values
     - the free-pair, meeting-probability, same-endpoint-count, and average
       formulas match their oracles and special values
-    - counts that fail to reduce to integers raise instead of rounding
+    - counts that fail to reduce to integers raise IntegralityError, an
+      ArithmeticError naming the function and its inputs, instead of rounding
+    - the integer-arithmetic forms equal their factorial-ratio references:
+      rect_pair_count_b equals rect_pair_count_a on every instance with
+      n <= 40, and the average and same-endpoint forms equal the factorial
+      expressions kept below
     - the telescoping companion satisfies its difference identity
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -46,6 +53,21 @@ def test_rect_count_range_checks():
         formulas.rect_pair_count_a(3, 1, -1)
     with pytest.raises(ValueError):
         formulas.rect_pair_count_b(3, 4, 0)  # r > n
+
+
+def test_rect_count_b_equals_a_on_every_instance_to_n_40():
+    for n in range(2, 41):
+        for r in range(n + 1):
+            for k in range(n - 1):
+                assert formulas.rect_pair_count_b(n, r, k) == formulas.rect_pair_count_a(n, r, k), (n, r, k)
+
+
+def test_non_integral_count_raises_integrality_error():
+    with pytest.raises(formulas.IntegralityError, match=r"rect_pair_count_a\(5, 2, 1\)") as info:
+        formulas._as_count(Fraction(272, 3), "rect_pair_count_a(5, 2, 1)")
+    assert isinstance(info.value, ArithmeticError)
+    with pytest.raises(formulas.IntegralityError):
+        formulas._as_count(Fraction(-4), "narayana(3, 1)")
 
 
 def test_rect_counts_match_oracle_sweep():
@@ -188,6 +210,48 @@ def test_same_endpoint_count_equals_row_sums():
         for k in range(n - 1):
             row = sum(formulas.rect_pair_count_a(n, r, k) for r in range(n + 1))
             assert formulas.same_endpoint_pair_count(n, k) == row
+
+
+# The factorial-ratio forms the closed forms were first written in, as
+# (numerator, denominator) pairs; the library now evaluates them as binomials
+# in integers. Memoised factorials and comparison by cross-multiplication
+# keep the references cheap at n = 1000.
+
+_fact = lru_cache(maxsize=None)(factorial)
+
+
+def _factorial_average_crossings(n):
+    den = (1 << (2 * n)) * _fact(n) ** 2
+    return _fact(2 * n + 1) - den, den
+
+
+def _factorial_meet_prob(n, k):
+    num = (1 << (k + 1)) * (k + 1) * _fact(2 * n - k - 2) * _fact(n)
+    return num, _fact(n - k - 1) * _fact(2 * n)
+
+
+def _factorial_same_endpoint_count(n, k):
+    num = (1 << (k + 1)) * (k + 1) * _fact(2 * n - k - 2)
+    return num, _fact(n) * _fact(n - k - 1)
+
+
+def _equals(value, ratio):
+    num, den = ratio
+    return value.numerator * den == num * value.denominator
+
+
+def test_average_crossings_equals_factorial_form():
+    for n in [*range(61), 5000]:
+        assert _equals(formulas.average_crossings(n), _factorial_average_crossings(n)), n
+
+
+def test_same_endpoint_forms_equal_factorial_forms():
+    for n in [*range(1, 61), 1000]:
+        for k in range(n):
+            assert _equals(formulas.same_endpoint_meet_prob(n, k), _factorial_meet_prob(n, k)), (n, k)
+            count = formulas.same_endpoint_pair_count(n, k)
+            assert isinstance(count, int)
+            assert _equals(Fraction(count), _factorial_same_endpoint_count(n, k)), (n, k)
 
 
 def test_telescoping_companion_difference_identity():

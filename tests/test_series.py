@@ -13,12 +13,18 @@ Core claims:
     - the free-pair series matches 2^k C(2n-k, n) and vanishes below degree k
     - Lagrange extraction reproduces its textbook examples and the row sums
       of the rectangle counts at rational specializations
+    - the integer-numerator arithmetic equals a Fraction-dict reference on
+      random rational series of degree <= 8 under +, -, *, scalar *, pow,
+      sqrt and inverse, obeys the ring laws, hands out Fractions, and keeps
+      a canonical form: equal values give equal, equally hashed series
 """
 
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathpairs import formulas, oracle, series, verify
 from pathpairs.series import BiSeries
@@ -210,3 +216,158 @@ def test_lagrange_reproduces_rect_row_sums():
                 for r in range(n + 1)
             )
             assert series.lagrange_coefficient(phi, g, order) == direct
+
+
+# --- integer numerators against a Fraction-dict reference -----------------------
+# The reference keeps one normalised Fraction per monomial in a plain dict;
+# its inverse sums a geometric series rather than taking Newton steps.
+
+
+def _ref_clean(d, coeffs):
+    return {key: Fraction(c) for key, c in coeffs.items() if c and sum(key) <= d}
+
+
+def _ref_add(d, a, b):
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + c
+    return _ref_clean(d, out)
+
+
+def _ref_scale(d, a, c):
+    return _ref_clean(d, {key: v * c for key, v in a.items()})
+
+
+def _ref_mul(d, a, b):
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return _ref_clean(d, out)
+
+
+def _ref_pow(d, a, m):
+    out = {(0, 0): Fraction(1)}
+    for _ in range(m):
+        out = _ref_mul(d, out, a)
+    return out
+
+
+def _ref_sqrt(d, a):
+    # (1 + w)^(1/2) = sum_m C(1/2, m) w^m with w = a - 1
+    w = _ref_add(d, a, {(0, 0): -1})
+    out = wpow = {(0, 0): Fraction(1)}
+    half = Fraction(1)
+    for m in range(1, d + 1):
+        half = half * (Fraction(1, 2) - (m - 1)) / m
+        wpow = _ref_mul(d, wpow, w)
+        out = _ref_add(d, out, _ref_scale(d, wpow, half))
+    return out
+
+
+def _ref_inverse(d, a):
+    # 1 / a = (1/c0) sum_m u^m with u = 1 - a/c0, which has no constant term
+    c0 = a[(0, 0)]
+    u = _ref_add(d, {(0, 0): 1}, _ref_scale(d, a, -1 / c0))
+    out = upow = {(0, 0): Fraction(1)}
+    for _ in range(d):
+        upow = _ref_mul(d, upow, u)
+        out = _ref_add(d, out, upow)
+    return _ref_scale(d, out, 1 / c0)
+
+
+def _matches(s, ref):
+    assert s.coeffs == ref
+    assert all(type(c) is Fraction for c in s.coeffs.values())
+    assert all(type(s.coeff(i, j)) is Fraction for i in range(s.degree + 1) for j in range(s.degree + 1 - i))
+
+
+_rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+_values = st.one_of(_rationals, st.integers(-5, 5))
+
+
+@st.composite
+def _series_dicts(draw, count, constant=None):
+    """A truncation degree <= 8 and ``count`` coefficient dicts of that
+    degree, mixing Fraction and int values; ``constant`` draws (0, 0)."""
+    d = draw(st.integers(0, 8))
+    keys = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+    out = []
+    for _ in range(count):
+        coeffs = draw(st.dictionaries(st.sampled_from(keys), _values, max_size=12))
+        if constant is not None:
+            coeffs[(0, 0)] = draw(constant)
+        out.append(coeffs)
+    return d, out
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_series_dicts(2), scalar=_values, m=st.integers(0, 4))
+def test_ring_operations_equal_fraction_reference(case, scalar, m):
+    d, (ca, cb) = case
+    a, b = BiSeries(d, ca), BiSeries(d, cb)
+    ra, rb = _ref_clean(d, ca), _ref_clean(d, cb)
+    _matches(a, ra)
+    _matches(a + b, _ref_add(d, ra, rb))
+    _matches(a - b, _ref_add(d, ra, _ref_scale(d, rb, -1)))
+    _matches(-a, _ref_scale(d, ra, -1))
+    _matches(a * b, _ref_mul(d, ra, rb))
+    _matches(a * scalar, _ref_scale(d, ra, scalar))
+    _matches(scalar * a, _ref_scale(d, ra, scalar))
+    _matches(scalar - a, _ref_add(d, {(0, 0): scalar}, _ref_scale(d, ra, -1)))
+    _matches(a.pow(m), _ref_pow(d, ra, m))
+
+
+_nonzero = _values.filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(root=_series_dicts(1, constant=st.just(1)), inv=_series_dicts(1, constant=_nonzero))
+def test_sqrt_and_inverse_equal_fraction_reference(root, inv):
+    d, (coeffs,) = root
+    _matches(BiSeries(d, coeffs).sqrt(), _ref_sqrt(d, _ref_clean(d, coeffs)))
+    d, (coeffs,) = inv
+    _matches(BiSeries(d, coeffs).inverse(), _ref_inverse(d, _ref_clean(d, coeffs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_series_dicts(3))
+def test_ring_laws(case):
+    d, dicts = case
+    a, b, c = (BiSeries(d, coeffs) for coeffs in dicts)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+    assert a - a == BiSeries(d) and hash(a - a) == hash(BiSeries(d))
+
+
+def test_canonical_form():
+    half = BiSeries(3, {(0, 0): Fraction(1, 2)})
+    for same in (
+        BiSeries(3, {(0, 0): Fraction(2, 4)}),
+        BiSeries(3, {(0, 0): 1}) * Fraction(1, 2),
+        BiSeries(3, {(0, 0): Fraction(3, 4), (2, 1): Fraction(5, 6)}) - BiSeries(3, {(0, 0): Fraction(1, 4), (2, 1): Fraction(5, 6)}),
+    ):
+        assert same == half and hash(same) == hash(half)
+        assert same.coeffs == {(0, 0): Fraction(1, 2)}
+    cancelled = BiSeries(2, {(1, 0): Fraction(1, 3), (0, 2): 7}) + BiSeries(2, {(1, 0): Fraction(-1, 3), (0, 2): -7})
+    assert cancelled == BiSeries(2) == BiSeries(2, {(0, 0): 0})
+    assert hash(cancelled) == hash(BiSeries(2))
+    assert cancelled.coeffs == {} and cancelled.coeff(1, 1) == 0
+    assert BiSeries(2, {(0, 0): 1}) != BiSeries(3, {(0, 0): 1})
+
+
+def test_coeffs_is_a_read_only_fraction_dict():
+    s = BiSeries(2, {(0, 0): 3, (1, 0): Fraction(1, 2), (3, 0): 9})  # (3, 0) is past the degree
+    assert isinstance(s.coeffs, dict)
+    assert s.coeffs == {(0, 0): Fraction(3), (1, 0): Fraction(1, 2)}
+    assert type(s.coeffs[(0, 0)]) is Fraction
+    with pytest.raises(TypeError):
+        s.coeffs[(0, 1)] = Fraction(1)
+    with pytest.raises(TypeError):
+        s.coeffs.update({(0, 1): 1})
+    assert s.coeff(0, 1) == 0
