@@ -158,6 +158,13 @@ def insert_meeting(pair: RectPair) -> tuple[RectPair, RectPair]:
     moves that doubled edge to the northeast corner and shifts the pair one
     unit west, meeting at (r-1, s).
     """
+    _, first, second = _insert(pair)
+    return first, second
+
+
+def _insert(pair: RectPair) -> tuple[str, RectPair, RectPair]:
+    """``insert_meeting`` with the construction case ("A", "B" or "C") it
+    took, ahead of the two images."""
     if pair.kind != NONMEETING:
         raise ValueError("insert_meeting needs a nonmeeting pair")
     r, s = pair.shape
@@ -171,7 +178,7 @@ def insert_meeting(pair: RectPair) -> tuple[RectPair, RectPair]:
     if not gap_one:
         first = _validated_image(up[1:] + NORTH, lo, (r, s - 1), "A1")
         second = _validated_image(up, NORTH + lo[:-1], (0, 1), "A2")
-        return first, second
+        return "A", first, second
 
     x0 = gap_one[0]
     y0 = max(pair.lower.column_heights(x0))
@@ -184,11 +191,11 @@ def insert_meeting(pair: RectPair) -> tuple[RectPair, RectPair]:
         swapped_a = moved[:t0] + lo[t0:]
         swapped_b = lo[:t0] + moved[t0:]
         second = _validated_image(swapped_a, swapped_b, (x0, y0), "B2")
-        return first, second
+        return "B", first, second
 
     first = _validated_image(moved, lo, (1, 0), "C1")
     second = _validated_image(moved[1:] + EAST, lo[1:] + EAST, (r - 1, s), "C2")
-    return first, second
+    return "C", first, second
 
 
 def _classify(pair: RectPair) -> tuple[str, str]:
@@ -308,17 +315,6 @@ class CorrespondenceReport:
     rows: tuple[CorrespondenceRow, ...]
 
 
-def _case_of(source: RectPair) -> str:
-    r, _ = source.shape
-    gaps = [
-        x for x in range(1, r) if distance_at_column(source.upper, source.lower, x) == 1
-    ]
-    if not gaps:
-        return "A"
-    y0 = max(source.lower.column_heights(gaps[0]))
-    return "C" if (gaps[0], y0) == (1, 0) else "B"
-
-
 _EXPECTED_GROUP = {"A": "II", "B": "III", "C": "I"}
 
 
@@ -346,9 +342,8 @@ def verify_correspondence(r: int, s: int) -> CorrespondenceReport:
     rows: list[CorrespondenceRow] = []
     images: list[RectPair] = []
     for source in nonmeeting:
-        case = _case_of(source)
         try:
-            first, second = insert_meeting(source)
+            case, first, second = _insert(source)
         except (ValueError, RuntimeError) as exc:
             failures.append(f"forward map failed on {source.words()}: {exc}")
             continue

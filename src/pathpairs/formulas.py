@@ -16,14 +16,16 @@ denominator would contain the factorial of a negative integer vanishes.
 separate ``binom_gen`` is the falling-factorial binomial, defined for any
 integer upper argument, which the two convolution identities in
 ``vandermonde_a``/``vandermonde_b`` need to hold without restrictions.
+
+No other route is imported here: every comparison with enumeration,
+including the table that tells the readings of the two-endpoint formula
+apart, lives in ``verify``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, perm
-
-from . import oracle
 
 
 def binom(a: int, b: int) -> int:
@@ -51,7 +53,11 @@ class IntegralityError(ArithmeticError):
 
 def _as_count(value: Fraction, context: str) -> int:
     if value.denominator != 1 or value < 0:
-        raise IntegralityError(f"{context}: expected a nonnegative integer, got {value}")
+        # a long value is named by its size: str() would pass the
+        # interpreter's int-to-str limit and raise ValueError instead
+        bits = (value.numerator.bit_length(), value.denominator.bit_length())
+        shown = value if sum(bits) <= 1000 else "a %d-bit numerator over a %d-bit denominator" % bits
+        raise IntegralityError(f"{context}: expected a nonnegative integer, got {shown}")
     return int(value)
 
 
@@ -91,7 +97,7 @@ def rect_pair_count_b(n: int, r: int, k: int) -> int:
     """
     _check_rect_args(n, r, k)
     if r == 0:
-        return rect_pair_count_a(n, n, k)
+        return rect_pair_count_b(n, n, k)
     common = perm(n - 1, k + 1)
     total = 0
     for i in range(k // 2 + 1):
@@ -121,11 +127,12 @@ ENDPOINT_COUNT_READINGS = ("printed", "minus-2t", "r-plus-1")
 RESOLVED_ENDPOINT_READING = "printed"
 
 
-def _endpoint_raw(n: int, r: int, s: int, k: int, reading: str) -> Fraction:
+def endpoint_pair_expression(n: int, r: int, s: int, k: int, reading: str) -> Fraction:
     """Two-term expression for pairs ending at (r, n-r) and (s, n-s) that
-    share exactly k vertices beyond the start. Valid for r <= s; at r = s
-    the second term vanishes and the double sum reduces to the same-endpoint
-    count."""
+    share exactly k vertices beyond the start, under one reading of its
+    leading fraction. Valid for r <= s; at r = s the second term vanishes
+    and the double sum reduces to the same-endpoint count. Not reduced to
+    an integer: a wrong reading may give a fraction."""
     if reading not in ENDPOINT_COUNT_READINGS:
         raise ValueError(f"unknown reading {reading!r}")
     second = Fraction(0)
@@ -177,7 +184,8 @@ def endpoint_pair_count(n: int, r: int, s: int, k: int) -> int:
     if not 0 <= k <= n - 1:
         raise ValueError(f"distinct endpoints need 0 <= k <= n-1, got k={k}")
     return _as_count(
-        _endpoint_raw(n, r, s, k, RESOLVED_ENDPOINT_READING), f"endpoint_pair_count{(n, r, s, k)}"
+        endpoint_pair_expression(n, r, s, k, RESOLVED_ENDPOINT_READING),
+        f"endpoint_pair_count{(n, r, s, k)}"
     )
 
 
@@ -188,47 +196,6 @@ def endpoint_pair_count_k0(n: int, r: int, s: int) -> int:
     return _as_count(
         Fraction((s - r) * binom(n, r) * binom(n, s), n), f"endpoint_pair_count_k0{(n, r, s)}"
     )
-
-
-def endpoint_reading_discrepancies(reading: str, n_max: int = 8) -> list[dict[str, str]]:
-    """Machine-readable mismatch table for one reading of the two-endpoint
-    formula against the enumeration oracle and the equal-endpoint boundary.
-
-    Empty means the reading reproduces every instance with n <= n_max.
-    """
-    out: list[dict[str, str]] = []
-    for n in range(1, n_max + 1):
-        for r in range(n + 1):
-            for s in range(r, n + 1):
-                if r == s:
-                    table = oracle.rect_pair_table(n, r)
-                    expected = {k: table.get(k - 1) for k in range(1, n)}
-                else:
-                    table = oracle.endpoint_pair_table(n, r, s)
-                    expected = {k: table.get(k) for k in range(n)}
-                for k, want in expected.items():
-                    got = _endpoint_raw(n, r, s, k, reading)
-                    if got != want:
-                        out.append(
-                            {
-                                "n": str(n),
-                                "r": str(r),
-                                "s": str(s),
-                                "k": str(k),
-                                "formula": str(got),
-                                "oracle": str(want),
-                                "reading": reading,
-                            }
-                        )
-    return out
-
-
-def resolve_endpoint_reading(n_max: int = 8) -> tuple[str | None, dict[str, list[dict[str, str]]]]:
-    """Test every candidate reading; return the accepted one (or None) plus
-    the per-reading discrepancy tables."""
-    tables = {rd: endpoint_reading_discrepancies(rd, n_max) for rd in ENDPOINT_COUNT_READINGS}
-    accepted = next((rd for rd in ENDPOINT_COUNT_READINGS if not tables[rd]), None)
-    return accepted, tables
 
 
 # --- free and same-endpoint pairs -------------------------------------------

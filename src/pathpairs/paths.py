@@ -71,10 +71,6 @@ class PathNE:
         """Total number of steps."""
         return len(self.steps)
 
-    @property
-    def east_steps(self) -> int:
-        return sum(1 for s in self.steps if s == EAST)
-
     @cached_property
     def vertices(self) -> tuple[Point, ...]:
         x, y = self.start
@@ -126,9 +122,6 @@ class PathPair:
             raise ValueError(
                 f"paths have different starts: {self.first.start} vs {self.second.start}"
             )
-
-    def swapped(self) -> "PathPair":
-        return PathPair(self.second, self.first)
 
 
 def intersections_interior(pair: PathPair) -> int:

@@ -1,12 +1,18 @@
 """Identity-check suites tying the enumeration oracle, closed forms, series,
 correspondence, and walker probabilities together.
 
-Each check sweeps a bounded grid of instances, comparing two or more
-independently computed exact values, and returns one :class:`CheckReport`.
-Reports are reproducible: enumeration order is fixed and the pseudo-random
-level-rate sequences come from a fixed seed with denominators at most 16 so
-the walker arithmetic stays small. A failing report always carries the first
-counterexample in scan order, with every input and both computed values.
+This is the one module that compares a route with another, so the routes
+import nothing from each other. Each check sweeps a bounded grid of
+instances, comparing two or more independently computed exact values, and
+returns one :class:`CheckReport`. Reports are reproducible: enumeration
+order is fixed and the pseudo-random level-rate sequences come from a fixed
+seed with denominators at most 16 so the walker arithmetic stays small. A
+failing report always carries the first counterexample in scan order, with
+every input and both computed values.
+
+Each ``check_<suite>`` states its own sweep sizes once: ``n_max`` None runs
+its default grid, and a given ``n_max`` shrinks it, never below the suite's
+smallest meaningful size. Each enumerated table is built once per process.
 
 ``run_all`` executes a configurable selection of suites in a fixed order and
 is the engine behind the command line's ``verify`` subcommand.
@@ -18,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, inf
 
 from . import bijection, formulas, oracle, series
 
@@ -61,17 +67,56 @@ class _Recorder:
         return CheckReport(self.check_id, self.failure is None, self.instances, self.failure)
 
 
+def _cap(n_max: int | None) -> int | float:
+    """The caller's sweep-size cap; None leaves every suite's default."""
+    if n_max is None:
+        return inf
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    return n_max
+
+
 @lru_cache(maxsize=None)
 def _rect_table(n: int, r: int) -> oracle.CountTable:
     return oracle.rect_pair_table(n, r)
 
 
+@lru_cache(maxsize=None)
+def _endpoint_table(n: int, r: int, s: int) -> oracle.CountTable:
+    return oracle.endpoint_pair_table(n, r, s)
+
+
+def endpoint_reading_discrepancies(reading: str, n_max: int = 8) -> list[dict[str, str]]:
+    """Machine-readable mismatch table for one reading of the two-endpoint
+    formula against the enumeration oracle and the equal-endpoint boundary.
+
+    Empty means the reading reproduces every instance with n <= n_max.
+    """
+    out: list[dict[str, str]] = []
+    for n in range(1, n_max + 1):
+        for r in range(n + 1):
+            for s in range(r, n + 1):
+                if r == s:
+                    table = _rect_table(n, r)
+                    expected = {k: table.get(k - 1) for k in range(1, n)}
+                else:
+                    table = _endpoint_table(n, r, s)
+                    expected = {k: table.get(k) for k in range(n)}
+                for k, want in expected.items():
+                    got = formulas.endpoint_pair_expression(n, r, s, k, reading)
+                    if got != want:
+                        row = dict(n=n, r=r, s=s, k=k, formula=got, oracle=want, reading=reading)
+                        out.append({key: str(value) for key, value in row.items()})
+    return out
+
+
 # --- formula-level checks -----------------------------------------------------
 
 
-def check_theorem1(n_max: int = 9) -> CheckReport:
+def check_theorem1(n_max: int | None = None) -> CheckReport:
     """The two rectangle-count closed forms agree on their whole range."""
     rec = _Recorder("theorem1")
+    n_max = max(2, min(9, _cap(n_max)))
     for n in range(2, n_max + 1):
         for r in range(n + 1):
             for k in range(n - 1):
@@ -83,10 +128,11 @@ def check_theorem1(n_max: int = 9) -> CheckReport:
     return rec.report()
 
 
-def check_recurrence(n_max: int = 8) -> CheckReport:
+def check_recurrence(n_max: int | None = None) -> CheckReport:
     """Splitting pairs at their last meeting: the k-meeting count is the
     convolution of the (k-1)-meeting counts with the nonmeeting counts."""
     rec = _Recorder("recurrence")
+    n_max = max(2, min(8, _cap(n_max)))
     for n in range(2, n_max + 1):
         for r in range(n + 1):
             table = _rect_table(n, r)
@@ -99,11 +145,12 @@ def check_recurrence(n_max: int = 8) -> CheckReport:
     return rec.report()
 
 
-def check_eq8(n_max: int = 8) -> CheckReport:
+def check_eq8(n_max: int | None = None) -> CheckReport:
     """Free pairs with k meetings decompose over the first same-endpoint
     meeting: convolving same-endpoint tables against nonmeeting free counts
     reproduces the free table. Checked on oracle tables and on closed forms."""
     rec = _Recorder("eq8")
+    n_max = min(8, _cap(n_max))
     free = {n: oracle.free_pair_table(n) for n in range(n_max + 1)}
     same = {n: oracle.same_endpoint_pair_table(n) for n in range(1, n_max + 1)}
     for n in range(1, n_max + 1):
@@ -120,11 +167,13 @@ def check_eq8(n_max: int = 8) -> CheckReport:
     return rec.report()
 
 
-def check_wz(n_max: int = 40, sum_n_max: int = 60) -> CheckReport:
+def check_wz(n_max: int | None = None) -> CheckReport:
     """Telescoping certificate for the meeting-probability distribution:
     p(n+1,k) - p(n,k) = g(n,k+1) - g(n,k) exactly, the k-sums are exactly 1,
     and p(n,1) = 2 p(n,0)."""
     rec = _Recorder("wz")
+    sum_n_max = min(60, _cap(n_max))
+    n_max = min(40, _cap(n_max))
     for n in range(1, n_max + 1):
         for k in range(n + 2):
             lhs = formulas.meet_prob_or_zero(n + 1, k) - formulas.meet_prob_or_zero(n, k)
@@ -145,10 +194,11 @@ def check_wz(n_max: int = 40, sum_n_max: int = 60) -> CheckReport:
 # --- oracle-vs-formula sweeps ---------------------------------------------------
 
 
-def check_nkr(n_max: int = 9) -> CheckReport:
+def check_nkr(n_max: int | None = None) -> CheckReport:
     """Both closed forms reproduce the enumerated rectangle tables, and the
     tables total C(n, r)^2."""
     rec = _Recorder("nkr")
+    n_max = max(2, min(9, _cap(n_max)))
     for n in range(2, n_max + 1):
         for r in range(n + 1):
             table = _rect_table(n, r)
@@ -167,10 +217,11 @@ def check_nkr(n_max: int = 9) -> CheckReport:
     return rec.report()
 
 
-def check_doubling(n_max: int = 10) -> CheckReport:
+def check_doubling(n_max: int | None = None) -> CheckReport:
     """One-meeting pairs are exactly twice the nonmeeting pairs, on the
     closed forms."""
     rec = _Recorder("doubling")
+    n_max = max(3, min(10, _cap(n_max)))
     for n in range(3, n_max + 1):
         for r in range(1, n):
             rec.expect_equal(
@@ -186,9 +237,10 @@ def check_doubling(n_max: int = 10) -> CheckReport:
     return rec.report()
 
 
-def check_bijection(total_max: int = 9) -> CheckReport:
-    """The correspondence verifies on every rectangle with r + s <= total_max."""
+def check_bijection(n_max: int | None = None) -> CheckReport:
+    """The correspondence verifies on every rectangle with r + s <= 9."""
     rec = _Recorder("bijection")
+    total_max = max(2, min(9, _cap(n_max)))
     for total in range(2, total_max + 1):
         for r in range(1, total):
             report = bijection.verify_correspondence(r, total - r)
@@ -200,15 +252,14 @@ def check_bijection(total_max: int = 9) -> CheckReport:
     return rec.report()
 
 
-def check_mrs(n_max: int = 8) -> CheckReport:
+def check_mrs(n_max: int | None = None) -> CheckReport:
     """The two-endpoint closed form reproduces the enumerated tables, its
     k = 0 specialization matches both, and the equal-endpoint boundary
     reduces to the rectangle counts. A reading that failed resolution would
     surface here as a nonempty discrepancy table."""
     rec = _Recorder("mrs")
-    discrepancies = formulas.endpoint_reading_discrepancies(
-        formulas.RESOLVED_ENDPOINT_READING, n_max
-    )
+    n_max = min(8, _cap(n_max))
+    discrepancies = endpoint_reading_discrepancies(formulas.RESOLVED_ENDPOINT_READING, n_max)
     rec.expect(
         not discrepancies,
         reading=formulas.RESOLVED_ENDPOINT_READING,
@@ -218,7 +269,7 @@ def check_mrs(n_max: int = 8) -> CheckReport:
     for n in range(1, n_max + 1):
         for r in range(n + 1):
             for s in range(r + 1, n + 1):
-                table = oracle.endpoint_pair_table(n, r, s)
+                table = _endpoint_table(n, r, s)
                 rec.expect_equal(table.total, comb(n, r) * comb(n, s), n=n, r=r, s=s, sides="total")
                 rec.expect_equal(
                     formulas.endpoint_pair_count_k0(n, r, s), table.get(0),
@@ -238,10 +289,12 @@ def check_mrs(n_max: int = 8) -> CheckReport:
     return rec.report()
 
 
-def check_fnk(n_max: int = 8, identity_n_max: int = 40) -> CheckReport:
+def check_fnk(n_max: int | None = None) -> CheckReport:
     """Free-pair closed form versus enumeration; the powers-of-two totals
     sum to 4^n; the nonmeeting probability is C(2n,n)/4^n."""
     rec = _Recorder("fnk")
+    identity_n_max = min(40, _cap(n_max))
+    n_max = min(8, _cap(n_max))
     for n in range(n_max + 1):
         table = oracle.free_pair_table(n)
         rec.expect_equal(table.total, 4 ** n, n=n, sides="total")
@@ -260,9 +313,10 @@ def check_fnk(n_max: int = 8, identity_n_max: int = 40) -> CheckReport:
     return rec.report()
 
 
-def check_pnk(n_max: int = 8) -> CheckReport:
+def check_pnk(n_max: int | None = None) -> CheckReport:
     """Meeting-probability closed form versus normalized enumeration."""
     rec = _Recorder("pnk")
+    n_max = min(8, _cap(n_max))
     for n in range(1, n_max + 1):
         table = oracle.same_endpoint_pair_table(n)
         denom = comb(2 * n, n)
@@ -279,10 +333,12 @@ def check_pnk(n_max: int = 8) -> CheckReport:
     return rec.report()
 
 
-def check_diag(n_max: int = 12, oracle_n_max: int = 9) -> CheckReport:
+def check_diag(n_max: int | None = None) -> CheckReport:
     """Summing the rectangle counts over every split r gives the
     same-endpoint count, in closed form and against enumeration."""
     rec = _Recorder("diag")
+    oracle_n_max = max(1, min(9, _cap(n_max)))
+    n_max = max(2, min(12, _cap(n_max)))
     for n in range(2, n_max + 1):
         for k in range(n - 1):
             row = sum(formulas.rect_pair_count_a(n, r, k) for r in range(n + 1))
@@ -299,21 +355,21 @@ def check_diag(n_max: int = 12, oracle_n_max: int = 9) -> CheckReport:
     return rec.report()
 
 
-def check_avg(n_max: int = 8, asymptotic_n: int = 1000, rel_tol: float = 0.02) -> CheckReport:
+def check_avg(n_max: int | None = None) -> CheckReport:
     """Exact mean crossing count versus the enumerated mean, and the float
-    value of the exact mean against its asymptotic form at a large n."""
+    value of the exact mean against its asymptotic form at n = 1000, within
+    a relative 2%."""
     rec = _Recorder("avg")
-    for n in range(n_max + 1):
+    for n in range(min(8, _cap(n_max)) + 1):
         rec.expect_equal(
             formulas.average_crossings(n),
             oracle.free_pair_table(n).mean,
             n=n, sides="closed form vs oracle mean",
         )
-    exact = float(formulas.average_crossings(asymptotic_n))
-    approx = formulas.average_crossings_asymptote(asymptotic_n)
+    exact = float(formulas.average_crossings(1000))
+    approx = formulas.average_crossings_asymptote(1000)
     rec.expect(
-        abs(exact - approx) <= rel_tol * abs(approx),
-        n=asymptotic_n, exact=exact, asymptote=approx, rel_tol=rel_tol,
+        abs(exact - approx) <= 0.02 * abs(approx), n=1000, exact=exact, asymptote=approx, rel_tol=0.02
     )
     return rec.report()
 
@@ -362,23 +418,24 @@ def _start_distributions(rate: oracle.RateModel):
     )
 
 
-def check_barrier(
-    const_limit: int = 4,
-    probs=(Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)),
-    level_total: int = 10,
-    level_seeds: int = 20,
-    seed: int = 20114,
-) -> CheckReport:
+#: The constant West rates of the walker suites.
+_PROBS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
+
+
+def check_barrier(n_max: int | None = None, seed: int = 20114) -> CheckReport:
     """Three-way agreement for the two-walker meeting probability.
 
     Constant rates: pair DP == binomial closed form == single-walker DP,
-    and u + l - 1. Level-dependent rates: pair DP == single-walker DP and
-    u + l - 1 over seeded pseudo-random rate tables. The pair DP runs once
-    per configuration; the single-walker distributions are shared by every
-    configuration of one rate, but never feed the pair DP.
+    and u + l - 1, for a, b, x <= 4. Level-dependent rates: pair DP ==
+    single-walker DP and u + l - 1 over 20 rate tables drawn from ``seed``,
+    for a + b + x <= 10. The pair DP runs once per configuration; the
+    single-walker distributions are shared by every configuration of one
+    rate, but never feed the pair DP.
     """
     rec = _Recorder("barrier")
-    for p in probs:
+    level_total = min(10, _cap(n_max))
+    const_limit = min(4, level_total)
+    for p in _PROBS:
         rate = oracle.ConstantRate(Fraction(p))
         distribution = _start_distributions(rate)
         for a in range(const_limit + 1):
@@ -391,7 +448,7 @@ def check_barrier(
                         a=a, b=b, x=x, p=p, sides="pair walk vs closed form",
                     )
                     _axis_target_checks(rec, config, value, distribution)
-    for rate in _level_rates(seed, level_seeds, level_total + 2):
+    for rate in _level_rates(seed, 20, level_total + 2):
         distribution = _start_distributions(rate)
         for a in range(level_total + 1):
             for b in range(level_total + 1 - a):
@@ -401,10 +458,12 @@ def check_barrier(
     return rec.report()
 
 
-def check_same_start(limit: int = 4, probs=(Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))) -> CheckReport:
-    """Two walkers released together: the DP equals 2 C(a+b, a) p^(a+1) q^(b+1)."""
+def check_same_start(n_max: int | None = None) -> CheckReport:
+    """Two walkers released together: the DP equals 2 C(a+b, a) p^(a+1) q^(b+1)
+    for a, b <= 4."""
     rec = _Recorder("same-start")
-    for p in probs:
+    limit = min(4, _cap(n_max))
+    for p in _PROBS:
         for a in range(limit + 1):
             for b in range(limit + 1):
                 rec.expect_equal(
@@ -418,10 +477,11 @@ def check_same_start(limit: int = 4, probs=(Fraction(1, 2), Fraction(1, 3), Frac
 # --- series checks -----------------------------------------------------------------
 
 
-def check_vandermonde(span: int = 8) -> CheckReport:
+def check_vandermonde(n_max: int | None = None) -> CheckReport:
     """Both convolution identities over a grid including negative upper
     arguments (falling-factorial binomials)."""
     rec = _Recorder("vandermonde")
+    span = min(8, _cap(n_max))
     for a in range(-span // 2, span + 1):
         for b in range(-span // 2, span + 1):
             for m in range(span + 1):
@@ -430,7 +490,7 @@ def check_vandermonde(span: int = 8) -> CheckReport:
     return rec.report()
 
 
-def check_legendre(degree: int = 12) -> CheckReport:
+def check_legendre(n_max: int | None = None) -> CheckReport:
     """The reciprocal square root of the rectangle kernel expands to the
     squared binomials: 1/sqrt(kernel) = sum C(n,r)^2 x^n y^r.
 
@@ -440,6 +500,7 @@ def check_legendre(degree: int = 12) -> CheckReport:
     powers over every meeting count.
     """
     rec = _Recorder("legendre")
+    degree = min(12, _cap(n_max))
     inv = (1 - series.rect_pair_base(degree)).inverse()
     for n in range(degree + 1):
         for r in range(degree + 1 - n):
@@ -447,10 +508,11 @@ def check_legendre(degree: int = 12) -> CheckReport:
     return rec.report()
 
 
-def check_series_uk(n_max: int = 9) -> CheckReport:
+def check_series_uk(n_max: int | None = None) -> CheckReport:
     """Three-way agreement: power-series coefficients == closed form ==
-    enumeration, for every rectangle with n <= n_max."""
+    enumeration, for every rectangle with n <= 9."""
     rec = _Recorder("series-uk")
+    n_max = max(2, min(9, _cap(n_max)))
     for k, power in enumerate(series.rect_pair_powers(n_max - 2, 2 * n_max)):
         for n in range(k + 1, n_max + 1):
             for r in range(n + 1):
@@ -466,10 +528,11 @@ def check_series_uk(n_max: int = 9) -> CheckReport:
     return rec.report()
 
 
-def check_series_f(degree: int = 12) -> CheckReport:
+def check_series_f(n_max: int | None = None) -> CheckReport:
     """The quadratic functional equation holds coefficientwise, and the
     meeting polynomial powers reproduce the rectangle counts."""
     rec = _Recorder("series-f")
+    degree = max(3, min(12, _cap(n_max)))
     f = series.narayana_base(degree)
     y = series.BiSeries(degree, {(1, 0): 1})
     z = series.BiSeries(degree, {(0, 1): 1})
@@ -490,10 +553,11 @@ def check_series_f(degree: int = 12) -> CheckReport:
     return rec.report()
 
 
-def check_series_fk(degree: int = 20) -> CheckReport:
+def check_series_fk(n_max: int | None = None) -> CheckReport:
     """Free-pair generating series coefficients equal 2^k C(2n-k, n), and
     vanish below the k-th power."""
     rec = _Recorder("series-fk")
+    degree = min(20, _cap(n_max))
     for k in range(degree + 1):
         fk = series.free_pair_series(k, degree)
         for n in range(degree + 1):
@@ -511,10 +575,11 @@ _LAGRANGE_POINTS = (
 )
 
 
-def check_lagrange(n_max: int = 8) -> CheckReport:
+def check_lagrange(n_max: int | None = None) -> CheckReport:
     """Coefficient extraction through f = x (y+f)(z+f) reproduces the first
     closed form, at rational specializations of (y, z)."""
     rec = _Recorder("lagrange")
+    n_max = max(2, min(8, _cap(n_max)))
     for y0, z0 in _LAGRANGE_POINTS:
         for n in range(2, n_max + 1):
             for k in range(n - 1):
@@ -545,48 +610,25 @@ class VerifyConfig:
     n_max: int | None = None
 
     def __post_init__(self) -> None:
-        if self.n_max is not None and self.n_max < 1:
-            raise ValueError(f"n_max must be at least 1, got {self.n_max}")
+        _cap(self.n_max)  # rejects an n_max below 1 before any suite runs
 
 
-def _sized(default: int, n_max: int | None) -> int:
-    return default if n_max is None else min(default, n_max)
-
-
-def _suite_runners(n_max: int | None):
-    s = lambda d: _sized(d, n_max)
-    return {
-        "theorem1": lambda: check_theorem1(max(2, s(9))),
-        "recurrence": lambda: check_recurrence(max(2, s(8))),
-        "eq8": lambda: check_eq8(s(8)),
-        "wz": lambda: check_wz(s(40), s(60)),
-        "barrier": lambda: check_barrier(const_limit=min(4, s(10)), level_total=s(10)),
-        "same-start": lambda: check_same_start(limit=min(4, s(10))),
-        "bijection": lambda: check_bijection(max(2, s(9))),
-        "nkr": lambda: check_nkr(max(2, s(9))),
-        "doubling": lambda: check_doubling(max(3, s(10))),
-        "mrs": lambda: check_mrs(s(8)),
-        "fnk": lambda: check_fnk(s(8), s(40)),
-        "pnk": lambda: check_pnk(s(8)),
-        "diag": lambda: check_diag(max(2, s(12)), max(1, s(9))),
-        "avg": lambda: check_avg(s(8)),
-        "vandermonde": lambda: check_vandermonde(s(8)),
-        "legendre": lambda: check_legendre(s(12)),
-        "series-uk": lambda: check_series_uk(max(2, s(9))),
-        "series-f": lambda: check_series_f(max(3, s(12))),
-        "series-fk": lambda: check_series_fk(s(20)),
-        "lagrange": lambda: check_lagrange(max(2, s(8))),
-    }
-
-
-SUITE_NAMES = tuple(_suite_runners(None))
+SUITE_NAMES = (
+    "theorem1", "recurrence", "eq8", "wz", "barrier", "same-start", "bijection",
+    "nkr", "doubling", "mrs", "fnk", "pnk", "diag", "avg", "vandermonde",
+    "legendre", "series-uk", "series-f", "series-fk", "lagrange",
+)
 
 
 def run_all(config: VerifyConfig = VerifyConfig()) -> list[CheckReport]:
-    """Run the selected suites in registry order and return their reports."""
-    runners = _suite_runners(config.n_max)
+    """Run the selected suites in registry order and return their reports.
+    Each suite's ``check_*`` function is looked up by name when it runs."""
     selected = SUITE_NAMES if config.suites is None else config.suites
-    unknown = [name for name in selected if name not in runners]
+    unknown = [name for name in selected if name not in SUITE_NAMES]
     if unknown:
         raise ValueError(f"unknown suite names: {unknown}; known: {list(SUITE_NAMES)}")
-    return [runners[name]() for name in SUITE_NAMES if name in selected]
+    return [
+        globals()["check_" + name.replace("-", "_")](config.n_max)
+        for name in SUITE_NAMES
+        if name in selected
+    ]

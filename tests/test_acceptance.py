@@ -123,8 +123,8 @@ def test_criterion_7_two_endpoint_counts():
                 ok = ok and formulas.endpoint_pair_count(n, r, r, k) == boundary
     # the resolved reading leaves no discrepancies; a wrong one reports them
     # as machine-readable rows instead of silent values
-    ok = ok and formulas.endpoint_reading_discrepancies(formulas.RESOLVED_ENDPOINT_READING, 8) == []
-    rejected = formulas.endpoint_reading_discrepancies("r-plus-1", 5)
+    ok = ok and verify.endpoint_reading_discrepancies(formulas.RESOLVED_ENDPOINT_READING, 8) == []
+    rejected = verify.endpoint_reading_discrepancies("r-plus-1", 5)
     ok = ok and bool(rejected) and {"n", "r", "s", "k", "formula", "oracle"} <= set(rejected[0])
     report("7", "two-endpoint formula vs oracle (n <= 8), boundary identity, discrepancy table", ok)
 

@@ -5,16 +5,18 @@ Core claims:
       the big frozen instance (n=17, r=9, k=5), and equal the enumerated
       counts on a sweep
     - the two-endpoint formula's ambiguous reading resolves to the printed
-      grouping: it alone has an empty discrepancy table, and a wrong reading
-      yields a structured, nonempty one that names wrong and non-integer values
+      grouping: it alone has an empty discrepancy table (built in verify),
+      and a wrong reading yields a structured, nonempty one that names wrong
+      and non-integer values
     - the free-pair, meeting-probability, same-endpoint-count, and average
       formulas match their oracles and special values
     - counts that fail to reduce to integers raise IntegralityError, an
-      ArithmeticError naming the function and its inputs, instead of rounding
+      ArithmeticError naming the function and its inputs, instead of rounding;
+      a value too long to print is named by its bit lengths
     - the integer-arithmetic forms equal their factorial-ratio references:
       rect_pair_count_b equals rect_pair_count_a on every instance with
-      n <= 40, and the average and same-endpoint forms equal the factorial
-      expressions kept below
+      n <= 40 (its r = 0 column without calling form a), and the average
+      and same-endpoint forms equal the factorial expressions kept below
     - the telescoping companion satisfies its difference identity
 """
 
@@ -25,7 +27,7 @@ from math import factorial
 
 import pytest
 
-from pathpairs import formulas, oracle
+from pathpairs import formulas, oracle, verify
 
 
 def test_rect_count_a_examples():
@@ -62,12 +64,37 @@ def test_rect_count_b_equals_a_on_every_instance_to_n_40():
                 assert formulas.rect_pair_count_b(n, r, k) == formulas.rect_pair_count_a(n, r, k), (n, r, k)
 
 
+def test_rect_count_b_r0_column_uses_its_own_form(monkeypatch):
+    # the r = 0 column is form b's own transpose, not a call into form a
+    expected = {
+        (n, r, k): formulas.rect_pair_count_a(n, r, k)
+        for n in range(2, 13)
+        for r in range(n + 1)
+        for k in range(n - 1)
+    }
+
+    def form_a_called(*args):
+        raise AssertionError(f"rect_pair_count_b called rect_pair_count_a{args}")
+
+    monkeypatch.setattr(formulas, "rect_pair_count_a", form_a_called)
+    for (n, r, k), want in expected.items():
+        assert formulas.rect_pair_count_b(n, r, k) == want, (n, r, k)
+
+
 def test_non_integral_count_raises_integrality_error():
     with pytest.raises(formulas.IntegralityError, match=r"rect_pair_count_a\(5, 2, 1\)") as info:
         formulas._as_count(Fraction(272, 3), "rect_pair_count_a(5, 2, 1)")
     assert isinstance(info.value, ArithmeticError)
     with pytest.raises(formulas.IntegralityError):
         formulas._as_count(Fraction(-4), "narayana(3, 1)")
+
+
+def test_long_non_integral_count_names_its_size():
+    # past the interpreter's 4,300-digit int-to-str limit the message names
+    # the bit lengths instead of the value
+    value = Fraction(10**5000 + 1, 3)
+    with pytest.raises(formulas.IntegralityError, match="16610-bit numerator over a 2-bit denominator"):
+        formulas._as_count(value, "x")
 
 
 def test_rect_counts_match_oracle_sweep():
@@ -144,9 +171,12 @@ def test_endpoint_count_matches_oracle_sweep():
 
 
 def test_endpoint_reading_resolution():
-    accepted, tables = formulas.resolve_endpoint_reading(6)
-    assert accepted == "printed"
-    assert tables["printed"] == []
+    tables = {
+        reading: verify.endpoint_reading_discrepancies(reading, 6)
+        for reading in formulas.ENDPOINT_COUNT_READINGS
+    }
+    accepted = [reading for reading, table in tables.items() if not table]
+    assert accepted == [formulas.RESOLVED_ENDPOINT_READING] == ["printed"]
     # the rejected readings produce structured, machine-readable mismatches
     bad = tables["minus-2t"] + tables["r-plus-1"]
     assert bad
@@ -156,7 +186,7 @@ def test_endpoint_reading_resolution():
 def test_endpoint_wrong_reading_fails_loudly():
     # the discrepancy table names each instance a wrong reading gets wrong,
     # whether its value is a wrong integer or not an integer at all
-    table = formulas.endpoint_reading_discrepancies("minus-2t", 7)
+    table = verify.endpoint_reading_discrepancies("minus-2t", 7)
     rows = {(row["n"], row["r"], row["s"], row["k"]): (row["formula"], row["oracle"]) for row in table}
     assert rows[("7", "3", "4", "3")] == ("248", "250")
     assert rows[("7", "3", "4", "4")] == ("518/3", "170")

@@ -47,7 +47,6 @@ def test_vertices_and_end():
     assert p.vertices == ((0, 0), (1, 0), (1, 1), (1, 2))
     assert p.end == (1, 2)
     assert p.n == 3
-    assert p.east_steps == 1
     assert p.word == "ENN"
 
 
@@ -148,15 +147,11 @@ def test_all_conventions_symmetric():
     vocab = [w for r in range(4) for w in words(3, r)]
     for wa in vocab:
         for wb in vocab:
-            p = pair(wa, wb)
-            assert intersections_excluding_origin(p) == intersections_excluding_origin(
-                p.swapped()
-            )
-            assert intersections_excluding_start(p) == intersections_excluding_start(
-                p.swapped()
-            )
+            p, q = pair(wa, wb), pair(wb, wa)
+            assert intersections_excluding_origin(p) == intersections_excluding_origin(q)
+            assert intersections_excluding_start(p) == intersections_excluding_start(q)
             if p.first.end == p.second.end:
-                assert intersections_interior(p) == intersections_interior(p.swapped())
+                assert intersections_interior(p) == intersections_interior(q)
 
 
 def test_interior_is_excluding_start_minus_shared_end():

@@ -7,8 +7,12 @@ Core claims:
       report objects
     - suite selection is honored in registry order, unknown names raise, an
       empty selection runs nothing, an n_max below 1 is rejected
+    - each suite states its sizes once: its check takes only n_max (barrier
+      also its seed), and the runner looks each check up by name as it runs
     - a shrunken n_max still passes every suite (smoke run)
 """
+
+import inspect
 
 import pytest
 
@@ -67,6 +71,23 @@ def test_n_max_below_one_rejected():
         with pytest.raises(ValueError, match="n_max must be at least 1"):
             VerifyConfig(n_max=n_max)
     assert VerifyConfig(n_max=1).n_max == 1
+    with pytest.raises(ValueError, match="n_max must be at least 1"):
+        verify.check_theorem1(0)
+
+
+def test_each_check_takes_only_n_max():
+    for name in verify.SUITE_NAMES:
+        check = getattr(verify, "check_" + name.replace("-", "_"))
+        expected = ["n_max", "seed"] if name == "barrier" else ["n_max"]
+        assert list(inspect.signature(check).parameters) == expected, name
+
+
+def test_run_all_looks_up_each_check_when_it_runs(monkeypatch):
+    sizes = []
+    stub = CheckReport("theorem1", True, 1)
+    monkeypatch.setattr(verify, "check_theorem1", lambda n_max: sizes.append(n_max) or stub)
+    assert verify.run_all(VerifyConfig(suites=("theorem1",), n_max=4)) == [stub]
+    assert sizes == [4]
 
 
 def test_smoke_run_all_passes():
