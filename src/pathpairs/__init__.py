@@ -8,6 +8,7 @@ the verification suites that hold them to exact agreement.
 from .paths import (
     EAST,
     NORTH,
+    InvariantError,
     PathNE,
     PathPair,
     intersections_excluding_origin,
@@ -20,6 +21,7 @@ from .oracle import (
     CountTable,
     LevelRate,
     barrier_meet_prob,
+    barrier_survival_table,
     endpoint_distribution,
     endpoint_pair_table,
     endpoint_probability,
@@ -56,6 +58,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EAST",
     "NORTH",
+    "InvariantError",
     "PathNE",
     "PathPair",
     "intersections_interior",
@@ -70,6 +73,7 @@ __all__ = [
     "free_pair_table",
     "same_endpoint_pair_table",
     "barrier_meet_prob",
+    "barrier_survival_table",
     "same_start_meet_prob",
     "endpoint_distribution",
     "endpoint_probability",

@@ -24,10 +24,11 @@ vertices of a pair are ``paths.shared_vertices`` under
 ``paths.scan_pairs`` over ``paths.all_paths``.
 
 Every constructed path is revalidated (endpoints, exact meeting count and
-location), and a violated postcondition raises with the construction case in
-the message; the word surgery below has enough edits that silent slips must
-fail loudly. ``verify_correspondence`` replays the whole correspondence on a
-rectangle and reports, rather than raises, any defect it finds.
+location), and a violated postcondition raises ``paths.InvariantError`` with
+the construction case in the message; the word surgery below has enough
+edits that silent slips must fail loudly. ``verify_correspondence`` replays
+the whole correspondence on a rectangle and reports, rather than raises, any
+defect it finds.
 
 On the 1 x 1 rectangle the boundary meeting points coincide: (1, 0) is also
 (r, s-1) and (0, 1) is also (r-1, s). Both one-meeting pairs there arise as
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import paths
-from .paths import EAST, NORTH, PathNE, PathPair, Point
+from .paths import EAST, NORTH, InvariantError, PathNE, PathPair, Point
 
 NONMEETING = "nonmeeting"
 ONE_MEETING = "one-meeting"
@@ -130,9 +131,9 @@ def _validated_image(wa: str, wb: str, point: Point, case: str) -> RectPair:
     try:
         pair = RectPair.from_words(wa, wb)
     except ValueError as exc:
-        raise RuntimeError(f"construction case {case} produced an invalid pair: {exc}") from exc
+        raise InvariantError(f"construction case {case} produced an invalid pair: {exc}") from exc
     if pair.kind != ONE_MEETING or pair.meeting_point != point:
-        raise RuntimeError(
+        raise InvariantError(
             f"construction case {case}: expected a single meeting at {point}, "
             f"got {pair._meeting_points} for {pair.words()}"
         )
@@ -240,12 +241,12 @@ def remove_meeting(pair: RectPair) -> tuple[RectPair, GroupTag]:
             # move the doubled E edge at the far corner back to the origin
             shifted = RectPair.from_words(EAST + up[:-1], EAST + lo[:-1])
             if shifted.meeting_point != (1, 0):
-                raise RuntimeError(f"group I partner did not shift back to (1, 0): {pair.words()}")
+                raise InvariantError(f"group I partner did not shift back to (1, 0): {pair.words()}")
             up, lo = shifted.words()
         # exactly one member turns north right after (1, 0)
         modified, other = (up, lo) if up[1] == NORTH else (lo, up)
         if modified[:2] != EAST + NORTH:
-            raise RuntimeError(f"group I pair lacks the E,N corner at (1, 0): {pair.words()}")
+            raise InvariantError(f"group I pair lacks the E,N corner at (1, 0): {pair.words()}")
         source = RectPair.from_words(NORTH + EAST + modified[2:], other)
         tag = GroupTag("I")
     elif group == "II":
@@ -254,13 +255,13 @@ def remove_meeting(pair: RectPair) -> tuple[RectPair, GroupTag]:
             n = r + s
             modified, other = (up, lo) if up[n - 2] == EAST else (lo, up)
             if modified[-1] != NORTH:
-                raise RuntimeError(f"group II partner does not end with N: {pair.words()}")
+                raise InvariantError(f"group II partner does not end with N: {pair.words()}")
             source = RectPair.from_words(NORTH + modified[:-1], other)
         else:
             # meeting at (0, 1): the modified member turns east right after it
             modified, other = (up, lo) if up[1] == EAST else (lo, up)
             if modified[0] != NORTH:
-                raise RuntimeError(f"group II pair lacks the leading N edge: {pair.words()}")
+                raise InvariantError(f"group II pair lacks the leading N edge: {pair.words()}")
             source = RectPair.from_words(modified[1:] + NORTH, other)
         tag = GroupTag("II")
     else:
@@ -278,16 +279,16 @@ def remove_meeting(pair: RectPair) -> tuple[RectPair, GroupTag]:
             elif _north_throughout(path_b, path_a):
                 north, south = cand_b, cand_a
             else:
-                raise RuntimeError(f"group III pair fails to align after unswap: {pair.words()}")
+                raise InvariantError(f"group III pair fails to align after unswap: {pair.words()}")
         if north[t0] != NORTH:
-            raise RuntimeError(
+            raise InvariantError(
                 f"group III aligned member lacks the inserted N edge at {pair.meeting_point}"
             )
         source = RectPair.from_words(NORTH + north[:t0] + north[t0 + 1 :], south)
         tag = GroupTag("III", north_throughout=aligned)
 
     if source.kind != NONMEETING:
-        raise RuntimeError(
+        raise InvariantError(
             f"inverse of group {group} left meetings {source._meeting_points}: {pair.words()}"
         )
     return source, tag

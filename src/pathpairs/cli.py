@@ -18,9 +18,11 @@ Probabilities are accepted only as rational strings like ``1/3`` (or an
 integer); decimal notation and zero denominators are rejected so exactness
 survives end to end. Exit codes: 0 success, 1 verification failure or
 routes that disagree under ``--method all``, 2 usage or range error, 3 an
-internal integrality check failed (a closed-form count that is not a
-nonnegative integer: a program bug), 141 when stdout is a pipe the reader
-closed early. Exact values print in full however many digits they have.
+internal check failed (a closed-form count that is not a nonnegative
+integer, or a route that broke its own postcondition: a program bug), 141
+when stdout is a pipe the reader closed early. Exact values print in full
+however many digits they have. ``verify --timings`` writes each suite's
+wall seconds to stderr, so stdout holds the same record with or without it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from fractions import Fraction
 from functools import partial
 from math import comb
 
-from . import bijection, formulas, oracle, series, verify
+from . import bijection, formulas, oracle, paths, series, verify
 
 # Commands that enumerate pairs refuse n beyond this unless --unsafe-nmax
 # raises it; chosen so the defaults stay interactive on desk hardware.
@@ -434,6 +436,9 @@ def cmd_verify(args) -> int:
         emit(record, "json", [])
     else:
         emit(record, "csv", ["check", "status", "instances", "first_failure"])
+    if args.timings:
+        for rep in reports:
+            print(f"{rep.check_id} {rep.elapsed_s:.3f}", file=sys.stderr)
     return 0 if ok else 1
 
 
@@ -520,6 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="run every suite (the default)")
     p.add_argument("--suite", action="append", default=None, help="suite name, repeatable; 'none' for an empty run")
     p.add_argument("--nmax", type=int, default=None, help="shrink sweep bounds for a quick run")
+    p.add_argument(
+        "--timings", action="store_true", help="write one 'suite seconds' line per suite to stderr",
+    )
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -541,7 +549,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except formulas.IntegralityError as exc:
+    except (formulas.IntegralityError, paths.InvariantError) as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError) as exc:

@@ -25,6 +25,7 @@ apart, lives in ``verify``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, perm
 
 
@@ -43,6 +44,13 @@ def binom_gen(x: int, m: int) -> int:
     for t in range(m):
         num *= x - t
     return num // factorial(m)
+
+
+@lru_cache(maxsize=256)
+def _central_binomial(n: int) -> int:
+    """C(2n, n), cached by n: a sweep over k at one n asks for it once per
+    term."""
+    return comb(2 * n, n)
 
 
 class IntegralityError(ArithmeticError):
@@ -234,7 +242,7 @@ def same_endpoint_meet_prob(n: int, k: int) -> Fraction:
         raise ValueError("n must be at least 1")
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
-    return Fraction((1 << (k + 1)) * (k + 1) * comb(2 * n - k - 2, n - 1), n * comb(2 * n, n))
+    return Fraction((1 << (k + 1)) * (k + 1) * comb(2 * n - k - 2, n - 1), n * _central_binomial(n))
 
 
 def meet_prob_or_zero(n: int, k: int) -> Fraction:

@@ -21,6 +21,18 @@ reaches an axis is swept deterministically along it toward the origin (West
 on the x-axis, South on the y-axis). Both coordinate sums shrink by one per
 step, so the walkers stay on a common diagonal and can only meet at equal
 times; both hit the origin exactly when the diagonal runs out.
+
+The pair walk has two implementations of one recursion. ``_surviving_mass``
+runs it forward from one start pair and serves the single queries
+(``barrier_meet_prob``, ``same_start_meet_prob``). ``barrier_survival_table``
+runs it backward: it sweeps the levels upward from level 1, where the one
+distinct pair ((0, 1), (1, 0)) has mass 1, and gives each ordered pair
+(u, l) on level m the moves-weighted sum of the masses of its non-meeting
+successor pairs on level m - 1. One sweep answers every start pair up to
+its top level, which is what a suite over all configurations asks for.
+Neither x-coordinate grows, and each drops by at most 1 per step, so two
+walkers change order only by meeting: the pairs with u.r < l.r are all the
+table needs.
 """
 
 from __future__ import annotations
@@ -120,7 +132,10 @@ def same_endpoint_pair_table(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> CountTa
         for k, v in paths.meeting_census(ps, ps, paths.intersections_interior).items():
             table[k] = table.get(k, 0) + v
     out = CountTable.from_entries(table)
-    assert out.total == comb(2 * n, n)
+    if out.total != comb(2 * n, n):  # not an assert: ``python -O`` would strip it
+        raise paths.InvariantError(
+            f"same_endpoint_pair_table({n}): enumerated {out.total} pairs, not C(2n, n)"
+        )
     return out
 
 
@@ -245,6 +260,48 @@ def _surviving_mass(u: Point, l: Point, rate: RateModel, steps: int) -> Fraction
         states = nxt
         den *= d * d
     return Fraction(sum(states.values()), den)
+
+
+SurvivalLevel = tuple[dict[tuple[Point, Point], int], int]
+
+
+def barrier_survival_table(rate: RateModel, top_level: int) -> dict[int, SurvivalLevel]:
+    """Survival masses of every ordered start pair on levels 1..top_level,
+    from one backward sweep: ``table[m] = (masses, den)``, where
+    ``masses[(u, l)] / den`` is the probability that walkers started at u
+    and l on level m (u.r < l.r) reach level 1 without meeting, i.e.
+    ``barrier_meet_prob`` of that pair.
+
+    Level 1 gives mass 1 to its one distinct pair ((0, 1), (1, 0)). Level m
+    reads level m - 1 through the moves of ``_move_tables`` on its own
+    positions, drops the moves that land both walkers on one vertex, and
+    multiplies the running denominator by d * d. Both x-coordinates drop by
+    0 or 1 per step, so the walkers can only change order by meeting, and
+    the pairs with u.r < l.r cover every surviving state.
+    """
+    if top_level < 1:
+        raise ValueError(f"top_level must be at least 1, got {top_level}")
+    masses = {((0, 1), (1, 0)): 1}
+    den = 1
+    table = {1: (masses, den)}
+    for m in range(2, top_level + 1):
+        positions = [(r, m - r) for r in range(m + 1)]
+        d, moves = _move_tables(positions, rate)
+        below = masses
+        masses = {}
+        for i, u in enumerate(positions):
+            upper = moves[u]
+            for l in positions[i + 1:]:
+                lower = moves[l]
+                total = 0
+                for qu, wu in upper:
+                    for ql, wl in lower:
+                        if qu != ql:
+                            total += wu * wl * below[qu, ql]
+                masses[u, l] = total
+        den *= d * d
+        table[m] = (masses, den)
+    return table
 
 
 def barrier_meet_prob(config: BarrierConfig) -> Fraction:

@@ -26,6 +26,8 @@ pair. ``all_paths`` is the one enumerator, in the fixed order of the E-step
 positions as combinations.
 
 All values are immutable and all operations are pure functions.
+``InvariantError`` is what a route raises when one of its own
+postconditions fails.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ EAST = "E"
 NORTH = "N"
 
 _VALID_STEPS = frozenset((EAST, NORTH))
+
+
+class InvariantError(RuntimeError):
+    """A route broke one of its own postconditions: the program is wrong,
+    not its input. Defined here so every route can raise it without
+    importing another route."""
 
 
 @dataclass(frozen=True)

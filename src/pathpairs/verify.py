@@ -8,7 +8,8 @@ returns one :class:`CheckReport`. Reports are reproducible: enumeration
 order is fixed and the pseudo-random level-rate sequences come from a fixed
 seed with denominators at most 16 so the walker arithmetic stays small. A
 failing report always carries the first counterexample in scan order, with
-every input and both computed values.
+every input and both computed values. A report also carries the suite's
+wall time, ``elapsed_s``, which report equality ignores.
 
 Each ``check_<suite>`` states its own sweep sizes once: ``n_max`` None runs
 its default grid, and a given ``n_max`` shrinks it, never below the suite's
@@ -21,10 +22,11 @@ is the engine behind the command line's ``verify`` subcommand.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, inf
+from time import perf_counter
 
 from . import bijection, formulas, oracle, series
 
@@ -35,6 +37,9 @@ class CheckReport:
     passed: bool
     instances: int
     first_failure: dict | None = None
+    #: wall seconds the suite took; left out of equality, so reports of two
+    #: runs still compare equal
+    elapsed_s: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
         if self.passed and self.first_failure is not None:
@@ -48,6 +53,7 @@ class _Recorder:
         self.check_id = check_id
         self.instances = 0
         self.failure: dict | None = None
+        self.started = perf_counter()
 
     def expect_equal(self, left, right, **context) -> None:
         self.instances += 1
@@ -64,7 +70,10 @@ class _Recorder:
             self.failure = {k: str(v) for k, v in context.items()}
 
     def report(self) -> CheckReport:
-        return CheckReport(self.check_id, self.failure is None, self.instances, self.failure)
+        return CheckReport(
+            self.check_id, self.failure is None, self.instances, self.failure,
+            elapsed_s=perf_counter() - self.started,
+        )
 
 
 def _cap(n_max: int | None) -> int | float:
@@ -422,39 +431,55 @@ def _start_distributions(rate: oracle.RateModel):
 _PROBS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
 
 
+def _pair_walk(table: dict, config: oracle.BarrierConfig) -> Fraction:
+    """The pair-walk probability of ``config``, read off its rate's
+    ``oracle.barrier_survival_table``."""
+    a, b, x = config.a, config.b, config.x
+    masses, den = table[a + b + x + 1]
+    return Fraction(masses[(a, b + x + 1), (a + x + 1, b)], den)
+
+
 def check_barrier(n_max: int | None = None, seed: int = 20114) -> CheckReport:
     """Three-way agreement for the two-walker meeting probability.
 
     Constant rates: pair DP == binomial closed form == single-walker DP,
     and u + l - 1, for a, b, x <= 4. Level-dependent rates: pair DP ==
     single-walker DP and u + l - 1 over 20 rate tables drawn from ``seed``,
-    for a + b + x <= 10. The pair DP runs once per configuration; the
+    for a + b + x <= 10. The pair DP is one backward sweep per rate,
+    ``oracle.barrier_survival_table``, read once per configuration; the
     single-walker distributions are shared by every configuration of one
     rate, but never feed the pair DP.
+
+    A sweep answers every start pair up to its top level at once, so it
+    suits this suite, which asks for every pair; a single query (the CLI,
+    ``barrier_meet_prob``) runs the forward DP over its own pair only, which
+    is far cheaper for one large configuration.
     """
     rec = _Recorder("barrier")
     level_total = min(10, _cap(n_max))
     const_limit = min(4, level_total)
     for p in _PROBS:
         rate = oracle.ConstantRate(Fraction(p))
+        table = oracle.barrier_survival_table(rate, 3 * const_limit + 1)
         distribution = _start_distributions(rate)
         for a in range(const_limit + 1):
             for b in range(const_limit + 1):
                 for x in range(const_limit + 1):
                     config = oracle.BarrierConfig(a, b, x, rate)
-                    value = oracle.barrier_meet_prob(config)
+                    value = _pair_walk(table, config)
                     rec.expect_equal(
                         value, formulas.barrier_meet_formula(a, b, x, p),
                         a=a, b=b, x=x, p=p, sides="pair walk vs closed form",
                     )
                     _axis_target_checks(rec, config, value, distribution)
     for rate in _level_rates(seed, 20, level_total + 2):
+        table = oracle.barrier_survival_table(rate, level_total + 1)
         distribution = _start_distributions(rate)
         for a in range(level_total + 1):
             for b in range(level_total + 1 - a):
                 for x in range(level_total + 1 - a - b):
                     config = oracle.BarrierConfig(a, b, x, rate)
-                    _axis_target_checks(rec, config, oracle.barrier_meet_prob(config), distribution)
+                    _axis_target_checks(rec, config, _pair_walk(table, config), distribution)
     return rec.report()
 
 

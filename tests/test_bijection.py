@@ -9,10 +9,14 @@ Core claims:
     - group I and II partners reduce to the same smaller nonmeeting pair
       when their doubled edge is peeled off
     - exhaustive replay passes on small rectangles with the documented counts
+    - on random rectangles with r + s <= 16, the inverse returns both images
+      of a random nonmeeting pair to it, with the tag its case dictates
     - degenerate and ill-typed inputs are rejected
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathpairs import bijection
 from pathpairs.bijection import (
@@ -205,3 +209,54 @@ def test_nonmeeting_upper_is_strictly_north_inside():
                 low = min(pair.upper.column_heights(x))
                 high = max(pair.lower.column_heights(x))
                 assert low > high
+
+
+# --- random round trips ------------------------------------------------------
+
+
+def _word(length: int, east_positions) -> str:
+    return "".join("E" if t in east_positions else "N" for t in range(length))
+
+
+@st.composite
+def nonmeeting_pairs(draw):
+    """A nonmeeting pair on a random r x s rectangle with r + s <= 16.
+
+    Two paths from the origin to (r-1, s-1), read as their west and east
+    envelopes at each step, run weakly ordered. Prefixing N to the west one
+    and E to the east one (and closing them with E and N) separates them by
+    one column at every interior step, and every nonmeeting pair arises
+    this way, so no draw is filtered out.
+    """
+    r = draw(st.integers(1, 15))
+    s = draw(st.integers(1, 16 - r))
+    length = r + s - 2
+    words = [
+        _word(length, set(draw(st.permutations(range(length)))[: r - 1])) for _ in range(2)
+    ]
+    vertices = [PathNE.from_word(w).vertices for w in words]
+    west = [min(a, b) for a, b in zip(*vertices)]  # fewer east steps so far
+    east = [max(a, b) for a, b in zip(*vertices)]
+
+    def steps(points):
+        return "".join("E" if q[0] > p[0] else "N" for p, q in zip(points, points[1:]))
+
+    return RectPair.from_words("N" + steps(west) + "E", "E" + steps(east) + "N")
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=nonmeeting_pairs())
+def test_random_round_trip_returns_source_with_its_tag(source):
+    assert source.kind == bijection.NONMEETING
+    case, first, second = bijection._insert(source)
+    assert first != second
+    expected = {"A": "II", "B": "III", "C": "I"}[case]
+    flags = []
+    for image in (first, second):
+        assert image.kind == bijection.ONE_MEETING
+        back, tag = remove_meeting(image)
+        assert back == source
+        assert tag.group == expected
+        flags.append(tag.north_throughout)
+    if case == "B":
+        assert flags == [True, False]

@@ -9,8 +9,10 @@ Core claims:
     - verification failures and routes that disagree under --method all
       exit 1 (the record is still emitted), empty suite selection exits 0
     - a reader that closes the pipe early gets exit 141 and no traceback
-    - a closed-form count that fails its integrality check is a program bug
-      and exits 3, not 2
+    - a closed-form count that fails its integrality check, or a route that
+      breaks its own postcondition, is a program bug and exits 3, not 2
+    - verify --timings writes one line per selected suite to stderr and
+      leaves stdout unchanged
     - exact values print in full past the interpreter's digit limit, and
       main leaves that process-wide limit as it found it
     - a golden set of invocations keeps its exit code, stdout bytes and
@@ -158,6 +160,22 @@ def test_integrality_failure_exits_3(capsys, monkeypatch):
     assert err == "error: internal check failed: rect_pair_count_a(5, 2, 1): expected a nonnegative integer, got 272/3\n"
 
 
+def test_invariant_failure_exits_3(capsys, monkeypatch):
+    # a wrong C(2n, n) makes the enumerated same-endpoint total fail its
+    # postcondition inside the oracle
+    from math import comb
+
+    from pathpairs import oracle
+
+    monkeypatch.setattr(oracle, "comb", lambda a, b: comb(a, b) + 1)
+    code, out, err = run(capsys, "pnk", "--n", "3", "--method", "oracle")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: internal check failed: same_endpoint_pair_table(3): "
+        "enumerated 20 pairs, not C(2n, n)\n"
+    )
+
+
 def test_barrier_all_routes(capsys):
     record = run_json(
         capsys, "barrier", "--a", "1", "--b", "1", "--x", "0", "--p", "1/2", "--method", "all"
@@ -298,6 +316,21 @@ def test_barrier_rejects_zero_denominator(capsys, tmp_path):
     code, _, err = run(capsys, "barrier", "--a", "1", "--b", "0", "--x", "0", "--level-file", str(level))
     assert code == 2
     assert "levels.txt:2" in err and "zero denominator" in err
+
+
+@pytest.mark.parametrize(
+    "selection",
+    [["--all", "--nmax", "2"], ["--suite", "wz,barrier", "--suite", "theorem1", "--nmax", "3"]],
+)
+def test_verify_timings_cover_every_selected_suite(capsys, selection):
+    code, out, err = run(capsys, "verify", *selection)
+    assert (code, err) == (0, "")
+    timed_code, timed_out, timed_err = run(capsys, "verify", *selection, "--timings")
+    assert (timed_code, timed_out) == (0, out)
+    suites = [row["check"] for row in json.loads(out)["results"]]
+    lines = [line.split(" ") for line in timed_err.splitlines()]
+    assert [name for name, _ in lines] == suites
+    assert all(float(seconds) >= 0 for _, seconds in lines)
 
 
 def test_verify_rejects_nmax_below_one(capsys):

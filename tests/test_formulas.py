@@ -16,7 +16,8 @@ Core claims:
     - the integer-arithmetic forms equal their factorial-ratio references:
       rect_pair_count_b equals rect_pair_count_a on every instance with
       n <= 40 (its r = 0 column without calling form a), and the average
-      and same-endpoint forms equal the factorial expressions kept below
+      and same-endpoint forms equal the factorial expressions kept below;
+      the cached central binomial they read is bounded and changes no value
     - the telescoping companion satisfies its difference identity
 """
 
@@ -282,6 +283,16 @@ def test_same_endpoint_forms_equal_factorial_forms():
             count = formulas.same_endpoint_pair_count(n, k)
             assert isinstance(count, int)
             assert _equals(Fraction(count), _factorial_same_endpoint_count(n, k)), (n, k)
+
+
+def test_central_binomial_cache_is_bounded_and_changes_nothing():
+    info = formulas._central_binomial.cache_info()
+    assert info.maxsize is not None
+    formulas._central_binomial.cache_clear()
+    cold = [formulas.same_endpoint_meet_prob(n, k) for n in (1, 7, 1010) for k in range(n)]
+    assert formulas._central_binomial.cache_info().misses == 3
+    warm = [formulas.same_endpoint_meet_prob(n, k) for n in (1, 7, 1010) for k in range(n)]
+    assert cold == warm
 
 
 def test_telescoping_companion_difference_identity():

@@ -10,6 +10,9 @@ Core claims:
       the documented degenerate cases
     - the integer-mass walker DPs equal a Fraction-mass reference DP exactly,
       and a single walker's endpoint masses sum to their denominator
+    - the backward survival table holds every ordered start pair of every
+      level, equals the reference DP on each, and equals the forward pair DP
+      on every small barrier configuration
     - preconditions (ranges, size limits, probability bounds) are enforced
 """
 
@@ -306,3 +309,56 @@ def test_single_walker_equals_fraction_reference(start, steps, west_steps, rate)
     masses, den = oracle.endpoint_distribution(start, steps, rate)
     assert all(isinstance(m, int) and m > 0 for m in masses.values())
     assert sum(masses.values()) == den
+
+
+# --- the backward survival table ----------------------------------------------
+
+
+def _ordered_pairs(m):
+    level = [(r, m - r) for r in range(m + 1)]
+    return {(u, l) for i, u in enumerate(level) for l in level[i + 1:]}
+
+
+@settings(max_examples=80, deadline=None)
+@example(top_level=6, rate=oracle.ConstantRate(Fraction(0)))
+@example(top_level=6, rate=oracle.ConstantRate(Fraction(1)))
+@example(top_level=7, rate=_mixed_levels)
+@given(top_level=st.integers(1, 7), rate=_rates)
+def test_survival_table_equals_fraction_reference(top_level, rate):
+    table = oracle.barrier_survival_table(rate, top_level)
+    assert sorted(table) == list(range(1, top_level + 1))
+    for m, (masses, den) in table.items():
+        assert set(masses) == _ordered_pairs(m)
+        assert isinstance(den, int) and den > 0
+        for (u, l), mass in masses.items():
+            assert isinstance(mass, int) and 0 <= mass <= den
+            assert Fraction(mass, den) == _reference_surviving_mass(u, l, rate, m - 1), (m, u, l)
+
+
+# the constant rates of the walker suites, and two level tables
+_TABLE_RATES = (
+    oracle.ConstantRate(Fraction(1, 2)),
+    oracle.ConstantRate(Fraction(1, 3)),
+    oracle.ConstantRate(Fraction(2, 5)),
+    _mixed_levels,
+    oracle.LevelRate((Fraction(4, 5), Fraction(1, 16), Fraction(1), Fraction(7, 9), Fraction(0))),
+)
+
+
+@pytest.mark.parametrize("rate", _TABLE_RATES)
+def test_survival_table_equals_forward_dp_on_small_configs(rate):
+    table = oracle.barrier_survival_table(rate, 7)
+    checked = 0
+    for a in range(7):
+        for b in range(7 - a):
+            for x in range(7 - a - b):
+                masses, den = table[a + b + x + 1]
+                got = Fraction(masses[(a, b + x + 1), (a + x + 1, b)], den)
+                assert got == oracle.barrier_meet_prob(oracle.BarrierConfig(a, b, x, rate)), (a, b, x)
+                checked += 1
+    assert checked == 84  # every a + b + x <= 6
+
+
+def test_survival_table_rejects_empty_range():
+    with pytest.raises(ValueError):
+        oracle.barrier_survival_table(oracle.ConstantRate(Fraction(1, 2)), 0)

@@ -4,7 +4,7 @@ Core claims:
     - recorders count instances and keep only the first failure, with every
       input and both values rendered as strings
     - reports are reproducible: the same configuration yields identical
-      report objects
+      report objects; the suite's wall time rides along outside equality
     - suite selection is honored in registry order, unknown names raise, an
       empty selection runs nothing, an n_max below 1 is rejected
     - each suite states its sizes once: its check takes only n_max (barrier
@@ -49,6 +49,12 @@ def test_passing_report_carries_no_counterexample():
 def test_reports_are_reproducible():
     config = VerifyConfig(suites=("theorem1", "barrier", "series-fk"), n_max=4)
     assert verify.run_all(config) == verify.run_all(config)
+
+
+def test_elapsed_time_is_recorded_but_not_compared():
+    (report,) = verify.run_all(VerifyConfig(suites=("theorem1",), n_max=4))
+    assert report.elapsed_s > 0
+    assert report == CheckReport(report.check_id, report.passed, report.instances, elapsed_s=123.0)
 
 
 def test_selection_and_order():
