@@ -14,6 +14,11 @@ The commands with several routes (``nkr``, ``mrs``, ``fnk``, ``pnk`` and
 routes, applies the size cap, builds each route once, tabulates it over the
 k range, sets the ``consistency`` flag under ``--method all`` and emits.
 
+The argument parser is built once per process, by the first ``main`` call,
+and every later call parses with it. Commands are dispatched by name when
+``main`` runs: ``nkr`` calls whatever ``cmd_nkr`` is at that moment, so a
+patched or wrapped command function is the one that runs.
+
 Probabilities are accepted only as rational strings like ``1/3`` (or an
 integer); decimal notation and zero denominators are rejected so exactness
 survives end to end. Exit codes: 0 success, 1 verification failure or
@@ -101,8 +106,7 @@ def fmt(value) -> str:
 
 def emit(record: dict, fmt_name: str, row_fields: list[str]) -> None:
     if fmt_name == "json":
-        json.dump(record, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(record, indent=2) + "\n")
         return
     writer = csv.writer(sys.stdout)
     writer.writerow(row_fields)
@@ -454,7 +458,18 @@ def _add_common(sub, oracle_cap: bool = False) -> None:
         )
 
 
+# The one parser of this process, built by the first ``build_parser`` call.
+# It holds no command functions and parsing leaves it unchanged, so every
+# query can share it.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused for the life of the
+    process; ``main`` picks each command's ``cmd_*`` by name when it runs."""
+    global _PARSER
+    if _PARSER is not None:
+        return _PARSER
     parser = argparse.ArgumentParser(
         prog="pathpairs",
         description="Exact counts and probabilities for pairs of lattice walks, by shared vertices.",
@@ -469,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=(*ROUTES["nkr"], "all"), default="formula-a",
     )
     _add_common(p, oracle_cap=True)
-    p.set_defaults(func=cmd_nkr)
 
     p = subs.add_parser("mrs", help="pair counts with two prescribed endpoints")
     p.add_argument("--n", type=int, required=True)
@@ -478,32 +492,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--method", choices=(*ROUTES["mrs"], "all"), default="formula")
     _add_common(p, oracle_cap=True)
-    p.set_defaults(func=cmd_mrs)
 
     p = subs.add_parser("fnk", help="free pair counts by post-origin meetings")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--method", choices=(*ROUTES["fnk"], "all"), default="formula")
     _add_common(p, oracle_cap=True)
-    p.set_defaults(func=cmd_fnk)
 
     p = subs.add_parser("pnk", help="same-endpoint meeting probabilities")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--method", choices=(*ROUTES["pnk"], "all"), default="formula")
     _add_common(p, oracle_cap=True)
-    p.set_defaults(func=cmd_pnk)
 
     p = subs.add_parser("diag", help="same-endpoint pair counts (row sums over all splits)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_diag)
 
     p = subs.add_parser("avg", help="mean crossing count of free pair walks")
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_avg)
 
     p = subs.add_parser("barrier", help="probability two walkers first meet at the origin")
     p.add_argument("--a", type=int, required=True)
@@ -513,13 +522,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level-file", type=str, default=None, help="one rate per line, level 1 first")
     p.add_argument("--method", choices=(*ROUTES["barrier"], "all"), default="all")
     _add_common(p)
-    p.set_defaults(func=cmd_barrier)
 
     p = subs.add_parser("bijection", help="replay the 2-to-1 correspondence on a rectangle")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     _add_common(p, oracle_cap=True)
-    p.set_defaults(func=cmd_bijection)
 
     p = subs.add_parser("verify", help="run identity-check suites")
     p.add_argument("--all", action="store_true", help="run every suite (the default)")
@@ -529,8 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--timings", action="store_true", help="write one 'suite seconds' line per suite to stderr",
     )
     _add_common(p)
-    p.set_defaults(func=cmd_verify)
 
+    _PARSER = parser
     return parser
 
 
@@ -543,7 +550,8 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
-        code = args.func(args)
+        # looked up at call time, so a patched or traced command is the one run
+        code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
         return code
     except UsageError as exc:

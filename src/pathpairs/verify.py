@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, inf
 from time import perf_counter
 
@@ -399,22 +400,14 @@ def _level_rates(seed: int, count: int, length: int) -> list[oracle.LevelRate]:
     return out
 
 
-def _target_mass(distribution: tuple[dict, int], targets) -> Fraction:
-    masses, den = distribution
-    return Fraction(sum(masses.get(t, 0) for t in targets), den)
-
-
-def _axis_target_checks(rec, config: oracle.BarrierConfig, b_value: Fraction, distribution) -> None:
-    """Theorem-4 style cross checks for one configuration; ``distribution``
-    maps a start to the single walker's endpoint distribution under the
-    configuration's rate."""
+def _axis_target_checks(rec, config: oracle.BarrierConfig, b_value: Fraction, diagonal) -> None:
+    """Theorem-4 style cross checks for one configuration; ``diagonal`` is
+    the configuration's rate's ``_diagonal_masses``."""
     a, b, x = config.a, config.b, config.x
-    upper = distribution((a, b + x + 1))
-    single = _target_mass(upper, [(-t, 1 + t) for t in range(x + 1)])
-    rec.expect_equal(b_value, single, a=a, b=b, x=x, sides="pair walk vs single walker")
-    u = _target_mass(upper, [(-t, 1 + t) for t in range(b + x + 1)])
-    l = _target_mass(distribution((a + x + 1, b)), [(1 + t, -t) for t in range(a + x + 1)])
-    rec.expect_equal(b_value, u + l - 1, a=a, b=b, x=x, sides="pair walk vs u + l - 1")
+    upper = diagonal((a, b + x + 1), True)
+    rec.expect_equal(b_value, upper[x], a=a, b=b, x=x, sides="pair walk vs single walker")
+    l = diagonal((a + x + 1, b), False)[a + x]
+    rec.expect_equal(b_value, upper[b + x] + l - 1, a=a, b=b, x=x, sides="pair walk vs u + l - 1")
 
 
 def _start_distributions(rate: oracle.RateModel):
@@ -425,6 +418,26 @@ def _start_distributions(rate: oracle.RateModel):
     return lru_cache(maxsize=None)(
         lambda start: oracle.endpoint_distribution(start, start[0] + start[1] - 1, rate)
     )
+
+
+def _diagonal_masses(rate: oracle.RateModel):
+    """Running target masses of the single walkers under one rate, each list
+    computed once per (start, side). Every target of a start is a prefix of
+    one diagonal of level 1: (-t, 1 + t) for t < s when the start (r, s) is
+    the upper walker, (1 + t, -t) for t < r when it is the lower, so entry t
+    holds the mass the walker puts on the targets 0..t."""
+    distribution = _start_distributions(rate)
+
+    @lru_cache(maxsize=None)
+    def running(start: tuple[int, int], upper: bool) -> list[Fraction]:
+        masses, den = distribution(start)
+        if upper:
+            targets = ((-t, 1 + t) for t in range(start[1]))
+        else:
+            targets = ((1 + t, -t) for t in range(start[0]))
+        return [Fraction(total, den) for total in accumulate(masses.get(t, 0) for t in targets)]
+
+    return running
 
 
 #: The constant West rates of the walker suites.
@@ -461,7 +474,7 @@ def check_barrier(n_max: int | None = None, seed: int = 20114) -> CheckReport:
     for p in _PROBS:
         rate = oracle.ConstantRate(Fraction(p))
         table = oracle.barrier_survival_table(rate, 3 * const_limit + 1)
-        distribution = _start_distributions(rate)
+        diagonal = _diagonal_masses(rate)
         for a in range(const_limit + 1):
             for b in range(const_limit + 1):
                 for x in range(const_limit + 1):
@@ -471,15 +484,15 @@ def check_barrier(n_max: int | None = None, seed: int = 20114) -> CheckReport:
                         value, formulas.barrier_meet_formula(a, b, x, p),
                         a=a, b=b, x=x, p=p, sides="pair walk vs closed form",
                     )
-                    _axis_target_checks(rec, config, value, distribution)
+                    _axis_target_checks(rec, config, value, diagonal)
     for rate in _level_rates(seed, 20, level_total + 2):
         table = oracle.barrier_survival_table(rate, level_total + 1)
-        distribution = _start_distributions(rate)
+        diagonal = _diagonal_masses(rate)
         for a in range(level_total + 1):
             for b in range(level_total + 1 - a):
                 for x in range(level_total + 1 - a - b):
                     config = oracle.BarrierConfig(a, b, x, rate)
-                    _axis_target_checks(rec, config, _pair_walk(table, config), distribution)
+                    _axis_target_checks(rec, config, _pair_walk(table, config), diagonal)
     return rec.report()
 
 

@@ -15,6 +15,9 @@ Core claims:
       leaves stdout unchanged
     - exact values print in full past the interpreter's digit limit, and
       main leaves that process-wide limit as it found it
+    - the parser is built once per process: a rejected query leaves it as
+      new, help text is unchanged, and each command is looked up when main
+      runs, so a patched cmd_* is the one called
     - a golden set of invocations keeps its exit code, stdout bytes and
       stderr text exactly
 """
@@ -423,6 +426,55 @@ def test_closed_pipe_exits_141_quietly():
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (141, b"")
+
+
+# --- one parser per process -------------------------------------------------------
+
+
+def _fresh_process(*argv):
+    """Exit code and stdout of ``pathpairs.cli`` run once in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(pathpairs.__file__).parents[1]), "COLUMNS": "80"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathpairs.cli", *argv], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_rejected_queries_leave_the_parser_as_new(capsys):
+    query = ["nkr", "--n", "4", "--r", "2"]
+    code, reference = _fresh_process(*query)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:  # argparse rejects the value
+        main(["nkr", "--n", "x", "--r", "2", "--method", "all"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *query)[:2] == (0, reference)
+    assert run(capsys, "nkr", "--n", "4", "--r", "9", "--method", "oracle")[0] == 2  # UsageError
+    assert run(capsys, *query)[:2] == (0, reference)
+
+
+def test_commands_are_looked_up_when_main_runs(capsys, monkeypatch):
+    assert run(capsys, "avg", "--n", "2")[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_avg", lambda args: seen.append(args.n) or 7)
+    assert run(capsys, "avg", "--n", "3") == (7, "", "")
+    assert seen == [3]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["barrier", "--help"]])
+def test_help_is_unchanged_after_earlier_queries(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    run(capsys, "barrier", "--a", "1", "--b", "0", "--x", "0", "--p", "1/2", "--method", "dp")
+    run(capsys, "fnk", "--n", "3", "--format", "csv")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == _fresh_process(*argv)[1]
 
 
 # --- golden outputs -------------------------------------------------------------
