@@ -21,7 +21,10 @@ meeting sits:
 Meeting points and the rectangle scan come from ``paths``: the shared
 vertices of a pair are ``paths.shared_vertices`` under
 ``intersections_interior``, and ``verify_correspondence`` walks
-``paths.scan_pairs`` over ``paths.all_paths``.
+``paths.scan_pairs`` over ``paths.all_paths``. It keys the one-meeting set
+of the scan by canonical ``(upper, lower)`` step words and compares each
+image's ``words()`` against it, so no ``RectPair`` is built for a scanned
+one-meeting pair.
 
 Every constructed path is revalidated (endpoints, exact meeting count and
 location), and a violated postcondition raises ``paths.InvariantError`` with
@@ -331,17 +334,18 @@ def verify_correspondence(r: int, s: int) -> CorrespondenceReport:
     if r < 1 or s < 1:
         raise ValueError("need r >= 1 and s >= 1")
     nonmeeting: list[RectPair] = []
-    one_meeting: set[RectPair] = set()
+    one_meeting: set[tuple[str, str]] = set()  # canonical (upper, lower) words
     scan = paths.scan_pairs(paths.all_paths(r + s, r), paths.intersections_interior)
     for a, b, hits in scan:
         if hits == 0 and a != b:
             nonmeeting.append(RectPair.of(a, b))
         elif hits == 1:
-            one_meeting.add(RectPair.of(a, b))
+            wa, wb = a.word, b.word
+            one_meeting.add((wa, wb) if wa >= wb else (wb, wa))
 
     failures: list[str] = []
     rows: list[CorrespondenceRow] = []
-    images: list[RectPair] = []
+    images: list[tuple[str, str]] = []
     for source in nonmeeting:
         try:
             case, first, second = _insert(source)
@@ -350,7 +354,7 @@ def verify_correspondence(r: int, s: int) -> CorrespondenceReport:
             continue
         tags = []
         for image in (first, second):
-            images.append(image)
+            images.append(image.words())
             try:
                 back, tag = remove_meeting(image)
             except (ValueError, RuntimeError) as exc:
@@ -374,9 +378,9 @@ def verify_correspondence(r: int, s: int) -> CorrespondenceReport:
     extra = set(images) - one_meeting
     missing = one_meeting - set(images)
     if extra:
-        failures.append(f"images outside the one-meeting set: {sorted(p.words() for p in extra)}")
+        failures.append(f"images outside the one-meeting set: {sorted(extra)}")
     if missing:
-        failures.append(f"one-meeting pairs never hit: {sorted(p.words() for p in missing)}")
+        failures.append(f"one-meeting pairs never hit: {sorted(missing)}")
     if len(one_meeting) != 2 * len(nonmeeting):
         failures.append(
             f"counts {len(one_meeting)} != 2 * {len(nonmeeting)}"

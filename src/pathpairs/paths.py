@@ -25,6 +25,10 @@ resolves the window and checks the precondition once per call, not once per
 pair. ``all_paths`` is the one enumerator, in the fixed order of the E-step
 positions as combinations.
 
+Paths built by ``PathNE.from_word`` are shared: equal words from the same
+start give one ``PathNE`` instance, so its vertices are computed once however
+often the word is rebuilt (the 2-to-1 replay rebuilds each path many times).
+
 All values are immutable and all operations are pure functions.
 ``InvariantError`` is what a route raises when one of its own
 postconditions fails.
@@ -33,7 +37,7 @@ postconditions fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 Point = tuple[int, int]
@@ -42,6 +46,10 @@ EAST = "E"
 NORTH = "N"
 
 _VALID_STEPS = frozenset((EAST, NORTH))
+
+# Bound on the paths ``PathNE.from_word`` shares; the largest rectangle the
+# CLI replays, r + s = 12, has 924 of them.
+_SHARED_PATHS = 4096
 
 
 class InvariantError(RuntimeError):
@@ -68,9 +76,10 @@ class PathNE:
 
     @classmethod
     def from_word(cls, word: str, start: Point = (0, 0)) -> "PathNE":
-        return cls(tuple(word), start)
+        """The one shared path with this word and start."""
+        return _shared_path(cls, word, start)
 
-    @property
+    @cached_property
     def word(self) -> str:
         return "".join(self.steps)
 
@@ -91,13 +100,21 @@ class PathNE:
             out.append((x, y))
         return tuple(out)
 
-    @property
+    @cached_property
     def end(self) -> Point:
-        return self.vertices[-1]
+        x, y = self.start
+        east = self.steps.count(EAST)
+        return (x + east, y + len(self.steps) - east)
 
     def column_heights(self, x: int) -> tuple[int, ...]:
         """All y with (x, y) on the path, in increasing order."""
         return tuple(vy for vx, vy in self.vertices if vx == x)
+
+
+@lru_cache(maxsize=_SHARED_PATHS)
+def _shared_path(cls, word: str, start: Point) -> PathNE:
+    # a word that fails validation raises on every call: lru_cache keeps no exceptions
+    return cls(tuple(word), start)
 
 
 def all_paths(n: int, r: int) -> list[PathNE]:
@@ -164,8 +181,10 @@ def _window(convention, paths) -> slice:
     if convention not in _CONVENTIONS:
         raise ValueError(f"unknown counting convention {convention!r}")
     first = paths[0]
+    n, start = len(first.steps), first.start
     for p in paths:
-        PathPair(first, p)  # same start, same length
+        if len(p.steps) != n or p.start != start:
+            PathPair(first, p)  # raises the pair's message
     if convention is intersections_interior:
         ends = {p.end for p in paths}
         if len(ends) > 1:

@@ -649,6 +649,10 @@ class VerifyConfig:
 
     def __post_init__(self) -> None:
         _cap(self.n_max)  # rejects an n_max below 1 before any suite runs
+        if self.suites is not None:
+            unknown = [name for name in self.suites if name not in SUITE_NAMES]
+            if unknown:
+                raise ValueError(f"unknown suites {unknown}; known: {', '.join(SUITE_NAMES)}")
 
 
 SUITE_NAMES = (
@@ -662,9 +666,6 @@ def run_all(config: VerifyConfig = VerifyConfig()) -> list[CheckReport]:
     """Run the selected suites in registry order and return their reports.
     Each suite's ``check_*`` function is looked up by name when it runs."""
     selected = SUITE_NAMES if config.suites is None else config.suites
-    unknown = [name for name in selected if name not in SUITE_NAMES]
-    if unknown:
-        raise ValueError(f"unknown suite names: {unknown}; known: {list(SUITE_NAMES)}")
     return [
         globals()["check_" + name.replace("-", "_")](config.n_max)
         for name in SUITE_NAMES

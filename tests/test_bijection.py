@@ -8,7 +8,9 @@ Core claims:
       the construction case dictates
     - group I and II partners reduce to the same smaller nonmeeting pair
       when their doubled edge is peeled off
-    - exhaustive replay passes on small rectangles with the documented counts
+    - exhaustive replay passes on small rectangles with the documented counts,
+      and reports a forward map that repeats an image or leaves the
+      one-meeting set
     - on random rectangles with r + s <= 16, the inverse returns both images
       of a random nonmeeting pair to it, with the tag its case dictates
     - degenerate and ill-typed inputs are rejected
@@ -194,6 +196,37 @@ def test_verify_counts_small_rectangles():
     report = verify_correspondence(1, 1)
     assert (report.nonmeeting_count, report.one_meeting_count) == (1, 2)
     assert report.passed
+
+
+def test_verify_reports_a_repeated_image(monkeypatch):
+    real_insert = bijection._insert
+
+    def repeat_first(pair):
+        case, first, _ = real_insert(pair)
+        return case, first, first
+
+    monkeypatch.setattr(bijection, "_insert", repeat_first)
+    report = verify_correspondence(2, 2)
+    assert not report.passed
+    assert "images are not pairwise distinct" in report.failures
+    dropped = sorted(real_insert(row.source)[2].words() for row in report.rows)
+    assert len(dropped) == report.nonmeeting_count == 3
+    assert f"one-meeting pairs never hit: {dropped}" in report.failures
+
+
+def test_verify_reports_an_image_outside_the_one_meeting_set(monkeypatch):
+    real_insert = bijection._insert
+
+    def return_source(pair):
+        case, first, _ = real_insert(pair)
+        return case, first, pair  # the nonmeeting source itself
+
+    monkeypatch.setattr(bijection, "_insert", return_source)
+    report = verify_correspondence(2, 2)
+    assert not report.passed
+    outside = [f for f in report.failures if f.startswith("images outside the one-meeting set")]
+    sources = [("NENE", "EENN"), ("NNEE", "EENN"), ("NNEE", "ENEN")]
+    assert outside == [f"images outside the one-meeting set: {sources}"]
 
 
 def test_verify_rejects_degenerate():

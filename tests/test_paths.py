@@ -9,9 +9,13 @@ Core claims:
     - all three counts are symmetric in the pair order
     - the one enumerator lists every path once, in combination order
     - the batch forms (census, unordered scan, meeting points) agree with the
-      per-pair operations and enforce the same preconditions
+      per-pair operations and enforce the same preconditions, with the same
+      messages
+    - ``from_word`` shares one path per (word, start) and never caches a
+      rejected word; ``end`` counted from the steps is the last vertex
 """
 
+import re
 from itertools import combinations, product
 
 import pytest
@@ -225,3 +229,56 @@ def test_scan_visits_unordered_pairs_in_order():
         for j in range(i, len(ps))
     ]
     assert scanned == expected
+
+
+# --- shared paths and their fast preconditions ---------------------------------
+
+
+def test_from_word_shares_one_path_per_word_and_start():
+    for word, start in (("ENNE", (0, 0)), ("ENNE", (2, 3)), ("", (0, 0))):
+        p = PathNE.from_word(word, start)
+        assert PathNE.from_word(word, start) is p
+        assert p == PathNE(tuple(word), start)
+        assert hash(p) == hash(PathNE(tuple(word), start))
+    assert PathNE.from_word("ENNE") is PathNE.from_word("ENNE", (0, 0))
+    assert PathNE.from_word("ENNE") is not PathNE.from_word("ENNE", (2, 3))
+
+
+def test_from_word_rejects_an_invalid_word_on_every_call():
+    for _ in range(3):
+        with pytest.raises(ValueError, match="invalid steps"):
+            PathNE.from_word("ENX")
+
+
+def test_end_counted_from_steps_is_the_last_vertex():
+    for n in range(9):
+        for steps in product("EN", repeat=n):
+            for start in ((0, 0), (3, -2)):
+                p = PathNE(steps, start)
+                assert p.end == p.vertices[-1]
+
+
+def _raises(message, call):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_batch_forms_keep_the_pair_messages():
+    en, e = PathNE.from_word("EN"), PathNE.from_word("E")
+    shifted = PathNE.from_word("EN", start=(1, 0))
+    ee = PathNE.from_word("EE")
+    offset_e, offset_n = PathNE.from_word("E", start=(1, 1)), PathNE.from_word("N", start=(1, 1))
+    cases = [
+        ("paths have different step counts: 2 vs 1", en, e, intersections_excluding_start),
+        ("paths have different starts: (0, 0) vs (1, 0)", en, shifted, intersections_excluding_start),
+        ("interior count needs equal endpoints, got [(1, 1), (2, 0)]", en, ee, intersections_interior),
+        ("both paths must start at the origin, got (1, 1)", offset_e, offset_n,
+         intersections_excluding_origin),
+        (f"unknown counting convention {len!r}", en, en, len),
+    ]
+    for message, a, b, convention in cases:
+        # a pair of unequal lengths or starts cannot be built, so shared_vertices
+        # reports those through PathPair
+        _raises(message, lambda: shared_vertices(PathPair(a, b), convention))
+        _raises(message, lambda: meeting_census([a], [b], convention))
+        _raises(message, lambda: list(scan_pairs([a, b], convention)))

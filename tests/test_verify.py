@@ -68,8 +68,8 @@ def test_empty_selection():
 
 
 def test_unknown_suite_rejected():
-    with pytest.raises(ValueError):
-        verify.run_all(VerifyConfig(suites=("no-such-suite",)))
+    with pytest.raises(ValueError, match=r"^unknown suites \['no-such-suite'\]; known: theorem1, "):
+        VerifyConfig(suites=("theorem1", "no-such-suite"))
 
 
 def test_n_max_below_one_rejected():
