@@ -99,8 +99,6 @@ def fmt(value) -> str:
     """Exact decimal-integer or numerator/denominator rendering."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, Fraction)):
-        return str(value)
     return str(value)
 
 
@@ -335,19 +333,18 @@ def cmd_avg(args) -> int:
 
 
 def cmd_barrier(args) -> int:
-    if args.a < 0 or args.b < 0 or args.x < 0:
-        raise UsageError("a, b, x must be nonnegative")
     if (args.p is None) == (args.level_file is None):
         raise UsageError("give exactly one of --p RATIONAL or --level-file PATH")
     if args.p is not None:
         rate = oracle.ConstantRate(parse_probability(args.p))
     else:
         rate = read_level_file(args.level_file)
+    config = oracle.BarrierConfig(args.a, args.b, args.x, rate)  # rejects negative a, b, x
     constant = isinstance(rate, oracle.ConstantRate)
     if args.method == "formula" and not constant:
         raise UsageError("the closed form needs a constant rate; use dp or single-walker")
     return _run_routes(
-        "barrier", args, oracle.BarrierConfig(args.a, args.b, args.x, rate), [None],
+        "barrier", args, config, [None],
         {
             "a": args.a, "b": args.b, "x": args.x,
             "p": args.p, "level_file": args.level_file, "method": args.method,

@@ -22,23 +22,23 @@ on the x-axis, South on the y-axis). Both coordinate sums shrink by one per
 step, so the walkers stay on a common diagonal and can only meet at equal
 times; both hit the origin exactly when the diagonal runs out.
 
-The pair walk has two implementations of one recursion. ``_surviving_mass``
-runs it forward from one start pair and serves the single queries
-(``barrier_meet_prob``, ``same_start_meet_prob``). ``barrier_survival_table``
-runs it backward: it sweeps the levels upward from level 1, where the one
-distinct pair ((0, 1), (1, 0)) has mass 1, and gives each ordered pair
-(u, l) on level m the moves-weighted sum of the masses of its non-meeting
-successor pairs on level m - 1. One sweep answers every start pair up to
-its top level, which is what a suite over all configurations asks for.
-Neither x-coordinate grows, and each drops by at most 1 per step, so two
-walkers change order only by meeting: the pairs with u.r < l.r are all the
-table needs.
+The pair walk has one implementation, ``_survival_levels``. It sweeps the
+levels upward from level 1, where the one distinct pair ((0, 1), (1, 0)) has
+mass 1, and gives each ordered pair (u, l) on level m the moves-weighted sum
+of the masses of its non-meeting successor pairs on level m - 1. Neither
+x-coordinate grows, and each drops by at most 1 per step, so two walkers
+change order only by meeting: the pairs with u.r < l.r are all it needs.
+``barrier_survival_table`` keeps every pair of every level, which is what a
+suite over all configurations asks for; the single queries
+(``barrier_meet_prob``, ``same_start_meet_prob``) keep only the positions
+their own walkers can reach, and only the last level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import comb, lcm
 
 from . import paths
@@ -62,9 +62,6 @@ class CountTable:
         return cls(dict(entries), sum(entries.values()))
 
     def get(self, k: int) -> int:
-        return self.entries.get(k, 0)
-
-    def __getitem__(self, k: int) -> int:
         return self.entries.get(k, 0)
 
     def keys(self):
@@ -234,64 +231,41 @@ def _move_tables(positions, rate: RateModel) -> tuple[int, dict]:
     return d, tables
 
 
-def _surviving_mass(u: Point, l: Point, rate: RateModel, steps: int) -> Fraction:
-    """Probability that two constrained walkers take ``steps`` simultaneous
-    steps without ever occupying the same vertex at the same time.
-
-    The starting state is exempt: callers that start both walkers on one
-    vertex are asking about meetings *after* time zero. Masses are integers
-    over one running denominator, which grows by d * d per step for the
-    step's scale d; the one Fraction is built at the end.
-    """
-    states: dict[tuple[Point, Point], int] = {(u, l): 1}
-    den = 1
-    for _ in range(steps):
-        d, tables = _move_tables({pos for pair in states for pos in pair}, rate)
-        nxt: dict[tuple[Point, Point], int] = {}
-        for (pu, pl), mass in states.items():
-            lower = tables[pl]
-            for qu, wu in tables[pu]:
-                w = mass * wu
-                for ql, wl in lower:
-                    if qu == ql:
-                        continue  # met strictly before the origin
-                    key = (qu, ql)
-                    nxt[key] = nxt.get(key, 0) + w * wl
-        states = nxt
-        den *= d * d
-    return Fraction(sum(states.values()), den)
-
-
 SurvivalLevel = tuple[dict[tuple[Point, Point], int], int]
 
 
-def barrier_survival_table(rate: RateModel, top_level: int) -> dict[int, SurvivalLevel]:
-    """Survival masses of every ordered start pair on levels 1..top_level,
-    from one backward sweep: ``table[m] = (masses, den)``, where
+def _survival_levels(rate: RateModel, top: int, start: tuple[Point, Point] | None = None):
+    """Yield ``(m, masses, den)`` for levels 1..top, where
     ``masses[(u, l)] / den`` is the probability that walkers started at u
-    and l on level m (u.r < l.r) reach level 1 without meeting, i.e.
-    ``barrier_meet_prob`` of that pair.
+    and l on level m (u.r < l.r) reach level 1 without meeting.
 
-    Level 1 gives mass 1 to its one distinct pair ((0, 1), (1, 0)). Level m
-    reads level m - 1 through the moves of ``_move_tables`` on its own
-    positions, drops the moves that land both walkers on one vertex, and
-    multiplies the running denominator by d * d. Both x-coordinates drop by
-    0 or 1 per step, so the walkers can only change order by meeting, and
-    the pairs with u.r < l.r cover every surviving state.
+    Level m reads level m - 1 through the moves of ``_move_tables`` on its
+    own positions, drops the moves that land both walkers on one vertex, and
+    multiplies the running denominator by d * d. Without ``start`` every
+    ordered pair is kept. With a start pair (u0, l0) on level ``top``, level
+    m keeps for each walker only the positions r0 - (top - m) <= r <= r0 it
+    can reach from its own start; every successor of a kept position is kept
+    one level down, so the lookups into level m - 1 never miss. Only the
+    current and the previous level are held here.
     """
-    if top_level < 1:
-        raise ValueError(f"top_level must be at least 1, got {top_level}")
     masses = {((0, 1), (1, 0)): 1}
     den = 1
-    table = {1: (masses, den)}
-    for m in range(2, top_level + 1):
-        positions = [(r, m - r) for r in range(m + 1)]
+    yield 1, masses, den
+    for m in range(2, top + 1):
+        if start is None:
+            positions = uppers = lowers = [(r, m - r) for r in range(m + 1)]
+        else:
+            uppers, lowers = (
+                [(r, m - r) for r in range(max(0, r0 - (top - m)), min(r0, m) + 1)] for r0, _ in start
+            )
+            positions = {*uppers, *lowers}
         d, moves = _move_tables(positions, rate)
         below = masses
         masses = {}
-        for i, u in enumerate(positions):
+        l_lo = lowers[0][0]
+        for u in uppers:
             upper = moves[u]
-            for l in positions[i + 1:]:
+            for l in lowers[max(0, u[0] + 1 - l_lo):]:  # the lower walker's positions right of u
                 lower = moves[l]
                 total = 0
                 for qu, wu in upper:
@@ -300,8 +274,18 @@ def barrier_survival_table(rate: RateModel, top_level: int) -> dict[int, Surviva
                             total += wu * wl * below[qu, ql]
                 masses[u, l] = total
         den *= d * d
-        table[m] = (masses, den)
-    return table
+        yield m, masses, den
+
+
+def barrier_survival_table(rate: RateModel, top_level: int) -> dict[int, SurvivalLevel]:
+    """Survival masses of every ordered start pair on levels 1..top_level,
+    from one backward sweep: ``table[m] = (masses, den)``, where
+    ``masses[(u, l)] / den`` is the probability that walkers started at u
+    and l on level m (u.r < l.r) reach level 1 without meeting, i.e.
+    ``barrier_meet_prob`` of that pair."""
+    if top_level < 1:
+        raise ValueError(f"top_level must be at least 1, got {top_level}")
+    return {m: (masses, den) for m, masses, den in _survival_levels(rate, top_level)}
 
 
 def barrier_meet_prob(config: BarrierConfig) -> Fraction:
@@ -309,21 +293,34 @@ def barrier_meet_prob(config: BarrierConfig) -> Fraction:
 
     After a+b+x steps both walkers sit on the diagonal x + y = 1; survivors
     are at (0, 1) and (1, 0) in some order and the single remaining forced
-    step lands both on the origin together. The survivor mass after a+b+x
-    steps is therefore exactly the wanted probability.
+    step lands both on the origin together. The survival mass of the start
+    pair on level a+b+x+1 is therefore exactly the wanted probability.
     """
     u = (config.a, config.b + config.x + 1)
     l = (config.a + config.x + 1, config.b)
-    return _surviving_mass(u, l, config.rate, config.a + config.b + config.x)
+    for _, masses, den in _survival_levels(config.rate, sum(u), (u, l)):
+        pass
+    return Fraction(masses[u, l], den)
 
 
 def same_start_meet_prob(a: int, b: int, p) -> Fraction:
     """Both walkers start at (a+1, b+1); probability their first meeting
-    after time zero is at the origin. Same sweep rules as the barrier walk."""
+    after time zero is at the origin. Same sweep rules as the barrier walk.
+
+    The shared start is exempt from the meeting rule, so it is filled from
+    its own moves: West to (a, b+1) and South to (a+1, b) split the walkers
+    in either order, each with the mass of that pair on level a+b+1.
+    """
     if a < 0 or b < 0:
         raise ValueError("a and b must be nonnegative")
+    rate = ConstantRate(p)
     start = (a + 1, b + 1)
-    return _surviving_mass(start, start, ConstantRate(_as_prob(p)), a + b + 1)
+    split = ((a, b + 1), (a + 1, b))
+    for _, masses, den in _survival_levels(rate, a + b + 1, split):
+        pass
+    d, moves = _move_tables([start], rate)
+    total = sum(wu * wl * masses[qu, ql] for (qu, wu), (ql, wl) in combinations(moves[start], 2))
+    return Fraction(2 * total, den * d * d)
 
 
 def endpoint_distribution(start: Point, steps: int, rate: RateModel) -> tuple[dict[Point, int], int]:

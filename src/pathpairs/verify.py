@@ -463,10 +463,10 @@ def check_barrier(n_max: int | None = None, seed: int = 20114) -> CheckReport:
     single-walker distributions are shared by every configuration of one
     rate, but never feed the pair DP.
 
-    A sweep answers every start pair up to its top level at once, so it
+    A full sweep answers every start pair up to its top level at once, so it
     suits this suite, which asks for every pair; a single query (the CLI,
-    ``barrier_meet_prob``) runs the forward DP over its own pair only, which
-    is far cheaper for one large configuration.
+    ``barrier_meet_prob``) runs the same sweep limited to the positions its
+    own two walkers can reach.
     """
     rec = _Recorder("barrier")
     level_total = min(10, _cap(n_max))

@@ -578,6 +578,8 @@ GOLDEN = [
      "error: bad.txt:2: 'not-a-rational' is not an exact rational; write it as p/q (decimals are rejected)\n"),
     ("barrier --a -1 --b 0 --x 0 --p 1/2", 2, EMPTY,
      "error: a, b, x must be nonnegative\n"),
+    ("barrier --a -1 --b 0 --x 0 --level-file levels.txt", 2, EMPTY,
+     "error: a, b, x must be nonnegative\n"),
     ("bijection --r 2 --s 3", 0,
      "da51cfd01ebcca5435575a201e0537b4e1a790fa90474dbb5a5b2b541f256db7", ""),
     ("bijection --r 3 --s 3 --format csv", 0,

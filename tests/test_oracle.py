@@ -11,8 +11,10 @@ Core claims:
     - the integer-mass walker DPs equal a Fraction-mass reference DP exactly,
       and a single walker's endpoint masses sum to their denominator
     - the backward survival table holds every ordered start pair of every
-      level, equals the reference DP on each, and equals the forward pair DP
-      on every small barrier configuration
+      level, equals the reference DP on each, and equals the sweep limited to
+      one start pair on every small barrier configuration
+    - the limited sweep equals the closed forms and the single-walker
+      reduction at levels past 30
     - preconditions (ranges, size limits, probability bounds) are enforced
 """
 
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pathpairs import oracle
+from pathpairs import formulas, oracle
 from pathpairs.paths import PathNE, PathPair, intersections_interior
 
 
@@ -357,6 +359,26 @@ def test_survival_table_equals_forward_dp_on_small_configs(rate):
                 assert got == oracle.barrier_meet_prob(oracle.BarrierConfig(a, b, x, rate)), (a, b, x)
                 checked += 1
     assert checked == 84  # every a + b + x <= 6
+
+
+def test_single_queries_at_large_levels():
+    """The single queries sweep only what their walkers can reach; past
+    level 30 they still equal the closed forms and the single-walker
+    reduction, with either walker starting on an axis."""
+    for a, b, x, p in (
+        (10, 10, 10, Fraction(1, 2)), (0, 16, 14, Fraction(2, 7)),
+        (17, 0, 13, Fraction(3, 5)), (0, 0, 31, Fraction(1, 3)),
+    ):
+        config = oracle.BarrierConfig(a, b, x, oracle.ConstantRate(p))
+        assert oracle.barrier_meet_prob(config) == formulas.barrier_meet_formula(a, b, x, p), (a, b, x)
+    rate = oracle.LevelRate(tuple(Fraction(m % 5, m % 3 + 5) for m in range(32)))
+    for a, b, x in ((9, 12, 10), (0, 20, 11)):
+        targets = [(-t, 1 + t) for t in range(x + 1)]
+        want = oracle.endpoint_probability((a, b + x + 1), a + b + x, targets, rate)
+        assert oracle.barrier_meet_prob(oracle.BarrierConfig(a, b, x, rate)) == want, (a, b, x)
+    for a, b in ((15, 15), (0, 30), (31, 0)):
+        p = Fraction(3, 7)
+        assert oracle.same_start_meet_prob(a, b, p) == formulas.same_start_meet_formula(a, b, p), (a, b)
 
 
 def test_survival_table_rejects_empty_range():
