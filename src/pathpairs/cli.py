@@ -14,6 +14,12 @@ The commands with several routes (``nkr``, ``mrs``, ``fnk``, ``pnk`` and
 routes, applies the size cap, builds each route once, tabulates it over the
 k range, sets the ``consistency`` flag under ``--method all`` and emits.
 
+Cost is bounded here, at the one boundary that takes outside input, and
+nowhere in the library. ``SIZE_CAPS`` bounds the size of each command with a
+costly route, and ``_check_size`` refuses a larger query unless
+``--unsafe-nmax`` (present exactly on those commands) raises the bound; a
+query that runs only closed forms is never capped.
+
 The argument parser is built once per process, by the first ``main`` call,
 and every later call parses with it. Commands are dispatched by name when
 ``main`` runs: ``nkr`` calls whatever ``cmd_nkr`` is at that moment, so a
@@ -44,10 +50,10 @@ from math import comb
 
 from . import bijection, formulas, oracle, paths, series, verify
 
-# Commands that enumerate pairs refuse n beyond this unless --unsafe-nmax
-# raises it; chosen so the defaults stay interactive on desk hardware.
-SAFE_ORACLE_N = {"nkr": 12, "mrs": 12, "fnk": 9, "pnk": 10}
-SAFE_BIJECTION_TOTAL = 12
+# The default size bound of each command with a costly route, in that
+# command's own size unit: n, r + s for ``bijection``, a + b + x for
+# ``barrier``. Chosen so the defaults stay interactive on desk hardware.
+SIZE_CAPS = {"nkr": 12, "mrs": 12, "fnk": 9, "pnk": 10, "barrier": 120, "bijection": 12}
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -112,11 +118,26 @@ def emit(record: dict, fmt_name: str, row_fields: list[str]) -> None:
         writer.writerow([row.get(field, "") for field in row_fields])
 
 
-def _limit(default: int, unsafe: int | None) -> int:
-    """The size bound in force: ``default``, raised by ``--unsafe-nmax``."""
+def _check_size(command: str, unsafe: int | None, size: int, what: str, costly: bool = True) -> None:
+    """Validate ``--unsafe-nmax`` and, when a costly route runs, refuse a
+    ``size`` past the command's bound in ``SIZE_CAPS`` unless ``--unsafe-nmax``
+    raises it; ``what`` names the size in the message."""
     if unsafe is not None and unsafe < 0:
         raise UsageError(f"--unsafe-nmax must be nonnegative, got {unsafe}")
-    return max(default, unsafe or 0)
+    if costly and size > max(SIZE_CAPS[command], unsafe or 0):
+        raise UsageError(
+            f"{what} exceeds the default bound {SIZE_CAPS[command]}; pass --unsafe-nmax {size} to allow it"
+        )
+
+
+def _k_range(k: int | None, top: int) -> list[int]:
+    """The meeting counts a query asks for: every count in [0, top], or
+    ``k`` alone once it is checked to lie there."""
+    if k is None:
+        return list(range(top + 1))
+    if not 0 <= k <= top:
+        raise UsageError(f"meeting count k must lie in [0, {top}]")
+    return [k]
 
 
 def _record(command: str, params: dict, results: list[dict], consistency: bool | None = None) -> dict:
@@ -137,50 +158,48 @@ def _rect_series(n: int, r: int, k: int | None):
     return lambda k: powers[k].coeff(n, r)
 
 
-def _same_endpoint_oracle(n: int, limit: int):
-    table = oracle.same_endpoint_pair_table(n, limit=limit)
+def _same_endpoint_oracle(n: int):
+    table = oracle.same_endpoint_pair_table(n)
     denom = comb(2 * n, n)
     return lambda k: (Fraction(table.get(k), denom), table.get(k))
 
 
 # Route builders of every multi-route command, in the order ``--method all``
 # reports them; the ``--method`` choices are these names plus "all". A
-# builder takes the command's query and the oracle size limit and returns
-# the route's value as a function of k (barrier has no k and is passed
-# None). Builders look library functions up through their modules when they
-# run, so a patched or traced function is the one that gets called.
+# builder takes the command's query and returns the route's value as a
+# function of k (barrier has no k and is passed None). Every route but the
+# ``formula*`` closed forms is costly and obeys ``SIZE_CAPS``. Builders look
+# library functions up through their modules when they run, so a patched or
+# traced function is the one that gets called.
 ROUTES = {
     "nkr": {
-        "formula-a": lambda q, _: partial(formulas.rect_pair_count_a, q.n, q.r),
-        "formula-b": lambda q, _: partial(formulas.rect_pair_count_b, q.n, q.r),
-        "series": lambda q, _: _rect_series(q.n, q.r, q.k),
-        "oracle": lambda q, limit: oracle.rect_pair_table(q.n, q.r, limit=limit).get,
+        "formula-a": lambda q: partial(formulas.rect_pair_count_a, q.n, q.r),
+        "formula-b": lambda q: partial(formulas.rect_pair_count_b, q.n, q.r),
+        "series": lambda q: _rect_series(q.n, q.r, q.k),
+        "oracle": lambda q: oracle.rect_pair_table(q.n, q.r).get,
     },
     "mrs": {
-        "formula": lambda q, _: partial(formulas.endpoint_pair_count, q.n, q.r, q.s),
-        "oracle": lambda q, limit: oracle.endpoint_pair_table(q.n, q.r, q.s, limit=limit).get,
+        "formula": lambda q: partial(formulas.endpoint_pair_count, q.n, q.r, q.s),
+        "oracle": lambda q: oracle.endpoint_pair_table(q.n, q.r, q.s).get,
     },
     "fnk": {
-        "formula": lambda q, _: partial(formulas.free_pair_count, q.n),
-        "oracle": lambda q, limit: oracle.free_pair_table(q.n, limit=limit).get,
+        "formula": lambda q: partial(formulas.free_pair_count, q.n),
+        "oracle": lambda q: oracle.free_pair_table(q.n).get,
     },
     "pnk": {
-        "formula": lambda q, _: lambda k: (
+        "formula": lambda q: lambda k: (
             formulas.same_endpoint_meet_prob(q.n, k), formulas.same_endpoint_pair_count(q.n, k)
         ),
-        "oracle": lambda q, limit: _same_endpoint_oracle(q.n, limit),
+        "oracle": lambda q: _same_endpoint_oracle(q.n),
     },
     "barrier": {
-        "dp": lambda c, _: lambda _: oracle.barrier_meet_prob(c),
-        "single-walker": lambda c, _: lambda _: oracle.endpoint_probability(
+        "dp": lambda c: lambda _: oracle.barrier_meet_prob(c),
+        "single-walker": lambda c: lambda _: oracle.endpoint_probability(
             (c.a, c.b + c.x + 1), c.a + c.b + c.x, [(-t, 1 + t) for t in range(c.x + 1)], c.rate
         ),
-        "formula": lambda c, _: lambda _: formulas.barrier_meet_formula(c.a, c.b, c.x, c.rate.p),
+        "formula": lambda c: lambda _: formulas.barrier_meet_formula(c.a, c.b, c.x, c.rate.p),
     },
 }
-
-# Routes that enumerate or expand series, and so obey SAFE_ORACLE_N.
-_CAPPED_ROUTES = {"series", "oracle"}
 
 
 def _value_row(k, value) -> dict:
@@ -190,10 +209,12 @@ def _value_row(k, value) -> dict:
 def _run_routes(
     command: str, args, query, ks, params: dict, fields: list[str],
     row=_value_row, covers=lambda route, k: True, fallback: str | None = None,
+    size: tuple[str, int] | None = None,
 ) -> int:
-    """Answer one query: pick the routes ``--method`` names, build each once,
-    tabulate them over ``ks``, check that they agree, and emit the record.
-    Returns 1 when the routes disagree, after emitting the record.
+    """Answer one query: pick the routes ``--method`` names, check the size
+    (``(label, value)``, n by default) if a costly one runs, build each
+    route once, tabulate them over ``ks``, check that they agree, and emit
+    the record. Returns 1 when the routes disagree, after emitting it.
 
     ``covers(route, k)`` says whether a route reaches k; under ``all`` a
     route skips the k it misses, and a single method hands it to
@@ -203,15 +224,12 @@ def _run_routes(
     chosen = list(routes) if args.method == "all" else [args.method]
     plan = {k: [route for route in chosen if covers(route, k)] or [fallback] for k in ks}
     used = {route for names in plan.values() for route in names}
-    limit = None
-    if command in SAFE_ORACLE_N:
-        limit = _limit(SAFE_ORACLE_N[command], args.unsafe_nmax)
-        if used & _CAPPED_ROUTES and args.n > limit:
-            raise UsageError(
-                f"{command}: n={args.n} exceeds the default bound {SAFE_ORACLE_N[command]}; "
-                f"pass --unsafe-nmax {args.n} to allow it"
-            )
-    value_at = {route: build(query, limit) for route, build in routes.items() if route in used}
+    label, value = size or ("n", args.n)
+    _check_size(
+        command, args.unsafe_nmax, value, f"{command}: {label}={value}",
+        costly=any(not route.startswith("formula") for route in used),
+    )
+    value_at = {route: build(query) for route, build in routes.items() if route in used}
     results = []
     disagree = []
     for k, names in plan.items():
@@ -241,9 +259,7 @@ def cmd_nkr(args) -> int:
     n, r = args.n, args.r
     if not 0 <= r <= n or n < 1:
         raise UsageError(f"need n >= 1 and 0 <= r <= n, got n={n}, r={r}")
-    ks = [args.k] if args.k is not None else list(range(n))
-    if any(k < 0 or k > n - 1 for k in ks):
-        raise UsageError(f"meeting count k must lie in [0, {n - 1}]")
+    ks = _k_range(args.k, n - 1)
     return _run_routes(
         "nkr", args, args, ks, {"n": n, "r": r, "k": args.k, "method": args.method},
         ["k", "value", "provenance"],
@@ -258,9 +274,7 @@ def cmd_mrs(args) -> int:
     if not 0 <= r <= s <= n or n < 1:
         raise UsageError(f"need n >= 1 and 0 <= r <= s <= n, got n={n}, r={r}, s={s}")
     top = n if r == s else n - 1
-    ks = [args.k] if args.k is not None else list(range(top + 1))
-    if any(k < 0 or k > top for k in ks):
-        raise UsageError(f"meeting count k must lie in [0, {top}]")
+    ks = _k_range(args.k, top)
     if args.method in ("oracle", "all") and r == s:
         raise UsageError("the enumeration route needs r < s; equal endpoints reduce to nkr")
     return _run_routes(
@@ -273,9 +287,7 @@ def cmd_fnk(args) -> int:
     n = args.n
     if n < 0:
         raise UsageError("n must be nonnegative")
-    ks = [args.k] if args.k is not None else list(range(n + 1))
-    if any(k < 0 or k > n for k in ks):
-        raise UsageError(f"meeting count k must lie in [0, {n}]")
+    ks = _k_range(args.k, n)
     denom = 4 ** n
     return _run_routes(
         "fnk", args, args, ks, {"n": n, "k": args.k, "method": args.method},
@@ -288,9 +300,7 @@ def cmd_pnk(args) -> int:
     n = args.n
     if n < 1:
         raise UsageError("n must be at least 1")
-    ks = [args.k] if args.k is not None else list(range(n))
-    if any(k < 0 or k > n - 1 for k in ks):
-        raise UsageError(f"meeting count k must lie in [0, {n - 1}]")
+    ks = _k_range(args.k, n - 1)
     return _run_routes(
         "pnk", args, args, ks, {"n": n, "k": args.k, "method": args.method},
         ["k", "probability", "count", "provenance"],
@@ -302,9 +312,7 @@ def cmd_diag(args) -> int:
     n = args.n
     if n < 2:
         raise UsageError("n must be at least 2")
-    ks = [args.k] if args.k is not None else list(range(n - 1))
-    if any(k < 0 or k > n - 2 for k in ks):
-        raise UsageError(f"meeting count k must lie in [0, {n - 2}]")
+    ks = _k_range(args.k, n - 2)
     results = [
         {"k": str(k), "value": fmt(formulas.same_endpoint_pair_count(n, k)), "provenance": "formula"}
         for k in ks
@@ -352,6 +360,7 @@ def cmd_barrier(args) -> int:
         ["value", "provenance"],
         row=lambda _, value: {"value": fmt(value)},
         covers=lambda route, _: constant or route != "formula",
+        size=("a+b+x", args.a + args.b + args.x),
     )
 
 
@@ -362,11 +371,7 @@ def cmd_bijection(args) -> int:
     r, s = args.r, args.s
     if r < 1 or s < 1:
         raise UsageError("need r >= 1 and s >= 1")
-    if r + s > _limit(SAFE_BIJECTION_TOTAL, args.unsafe_nmax):
-        raise UsageError(
-            f"r + s = {r + s} exceeds the default bound {SAFE_BIJECTION_TOTAL}; "
-            f"pass --unsafe-nmax {r + s} to allow it"
-        )
+    _check_size("bijection", args.unsafe_nmax, r + s, f"r + s = {r + s}")
     report = bijection.verify_correspondence(r, s)
     results = []
     for row in report.rows:
@@ -405,8 +410,6 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.nmax is not None and args.nmax < 1:
-        raise UsageError(f"--nmax must be at least 1, got {args.nmax}")
     if args.all or not args.suite:
         suites = None
     else:
@@ -443,15 +446,6 @@ def cmd_verify(args) -> int:
 # --- argument plumbing ------------------------------------------------------------
 
 
-def _add_common(sub, oracle_cap: bool = False) -> None:
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    if oracle_cap:
-        sub.add_argument(
-            "--unsafe-nmax", type=int, default=None,
-            help="raise the built-in size bound (expect long runtimes)",
-        )
-
-
 # The one parser of this process, built by the first ``build_parser`` call.
 # It holds no command functions and parsing leaves it unchanged, so every
 # query can share it.
@@ -477,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", choices=(*ROUTES["nkr"], "all"), default="formula-a",
     )
-    _add_common(p, oracle_cap=True)
 
     p = subs.add_parser("mrs", help="pair counts with two prescribed endpoints")
     p.add_argument("--n", type=int, required=True)
@@ -485,28 +478,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--method", choices=(*ROUTES["mrs"], "all"), default="formula")
-    _add_common(p, oracle_cap=True)
 
     p = subs.add_parser("fnk", help="free pair counts by post-origin meetings")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--method", choices=(*ROUTES["fnk"], "all"), default="formula")
-    _add_common(p, oracle_cap=True)
 
     p = subs.add_parser("pnk", help="same-endpoint meeting probabilities")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--method", choices=(*ROUTES["pnk"], "all"), default="formula")
-    _add_common(p, oracle_cap=True)
 
     p = subs.add_parser("diag", help="same-endpoint pair counts (row sums over all splits)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    _add_common(p)
 
     p = subs.add_parser("avg", help="mean crossing count of free pair walks")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
 
     p = subs.add_parser("barrier", help="probability two walkers first meet at the origin")
     p.add_argument("--a", type=int, required=True)
@@ -515,12 +503,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=str, default=None, help="constant West rate, e.g. 1/3")
     p.add_argument("--level-file", type=str, default=None, help="one rate per line, level 1 first")
     p.add_argument("--method", choices=(*ROUTES["barrier"], "all"), default="all")
-    _add_common(p)
 
     p = subs.add_parser("bijection", help="replay the 2-to-1 correspondence on a rectangle")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    _add_common(p, oracle_cap=True)
 
     p = subs.add_parser("verify", help="run identity-check suites")
     p.add_argument("--all", action="store_true", help="run every suite (the default)")
@@ -529,7 +515,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--timings", action="store_true", help="write one 'suite seconds' line per suite to stderr",
     )
-    _add_common(p)
+
+    # added last, so they close every usage line
+    for name, sub in subs.choices.items():
+        sub.add_argument("--format", choices=("json", "csv"), default="json")
+        if name in SIZE_CAPS:
+            sub.add_argument(
+                "--unsafe-nmax", type=int, default=None,
+                help="raise the built-in size bound (expect long runtimes)",
+            )
 
     _PARSER = parser
     return parser

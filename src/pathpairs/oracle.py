@@ -45,8 +45,6 @@ from . import paths
 
 Point = tuple[int, int]
 
-DEFAULT_ENUM_LIMIT = 12
-
 
 @dataclass(frozen=True)
 class CountTable:
@@ -75,22 +73,16 @@ class CountTable:
         return Fraction(sum(k * v for k, v in self.entries.items()), self.total)
 
 
-def _check_limit(n: int, limit: int, what: str) -> None:
-    if n > limit:
-        raise ValueError(f"{what}: n={n} exceeds the enumeration limit {limit}")
-
-
-def rect_pair_table(n: int, r: int, limit: int = DEFAULT_ENUM_LIMIT) -> CountTable:
+def rect_pair_table(n: int, r: int) -> CountTable:
     """All ordered pairs of corner-to-corner paths on an r x (n-r) rectangle,
     keyed by interior shared vertices. Total is C(n, r)^2."""
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
-    _check_limit(n, limit, "rect_pair_table")
     ps = paths.all_paths(n, r)
     return CountTable.from_entries(paths.meeting_census(ps, ps, paths.intersections_interior))
 
 
-def endpoint_pair_table(n: int, r: int, s: int, limit: int = DEFAULT_ENUM_LIMIT) -> CountTable:
+def endpoint_pair_table(n: int, r: int, s: int) -> CountTable:
     """Unordered pairs of origin walks ending at (r, n-r) and (s, n-s), r < s,
     keyed by shared vertices excluding the start.
 
@@ -100,29 +92,26 @@ def endpoint_pair_table(n: int, r: int, s: int, limit: int = DEFAULT_ENUM_LIMIT)
     """
     if not 0 <= r < s <= n:
         raise ValueError(f"need 0 <= r < s <= n, got r={r}, s={s}, n={n}")
-    _check_limit(n, limit, "endpoint_pair_table")
     census = paths.meeting_census(
         paths.all_paths(n, r), paths.all_paths(n, s), paths.intersections_excluding_start
     )
     return CountTable.from_entries(census)
 
 
-def free_pair_table(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> CountTable:
+def free_pair_table(n: int) -> CountTable:
     """All 4^n ordered pairs of free n-step E/N walks from the origin, keyed
     by shared vertices excluding the origin (shared endpoints count)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    _check_limit(n, limit, "free_pair_table")
     walks = [p for r in range(n + 1) for p in paths.all_paths(n, r)]
     return CountTable.from_entries(paths.meeting_census(walks, walks, paths.intersections_excluding_origin))
 
 
-def same_endpoint_pair_table(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> CountTable:
+def same_endpoint_pair_table(n: int) -> CountTable:
     """Ordered pairs of free n-step walks with equal endpoints, keyed by
     interior shared vertices. Total is C(2n, n)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    _check_limit(n, limit, "same_endpoint_pair_table")
     table: dict[int, int] = {}
     for r in range(n + 1):
         ps = paths.all_paths(n, r)

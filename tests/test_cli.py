@@ -18,6 +18,10 @@ Core claims:
     - the parser is built once per process: a rejected query leaves it as
       new, help text is unchanged, and each command is looked up when main
       runs, so a patched cmd_* is the one called
+    - every command in the size-cap table refuses a costly query one past
+      its bound with one exact message, runs it under --unsafe-nmax, and
+      runs a closed-form-only query of that size; --unsafe-nmax exists on
+      exactly the commands in the table
     - a golden set of invocations keeps its exit code, stdout bytes and
       stderr text exactly
 """
@@ -29,11 +33,12 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import pathpairs
-from pathpairs import cli, formulas
+from pathpairs import bijection, cli, formulas
 from pathpairs.cli import main
 
 
@@ -340,7 +345,7 @@ def test_verify_rejects_nmax_below_one(capsys):
     for nmax in ("-5", "0"):
         code, out, err = run(capsys, "verify", "--suite", "theorem1", "--nmax", nmax)
         assert (code, out) == (2, "")
-        assert "--nmax must be at least 1" in err
+        assert err == f"error: n_max must be at least 1, got {nmax}\n"
 
 
 def test_negative_unsafe_nmax_rejected(capsys):
@@ -349,6 +354,7 @@ def test_negative_unsafe_nmax_rejected(capsys):
         ["mrs", "--n", "3", "--r", "1", "--s", "2", "--method", "oracle"],
         ["fnk", "--n", "3"],
         ["pnk", "--n", "3", "--method", "all"],
+        ["barrier", "--a", "1", "--b", "1", "--x", "0", "--p", "1/2"],
         ["bijection", "--r", "1", "--s", "2"],
     ):
         code, out, err = run(capsys, *argv, "--unsafe-nmax", "-3")
@@ -381,8 +387,8 @@ def test_each_route_is_built_once_per_query(capsys, monkeypatch):
 def _off_by_one(build):
     """A route builder whose values are one more than ``build``'s."""
 
-    def built(query, limit):
-        route = build(query, limit)
+    def built(query):
+        route = build(query)
 
         def value(k):
             v = route(k)
@@ -412,6 +418,59 @@ def test_disagreeing_routes_exit_1(capsys, monkeypatch, argv, route):
     record = json.loads(out)  # the record is still emitted in full
     assert record["consistency"] is False
     assert route in {row["provenance"] for row in record["results"]}
+
+
+# For each command in the cap table, at size s: a query that runs a costly
+# route, the words naming s in the refusal, and a query of size s that runs
+# closed forms only (bijection has none). m is s - 1.
+CAPPED_QUERIES = {
+    "nkr": ("nkr --n {s} --r 2 --method oracle", "nkr: n={s}", "nkr --n {s} --r 2 --k 0"),
+    "mrs": ("mrs --n {s} --r 1 --s 2 --method oracle", "mrs: n={s}", "mrs --n {s} --r 1 --s 2 --k 0"),
+    "fnk": ("fnk --n {s} --method oracle", "fnk: n={s}", "fnk --n {s} --k 0"),
+    "pnk": ("pnk --n {s} --method oracle", "pnk: n={s}", "pnk --n {s} --k 0"),
+    "barrier": (
+        "barrier --a {s} --b 0 --x 0 --p 1/2 --method dp", "barrier: a+b+x={s}",
+        "barrier --a {s} --b 0 --x 0 --p 1/2 --method formula",
+    ),
+    "bijection": ("bijection --r {m} --s 1", "r + s = {s}", None),
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.SIZE_CAPS))
+def test_size_cap_table(capsys, monkeypatch, command):
+    size = cli.SIZE_CAPS[command] + 1
+    costly, what, cheap = (text and text.format(s=size, m=size - 1) for text in CAPPED_QUERIES[command])
+    assert run(capsys, *costly.split()) == (
+        2, "", f"error: {what} exceeds the default bound {size - 1}; pass --unsafe-nmax {size} to allow it\n"
+    )
+    # past the cap, the costly routes are stubbed so that nothing enumerates
+    built = []
+    value = (0, 0) if command == "pnk" else 0  # pnk: (probability, count)
+    for route in cli.ROUTES.get(command, {}):
+        if not route.startswith("formula"):
+            monkeypatch.setitem(cli.ROUTES[command], route, lambda q: built.append(q) or (lambda k: value))
+    monkeypatch.setattr(
+        bijection, "verify_correspondence",
+        lambda r, s: built.append((r, s)) or SimpleNamespace(
+            rows=[], passed=True, nonmeeting_count=0, one_meeting_count=0, failures=()
+        ),
+    )
+    code, _, err = run(capsys, *costly.split(), "--unsafe-nmax", str(size))
+    assert (code, err, len(built)) == (0, "", 1)
+    if cheap is not None:
+        assert run(capsys, *cheap.split())[0] == 0
+        assert len(built) == 1
+
+
+def test_unsafe_nmax_is_on_exactly_the_capped_commands(capsys):
+    commands = [name[len("cmd_"):] for name in dir(cli) if name.startswith("cmd_")]
+    having = set()
+    for command in commands:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        if "--unsafe-nmax" in capsys.readouterr().out:
+            having.add(command)
+    assert having == set(cli.SIZE_CAPS)
 
 
 def test_closed_pipe_exits_141_quietly():
@@ -580,6 +639,10 @@ GOLDEN = [
      "error: a, b, x must be nonnegative\n"),
     ("barrier --a -1 --b 0 --x 0 --level-file levels.txt", 2, EMPTY,
      "error: a, b, x must be nonnegative\n"),
+    ("barrier --a 41 --b 40 --x 40 --p 1/2", 2, EMPTY,
+     "error: barrier: a+b+x=121 exceeds the default bound 120; pass --unsafe-nmax 121 to allow it\n"),
+    ("barrier --a 41 --b 40 --x 40 --p 1/2 --method formula", 0,
+     "3482826fe7c989fec8c62fec28893b830c34e0c0662a5beb6c43bd8cc4130505", ""),
     ("bijection --r 2 --s 3", 0,
      "da51cfd01ebcca5435575a201e0537b4e1a790fa90474dbb5a5b2b541f256db7", ""),
     ("bijection --r 3 --s 3 --format csv", 0,

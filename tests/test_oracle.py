@@ -15,7 +15,7 @@ Core claims:
       one start pair on every small barrier configuration
     - the limited sweep equals the closed forms and the single-walker
       reduction at levels past 30
-    - preconditions (ranges, size limits, probability bounds) are enforced
+    - preconditions (ranges, probability bounds) are enforced
 """
 
 from fractions import Fraction
@@ -119,15 +119,6 @@ def test_same_endpoint_table_examples():
 def test_same_endpoint_rejects_zero():
     with pytest.raises(ValueError):
         oracle.same_endpoint_pair_table(0)
-
-
-def test_enumeration_limits():
-    with pytest.raises(ValueError):
-        oracle.free_pair_table(13)
-    with pytest.raises(ValueError):
-        oracle.rect_pair_table(13, 5)
-    # an explicit limit loosens the bound
-    assert oracle.rect_pair_table(13, 0, limit=13).entries == {12: 1}
 
 
 def test_count_table_rejects_negative():
