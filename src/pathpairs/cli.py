@@ -101,13 +101,6 @@ def read_level_file(path: str) -> oracle.LevelRate:
     return oracle.LevelRate(tuple(values))
 
 
-def fmt(value) -> str:
-    """Exact decimal-integer or numerator/denominator rendering."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def emit(record: dict, fmt_name: str, row_fields: list[str]) -> None:
     if fmt_name == "json":
         sys.stdout.write(json.dumps(record, indent=2) + "\n")
@@ -141,7 +134,7 @@ def _k_range(k: int | None, top: int) -> list[int]:
 
 
 def _record(command: str, params: dict, results: list[dict], consistency: bool | None = None) -> dict:
-    shown = {k: fmt(v) for k, v in params.items() if v is not None}
+    shown = {k: str(v) for k, v in params.items() if v is not None}
     out = {"command": command, "params": shown, "results": results}
     if consistency is not None:
         out["consistency"] = consistency
@@ -203,7 +196,7 @@ ROUTES = {
 
 
 def _value_row(k, value) -> dict:
-    return {"k": str(k), "value": fmt(value)}
+    return {"k": str(k), "value": str(value)}
 
 
 def _run_routes(
@@ -292,7 +285,7 @@ def cmd_fnk(args) -> int:
     return _run_routes(
         "fnk", args, args, ks, {"n": n, "k": args.k, "method": args.method},
         ["k", "value", "probability", "provenance"],
-        row=lambda k, value: {"k": str(k), "value": fmt(value), "probability": fmt(Fraction(value, denom))},
+        row=lambda k, value: {"k": str(k), "value": str(value), "probability": str(Fraction(value, denom))},
     )
 
 
@@ -304,7 +297,7 @@ def cmd_pnk(args) -> int:
     return _run_routes(
         "pnk", args, args, ks, {"n": n, "k": args.k, "method": args.method},
         ["k", "probability", "count", "provenance"],
-        row=lambda k, value: {"k": str(k), "probability": fmt(value[0]), "count": fmt(value[1])},
+        row=lambda k, value: {"k": str(k), "probability": str(value[0]), "count": str(value[1])},
     )
 
 
@@ -314,7 +307,7 @@ def cmd_diag(args) -> int:
         raise UsageError("n must be at least 2")
     ks = _k_range(args.k, n - 2)
     results = [
-        {"k": str(k), "value": fmt(formulas.same_endpoint_pair_count(n, k)), "provenance": "formula"}
+        {"k": str(k), "value": str(formulas.same_endpoint_pair_count(n, k)), "provenance": "formula"}
         for k in ks
     ]
     emit(_record("diag", {"n": n, "k": args.k}, results), args.format, ["k", "value", "provenance"])
@@ -328,7 +321,7 @@ def cmd_avg(args) -> int:
     exact = formulas.average_crossings(n)
     results = [
         {
-            "value": fmt(exact),
+            "value": str(exact),
             "value_float": float(exact),
             "provenance": "formula",
         }
@@ -358,7 +351,7 @@ def cmd_barrier(args) -> int:
             "p": args.p, "level_file": args.level_file, "method": args.method,
         },
         ["value", "provenance"],
-        row=lambda _, value: {"value": fmt(value)},
+        row=lambda _, value: {"value": str(value)},
         covers=lambda route, _: constant or route != "formula",
         size=("a+b+x", args.a + args.b + args.x),
     )
@@ -430,13 +423,9 @@ def cmd_verify(args) -> int:
         }
         results.append(row)
     shown = "all" if suites is None else (",".join(suites) or "none")
-    record = _record("verify", {"suites": shown, "nmax": args.nmax}, results)
     ok = all(rep.passed for rep in reports)
-    record["consistency"] = ok
-    if args.format == "json":
-        emit(record, "json", [])
-    else:
-        emit(record, "csv", ["check", "status", "instances", "first_failure"])
+    record = _record("verify", {"suites": shown, "nmax": args.nmax}, results, consistency=ok)
+    emit(record, args.format, ["check", "status", "instances", "first_failure"])
     if args.timings:
         for rep in reports:
             print(f"{rep.check_id} {rep.elapsed_s:.3f}", file=sys.stderr)

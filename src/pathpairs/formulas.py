@@ -126,11 +126,11 @@ def narayana(n: int, r: int) -> int:
 
 # --- pairs with two prescribed endpoints ------------------------------------
 
-#: Readings of the typographically ambiguous leading fraction in the
-#: two-endpoint count. "printed" is (s-j-r+1+2t)/(n-1-j-2t) as displayed and
-#: is the reading the enumeration oracle confirms; the others are the
+#: Readings (c, e) of the typographically ambiguous leading fraction
+#: (s-j-r+c+2et)/(n-1-j-2t) of the two-endpoint count. "printed" is the one
+#: displayed and the one the enumeration oracle confirms; the others are the
 #: plausible mis-groupings it rules out.
-ENDPOINT_COUNT_READINGS = ("printed", "minus-2t", "r-plus-1")
+ENDPOINT_COUNT_READINGS = {"printed": (1, 1), "minus-2t": (1, -1), "r-plus-1": (-1, 1)}
 
 RESOLVED_ENDPOINT_READING = "printed"
 
@@ -140,34 +140,26 @@ def endpoint_pair_expression(n: int, r: int, s: int, k: int, reading: str) -> Fr
     share exactly k vertices beyond the start, under one reading of its
     leading fraction. Valid for r <= s; at r = s the second term vanishes
     and the double sum reduces to the same-endpoint count. Not reduced to
-    an integer: a wrong reading may give a fraction."""
+    an integer: a wrong reading may give a fraction. The double sum runs in
+    integers, one numerator per denominator n-1-j-2t, made Fractions last."""
     if reading not in ENDPOINT_COUNT_READINGS:
         raise ValueError(f"unknown reading {reading!r}")
+    c, e = ENDPOINT_COUNT_READINGS[reading]
     second = Fraction(0)
     if k < n:
         tot = sum(
             binom(k, j) * binom(n - k, r - j) * binom(n - k, s - j) for j in range(k + 1)
         )
-        second = Fraction(s - r, n - k) * tot
-    first = Fraction(0)
+        second = Fraction((s - r) * tot, n - k)
+    by_den: dict[int, int] = {}
     for t in range(k // 2 + 1):
         c1 = binom(k, 2 * t + 1)
-        if not c1:
-            continue
-        for j in range(k):  # the j binomial vanishes past k-1-2t
-            c2 = binom(k - 1 - 2 * t, j)
-            c3 = binom(n - 1 - j - 2 * t, s - j)
-            c4 = binom(n - 1 - j - 2 * t, r - 1 - 2 * t)
-            if not (c2 and c3 and c4):
-                continue
-            if reading == "printed":
-                pref = Fraction(s - j - r + 1 + 2 * t, n - 1 - j - 2 * t)
-            elif reading == "minus-2t":
-                pref = Fraction(s - j - r + 1 - 2 * t, n - 1 - j - 2 * t)
-            else:  # "r-plus-1"
-                pref = Fraction(s - j - (r + 1) + 2 * t, n - 1 - j - 2 * t)
-            first += (-1) ** j * pref * c1 * c2 * c3 * c4
-    return 2 * first + second
+        for j in range(k if c1 else 0):  # the j binomial vanishes past k-1-2t
+            den = n - 1 - j - 2 * t
+            term = c1 * binom(k - 1 - 2 * t, j) * binom(den, s - j) * binom(den, r - 1 - 2 * t)
+            if term:
+                by_den[den] = by_den.get(den, 0) + (-1) ** j * (s - j - r + c + 2 * e * t) * term
+    return 2 * sum(Fraction(num, den) for den, num in by_den.items()) + second
 
 
 def endpoint_pair_count(n: int, r: int, s: int, k: int) -> int:

@@ -20,7 +20,10 @@ the West probability at (r, s) is supplied by a rate model; a walker that
 reaches an axis is swept deterministically along it toward the origin (West
 on the x-axis, South on the y-axis). Both coordinate sums shrink by one per
 step, so the walkers stay on a common diagonal and can only meet at equal
-times; both hit the origin exactly when the diagonal runs out.
+times; both hit the origin exactly when the diagonal runs out. Both rate
+models depend only on the level, so one *unconstrained* walker
+(``endpoint_distribution``) is placed after t steps by its number of West
+steps alone, and its DP counts West steps.
 
 The pair walk has one implementation, ``_survival_levels``. It sweeps the
 levels upward from level 1, where the one distinct pair ((0, 1), (1, 0)) has
@@ -36,7 +39,7 @@ their own walkers can reach, and only the last level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
@@ -181,7 +184,7 @@ class BarrierConfig:
     a: int
     b: int
     x: int
-    rate: RateModel = field(default_factory=lambda: ConstantRate(Fraction(1, 2)))
+    rate: RateModel
 
     def __post_init__(self) -> None:
         if self.a < 0 or self.b < 0 or self.x < 0:
@@ -327,31 +330,22 @@ def _endpoint_masses(start: Point, steps: int, rate: RateModel) -> tuple[dict[Po
     so that a trace wrapping the public functions counts one walker call
     per probability query.
 
-    Each step takes one scale d, the lcm of the denominators of the West
-    rates at the live positions; a West move weighs
-    p.numerator * (d // p.denominator), a South move d minus that, and the
-    denominator grows by d. Endpoints of zero mass are left out.
+    Both rate models depend only on the level, so after i steps from (r, s)
+    the walker sits at (r - w, s - i + w), fixed by its count w of West
+    steps, whose weight is ``masses[w]``. Each step reads one rate p, at
+    (r, s - i); endpoints are named, and zero masses dropped, at the end.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    masses: dict[Point, int] = {start: 1}
+    r, s = start
+    masses = [1]
     den = 1
-    for _ in range(steps):
-        west = {pos: rate.west(*pos) for pos in masses}
-        d = lcm(*{p.denominator for p in west.values()})
-        nxt: dict[Point, int] = {}
-        for (r, s), mass in masses.items():
-            p = west[(r, s)]
-            w = p.numerator * (d // p.denominator)
-            if w:
-                key = (r - 1, s)
-                nxt[key] = nxt.get(key, 0) + mass * w
-            if w != d:
-                key = (r, s - 1)
-                nxt[key] = nxt.get(key, 0) + mass * (d - w)
-        masses = nxt
+    for i in range(steps):
+        p = rate.west(r, s - i)
+        west, d = p.numerator, p.denominator
+        masses = [stay * (d - west) + moved * west for stay, moved in zip(masses + [0], [0] + masses)]
         den *= d
-    return masses, den
+    return {(r - w, s - steps + w): mass for w, mass in enumerate(masses) if mass}, den
 
 
 def endpoint_probability(start: Point, steps: int, targets, rate: RateModel) -> Fraction:

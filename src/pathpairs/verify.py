@@ -13,7 +13,8 @@ wall time, ``elapsed_s``, which report equality ignores.
 
 Each ``check_<suite>`` states its own sweep sizes once: ``n_max`` None runs
 its default grid, and a given ``n_max`` shrinks it, never below the suite's
-smallest meaningful size. Each enumerated table is built once per process.
+smallest meaningful size. Every enumerated table, from any of the four
+``oracle.*_pair_table`` functions, is read through one memo, ``_table``.
 
 ``run_all`` executes a configurable selection of suites in a fixed order and
 is the engine behind the command line's ``verify`` subcommand.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from math import comb, inf
 from time import perf_counter
@@ -87,13 +88,11 @@ def _cap(n_max: int | None) -> int | float:
 
 
 @lru_cache(maxsize=None)
-def _rect_table(n: int, r: int) -> oracle.CountTable:
-    return oracle.rect_pair_table(n, r)
-
-
-@lru_cache(maxsize=None)
-def _endpoint_table(n: int, r: int, s: int) -> oracle.CountTable:
-    return oracle.endpoint_pair_table(n, r, s)
+def _table(build, *args) -> oracle.CountTable:
+    """Each enumerated table, built once per process. ``build`` is an
+    ``oracle.*_pair_table`` function looked up on the module at the call
+    site, so a traced or patched function is the one that runs."""
+    return build(*args)
 
 
 def endpoint_reading_discrepancies(reading: str, n_max: int = 8) -> list[dict[str, str]]:
@@ -107,10 +106,10 @@ def endpoint_reading_discrepancies(reading: str, n_max: int = 8) -> list[dict[st
         for r in range(n + 1):
             for s in range(r, n + 1):
                 if r == s:
-                    table = _rect_table(n, r)
+                    table = _table(oracle.rect_pair_table, n, r)
                     expected = {k: table.get(k - 1) for k in range(1, n)}
                 else:
-                    table = _endpoint_table(n, r, s)
+                    table = _table(oracle.endpoint_pair_table, n, r, s)
                     expected = {k: table.get(k) for k in range(n)}
                 for k, want in expected.items():
                     got = formulas.endpoint_pair_expression(n, r, s, k, reading)
@@ -143,14 +142,15 @@ def check_recurrence(n_max: int | None = None) -> CheckReport:
     convolution of the (k-1)-meeting counts with the nonmeeting counts."""
     rec = _Recorder("recurrence")
     n_max = max(2, min(8, _cap(n_max)))
+    rect = partial(_table, oracle.rect_pair_table)
     for n in range(2, n_max + 1):
         for r in range(n + 1):
-            table = _rect_table(n, r)
+            table = rect(n, r)
             for k in range(1, n):
                 conv = 0
                 for m in range(1, n):
                     for q in range(max(0, r - (n - m)), min(r, m) + 1):
-                        conv += _rect_table(m, q).get(k - 1) * _rect_table(n - m, r - q).get(0)
+                        conv += rect(m, q).get(k - 1) * rect(n - m, r - q).get(0)
                 rec.expect_equal(table.get(k), conv, n=n, r=r, k=k, sides="oracle vs convolution")
     return rec.report()
 
@@ -161,12 +161,12 @@ def check_eq8(n_max: int | None = None) -> CheckReport:
     reproduces the free table. Checked on oracle tables and on closed forms."""
     rec = _Recorder("eq8")
     n_max = min(8, _cap(n_max))
-    free = {n: oracle.free_pair_table(n) for n in range(n_max + 1)}
-    same = {n: oracle.same_endpoint_pair_table(n) for n in range(1, n_max + 1)}
+    free = partial(_table, oracle.free_pair_table)
+    same = partial(_table, oracle.same_endpoint_pair_table)
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
-            conv = sum(same[j].get(k - 1) * free[n - j].get(0) for j in range(k, n + 1))
-            rec.expect_equal(free[n].get(k), conv, n=n, k=k, sides="oracle table vs convolution")
+            conv = sum(same(j).get(k - 1) * free(n - j).get(0) for j in range(k, n + 1))
+            rec.expect_equal(free(n).get(k), conv, n=n, k=k, sides="oracle table vs convolution")
             closed = sum(
                 formulas.same_endpoint_pair_count(j, k - 1) * formulas.free_pair_count(n - j, 0)
                 for j in range(k, n + 1)
@@ -211,10 +211,10 @@ def check_nkr(n_max: int | None = None) -> CheckReport:
     n_max = max(2, min(9, _cap(n_max)))
     for n in range(2, n_max + 1):
         for r in range(n + 1):
-            table = _rect_table(n, r)
+            table = _table(oracle.rect_pair_table, n, r)
             rec.expect_equal(table.total, comb(n, r) ** 2, n=n, r=r, sides="total")
             rec.expect_equal(
-                table.entries, _rect_table(n, n - r).entries, n=n, r=r, sides="reflection"
+                table.entries, _table(oracle.rect_pair_table, n, n - r).entries, n=n, r=r, sides="reflection"
             )
             for k in range(n - 1):
                 count = table.get(k)
@@ -279,7 +279,7 @@ def check_mrs(n_max: int | None = None) -> CheckReport:
     for n in range(1, n_max + 1):
         for r in range(n + 1):
             for s in range(r + 1, n + 1):
-                table = _endpoint_table(n, r, s)
+                table = _table(oracle.endpoint_pair_table, n, r, s)
                 rec.expect_equal(table.total, comb(n, r) * comb(n, s), n=n, r=r, s=s, sides="total")
                 rec.expect_equal(
                     formulas.endpoint_pair_count_k0(n, r, s), table.get(0),
@@ -293,7 +293,7 @@ def check_mrs(n_max: int | None = None) -> CheckReport:
             for k in range(1, n):
                 rec.expect_equal(
                     formulas.endpoint_pair_count(n, r, r, k),
-                    _rect_table(n, r).get(k - 1),
+                    _table(oracle.rect_pair_table, n, r).get(k - 1),
                     n=n, r=r, s=r, k=k, sides="equal endpoints vs rectangle table",
                 )
     return rec.report()
@@ -306,7 +306,7 @@ def check_fnk(n_max: int | None = None) -> CheckReport:
     identity_n_max = min(40, _cap(n_max))
     n_max = min(8, _cap(n_max))
     for n in range(n_max + 1):
-        table = oracle.free_pair_table(n)
+        table = _table(oracle.free_pair_table, n)
         rec.expect_equal(table.total, 4 ** n, n=n, sides="total")
         for k in range(n + 1):
             rec.expect_equal(
@@ -328,7 +328,7 @@ def check_pnk(n_max: int | None = None) -> CheckReport:
     rec = _Recorder("pnk")
     n_max = min(8, _cap(n_max))
     for n in range(1, n_max + 1):
-        table = oracle.same_endpoint_pair_table(n)
+        table = _table(oracle.same_endpoint_pair_table, n)
         denom = comb(2 * n, n)
         for k in range(n):
             rec.expect_equal(
@@ -356,7 +356,7 @@ def check_diag(n_max: int | None = None) -> CheckReport:
                 formulas.same_endpoint_pair_count(n, k), row, n=n, k=k, sides="closed form vs row sum"
             )
     for n in range(1, oracle_n_max + 1):
-        table = oracle.same_endpoint_pair_table(n)
+        table = _table(oracle.same_endpoint_pair_table, n)
         for k in range(n):
             rec.expect_equal(
                 formulas.same_endpoint_pair_count(n, k), table.get(k),
@@ -373,7 +373,7 @@ def check_avg(n_max: int | None = None) -> CheckReport:
     for n in range(min(8, _cap(n_max)) + 1):
         rec.expect_equal(
             formulas.average_crossings(n),
-            oracle.free_pair_table(n).mean,
+            _table(oracle.free_pair_table, n).mean,
             n=n, sides="closed form vs oracle mean",
         )
     exact = float(formulas.average_crossings(1000))
@@ -561,7 +561,7 @@ def check_series_uk(n_max: int | None = None) -> CheckReport:
                         n=n, r=r, k=k, sides="series vs closed form",
                     )
                 rec.expect_equal(
-                    coeff, _rect_table(n, r).get(k), n=n, r=r, k=k, sides="series vs oracle"
+                    coeff, _table(oracle.rect_pair_table, n, r).get(k), n=n, r=r, k=k, sides="series vs oracle"
                 )
     return rec.report()
 

@@ -193,6 +193,58 @@ def test_endpoint_wrong_reading_fails_loudly():
     assert rows[("7", "3", "4", "4")] == ("518/3", "170")
 
 
+# The two-endpoint expression as printed, one Fraction per term: the
+# reference the library's integer sum, grouped by denominator, must equal.
+_READING_PREFACTORS = {
+    "printed": lambda n, r, s, j, t: Fraction(s - j - r + 1 + 2 * t, n - 1 - j - 2 * t),
+    "minus-2t": lambda n, r, s, j, t: Fraction(s - j - r + 1 - 2 * t, n - 1 - j - 2 * t),
+    "r-plus-1": lambda n, r, s, j, t: Fraction(s - j - (r + 1) + 2 * t, n - 1 - j - 2 * t),
+}
+
+
+def _termwise_endpoint_expression(n, r, s, k, reading):
+    binom = formulas.binom
+    second = Fraction(0)
+    if k < n:
+        tot = sum(binom(k, j) * binom(n - k, r - j) * binom(n - k, s - j) for j in range(k + 1))
+        second = Fraction(s - r, n - k) * tot
+    first = Fraction(0)
+    for t in range(k // 2 + 1):
+        for j in range(k):
+            c = (
+                binom(k, 2 * t + 1) * binom(k - 1 - 2 * t, j)
+                * binom(n - 1 - j - 2 * t, s - j) * binom(n - 1 - j - 2 * t, r - 1 - 2 * t)
+            )
+            if c:
+                first += (-1) ** j * _READING_PREFACTORS[reading](n, r, s, j, t) * c
+    return 2 * first + second
+
+
+def _value_or_zero_division(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def test_endpoint_expression_equals_termwise_reference():
+    small = [
+        (n, r, s, k) for n in range(10) for r in range(n + 1) for s in range(r, n + 1) for k in range(n + 1)
+    ]
+    large = [(60, 20, 35, 30), (60, 0, 60, 59), (60, 29, 30, 12), (60, 30, 30, 58)]
+    assert list(formulas.ENDPOINT_COUNT_READINGS) == list(_READING_PREFACTORS)
+    raised = 0
+    for args in small + large:
+        for reading in _READING_PREFACTORS:
+            want = _value_or_zero_division(_termwise_endpoint_expression, *args, reading)
+            got = _value_or_zero_division(formulas.endpoint_pair_expression, *args, reading)
+            assert got == want, (args, reading)
+            raised += want is ZeroDivisionError
+    assert raised  # some instances divide by n-1-j-2t = 0, on both sides
+    with pytest.raises(ValueError, match="unknown reading"):
+        formulas.endpoint_pair_expression(4, 1, 2, 1, "bogus")
+
+
 def test_endpoint_count_range_checks():
     with pytest.raises(ValueError):
         formulas.endpoint_pair_count(3, 2, 1, 0)  # r > s

@@ -10,13 +10,16 @@ Core claims:
     - each suite states its sizes once: its check takes only n_max (barrier
       also its seed), and the runner looks each check up by name as it runs
     - a shrunken n_max still passes every suite (smoke run)
+    - every suite reads the four enumerated tables through one memo, so a
+      full run builds each (function, arguments) table exactly once
 """
 
 import inspect
+from collections import Counter
 
 import pytest
 
-from pathpairs import verify
+from pathpairs import oracle, verify
 from pathpairs.verify import CheckReport, VerifyConfig, _Recorder
 
 
@@ -107,3 +110,27 @@ def test_smoke_run_all_passes():
 def test_each_suite_passes_at_moderate_size(name):
     (report,) = verify.run_all(VerifyConfig(suites=(name,), n_max=6))
     assert report.passed, report.first_failure
+
+
+TABLE_SUITES = ("recurrence", "eq8", "nkr", "mrs", "fnk", "pnk", "diag", "avg", "series-uk")
+TABLE_FUNCTIONS = ("rect_pair_table", "endpoint_pair_table", "free_pair_table", "same_endpoint_pair_table")
+
+
+def test_every_enumerated_table_is_built_once(monkeypatch):
+    builds = Counter()
+
+    def counting(name):
+        build = getattr(oracle, name)
+        return lambda *args: builds.update([(name, args)]) or build(*args)
+
+    for name in TABLE_FUNCTIONS:
+        monkeypatch.setattr(oracle, name, counting(name))
+    verify._table.cache_clear()
+    try:
+        reports = verify.run_all(VerifyConfig(suites=TABLE_SUITES))
+    finally:
+        verify._table.cache_clear()  # its entries are keyed by the counting wrappers
+    assert all(report.passed for report in reports)
+    assert {name for name, _ in builds} == set(TABLE_FUNCTIONS)
+    assert max(builds.values()) == 1, [key for key, count in builds.items() if count > 1]
+    assert builds[("free_pair_table", (8,))] == builds[("same_endpoint_pair_table", (9,))] == 1
