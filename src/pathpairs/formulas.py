@@ -152,9 +152,9 @@ def endpoint_pair_expression(n: int, r: int, s: int, k: int, reading: str) -> Fr
         )
         second = Fraction((s - r) * tot, n - k)
     by_den: dict[int, int] = {}
-    for t in range(k // 2 + 1):
+    for t in range((k + 1) // 2):  # C(k, 2t+1) and C(k-1-2t, j) vanish past these ranges
         c1 = binom(k, 2 * t + 1)
-        for j in range(k if c1 else 0):  # the j binomial vanishes past k-1-2t
+        for j in range(k - 2 * t):
             den = n - 1 - j - 2 * t
             term = c1 * binom(k - 1 - 2 * t, j) * binom(den, s - j) * binom(den, r - 1 - 2 * t)
             if term:
