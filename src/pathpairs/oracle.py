@@ -1,13 +1,14 @@
 """Brute-force enumerators and exact dynamic programs used as ground truth.
 
-Nothing in this module knows a closed form. Pair counts come from iterating
-every pair of paths; probabilities come from evolving exact integer masses
-over walker states. At each step every live state moves with integer
-weights over one scale, the lcm of the denominators of the West rates in
-use, and the running denominator grows by that scale (its square for the
-two-walker DP); one Fraction is built from the final masses, so no
-per-step rational is ever normalised. The closed-form and series modules
-are checked against these outputs, never the other way around.
+Nothing in this module knows a closed form. Every pair of paths is
+counted, bit-parallel, through ``paths.meeting_census``; probabilities come
+from evolving exact integer masses over walker states. At each step every
+live state moves with integer weights over one scale, the lcm of the
+denominators of the West rates in use, and the running denominator grows by
+that scale (its square for the two-walker DP); one Fraction is built from
+the final masses, so no per-step rational is ever normalised. The
+closed-form and series modules are checked against these outputs, never
+the other way around.
 
 Paths come from ``paths.all_paths`` and every table is a
 ``paths.meeting_census`` under the named convention its docstring states, so

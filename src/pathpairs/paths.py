@@ -22,8 +22,12 @@ operation itself to ``meeting_census`` (a tally over a whole family of
 pairs), ``scan_pairs`` (the unordered pairs of one family, with their
 counts) or ``shared_vertices`` (the meeting points of one pair); each
 resolves the window and checks the precondition once per call, not once per
-pair. ``all_paths`` is the one enumerator, in the fixed order of the E-step
-positions as combinations.
+pair. ``meeting_census`` is bit-sliced: each pair is counted exactly, in
+its own bit lane of big-int bit planes, so one integer operation advances
+the counts of a left path against every right path at once.
+``scan_pairs`` keeps one int mask of vertices per path and counts a pair's
+shared vertices as the set bits of an AND. ``all_paths`` is the one
+enumerator, in the fixed order of the E-step positions as combinations.
 
 Paths built by ``PathNE.from_word`` are shared: equal words from the same
 start give one ``PathNE`` instance, so its vertices are computed once however
@@ -201,24 +205,53 @@ def shared_vertices(pair: PathPair, convention) -> tuple[Point, ...]:
     return tuple(a for a, b in zip(pair.first.vertices[window], pair.second.vertices[window]) if a == b)
 
 
-def _vertex_keys(paths, window: slice) -> list[frozenset[int]]:
-    """Each path's vertices inside ``window`` as one int each. The y values
-    of a same-start, n-step family span at most n, so x * (n + 1) + y tells
-    vertices apart, and shared vertices are a plain set intersection."""
+def _vertex_keys(paths, window: slice) -> list[int]:
+    """Each path's vertices inside ``window`` as one int mask. The y values
+    of a same-start, n-step family span at most n, so bit
+    (x - x0) * (n + 1) + (y - y0), taken from the family's start (x0, y0),
+    tells vertices apart with nonnegative shifts, and the vertices two paths
+    share are the set bits of the AND of their masks."""
+    x0, y0 = paths[0].start
     side = paths[0].n + 1
-    return [frozenset(x * side + y for x, y in p.vertices[window]) for p in paths]
+    return [sum(1 << (x - x0) * side + y - y0 for x, y in p.vertices[window]) for p in paths]
 
 
 def meeting_census(left, right, convention) -> dict[int, int]:
     """How many pairs (a, b) in ``left`` x ``right`` share k vertices under
     ``convention``, for every k that occurs: the tally of
-    ``convention(PathPair(a, b))`` over all pairs."""
+    ``convention(PathPair(a, b))`` over all pairs.
+
+    Bit-sliced: bit j of every int below is the lane of the pair (a,
+    ``right[j]``). Each vertex inside the window gets the mask of the right
+    paths through it. For one left path ``a``, the masks of a's vertices are
+    added into a binary counter kept as bit planes (``planes[i]`` holds bit i
+    of every lane's count), so lane j ends holding the exact count of the
+    pair; the lanes with count k are then selected by ANDing each plane or
+    its complement, and counted with ``bit_count``. Every pair is counted,
+    but in big-int operations over all of ``right`` at once, not one
+    interpreter step per pair."""
     window = _window(convention, [*left, *right])
-    keys_right = _vertex_keys(right, window)
-    tally = [0] * (right[0].n + 1)
-    for a in _vertex_keys(left, window):
-        for b in keys_right:
-            tally[len(a & b)] += 1
+    masks: dict[Point, int] = {}
+    for j, b in enumerate(right):
+        for v in b.vertices[window]:
+            masks[v] = masks.get(v, 0) | 1 << j
+    full = (1 << len(right)) - 1
+    depth = len(range(right[0].n + 1)[window]).bit_length()
+    tally = [0] * (1 << depth)
+    for a in left:
+        planes = [0] * depth
+        for v in a.vertices[window]:
+            carry = masks.get(v, 0)
+            for i, plane in enumerate(planes):
+                if not carry:
+                    break
+                planes[i] = plane ^ carry
+                carry &= plane
+        lanes = [full]  # split by each plane, high to low: lanes[k] ends as count k
+        for plane in reversed(planes):
+            lanes = [half for group in lanes for half in (group & ~plane, group & plane)]
+        for k, group in enumerate(lanes):
+            tally[k] += group.bit_count()
     return {k: count for k, count in enumerate(tally) if count}
 
 
@@ -228,4 +261,4 @@ def scan_pairs(paths, convention):
     keys = _vertex_keys(paths, _window(convention, paths))
     for i, a in enumerate(keys):
         for j in range(i, len(keys)):
-            yield paths[i], paths[j], len(a & keys[j])
+            yield paths[i], paths[j], (a & keys[j]).bit_count()

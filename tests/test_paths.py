@@ -11,6 +11,9 @@ Core claims:
     - the batch forms (census, unordered scan, meeting points) agree with the
       per-pair operations and enforce the same preconditions, with the same
       messages
+    - the bit-sliced census equals the per-pair tally on random families of
+      unequal sizes, across machine words, away from the origin and with
+      counts that need four bit planes
     - ``from_word`` shares one path per (word, start) and never caches a
       rejected word; ``end`` counted from the steps is the last vertex
 """
@@ -19,6 +22,8 @@ import re
 from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pathpairs.paths import (
     PathNE,
@@ -220,6 +225,52 @@ def test_census_enforces_preconditions():
         meeting_census(all_paths(3, 1), all_paths(3, 1), len)
 
 
+def _shifted(n, r, start):
+    return [PathNE(p.steps, start) for p in all_paths(n, r)]
+
+
+@st.composite
+def _census_cases(draw):
+    """Two sub-families of ``all_paths(n, r)`` (n <= 9) valid together under a
+    drawn convention: one small list and one random subset of a whole
+    family, in either order, from a start that may be away from the origin
+    under ``intersections_excluding_start``."""
+    convention = draw(st.sampled_from(CONVENTIONS))
+    n = draw(st.integers(0, 9))
+    r_small = draw(st.integers(0, n))
+    r_large = r_small if convention is intersections_interior else draw(st.integers(0, n))
+    start = (0, 0)
+    if convention is intersections_excluding_start:
+        start = draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
+    small = draw(st.lists(st.sampled_from(_shifted(n, r_small, start)), min_size=1, max_size=5))
+    pool = _shifted(n, r_large, start)
+    picks = draw(st.integers(1, (1 << len(pool)) - 1))
+    large = [p for i, p in enumerate(pool) if picks >> i & 1]
+    left, right = (small, large) if draw(st.booleans()) else (large, small)
+    return left, right, convention
+
+
+@settings(max_examples=40, deadline=None)
+@example(case=(all_paths(9, 4)[:1], all_paths(9, 4), intersections_interior))
+@example(case=(all_paths(8, 3), all_paths(8, 5)[-1:], intersections_excluding_origin))
+@example(case=(_shifted(9, 5, (-3, -2))[::8], _shifted(9, 4, (-3, -2)), intersections_excluding_start))
+@given(case=_census_cases())
+def test_bit_sliced_census_equals_per_pair_tally(case):
+    left, right, convention = case
+    assert list(meeting_census(left, right, convention).items()) == sorted(
+        _tally(left, right, convention).items()
+    )
+
+
+def test_census_counts_up_to_eight_meetings():
+    # identical 8-step walks meet at all 8 vertices past the origin, a count
+    # that needs a fourth bit plane; 70 lanes cross a 64-bit word
+    walks = all_paths(8, 4)
+    census = meeting_census(walks, walks, intersections_excluding_origin)
+    assert census == _tally(walks, walks, intersections_excluding_origin)
+    assert census[8] == len(walks)
+
+
 def test_scan_visits_unordered_pairs_in_order():
     ps = all_paths(4, 2)
     scanned = list(scan_pairs(ps, intersections_interior))
@@ -230,6 +281,15 @@ def test_scan_visits_unordered_pairs_in_order():
     ]
     assert scanned == expected
 
+
+
+def test_scan_away_from_origin():
+    # vertex masks are keyed from the family's start, so negative
+    # coordinates shift by nonnegative amounts
+    ps = _shifted(5, 2, (-3, -4))
+    assert [k for _, _, k in scan_pairs(ps, intersections_interior)] == [
+        intersections_interior(PathPair(a, b)) for i, a in enumerate(ps) for b in ps[i:]
+    ]
 
 # --- shared paths and their fast preconditions ---------------------------------
 
