@@ -18,6 +18,11 @@ meeting sits:
                path tails after the meeting, and the flag records whether
                the pre-meeting north path stays north throughout.
 
+The forward map finds the first gap-1 column, the first interior column
+where the two paths stand one unit apart, in one pass over both paths'
+cached vertices: the first step at which the north path's next vertex sits
+just above the south path's.
+
 Meeting points and the rectangle scan come from ``paths``: the shared
 vertices of a pair are ``paths.shared_vertices`` under
 ``intersections_interior``, and ``verify_correspondence`` walks
@@ -62,10 +67,6 @@ class RectPair:
         for p in (self.upper, self.lower):
             if p.start != (0, 0):
                 raise ValueError("rectangle pairs start at the origin")
-        if self.upper.end != self.lower.end:
-            raise ValueError(
-                f"rectangle pairs share endpoints, got {self.upper.end} vs {self.lower.end}"
-            )
         if self.upper.word < self.lower.word:
             raise ValueError("upper must be the canonical (north-first) member; use RectPair.of")
         if len(self._meeting_points) > 1:
@@ -117,14 +118,6 @@ class GroupTag:
             raise ValueError("north_throughout is set exactly for group III")
 
 
-def distance_at_column(p: PathNE, q: PathNE, x: int) -> int:
-    """Smallest vertical gap between the two paths' vertices in column x."""
-    r = p.end[0]
-    if not 0 <= x <= r:
-        raise ValueError(f"column {x} outside [0, {r}]")
-    return min(abs(y2 - y1) for y1 in p.column_heights(x) for y2 in q.column_heights(x))
-
-
 def _drop_first_north(word: str) -> str:
     i = word.index(NORTH)
     return word[:i] + word[i + 1 :]
@@ -135,7 +128,7 @@ def _validated_image(wa: str, wb: str, point: Point, case: str) -> RectPair:
         pair = RectPair.from_words(wa, wb)
     except ValueError as exc:
         raise InvariantError(f"construction case {case} produced an invalid pair: {exc}") from exc
-    if pair.kind != ONE_MEETING or pair.meeting_point != point:
+    if pair.meeting_point != point:
         raise InvariantError(
             f"construction case {case}: expected a single meeting at {point}, "
             f"got {pair._meeting_points} for {pair.words()}"
@@ -145,6 +138,12 @@ def _validated_image(wa: str, wb: str, point: Point, case: str) -> RectPair:
 
 def insert_meeting(pair: RectPair) -> tuple[RectPair, RectPair]:
     """Map a nonmeeting pair to its two one-meeting images.
+
+    The first gap-1 column x0 is read in one scan of the two vertex tuples:
+    the first step t0 at which the south path is at (x0, y0), 0 < x0 < r,
+    and the north path's next vertex is (x0, y0 + 1). The north path is
+    strictly north in every interior column, so y0 is the south path's top
+    there.
 
     Case A (every interior column gap is at least 2, vacuous for r = 1):
     slide the north path down one unit through its first N edge and re-top
@@ -176,17 +175,16 @@ def _insert(pair: RectPair) -> tuple[str, RectPair, RectPair]:
         raise ValueError("degenerate rectangle: need r >= 1 and s >= 1")
     up, lo = pair.words()
 
-    gap_one = [
-        x for x in range(1, r) if distance_at_column(pair.upper, pair.lower, x) == 1
-    ]
-    if not gap_one:
+    north, south = pair.upper.vertices, pair.lower.vertices
+    for t0 in range(1, r + s - 1):
+        x0, y0 = south[t0]
+        if 0 < x0 < r and north[t0 + 1] == (x0, y0 + 1):
+            break
+    else:
         first = _validated_image(up[1:] + NORTH, lo, (r, s - 1), "A1")
         second = _validated_image(up, NORTH + lo[:-1], (0, 1), "A2")
         return "A", first, second
 
-    x0 = gap_one[0]
-    y0 = max(pair.lower.column_heights(x0))
-    t0 = x0 + y0
     prefix, suffix = up[: t0 + 1], up[t0 + 1 :]  # prefix reaches (x0, y0 + 1)
     moved = _drop_first_north(prefix) + NORTH + suffix
 

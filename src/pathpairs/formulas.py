@@ -275,6 +275,13 @@ def average_crossings_asymptote(n: int) -> float:
 # --- meeting-at-the-origin probabilities ------------------------------------
 
 
+def _probability(p) -> Fraction:
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError(f"probability {p} outside [0, 1]")
+    return p
+
+
 def barrier_meet_formula(a: int, b: int, x: int, p) -> Fraction:
     """Closed form for the constant-rate barrier walk:
 
@@ -282,9 +289,7 @@ def barrier_meet_formula(a: int, b: int, x: int, p) -> Fraction:
     """
     if a < 0 or b < 0 or x < 0:
         raise ValueError("a, b, x must be nonnegative")
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"probability {p} outside [0, 1]")
+    p = _probability(p)
     q = 1 - p
     total = Fraction(0)
     for t in range(x + 1):
@@ -299,9 +304,7 @@ def same_start_meet_formula(a: int, b: int, p) -> Fraction:
     """
     if a < 0 or b < 0:
         raise ValueError("a and b must be nonnegative")
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"probability {p} outside [0, 1]")
+    p = _probability(p)
     return 2 * binom(a + b, a) * p ** (a + 1) * (1 - p) ** (b + 1)
 
 

@@ -80,8 +80,6 @@ class CountTable:
 def rect_pair_table(n: int, r: int) -> CountTable:
     """All ordered pairs of corner-to-corner paths on an r x (n-r) rectangle,
     keyed by interior shared vertices. Total is C(n, r)^2."""
-    if not 0 <= r <= n:
-        raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     ps = paths.all_paths(n, r)
     return CountTable.from_entries(paths.meeting_census(ps, ps, paths.intersections_interior))
 

@@ -1,7 +1,6 @@
 """The 2-to-1 correspondence and its inverse.
 
 Core claims:
-    - column distance gives its documented values
     - the forward map reproduces the hand-traced images on 1x1 and 1x2 and
       always produces two one-meeting pairs
     - the inverse undoes the forward map on both branches with the group tag
@@ -11,8 +10,10 @@ Core claims:
     - exhaustive replay passes on small rectangles with the documented counts,
       and reports a forward map that repeats an image or leaves the
       one-meeting set
-    - on random rectangles with r + s <= 16, the inverse returns both images
-      of a random nonmeeting pair to it, with the tag its case dictates
+    - on random rectangles with r + s <= 16, the forward map takes the case
+      and meeting points that the first gap-1 column, read from column
+      heights, dictates, and the inverse returns both images of a random
+      nonmeeting pair to it, with the tag its case dictates
     - degenerate and ill-typed inputs are rejected
 """
 
@@ -24,7 +25,6 @@ from pathpairs import bijection
 from pathpairs.bijection import (
     GroupTag,
     RectPair,
-    distance_at_column,
     insert_meeting,
     remove_meeting,
     verify_correspondence,
@@ -34,22 +34,6 @@ from pathpairs.paths import PathNE
 
 def rp(a: str, b: str) -> RectPair:
     return RectPair.from_words(a, b)
-
-
-def test_distance_at_column():
-    p = PathNE.from_word("NNNENE")  # column 1 heights {3, 4}
-    q = PathNE.from_word("NEENNN")  # column 1 heights {1}
-    assert distance_at_column(p, q, 1) == 2
-    assert distance_at_column(p, p, 1) == 0
-    with pytest.raises(ValueError):
-        distance_at_column(p, q, 5)
-
-
-def test_distance_on_one_wide_rectangle():
-    p = PathNE.from_word("NNE")
-    q = PathNE.from_word("ENN")
-    # interior columns are empty for r = 1; the endpoints still measure 0
-    assert distance_at_column(p, q, 1) == 0
 
 
 def test_rect_pair_canonical_order_and_kind():
@@ -277,11 +261,26 @@ def nonmeeting_pairs(draw):
     return RectPair.from_words("N" + steps(west) + "E", "E" + steps(east) + "N")
 
 
+def _reference_case(pair: RectPair):
+    """The construction case and the two images' meeting points, from the
+    first interior column x0 whose gap min(upper) - max(lower) is 1, with
+    y0 the lower path's top there."""
+    r, s = pair.shape
+    for x0 in range(1, r):
+        y0 = max(pair.lower.column_heights(x0))
+        if min(pair.upper.column_heights(x0)) - y0 == 1:
+            if (x0, y0) == (1, 0):
+                return "C", (1, 0), (r - 1, s)
+            return "B", (x0, y0), (x0, y0)
+    return "A", (r, s - 1), (0, 1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(source=nonmeeting_pairs())
 def test_random_round_trip_returns_source_with_its_tag(source):
     assert source.kind == bijection.NONMEETING
     case, first, second = bijection._insert(source)
+    assert (case, first.meeting_point, second.meeting_point) == _reference_case(source)
     assert first != second
     expected = {"A": "II", "B": "III", "C": "I"}[case]
     flags = []
