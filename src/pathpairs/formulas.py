@@ -10,6 +10,16 @@ reduction raises ``IntegralityError`` instead of rounding. The prefactors of
 the rectangle-count formulas are not termwise integral, so the assertion is
 load bearing.
 
+Each sum is evaluated by ratio stepping: its first nonzero term is built
+from ``binom`` calls, and each later term from the one before by one
+multiply and one floor-divide by small ints, the product of the ratios of
+consecutive binomials (C(a, b+1) = C(a, b)(a-b)/(b+1), C(a+1, b) =
+C(a, b)(a+1)/(a+1-b) and their kin). Every term is an integer, so the
+division is exact: the previous term times the numerator is the next term
+times the divisor. The sum runs over the displayed index in its order, but
+only over the indices with every factor nonzero, so it drops exactly the
+terms the vanishing convention drops, and no divisor is zero.
+
 Binomials follow the factorial convention used throughout: a term whose
 denominator would contain the factorial of a negative integer vanishes.
 ``binom`` implements that reading for nonnegative upper arguments; the
@@ -26,7 +36,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm
+from itertools import compress
+from math import comb, factorial, isqrt, perm, prod
 
 
 def binom(a: int, b: int) -> int:
@@ -48,9 +59,31 @@ def binom_gen(x: int, m: int) -> int:
 
 @lru_cache(maxsize=256)
 def _central_binomial(n: int) -> int:
-    """C(2n, n), cached by n: a sweep over k at one n asks for it once per
-    term."""
-    return comb(2 * n, n)
+    """C(2n, n) from its prime factorisation, cached by n: a sweep over k at
+    one n asks for it once per term.
+
+    Each prime p <= 2n enters with Legendre's exponent
+    e = sum_i (floor(2n/p^i) - 2 floor(n/p^i)) (Goetgheluck, "Computing
+    binomial coefficients", Amer. Math. Monthly 94, 1987), and the powers
+    p^e are multiplied pairwise as a balanced tree, so no step multiplies a
+    long int by a short one n times over.
+    """
+    m = 2 * n
+    sieve = bytearray(2) + bytearray([1]) * (m - 1)  # sieve[i]: i is prime
+    for p in range(2, isqrt(m) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, m + 1, p)))
+    powers = []
+    for p in compress(range(m + 1), sieve):
+        e, q = 0, p
+        while q <= m:
+            e += m // q - 2 * (n // q)
+            q *= p
+        if e:
+            powers.append(p**e)
+    while len(powers) > 1:
+        powers = [prod(powers[i : i + 2]) for i in range(0, len(powers), 2)]
+    return powers[0] if powers else 1
 
 
 class IntegralityError(ArithmeticError):
@@ -82,10 +115,18 @@ def rect_pair_count_a(n: int, r: int, k: int) -> int:
         2(k+1)/(n-k-1) * sum_i C(k,i) C(n-k+i-1, r) C(n-i-1, n-r)
     """
     _check_rect_args(n, r, k)
-    total = sum(
-        binom(k, i) * binom(n - k + i - 1, r) * binom(n - i - 1, n - r)
-        for i in range(k + 1)
-    )
+    # C(n-k+i-1, r) needs i >= r-n+k+1 and C(n-i-1, n-r) needs i <= r-1
+    lo, hi = max(0, r - n + k + 1), min(k, r - 1)
+    total = 0
+    term = binom(k, lo) * binom(n - k + lo - 1, r) * binom(n - lo - 1, n - r)
+    for i in range(lo, hi + 1):
+        total += term
+        if i < hi:
+            # C(k, i+1) = C(k, i)(k-i)/(i+1); with m = n-k+i-1,
+            # C(m+1, r) = C(m, r)(m+1)/(m+1-r); with a = n-i-1,
+            # C(a-1, n-r) = C(a, n-r)(a-n+r)/a
+            m, a = n - k + i - 1, n - i - 1
+            term = term * ((k - i) * (m + 1) * (a - n + r)) // ((i + 1) * (m + 1 - r) * a)
     return _as_count(Fraction(2 * (k + 1), n - k - 1) * total, f"rect_pair_count_a{(n, r, k)}")
 
 
@@ -102,16 +143,31 @@ def rect_pair_count_b(n: int, r: int, k: int) -> int:
     integers. ``binom``'s vanishing convention drops the same terms as the
     factorial form. The r = 0 column is defined by the transpose symmetry
     with r = n.
+
+    Term i over the common denominator is the integer
+
+        C(k,i) C(k-i,i) i! * C(n-i-2,r-1) C(n-i-1,r-i-1) * common/perm(n-i-2,i)
+
+    and is stepped to term i+1 by one multiply and one floor-divide:
+    C(k,i) C(k-i,i) i! = k!/(i!(k-2i)!) gains (k-2i)(k-2i-1)/(i+1),
+    C(n-i-2,r-1) gains (n-i-r-1)/(n-i-2), C(n-i-1,r-i-1) gains
+    (r-i-1)/(n-i-1), and the quotient gains (n-i-2)/((n-2i-2)(n-2i-3)),
+    so n-i-2 cancels. Term i+1 is an integer, so the division is exact. Only indices with
+    every factor nonzero are visited: i <= k/2, i <= n-r-1 and i <= r-1.
     """
     _check_rect_args(n, r, k)
     if r == 0:
         return rect_pair_count_b(n, n, k)
     common = perm(n - 1, k + 1)
+    hi = min(k // 2, n - r - 1, r - 1)
     total = 0
-    for i in range(k // 2 + 1):
-        term = binom(k, i) * binom(k - i, i) * binom(n - i - 2, r - 1) * binom(n - i - 1, r - i - 1)
-        if term:
-            total += (-1) ** i * term * factorial(i) * (common // perm(n - i - 2, i))
+    term = binom(n - 2, r - 1) * binom(n - 1, r - 1) * common
+    for i in range(hi + 1):
+        total += -term if i % 2 else term
+        if i < hi:  # past hi a divisor can vanish: n-2i-2 = 0 at k = n-2
+            term = term * ((k - 2 * i) * (k - 2 * i - 1) * (n - i - r - 1) * (r - i - 1)) // (
+                (i + 1) * (n - i - 1) * (n - 2 * i - 2) * (n - 2 * i - 3)
+            )
     return _as_count(Fraction(2 * (k + 1) * total, r * common), f"rect_pair_count_b{(n, r, k)}")
 
 
@@ -147,18 +203,34 @@ def endpoint_pair_expression(n: int, r: int, s: int, k: int, reading: str) -> Fr
     c, e = ENDPOINT_COUNT_READINGS[reading]
     second = Fraction(0)
     if k < n:
-        tot = sum(
-            binom(k, j) * binom(n - k, r - j) * binom(n - k, s - j) for j in range(k + 1)
-        )
+        # C(n-k, r-j) and C(n-k, s-j) are nonzero for j in lo..hi; each step
+        # multiplies by (k-j)/(j+1), (r-j)/(n-k-r+j+1) and (s-j)/(n-k-s+j+1)
+        lo, hi = max(0, r - n + k, s - n + k), min(k, r, s)
+        tot = 0
+        term = binom(k, lo) * binom(n - k, r - lo) * binom(n - k, s - lo)
+        for j in range(lo, hi + 1):
+            tot += term
+            if j < hi:
+                term = term * ((k - j) * (r - j) * (s - j)) // (
+                    (j + 1) * (n - k - r + j + 1) * (n - k - s + j + 1)
+                )
         second = Fraction((s - r) * tot, n - k)
     by_den: dict[int, int] = {}
     for t in range((k + 1) // 2):  # C(k, 2t+1) and C(k-1-2t, j) vanish past these ranges
-        c1 = binom(k, 2 * t + 1)
-        for j in range(k - 2 * t):
+        q = r - 1 - 2 * t
+        if q < 0 or s > n - 1 - 2 * t:
+            continue  # C(den, r-1-2t) or C(den, s-j) vanishes for every j
+        # with den = n-1-j-2t, C(den, s-j) and C(den, q) are nonzero while
+        # j <= s and j <= n-r; each step multiplies by (k-1-2t-j)/(j+1),
+        # (s-j)/den and (den-q)/den
+        hi = min(k - 1 - 2 * t, s, n - r)
+        term = binom(k, 2 * t + 1) * binom(n - 1 - 2 * t, s) * binom(n - 1 - 2 * t, q)
+        for j in range(hi + 1):
             den = n - 1 - j - 2 * t
-            term = c1 * binom(k - 1 - 2 * t, j) * binom(den, s - j) * binom(den, r - 1 - 2 * t)
-            if term:
-                by_den[den] = by_den.get(den, 0) + (-1) ** j * (s - j - r + c + 2 * e * t) * term
+            signed = (s - j - r + c + 2 * e * t) * term
+            by_den[den] = by_den.get(den, 0) + (-signed if j % 2 else signed)
+            if j < hi:
+                term = term * ((k - 1 - 2 * t - j) * (s - j) * (den - q)) // ((j + 1) * den * den)
     return 2 * sum(Fraction(num, den) for den, num in by_den.items()) + second
 
 
@@ -262,7 +334,7 @@ def average_crossings(n: int) -> Fraction:
     if n < 0:
         raise ValueError("n must be nonnegative")
     four_n = 1 << (2 * n)
-    return Fraction((2 * n + 1) * comb(2 * n, n) - four_n, four_n)
+    return Fraction((2 * n + 1) * _central_binomial(n) - four_n, four_n)
 
 
 def average_crossings_asymptote(n: int) -> float:

@@ -158,14 +158,14 @@ def test_avg_prints_exact_values_past_the_digit_limit(capsys):
 
 
 def test_integrality_failure_exits_3(capsys, monkeypatch):
-    # an off-by-one binomial leaves the first rectangle form's sum at
-    # 272/3 instead of 24
+    # an off-by-one binomial in the first term of the first rectangle form
+    # leaves its value at 64/3 instead of 4
     binom = formulas.binom
     monkeypatch.setattr(formulas, "binom", lambda a, b: binom(a, b) + 1)
-    code, out, err = run(capsys, "nkr", "--n", "5", "--r", "2", "--k", "1", "--method", "formula-a")
+    code, out, err = run(capsys, "nkr", "--n", "5", "--r", "1", "--k", "1", "--method", "formula-a")
     assert code == 3
     assert out == ""
-    assert err == "error: internal check failed: rect_pair_count_a(5, 2, 1): expected a nonnegative integer, got 272/3\n"
+    assert err == "error: internal check failed: rect_pair_count_a(5, 1, 1): expected a nonnegative integer, got 64/3\n"
 
 
 def test_invariant_failure_exits_3(capsys, monkeypatch):

@@ -17,14 +17,22 @@ Core claims:
       rect_pair_count_b equals rect_pair_count_a on every instance with
       n <= 40 (its r = 0 column without calling form a), and the average
       and same-endpoint forms equal the factorial expressions kept below;
-      the cached central binomial they read is bounded and changes no value
+      the cached central binomial they read is bounded and changes no value,
+      and its prime factorisation equals math.comb(2n, n)
+    - the ratio-stepped sums equal the one-binom-per-factor references kept
+      below: both rectangle forms on every instance with n <= 30 and on a
+      sparse grid at n = 100 and 301, the two-endpoint expression under
+      every reading to n = 9 and at n = 60 and 150
+    - at k = 0, far past enumeration, both rectangle forms and the
+      two-endpoint count equal the Lindstrom-Gessel-Viennot 2x2
+      determinants of nonintersecting path pairs
     - the telescoping companion satisfies its difference identity
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import comb, factorial, perm
 
 import pytest
 
@@ -96,6 +104,55 @@ def test_long_non_integral_count_names_its_size():
     value = Fraction(10**5000 + 1, 3)
     with pytest.raises(formulas.IntegralityError, match="16610-bit numerator over a 2-bit denominator"):
         formulas._as_count(value, "x")
+
+
+# The rectangle forms as displayed, one binom per factor of every term: the
+# references the library's ratio-stepped sums must equal.
+
+
+def _termwise_rect_a(n, r, k):
+    binom = formulas.binom
+    total = sum(binom(k, i) * binom(n - k + i - 1, r) * binom(n - i - 1, n - r) for i in range(k + 1))
+    return Fraction(2 * (k + 1), n - k - 1) * total
+
+
+def _termwise_rect_b(n, r, k):
+    if r == 0:
+        return _termwise_rect_b(n, n, k)
+    binom = formulas.binom
+    common = perm(n - 1, k + 1)
+    total = 0
+    for i in range(k // 2 + 1):
+        term = binom(k, i) * binom(k - i, i) * binom(n - i - 2, r - 1) * binom(n - i - 1, r - i - 1)
+        if term:
+            total += (-1) ** i * term * factorial(i) * (common // perm(n - i - 2, i))
+    return Fraction(2 * (k + 1) * total, r * common)
+
+
+def test_rect_forms_equal_termwise_references():
+    cases = [(n, r, k) for n in range(2, 31) for r in range(n + 1) for k in range(n - 1)]
+    for n in (100, 301):
+        cases += [(n, r, k) for r in (0, 1, 2, n // 2, n - 1, n) for k in (0, 1, 2, n // 3, n - 3, n - 2)]
+    for args in cases:
+        assert formulas.rect_pair_count_a(*args) == _termwise_rect_a(*args), args
+        assert formulas.rect_pair_count_b(*args) == _termwise_rect_b(*args), args
+
+
+def test_k0_counts_equal_lindstrom_gessel_viennot_determinants():
+    # a pair that never meets is a nonintersecting pair of paths between the
+    # neighbours of its two ends, counted by a 2x2 determinant (Gessel and
+    # Viennot 1985): a check that shares no summation with the closed forms
+    binom = formulas.binom
+    for n in range(2, 201):
+        grid = sorted({0, 1, 2, n // 3, n // 2, n - 1, n})
+        for r in grid:
+            lgv = 2 * (binom(n - 2, r - 1) ** 2 - binom(n - 2, r) * binom(n - 2, r - 2))
+            assert formulas.rect_pair_count_a(n, r, 0) == formulas.rect_pair_count_b(n, r, 0) == lgv, (n, r)
+            for s in grid:
+                if r < s:
+                    lgv = binom(n - 1, r) * binom(n - 1, s - 1) - binom(n - 1, r - 1) * binom(n - 1, s)
+                    got = formulas.endpoint_pair_count(n, r, s, 0)
+                    assert got == formulas.endpoint_pair_count_k0(n, r, s) == lgv, (n, r, s)
 
 
 def test_rect_counts_match_oracle_sweep():
@@ -231,7 +288,10 @@ def test_endpoint_expression_equals_termwise_reference():
     small = [
         (n, r, s, k) for n in range(10) for r in range(n + 1) for s in range(r, n + 1) for k in range(n + 1)
     ]
-    large = [(60, 20, 35, 30), (60, 0, 60, 59), (60, 29, 30, 12), (60, 30, 30, 58)]
+    large = [
+        (60, 20, 35, 30), (60, 0, 60, 59), (60, 29, 30, 12), (60, 30, 30, 58),
+        (150, 60, 85, 50), (151, 33, 101, 49),
+    ]
     assert list(formulas.ENDPOINT_COUNT_READINGS) == list(_READING_PREFACTORS)
     raised = 0
     for args in small + large:
@@ -258,8 +318,6 @@ def test_endpoint_count_range_checks():
 def test_free_pair_count_examples():
     assert formulas.free_pair_count(1, 0) == 2
     assert formulas.free_pair_count(1, 1) == 2
-    from math import comb
-
     for n in (0, 3, 8, 20):
         assert formulas.free_pair_count(n, 0) == comb(2 * n, n)
     for n in (1, 4, 9):
@@ -345,6 +403,12 @@ def test_central_binomial_cache_is_bounded_and_changes_nothing():
     assert formulas._central_binomial.cache_info().misses == 3
     warm = [formulas.same_endpoint_meet_prob(n, k) for n in (1, 7, 1010) for k in range(n)]
     assert cold == warm
+
+
+def test_central_binomial_equals_comb():
+    # 1021 is prime; 1024 and 4096 put a prime power at 2n
+    for n in [*range(301), 1021, 1024, 4096, 5000]:
+        assert formulas._central_binomial(n) == comb(2 * n, n), n
 
 
 def test_telescoping_companion_difference_identity():
