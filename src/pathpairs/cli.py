@@ -441,6 +441,20 @@ def cmd_verify(args) -> int:
 _PARSER: argparse.ArgumentParser | None = None
 
 
+def _add_choice(parser: argparse.ArgumentParser, flag: str, names: tuple, default: str) -> None:
+    """Add an option that takes one of ``names``. Its ``type`` rejects any
+    other value itself, quoting every choice, so the message is the same on
+    every Python version: newer argparse releases list the choices unquoted."""
+
+    def choice(value: str) -> str:
+        if value not in names:
+            listed = ", ".join(map(repr, names))
+            raise argparse.ArgumentTypeError(f"invalid choice: {value!r} (choose from {listed})")
+        return value
+
+    parser.add_argument(flag, choices=names, type=choice, default=default)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and reused for the life of the
     process; ``main`` picks each command's ``cmd_*`` by name when it runs."""
@@ -457,26 +471,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument(
-        "--method", choices=(*ROUTES["nkr"], "all"), default="formula-a",
-    )
+    _add_choice(p, "--method", (*ROUTES["nkr"], "all"), "formula-a")
 
     p = subs.add_parser("mrs", help="pair counts with two prescribed endpoints")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--method", choices=(*ROUTES["mrs"], "all"), default="formula")
+    _add_choice(p, "--method", (*ROUTES["mrs"], "all"), "formula")
 
     p = subs.add_parser("fnk", help="free pair counts by post-origin meetings")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--method", choices=(*ROUTES["fnk"], "all"), default="formula")
+    _add_choice(p, "--method", (*ROUTES["fnk"], "all"), "formula")
 
     p = subs.add_parser("pnk", help="same-endpoint meeting probabilities")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--method", choices=(*ROUTES["pnk"], "all"), default="formula")
+    _add_choice(p, "--method", (*ROUTES["pnk"], "all"), "formula")
 
     p = subs.add_parser("diag", help="same-endpoint pair counts (row sums over all splits)")
     p.add_argument("--n", type=int, required=True)
@@ -491,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--p", type=str, default=None, help="constant West rate, e.g. 1/3")
     p.add_argument("--level-file", type=str, default=None, help="one rate per line, level 1 first")
-    p.add_argument("--method", choices=(*ROUTES["barrier"], "all"), default="all")
+    _add_choice(p, "--method", (*ROUTES["barrier"], "all"), "all")
 
     p = subs.add_parser("bijection", help="replay the 2-to-1 correspondence on a rectangle")
     p.add_argument("--r", type=int, required=True)
@@ -507,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # added last, so they close every usage line
     for name, sub in subs.choices.items():
-        sub.add_argument("--format", choices=("json", "csv"), default="json")
+        _add_choice(sub, "--format", ("json", "csv"), "json")
         if name in SIZE_CAPS:
             sub.add_argument(
                 "--unsafe-nmax", type=int, default=None,

@@ -20,6 +20,11 @@ times the divisor. The sum runs over the displayed index in its order, but
 only over the indices with every factor nonzero, so it drops exactly the
 terms the vanishing convention drops, and no divisor is zero.
 
+The one-binomial row forms (free-pair counts, same-endpoint counts and
+meeting probabilities) step across calls instead: ``_row_binomial`` keeps
+the last value of each binomial row, so a sweep over k at one n pays one
+``comb`` and then one small-int step per k.
+
 Binomials follow the factorial convention used throughout: a term whose
 denominator would contain the factorial of a negative integer vanishes.
 ``binom`` implements that reading for nonnegative upper arguments; the
@@ -84,6 +89,34 @@ def _central_binomial(n: int) -> int:
     while len(powers) > 1:
         powers = [prod(powers[i : i + 2]) for i in range(0, len(powers), 2)]
     return powers[0] if powers else 1
+
+
+# The last C(a, b) asked for at each lower index b, as b: (a, value), at most
+# _ROW_MEMO_SIZE of them, oldest dropped first. It holds a few ints, not rows.
+_ROW_MEMO: dict[int, tuple[int, int]] = {}
+_ROW_MEMO_SIZE = 32
+
+
+def _row_binomial(a: int, b: int) -> int:
+    """C(a, b) for a >= b >= 0, stepped from the last one asked for at the
+    same b when its a differs by one: C(a-1, b) = C(a, b)(a-b)/a and
+    C(a+1, b) = C(a, b)(a+1)/(a+1-b), both exact. Any other a pays one
+    ``comb``. A sweep over k at one n walks a row of a closed form this way,
+    one step per k in either direction; the value never depends on what the
+    memo holds."""
+    last, value = _ROW_MEMO.get(b, (None, 0))
+    if last == a:
+        return value
+    if last == a + 1:
+        value = value * (a + 1 - b) // (a + 1)
+    elif last == a - 1:
+        value = value * a // (a - b)
+    else:
+        value = comb(a, b)
+    if last is None and len(_ROW_MEMO) >= _ROW_MEMO_SIZE:
+        del _ROW_MEMO[next(iter(_ROW_MEMO))]
+    _ROW_MEMO[b] = (a, value)
+    return value
 
 
 class IntegralityError(ArithmeticError):
@@ -275,10 +308,11 @@ def endpoint_pair_count_k0(n: int, r: int, s: int) -> int:
 
 def free_pair_count(n: int, k: int) -> int:
     """Ordered pairs of free n-step walks sharing exactly k vertices after
-    the origin: 2^k C(2n-k, n)."""
+    the origin: 2^k C(2n-k, n). At k + 1 the binomial steps by
+    C(2n-k-1, n) = C(2n-k, n)(n-k)/(2n-k)."""
     if n < 0 or not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return (1 << k) * binom(2 * n - k, n)
+    return (1 << k) * _row_binomial(2 * n - k, n)
 
 
 def same_endpoint_pair_count(n: int, k: int) -> int:
@@ -286,12 +320,13 @@ def same_endpoint_pair_count(n: int, k: int) -> int:
 
         2^(k+1) (k+1) (2n-k-2)! / (n! (n-k-1)!) = 2^(k+1) (k+1) C(2n-k-2, n-1) / n
 
-    Also the diagonal sum of the rectangle counts over every split r.
+    Also the diagonal sum of the rectangle counts over every split r. At
+    k + 1 the binomial steps by C(2n-k-3, n-1) = C(2n-k-2, n-1)(n-k-1)/(2n-k-2).
     """
     if n < 1 or not 0 <= k <= n - 1:
         raise ValueError(f"need n >= 1 and 0 <= k <= n-1, got n={n}, k={k}")
     return _as_count(
-        Fraction((1 << (k + 1)) * (k + 1) * comb(2 * n - k - 2, n - 1), n),
+        Fraction((1 << (k + 1)) * (k + 1) * _row_binomial(2 * n - k - 2, n - 1), n),
         f"same_endpoint_pair_count{(n, k)}",
     )
 
@@ -301,12 +336,14 @@ def same_endpoint_meet_prob(n: int, k: int) -> Fraction:
 
         2^(k+1) (k+1) (2n-k-2)! n! / ((n-k-1)! (2n)!)
             = 2^(k+1) (k+1) C(2n-k-2, n-1) / (n C(2n, n))
+
+    The binomial steps in k as in ``same_endpoint_pair_count``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
-    return Fraction((1 << (k + 1)) * (k + 1) * comb(2 * n - k - 2, n - 1), n * _central_binomial(n))
+    return Fraction((1 << (k + 1)) * (k + 1) * _row_binomial(2 * n - k - 2, n - 1), n * _central_binomial(n))
 
 
 def meet_prob_or_zero(n: int, k: int) -> Fraction:

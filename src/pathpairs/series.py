@@ -15,11 +15,20 @@ denominators; products multiply numerators and denominators. A ``Fraction``
 is built only at the boundary: ``coeff()`` returns one, and ``coeffs`` is a
 read-only {(i, j): Fraction} view of the nonzero coefficients.
 
-Square roots expand (1 + w)^(1/2) binomially, where w is the input minus its
-constant term; they demand constant term 1 and return the branch whose
-constant term is +1. Inverses require a nonzero constant term and are grown
-by Newton steps v <- v(2 - s v), which double the number of correct
-coefficients each pass.
+The derived operations take few products; each gives the same exact
+series as the textbook expansion it replaces:
+
+- Square roots demand constant term 1 and return the branch whose constant
+  term is +1. They take no product: one pass over the monomials in order of
+  total degree solves 2 f E(g) = g E(f), where E = x d/dx + y d/dy (J. C. P.
+  Miller's power recurrence; Knuth, TAOCP vol. 2, 4.7). Each coefficient
+  reads only the input's few nonzero terms.
+- Inverses require a nonzero constant term and are grown by Newton steps
+  v <- v - v(s v - 1) with precision doubling (Brent and Kung, J. ACM 25,
+  1978): each step runs at its own working degree 1, 3, 7, ..., D, so no
+  step carries wrong high-order terms.
+- Powers square and multiply over the bits of the exponent, about 2 log2 m
+  products in place of m.
 
 The builders at the bottom produce the generating series whose coefficients
 the enumeration oracle and the closed forms must reproduce, plus a direct
@@ -29,15 +38,7 @@ Lagrange-inversion coefficient extractor for solutions of f = x g(f).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, gcd, lcm, log2
-
-
-def _half_binomials(count: int) -> list[Fraction]:
-    """C(1/2, m) for m = 0 .. count-1."""
-    out = [Fraction(1)]
-    for m in range(1, count):
-        out.append(out[-1] * (Fraction(1, 2) - (m - 1)) / m)
-    return out
+from math import gcd, lcm
 
 
 class _ReadOnlyDict(dict):
@@ -166,35 +167,78 @@ class BiSeries:
 
     __rmul__ = __mul__
 
+    def _truncated(self, degree: int) -> "BiSeries":
+        """The same coefficients at another truncation degree: terms past a
+        lower degree are dropped, and a higher degree adds no terms."""
+        return self._of(degree, {key: c for key, c in self._num.items() if sum(key) <= degree}, self._den)
+
     def pow(self, m: int) -> "BiSeries":
         if m < 0:
             raise ValueError("negative powers go through inverse()")
-        acc = BiSeries(self.degree, {(0, 0): Fraction(1)})
-        for _ in range(m):
-            acc = acc * self
+        # square-and-multiply over the bits of m, lowest first
+        acc = BiSeries(self.degree, {(0, 0): 1})
+        square = self
+        while m:
+            if m & 1:
+                acc = acc * square
+            m >>= 1
+            if m:
+                square = square * square
         return acc
 
     def sqrt(self) -> "BiSeries":
         if self.coeff(0, 0) != 1:
             raise ValueError(f"sqrt needs constant term 1, got {self.coeff(0, 0)}")
-        w = self - 1
-        halves = _half_binomials(self.degree + 1)
-        acc = BiSeries(self.degree, {(0, 0): Fraction(1)})
-        wpow = acc
-        for m in range(1, self.degree + 1):
-            wpow = wpow * w
-            if not wpow._num:
-                break
-            acc = acc + wpow * halves[m]
-        return acc
+        # 2 f E(g) = g E(f) for g = sqrt(f), E = x d/dx + y d/dy, which
+        # multiplies x^i y^j by i + j; at the monomial m, with f_0 = g_0 = 1,
+        #   g_m = sum_{a != 0} f_a (3|a| - 2|m|) g_{m-a} / (2|m|).
+        # The run stays in ints: root[m] is g_m times scale[|m|], where
+        # scale[t] = prod_{s <= t} 2 s den, so the division by 2t and by the
+        # input's denominator is a factor of scale[t] / scale[t-1], and a
+        # g_{m-a} is lifted from scale[t-|a|] to scale[t-1] by their ratio.
+        # The candidates at degree t are the shifts m' + a of the nonzero
+        # g_{m'} with |m'| = t - |a|.
+        d, den = self.degree, self._den
+        steps = [(i + j, i, j, c) for (i, j), c in self._num.items() if i or j]
+        root = {(0, 0): 1}
+        by_degree: list[list] = [[(0, 0)]] + [[] for _ in range(d)]
+        scale = [1]
+        for t in range(1, d + 1):
+            scale.append(scale[-1] * 2 * t * den)
+            weights = [
+                (ai, aj, c * (3 * size - 2 * t) * (scale[t - 1] // scale[t - size]))
+                for size, ai, aj, c in steps
+                if size <= t
+            ]
+            candidates = {
+                (i + ai, j + aj)
+                for size, ai, aj, _ in steps
+                if size <= t
+                for i, j in by_degree[t - size]
+            }
+            for i, j in candidates:
+                total = 0
+                for ai, aj, w in weights:
+                    prev = root.get((i - ai, j - aj))
+                    if prev is not None:
+                        total += w * prev
+                if total:
+                    root[(i, j)] = total
+                    by_degree[t].append((i, j))
+        return self._of(d, {key: h * (scale[d] // scale[sum(key)]) for key, h in root.items()}, scale[d])
 
     def inverse(self) -> "BiSeries":
         c0 = self.coeff(0, 0)
         if c0 == 0:
             raise ValueError("inverse needs a nonzero constant term")
-        v = BiSeries(self.degree, {(0, 0): 1 / c0})
-        for _ in range(max(1, ceil(log2(self.degree + 1)))):
-            v = v * (2 - self * v)
+        # Newton steps v <- v - v (s v - 1) at working degrees 1, 3, 7, ...:
+        # a v exact to degree e is exact to 2e + 1 after one step, and s v - 1
+        # has no terms below degree e + 1, so the second product is short
+        v = BiSeries(0, {(0, 0): 1 / c0})
+        while v.degree < self.degree:
+            d = min(2 * v.degree + 1, self.degree)
+            v = v._truncated(d)
+            v = v - v * (self._truncated(d) * v - 1)
         return v
 
 
@@ -231,7 +275,9 @@ def rect_pair_powers(k_max: int, degree: int) -> list[BiSeries]:
 def rect_pair_power(k: int, degree: int) -> BiSeries:
     """(k+1)-th power of the base series; its (x^n y^r) coefficient counts
     ordered pairs with exactly k interior meetings."""
-    return rect_pair_powers(k, degree)[k]
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return rect_pair_base(degree).pow(k + 1)
 
 
 def narayana_base(degree: int) -> BiSeries:

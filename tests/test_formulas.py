@@ -19,6 +19,9 @@ Core claims:
       and same-endpoint forms equal the factorial expressions kept below;
       the cached central binomial they read is bounded and changes no value,
       and its prime factorisation equals math.comb(2n, n)
+    - the row-stepped free-pair, same-endpoint count and meeting-probability
+      forms equal a plain-comb reference under any query order: k ascending,
+      descending, repeated or random, rows in turn or interleaved
     - the ratio-stepped sums equal the one-binom-per-factor references kept
       below: both rectangle forms on every instance with n <= 30 and on a
       sparse grid at n = 100 and 301, the two-endpoint expression under
@@ -31,10 +34,12 @@ Core claims:
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, zip_longest
 from math import comb, factorial, perm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathpairs import formulas, oracle, verify
 
@@ -403,6 +408,48 @@ def test_central_binomial_cache_is_bounded_and_changes_nothing():
     assert formulas._central_binomial.cache_info().misses == 3
     warm = [formulas.same_endpoint_meet_prob(n, k) for n in (1, 7, 1010) for k in range(n)]
     assert cold == warm
+
+
+_ROW_FUNCTIONS = ("same_endpoint_meet_prob", "same_endpoint_pair_count", "free_pair_count")
+
+
+def _row_reference(name, n, k):
+    if name == "free_pair_count":
+        return (1 << k) * comb(2 * n - k, n)
+    count = Fraction((1 << (k + 1)) * (k + 1) * comb(2 * n - k - 2, n - 1), n)
+    return count if name == "same_endpoint_pair_count" else count / comb(2 * n, n)
+
+
+@st.composite
+def _row_query_orders(draw):
+    """Queries (function, n, k): per row, k ascending, descending, each k
+    twice, or at random; rows one after another or interleaved, with more
+    distinct n than the row memo holds."""
+    rows = []
+    for n in draw(st.lists(st.integers(1, 45), min_size=1, max_size=40)):
+        name = draw(st.sampled_from(_ROW_FUNCTIONS))
+        top = n if name == "free_pair_count" else n - 1
+        order = draw(st.sampled_from(("ascending", "descending", "repeated", "random")))
+        if order == "random":
+            ks = draw(st.lists(st.integers(0, top), min_size=1, max_size=2 * top + 2))
+        else:
+            ks = list(range(top + 1))[:: -1 if order == "descending" else 1]
+            if order == "repeated":
+                ks = [k for k in ks for _ in range(2)]
+        rows.append([(name, n, k) for k in ks])
+    if draw(st.booleans()):
+        return [q for q in chain.from_iterable(zip_longest(*rows)) if q]
+    return list(chain.from_iterable(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(queries=_row_query_orders())
+def test_row_stepped_forms_equal_comb_reference_in_any_order(queries):
+    for name, n, k in queries:
+        value = getattr(formulas, name)(n, k)
+        assert value == _row_reference(name, n, k), (name, n, k)
+        assert type(value) is (Fraction if name == "same_endpoint_meet_prob" else int)
+    assert len(formulas._ROW_MEMO) <= formulas._ROW_MEMO_SIZE
 
 
 def test_central_binomial_equals_comb():

@@ -14,9 +14,11 @@ Core claims:
     - Lagrange extraction reproduces its textbook examples and the row sums
       of the rectangle counts at rational specializations
     - the integer-numerator arithmetic equals a Fraction-dict reference on
-      random rational series of degree <= 8 under +, -, *, scalar *, pow,
-      sqrt and inverse, obeys the ring laws, hands out Fractions, and keeps
-      a canonical form: equal values give equal, equally hashed series
+      random rational series of degree <= 8 under +, -, *, scalar *, pow
+      (exponents to 9, so square-and-multiply meets multi-bit exponents),
+      sqrt and inverse (dense inputs and sparse kernel-shaped ones), obeys
+      the ring laws, hands out Fractions, and keeps a canonical form: equal
+      values give equal, equally hashed series
 """
 
 from fractions import Fraction
@@ -303,7 +305,7 @@ def _series_dicts(draw, count, constant=None):
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=_series_dicts(2), scalar=_values, m=st.integers(0, 4))
+@given(case=_series_dicts(2), scalar=_values, m=st.integers(0, 9))
 def test_ring_operations_equal_fraction_reference(case, scalar, m):
     d, (ca, cb) = case
     a, b = BiSeries(d, ca), BiSeries(d, cb)
@@ -322,13 +324,32 @@ def test_ring_operations_equal_fraction_reference(case, scalar, m):
 _nonzero = _values.filter(bool)
 
 
+@st.composite
+def _kernel_dicts(draw):
+    """Kernel-shaped input: a truncation degree <= 8, constant term 1 and
+    at most five other terms, as in every kernel a builder takes a root of."""
+    d = draw(st.integers(0, 8))
+    keys = [(i, j) for i in range(d + 1) for j in range(d + 1 - i) if i or j]
+    coeffs = draw(st.dictionaries(st.sampled_from(keys), _values, max_size=5)) if keys else {}
+    coeffs[(0, 0)] = 1
+    return d, coeffs
+
+
 @settings(max_examples=60, deadline=None)
-@given(root=_series_dicts(1, constant=st.just(1)), inv=_series_dicts(1, constant=_nonzero))
-def test_sqrt_and_inverse_equal_fraction_reference(root, inv):
+@given(
+    root=_series_dicts(1, constant=st.just(1)),
+    inv=_series_dicts(1, constant=_nonzero),
+    kernel=_kernel_dicts(),
+)
+def test_sqrt_and_inverse_equal_fraction_reference(root, inv, kernel):
     d, (coeffs,) = root
     _matches(BiSeries(d, coeffs).sqrt(), _ref_sqrt(d, _ref_clean(d, coeffs)))
     d, (coeffs,) = inv
     _matches(BiSeries(d, coeffs).inverse(), _ref_inverse(d, _ref_clean(d, coeffs)))
+    d, coeffs = kernel
+    ref = _ref_clean(d, coeffs)
+    _matches(BiSeries(d, coeffs).sqrt(), _ref_sqrt(d, ref))
+    _matches(BiSeries(d, coeffs).inverse(), _ref_inverse(d, ref))
 
 
 @settings(max_examples=60, deadline=None)
