@@ -23,13 +23,19 @@ where the two paths stand one unit apart, in one pass over both paths'
 cached vertices: the first step at which the north path's next vertex sits
 just above the south path's.
 
-Meeting points and the rectangle scan come from ``paths``: the shared
-vertices of a pair are ``paths.shared_vertices`` under
-``intersections_interior``, and ``verify_correspondence`` walks
-``paths.scan_pairs`` over ``paths.all_paths``. It keys the one-meeting set
-of the scan by canonical ``(upper, lower)`` step words and compares each
-image's ``words()`` against it, so no ``RectPair`` is built for a scanned
-one-meeting pair.
+Meeting points come from ``paths``: a ``RectPair`` finds its own once,
+when it is built, as ``paths.meeting_points`` under
+``intersections_interior``, which ANDs the two paths' vertex masks.
+``RectPair.from_words`` shares the pairs it built last, so the inverse of
+an image finds its source without building it again.
+
+``verify_correspondence`` scans no pairs of paths. It walks the nonmeeting
+sources directly, in the order of ``paths.all_paths``, and shows that the
+images exhaust the one-meeting set by counting them: they are pairwise
+distinct, each is a pair on the rectangle with exactly one interior
+meeting, and there are as many as ``paths.meeting_census`` counts
+one-meeting pairs. Outside that bit-sliced census the work grows with the
+pairs replayed, not with the square of the number of paths.
 
 Every constructed path is revalidated (endpoints, exact meeting count and
 location), and a violated postcondition raises ``paths.InvariantError`` with
@@ -45,34 +51,43 @@ group II images, which is how classification resolves that corner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations
+from operator import le
 
 from . import paths
-from .paths import EAST, NORTH, InvariantError, PathNE, PathPair, Point
+from .paths import EAST, NORTH, InvariantError, PathNE, Point
+
+# Bound on the pairs ``RectPair.from_words`` shares. The replay builds a
+# source, its images and their inverses in turn, and each inverse is that
+# source again, so a short memory serves it.
+_SHARED_PAIRS = 64
 
 NONMEETING = "nonmeeting"
 ONE_MEETING = "one-meeting"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RectPair:
     """An unordered pair of corner-to-corner paths sharing 0 or 1 interior
-    vertices; ``upper`` is the canonical (north-first) member."""
+    vertices; ``upper`` is the canonical (north-first) member. Its meeting
+    points are found once, when it is built."""
 
     upper: PathNE
     lower: PathNE
+    _meeting_points: tuple[Point, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for p in (self.upper, self.lower):
-            if p.start != (0, 0):
-                raise ValueError("rectangle pairs start at the origin")
-        if self.upper.word < self.lower.word:
+        upper, lower = self.upper, self.lower
+        if upper.start != (0, 0) or lower.start != (0, 0):
+            raise ValueError("rectangle pairs start at the origin")
+        if upper.word < lower.word:
             raise ValueError("upper must be the canonical (north-first) member; use RectPair.of")
-        if len(self._meeting_points) > 1:
-            raise ValueError(
-                f"pair shares {len(self._meeting_points)} interior vertices; only 0 or 1 allowed"
-            )
+        points = paths.meeting_points(upper, lower, paths.intersections_interior)
+        if len(points) > 1:
+            raise ValueError(f"pair shares {len(points)} interior vertices; only 0 or 1 allowed")
+        object.__setattr__(self, "_meeting_points", points)
 
     @classmethod
     def of(cls, a: PathNE, b: PathNE) -> "RectPair":
@@ -81,11 +96,9 @@ class RectPair:
 
     @classmethod
     def from_words(cls, a: str, b: str) -> "RectPair":
-        return cls.of(PathNE.from_word(a), PathNE.from_word(b))
-
-    @cached_property
-    def _meeting_points(self) -> tuple[Point, ...]:
-        return paths.shared_vertices(PathPair(self.upper, self.lower), paths.intersections_interior)
+        """The pair of these two words, given in either order; a pair built
+        lately is shared, not built again."""
+        return _shared_pair(cls, a, b) if a >= b else _shared_pair(cls, b, a)
 
     @property
     def kind(self) -> str:
@@ -103,6 +116,12 @@ class RectPair:
         return (self.upper.word, self.lower.word)
 
 
+@lru_cache(maxsize=_SHARED_PAIRS)
+def _shared_pair(cls, upper: str, lower: str) -> RectPair:
+    # an invalid pair raises on every call: lru_cache keeps no exceptions
+    return cls(PathNE.from_word(upper), PathNE.from_word(lower))
+
+
 @dataclass(frozen=True)
 class GroupTag:
     """Which group a one-meeting pair belongs to; ``north_throughout`` is
@@ -116,6 +135,11 @@ class GroupTag:
             raise ValueError(f"unknown group {self.group!r}")
         if (self.group == "III") != (self.north_throughout is not None):
             raise ValueError("north_throughout is set exactly for group III")
+
+
+# remove_meeting hands out these shared tags rather than building new ones
+_TAG_I, _TAG_II = GroupTag("I"), GroupTag("II")
+_TAG_III = {aligned: GroupTag("III", north_throughout=aligned) for aligned in (True, False)}
 
 
 def _drop_first_north(word: str) -> str:
@@ -168,14 +192,15 @@ def insert_meeting(pair: RectPair) -> tuple[RectPair, RectPair]:
 def _insert(pair: RectPair) -> tuple[str, RectPair, RectPair]:
     """``insert_meeting`` with the construction case ("A", "B" or "C") it
     took, ahead of the two images."""
-    if pair.kind != NONMEETING:
+    if pair._meeting_points:
         raise ValueError("insert_meeting needs a nonmeeting pair")
-    r, s = pair.shape
+    upper, lower = pair.upper, pair.lower
+    r, s = upper.end
     if r == 0 or s == 0:
         raise ValueError("degenerate rectangle: need r >= 1 and s >= 1")
-    up, lo = pair.words()
+    up, lo = upper.word, lower.word
 
-    north, south = pair.upper.vertices, pair.lower.vertices
+    north, south = upper.vertices, lower.vertices
     for t0 in range(1, r + s - 1):
         x0, y0 = south[t0]
         if 0 < x0 < r and north[t0 + 1] == (x0, y0 + 1):
@@ -200,11 +225,10 @@ def _insert(pair: RectPair) -> tuple[str, RectPair, RectPair]:
     return "C", first, second
 
 
-def _classify(pair: RectPair) -> tuple[str, str]:
-    """(group, role) for a one-meeting pair; role is 'primary' at the meeting
-    point named by the group and 'partner' at the mirrored corner point."""
-    r, s = pair.shape
-    point = pair.meeting_point
+def _classify(r: int, s: int, point: Point) -> tuple[str, str]:
+    """(group, role) for a one-meeting pair on the r x s rectangle meeting at
+    ``point``; role is 'primary' at the meeting point named by the group and
+    'partner' at the mirrored corner point."""
     if (r, s) == (1, 1):
         # both boundary labels coincide here; these pairs arise as group II
         return ("II", "partner") if point == (1, 0) else ("II", "primary")
@@ -220,7 +244,8 @@ def _classify(pair: RectPair) -> tuple[str, str]:
 
 
 def _north_throughout(a: PathNE, b: PathNE) -> bool:
-    return all(va[1] >= vb[1] for va, vb in zip(a.vertices, b.vertices))
+    # vertices at one step share x + y, so (x, y) order puts the north one first
+    return all(map(le, a.vertices, b.vertices))
 
 
 def remove_meeting(pair: RectPair) -> tuple[RectPair, GroupTag]:
@@ -231,11 +256,12 @@ def remove_meeting(pair: RectPair) -> tuple[RectPair, GroupTag]:
     re-lifts the doubled N edge, and group III removes the inserted N edge
     from the aligned member after un-swapping a crossed one.
     """
-    if pair.kind != ONE_MEETING:
+    if len(pair._meeting_points) != 1:
         raise ValueError("remove_meeting needs a pair with exactly one meeting")
-    r, s = pair.shape
-    group, role = _classify(pair)
-    up, lo = pair.words()
+    (point,) = pair._meeting_points
+    r, s = pair.upper.end
+    group, role = _classify(r, s, point)
+    up, lo = pair.upper.word, pair.lower.word
 
     if group == "I":
         if role == "partner":
@@ -249,7 +275,7 @@ def remove_meeting(pair: RectPair) -> tuple[RectPair, GroupTag]:
         if modified[:2] != EAST + NORTH:
             raise InvariantError(f"group I pair lacks the E,N corner at (1, 0): {pair.words()}")
         source = RectPair.from_words(NORTH + EAST + modified[2:], other)
-        tag = GroupTag("I")
+        tag = _TAG_I
     elif group == "II":
         if role == "partner":
             # meeting at (r, s-1): the modified member arrives there by an E step
@@ -264,9 +290,9 @@ def remove_meeting(pair: RectPair) -> tuple[RectPair, GroupTag]:
             if modified[0] != NORTH:
                 raise InvariantError(f"group II pair lacks the leading N edge: {pair.words()}")
             source = RectPair.from_words(modified[1:] + NORTH, other)
-        tag = GroupTag("II")
+        tag = _TAG_II
     else:
-        x0, y0 = pair.meeting_point
+        x0, y0 = point
         t0 = x0 + y0
         aligned = _north_throughout(pair.upper, pair.lower)
         if aligned:
@@ -283,12 +309,12 @@ def remove_meeting(pair: RectPair) -> tuple[RectPair, GroupTag]:
                 raise InvariantError(f"group III pair fails to align after unswap: {pair.words()}")
         if north[t0] != NORTH:
             raise InvariantError(
-                f"group III aligned member lacks the inserted N edge at {pair.meeting_point}"
+                f"group III aligned member lacks the inserted N edge at {point}"
             )
         source = RectPair.from_words(NORTH + north[:t0] + north[t0 + 1 :], south)
-        tag = GroupTag("III", north_throughout=aligned)
+        tag = _TAG_III[aligned]
 
-    if source.kind != NONMEETING:
+    if source._meeting_points:
         raise InvariantError(
             f"inverse of group {group} left meetings {source._meeting_points}: {pair.words()}"
         )
@@ -298,7 +324,7 @@ def remove_meeting(pair: RectPair) -> tuple[RectPair, GroupTag]:
 # --- exhaustive verification --------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorrespondenceRow:
     source: RectPair
     images: tuple[RectPair, RectPair]
@@ -320,44 +346,104 @@ class CorrespondenceReport:
 _EXPECTED_GROUP = {"A": "II", "B": "III", "C": "I"}
 
 
-def verify_correspondence(r: int, s: int) -> CorrespondenceReport:
-    """Replay the correspondence on every pair of the r x s rectangle.
+def _nonmeeting_words(r: int, s: int):
+    """Yield the ``(upper, lower)`` words of every nonmeeting pair on the
+    r x s rectangle, by lower word and then upper word, both ascending: the
+    order of ``paths.all_paths``.
 
-    Checks, in order: the forward map is total and lands in the one-meeting
-    set; its 2 * nonmeeting images are pairwise distinct and exhaust that
-    set; the inverse returns every image to its source with the group tag
-    the construction case dictates; and the counts stand in ratio 2 : 1.
-    Defects are reported, not raised.
+    The upper path is strictly north at every interior step, so the lower
+    one leaves the origin by E and enters (r, s) by N; its other E steps
+    are placed in combination order. Against each lower path the upper one
+    is walked step by step, E before N, keeping its x at step t inside
+    max(0, t - s) <= x <= x_lower(t) - 1. Both bounds grow by at most one
+    per step, so no branch dead-ends and the walk costs in proportion to the
+    pairs it yields, with no scan over pairs of paths."""
+    n = r + s
+    for epos in combinations(range(1, n - 1), r - 1):
+        steps = [NORTH] * n
+        steps[0] = EAST
+        for t in epos:
+            steps[t] = EAST
+        lower = "".join(steps)
+        top = [-1]  # top[t]: the largest x the upper path may have at step t
+        for step in steps:
+            top.append(top[-1] + (step == EAST))
+        stack = [(1, 0, NORTH)]
+        while stack:
+            t, x, word = stack.pop()
+            if t == n - 1:  # x == r - 1 here: the band closes on (r - 1, s)
+                yield word + EAST, lower
+                continue
+            if x >= t + 1 - s:  # pushed first, so E is walked first
+                stack.append((t + 1, x, word + NORTH))
+            if x < top[t + 1]:
+                stack.append((t + 1, x + 1, word + EAST))
+
+
+def _one_meeting_count(r: int, s: int) -> int:
+    """The unordered one-meeting pairs on the r x s rectangle, from the
+    census of ordered pairs. That census counts each pair a != b twice and
+    each a == b once; a path meets itself at all r + s - 1 interior
+    vertices, which is one vertex only on the 1 x 1 rectangle."""
+    family = paths.all_paths(r + s, r)
+    ordered = paths.meeting_census(family, family, paths.intersections_interior).get(1, 0)
+    diagonal = len(family) if r + s == 2 else 0
+    return (ordered + diagonal) // 2
+
+
+def _one_meeting_words(r: int, s: int) -> set[tuple[str, str]]:
+    """The canonical ``(upper, lower)`` words of every one-meeting pair on
+    the r x s rectangle, by a check of every pair. Only a failing replay
+    needs them, to name the pairs it missed or overshot."""
+    family = paths.all_paths(r + s, r)  # ascending words: b is the upper one
+    return {
+        (b.word, a.word)
+        for i, a in enumerate(family)
+        for b in family[i:]
+        if len(paths.meeting_points(a, b, paths.intersections_interior)) == 1
+    }
+
+
+def verify_correspondence(r: int, s: int) -> CorrespondenceReport:
+    """Replay the correspondence on every nonmeeting pair of the r x s
+    rectangle.
+
+    The sources come from ``_nonmeeting_words``, in the order of
+    ``paths.all_paths``. Checks, in order: the forward map is total; the
+    inverse returns every image to its source with the group tag the
+    construction case dictates; the 2 * nonmeeting images are pairwise
+    distinct and exhaust the one-meeting set; and the counts stand in ratio
+    2 : 1. Exhaustion needs no list of that set: each image is checked to be
+    an r x s pair with exactly one interior meeting, and the number of
+    distinct images is compared with the one-meeting count that
+    ``paths.meeting_census`` tallies. Only when that fails is the set listed,
+    to name the pairs outside it or never hit. Defects are reported, not
+    raised.
     """
     if r < 1 or s < 1:
         raise ValueError("need r >= 1 and s >= 1")
-    nonmeeting: list[RectPair] = []
-    one_meeting: set[tuple[str, str]] = set()  # canonical (upper, lower) words
-    scan = paths.scan_pairs(paths.all_paths(r + s, r), paths.intersections_interior)
-    for a, b, hits in scan:
-        if hits == 0 and a != b:
-            nonmeeting.append(RectPair.of(a, b))
-        elif hits == 1:
-            wa, wb = a.word, b.word
-            one_meeting.add((wa, wb) if wa >= wb else (wb, wa))
-
     failures: list[str] = []
     rows: list[CorrespondenceRow] = []
     images: list[tuple[str, str]] = []
-    for source in nonmeeting:
+    sources = 0
+    inside = True  # every image so far is an r x s pair with one interior meeting
+    for words in _nonmeeting_words(r, s):
+        sources += 1
         try:
+            source = RectPair.from_words(*words)
             case, first, second = _insert(source)
         except (ValueError, RuntimeError) as exc:
-            failures.append(f"forward map failed on {source.words()}: {exc}")
+            failures.append(f"forward map failed on {words}: {exc}")
             continue
         tags = []
         for image in (first, second):
             images.append(image.words())
+            inside = inside and len(image._meeting_points) == 1 and image.upper.end == (r, s)
             try:
                 back, tag = remove_meeting(image)
             except (ValueError, RuntimeError) as exc:
                 failures.append(f"inverse failed on image {image.words()}: {exc}")
-                tags.append(GroupTag("III", north_throughout=False))
+                tags.append(_TAG_III[False])
                 continue
             tags.append(tag)
             if back != source:
@@ -371,24 +457,28 @@ def verify_correspondence(r: int, s: int) -> CorrespondenceReport:
         if len(tags) == 2:
             rows.append(CorrespondenceRow(source, (first, second), case, tuple(tags)))
 
-    if len(set(images)) != len(images):
+    hit = set(images)
+    if len(hit) != len(images):
         failures.append("images are not pairwise distinct")
-    extra = set(images) - one_meeting
-    missing = one_meeting - set(images)
-    if extra:
-        failures.append(f"images outside the one-meeting set: {sorted(extra)}")
-    if missing:
-        failures.append(f"one-meeting pairs never hit: {sorted(missing)}")
-    if len(one_meeting) != 2 * len(nonmeeting):
+    one_meeting_count = _one_meeting_count(r, s)
+    if not inside or len(hit) != one_meeting_count:
+        one_meeting = _one_meeting_words(r, s)
+        extra = hit - one_meeting
+        missing = one_meeting - hit
+        if extra:
+            failures.append(f"images outside the one-meeting set: {sorted(extra)}")
+        if missing:
+            failures.append(f"one-meeting pairs never hit: {sorted(missing)}")
+    if one_meeting_count != 2 * sources:
         failures.append(
-            f"counts {len(one_meeting)} != 2 * {len(nonmeeting)}"
+            f"counts {one_meeting_count} != 2 * {sources}"
         )
 
     return CorrespondenceReport(
         r=r,
         s=s,
-        nonmeeting_count=len(nonmeeting),
-        one_meeting_count=len(one_meeting),
+        nonmeeting_count=sources,
+        one_meeting_count=one_meeting_count,
         passed=not failures,
         failures=tuple(failures),
         rows=tuple(rows),

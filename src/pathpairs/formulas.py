@@ -23,7 +23,8 @@ terms the vanishing convention drops, and no divisor is zero.
 The one-binomial row forms (free-pair counts, same-endpoint counts and
 meeting probabilities) step across calls instead: ``_row_binomial`` keeps
 the last value of each binomial row, so a sweep over k at one n pays one
-``comb`` and then one small-int step per k.
+``comb`` and then one small-int step per k. The meeting probability keeps
+its own last reduced value and steps that by a small ratio.
 
 Binomials follow the factorial convention used throughout: a term whose
 denominator would contain the factorial of a negative integer vanishes.
@@ -331,19 +332,39 @@ def same_endpoint_pair_count(n: int, k: int) -> int:
     )
 
 
+# The last meeting probability asked for, as (n, k, p) with p reduced.
+_MEET_MEMO: tuple[int, int, Fraction] = (0, 0, Fraction(0))
+
+
 def same_endpoint_meet_prob(n: int, k: int) -> Fraction:
     """Probability that a uniform same-endpoint pair has k interior meetings:
 
         2^(k+1) (k+1) (2n-k-2)! n! / ((n-k-1)! (2n)!)
             = 2^(k+1) (k+1) C(2n-k-2, n-1) / (n C(2n, n))
 
-    The binomial steps in k as in ``same_endpoint_pair_count``.
+    Next to the last (n, k) asked for, the reduced value is stepped by
+
+        p(n, k+1) / p(n, k) = 2 (k+2) (n-k-1) / ((k+1) (2n-k-2)),
+
+    in either direction, so a sweep over k reduces each value against a
+    small ratio, not a long numerator against C(2n, n) by a full gcd. Any
+    other (n, k) is built from the formula. A reduced fraction is unique,
+    so the value never depends on what was asked before.
     """
+    global _MEET_MEMO
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
-    return Fraction((1 << (k + 1)) * (k + 1) * _row_binomial(2 * n - k - 2, n - 1), n * _central_binomial(n))
+    last_n, last_k, p = _MEET_MEMO
+    if last_n != n or abs(k - last_k) > 1:
+        p = Fraction((1 << (k + 1)) * (k + 1) * _row_binomial(2 * n - k - 2, n - 1), n * _central_binomial(n))
+    elif k == last_k + 1:
+        p *= Fraction(2 * (k + 1) * (n - k), k * (2 * n - k - 1))
+    elif k == last_k - 1:
+        p *= Fraction((k + 1) * (2 * n - k - 2), 2 * (k + 2) * (n - k - 1))
+    _MEET_MEMO = (n, k, p)
+    return p
 
 
 def meet_prob_or_zero(n: int, k: int) -> Fraction:

@@ -19,19 +19,21 @@ caller can silently use the wrong one:
 This module is the only place that knows a convention's window. The
 enumeration oracle and the 2-to-1 correspondence pass the convention
 operation itself to ``meeting_census`` (a tally over a whole family of
-pairs), ``scan_pairs`` (the unordered pairs of one family, with their
-counts) or ``shared_vertices`` (the meeting points of one pair); each
-resolves the window and checks the precondition once per call, not once per
-pair. ``meeting_census`` is bit-sliced: each pair is counted exactly, in
+pairs), ``shared_vertices`` (the meeting points of one ``PathPair``) or
+``meeting_points`` (the same for two paths, without building the pair).
+``meeting_census`` resolves the window and checks the precondition once per
+call, not once per pair, and is bit-sliced: each pair is counted exactly, in
 its own bit lane of big-int bit planes, so one integer operation advances
-the counts of a left path against every right path at once.
-``scan_pairs`` keeps one int mask of vertices per path and counts a pair's
-shared vertices as the set bits of an AND. ``all_paths`` is the one
+the counts of a left path against every right path at once. The per-pair
+forms read each path's ``vertex_mask``, one int with a bit per vertex keyed
+from the path's start, so a pair's shared vertices are the set bits of the
+AND of its two masks, inside the window. ``all_paths`` is the one
 enumerator, in the fixed order of the E-step positions as combinations.
 
 Paths built by ``PathNE.from_word`` are shared: equal words from the same
-start give one ``PathNE`` instance, so its vertices are computed once however
-often the word is rebuilt (the 2-to-1 replay rebuilds each path many times).
+start give one ``PathNE`` instance, so its vertices and vertex mask are
+computed once however often the word is rebuilt (the 2-to-1 replay rebuilds
+each path many times).
 
 All values are immutable and all operations are pure functions.
 ``InvariantError`` is what a route raises when one of its own
@@ -109,6 +111,19 @@ class PathNE:
         x, y = self.start
         east = self.steps.count(EAST)
         return (x + east, y + len(self.steps) - east)
+
+    @cached_property
+    def vertex_mask(self) -> int:
+        """The vertices as one int: vertex (x, y) of a path from (x0, y0) is
+        bit (x - x0) * (n + 1) + (y - y0). A path's y values span at most n,
+        so the bits of distinct vertices differ, the start is bit 0, and
+        increasing bit order is (x, y) order, which along a monotone path is
+        step order."""
+        side, bit, mask = self.n + 1, 0, 1
+        for s in self.steps:
+            bit += side if s == EAST else 1
+            mask |= 1 << bit
+        return mask
 
     def column_heights(self, x: int) -> tuple[int, ...]:
         """All y with (x, y) on the path, in increasing order."""
@@ -201,19 +216,34 @@ def _window(convention, paths) -> slice:
 
 def shared_vertices(pair: PathPair, convention) -> tuple[Point, ...]:
     """The vertices ``pair`` shares under ``convention``, in step order."""
-    window = _window(convention, (pair.first, pair.second))
-    return tuple(a for a, b in zip(pair.first.vertices[window], pair.second.vertices[window]) if a == b)
+    return meeting_points(pair.first, pair.second, convention)
 
 
-def _vertex_keys(paths, window: slice) -> list[int]:
-    """Each path's vertices inside ``window`` as one int mask. The y values
-    of a same-start, n-step family span at most n, so bit
-    (x - x0) * (n + 1) + (y - y0), taken from the family's start (x0, y0),
-    tells vertices apart with nonnegative shifts, and the vertices two paths
-    share are the set bits of the AND of their masks."""
-    x0, y0 = paths[0].start
-    side = paths[0].n + 1
-    return [sum(1 << (x - x0) * side + y - y0 for x, y in p.vertices[window]) for p in paths]
+def meeting_points(a: PathNE, b: PathNE, convention) -> tuple[Point, ...]:
+    """``shared_vertices(PathPair(a, b), convention)`` without building the
+    pair: the set bits of ``a.vertex_mask & b.vertex_mask`` inside the
+    window, decoded in bit order.
+
+    Two paths with one start and one end are a valid interior pair, which
+    settles the common case in two comparisons; any other pair goes through
+    ``_window``, which checks it as a family of two and raises the pair's
+    message."""
+    if convention is intersections_interior and a.start == b.start and a.end == b.end:
+        interior = True
+    else:
+        interior = _window(convention, (a, b)).stop == len(a.steps)
+    common = a.vertex_mask & b.vertex_mask & ~1  # no window counts the start, bit 0
+    if interior:  # ... and the interior one leaves out the common end, the top bit
+        common &= ~(1 << a.vertex_mask.bit_length() - 1)
+    side = len(a.steps) + 1
+    x0, y0 = a.start
+    out = []
+    while common:
+        low = common & -common
+        x, y = divmod(low.bit_length() - 1, side)
+        out.append((x0 + x, y0 + y))
+        common ^= low
+    return tuple(out)
 
 
 def meeting_census(left, right, convention) -> dict[int, int]:
@@ -254,11 +284,3 @@ def meeting_census(left, right, convention) -> dict[int, int]:
             tally[k] += group.bit_count()
     return {k: count for k, count in enumerate(tally) if count}
 
-
-def scan_pairs(paths, convention):
-    """Yield ``(a, b, k)`` for every pair ``a = paths[i]``, ``b = paths[j]``
-    with i <= j, in scan order, where k is ``convention(PathPair(a, b))``."""
-    keys = _vertex_keys(paths, _window(convention, paths))
-    for i, a in enumerate(keys):
-        for j in range(i, len(keys)):
-            yield paths[i], paths[j], (a & keys[j]).bit_count()

@@ -9,7 +9,11 @@ Core claims:
       when their doubled edge is peeled off
     - exhaustive replay passes on small rectangles with the documented counts,
       and reports a forward map that repeats an image or leaves the
-      one-meeting set
+      one-meeting set; a passing replay never lists that set
+    - the direct source walk yields exactly the nonmeeting pairs, in the
+      order of ``paths.all_paths``, and as many as the Lindstrom-Gessel-Viennot
+      determinant and the Narayana number give on every rectangle with
+      r + s <= 12
     - on random rectangles with r + s <= 16, the forward map takes the case
       and meeting points that the first gap-1 column, read from column
       heights, dictates, and the inverse returns both images of a random
@@ -17,11 +21,13 @@ Core claims:
     - degenerate and ill-typed inputs are rejected
 """
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathpairs import bijection
+from pathpairs import bijection, formulas, paths
 from pathpairs.bijection import (
     GroupTag,
     RectPair,
@@ -211,6 +217,37 @@ def test_verify_reports_an_image_outside_the_one_meeting_set(monkeypatch):
     outside = [f for f in report.failures if f.startswith("images outside the one-meeting set")]
     sources = [("NENE", "EENN"), ("NNEE", "EENN"), ("NNEE", "ENEN")]
     assert outside == [f"images outside the one-meeting set: {sources}"]
+
+
+def test_passing_replay_never_lists_the_one_meeting_set(monkeypatch):
+    def refuse(r, s):
+        raise AssertionError("listed the one-meeting set")
+
+    monkeypatch.setattr(bijection, "_one_meeting_words", refuse)
+    for r, s in ((1, 1), (1, 4), (3, 3), (4, 2)):
+        assert verify_correspondence(r, s).passed
+
+
+def test_source_walk_yields_the_nonmeeting_pairs_in_path_order():
+    for total in range(2, 9):
+        for r in range(1, total):
+            ps = paths.all_paths(total, r)
+            scanned = [
+                (b.word, a.word)
+                for i, a in enumerate(ps)
+                for b in ps[i + 1 :]
+                if not paths.meeting_points(a, b, paths.intersections_interior)
+            ]
+            assert list(bijection._nonmeeting_words(r, total - r)) == scanned, (r, total - r)
+
+
+def test_source_walk_counts_the_lgv_determinant_and_the_narayana_number():
+    for n in range(2, 13):
+        for r in range(1, n):
+            s = n - r
+            walked = sum(1 for _ in bijection._nonmeeting_words(r, s))
+            lgv = comb(n - 2, r - 1) * comb(n - 2, s - 1) - comb(n - 2, r) * comb(n - 2, s)
+            assert walked == lgv == formulas.narayana(n, r), (r, s)
 
 
 def test_verify_rejects_degenerate():

@@ -24,6 +24,8 @@ Core claims:
       exactly the commands in the table
     - a golden set of invocations keeps its exit code, stdout bytes and
       stderr text exactly
+    - the correspondence table of every rectangle with r + s <= 10 keeps its
+      stdout bytes, rows in the order the enumerated pairs come in
 """
 
 import hashlib
@@ -262,6 +264,67 @@ def test_bijection_correspondence_table(capsys):
     assert record["nonmeeting"] == 3 and record["one_meeting"] == 6
     record = run_json(capsys, "bijection", "--r", "1", "--s", "1")
     assert record["nonmeeting"] == 1 and record["one_meeting"] == 2
+
+
+# SHA-256 of `bijection --r R --s S` stdout, taken when the replay still
+# scanned every pair of paths; the direct source walk must print the same.
+BIJECTION_STDOUT = {
+    (1, 1): "6e973fbc4ae5757abee574f503b893a426321623793b5a5b47e3a259270a3d2f",
+    (1, 2): "4b5042cf1ef5617f9671a50075eaccf0d19502e29075220b48fe529ec10b7204",
+    (2, 1): "87e9e5ab9e0b2702bbea700835dfd0b86a7b65194e29c423cd8ed39f407f6d0f",
+    (1, 3): "bc83d37de4e151d60c82eaad88c0adc9635dda7b44cc4ac43555b04c858865b8",
+    (2, 2): "e6310020b35aeb050f848b71e04fa83b76a4a9b539fcdba9955f92ba3209125e",
+    (3, 1): "f01810327baeee33525deb691dcfdd72d370c351c139c5bc3597f4cb01f64c91",
+    (1, 4): "f0ddd7283530f98f06486e65e1a083ca71391ea477c31245af2ba6c83bce8e70",
+    (2, 3): "da51cfd01ebcca5435575a201e0537b4e1a790fa90474dbb5a5b2b541f256db7",
+    (3, 2): "e9438c436243f7ac12c2caa26db59f6395a6d5cdf7504e73358098673d3ba087",
+    (4, 1): "7c44fee1398024f9d3dc98140265952daf923ccb4f7947690774c22f03ffb819",
+    (1, 5): "04cba9cd7eaa535f3c3e046cf51c6708f989f2b136ff052404ef731d72dbe452",
+    (2, 4): "bf4adea9d3ffdb01f5f15e18851c5a2e0cc2c3286df3683166873af73e08ce1d",
+    (3, 3): "a167cbf624cfa18dfaf032fc925642ab0d9ce285b583518dcbedb306cb4e8284",
+    (4, 2): "be99ebec0752276d8118cd5724afae3111c33de32e2f69b1bba48913e445fdd8",
+    (5, 1): "7e2d1bcbc15768b2f8ce949cb91c0bd1483fe4c64e0518603129691529c03acc",
+    (1, 6): "3fd318c6315a794a0839feb453e6c06e4e8ba67cb1cf45fe577c6e3a0948d757",
+    (2, 5): "e70076952c154579a70ac03be1df9169085ed5a986651afffdde37b5df16f9ea",
+    (3, 4): "9e63011fa3201ab60b37e139035a438e4b99859f3c80e7978d14b757543ee278",
+    (4, 3): "7e82b8ae6b5998fd9bdac57b34f1ea1f2121c2b4f30b84ce453dddebc5335faf",
+    (5, 2): "f01ed16e2e00d0c53c7f2df7a0777f561f99b48723f28a71ce55accc6160ce98",
+    (6, 1): "526b594619012d7a48bf1a26deaa385a745335a97ae80baaad2efebacefe8d59",
+    (1, 7): "5dc7cb86fe4b8a2de33fe0b9cfb32c7b045643a7c7f434a5675ff97a059e1d01",
+    (2, 6): "b03d0770a5b719ef9a60cb909a9baed164c42ed2eafc7e5a3738453108a07de4",
+    (3, 5): "b6ee7e8dcea243255a576fed73eda4fe6a973b9bb09f1f95af7dc558c3737554",
+    (4, 4): "287a3d91cb4ff00eb6d60d0b14137d81befb95056c09712907d7a0b792bc22dc",
+    (5, 3): "33c39a2f53799eebcee756eea3ac90aed6dcfcb4d7e05c56e4ee7e7393d8a5bb",
+    (6, 2): "d5748e6bda1bc754e9a9fe2a4c9f721312bb5ecf25f02c852cc85bf72b55d386",
+    (7, 1): "6a47eef5a7fcc2cb97b2290a2c4816dbe8a958019d9498a08036e4489e70c10a",
+    (1, 8): "0a91665ae7118934e34556550a4f74d05df945bcb655cbb5f13dd44182dee205",
+    (2, 7): "a75ec6ad922ab11bab5baf123130ac93229ccc431f359b9c37771cc774f86b65",
+    (3, 6): "374c19b6282065edb11cf9cce2b6903dfd9fac5981be92c0bb2bf8cf91f91871",
+    (4, 5): "97107caa37325898c17595b7e15a291368b4adc2f1a3d2f34312b8241ac47b98",
+    (5, 4): "8d24cc4e55353292de75fee183ec7081f93c3f2f7e624aa74e31f249158e1c2e",
+    (6, 3): "f6f8f23c70dc71988002d5e3cee26743bd0930a5b568f6db7dc01bec88fbbdad",
+    (7, 2): "8130f5716da063ac700092e5df3fee8541d10b3459e933b69ba8d37f7c850f79",
+    (8, 1): "8808a369d5cdca69dcef99be4e48885b78990a6cf6d8c3e61e1a6539b5f50949",
+    (1, 9): "4855754ca4967a141513a90d43005f479bfa85f15f413143aedc24781ea4dd3a",
+    (2, 8): "c7f57fa7877899676599da527f2a263e0db875a0a7796002768359e09a14d621",
+    (3, 7): "ad2fb1289a9950a2930e5d9a59b83e7f62e5b84e5d6dc2e971531993c47995ee",
+    (4, 6): "62a7970888b1d8e3306d810e052aa00660e65c99f07f046076fc4fd3752070ad",
+    (5, 5): "f10b0ba04c9c5afab7596a1b94e6c3f7933c9d937f088de1b463de1c1b8bdea7",
+    (6, 4): "a5261bfdbf83f6ab33203d7940688d3aaaec056bd255bbcddf712c79354cbf89",
+    (7, 3): "bea1ea8da6639894c3195676eaf7ca2a5f06ef7e5c401be59e824a7668dd9be1",
+    (8, 2): "1e855f16b8c3195408571e37b3f1096a924efe79496affae97cb9929aa84c22a",
+    (9, 1): "371406b2cd9b18ef5bd0cd548e5c26abbc2e93cc5f243c98c00486d8f6a55548",
+}
+
+
+def test_bijection_stdout_is_pinned_on_small_rectangles(capsys):
+    assert set(BIJECTION_STDOUT) == {(r, t - r) for t in range(2, 11) for r in range(1, t)}
+    got = {}
+    for r, s in BIJECTION_STDOUT:
+        code, out, err = run(capsys, "bijection", "--r", str(r), "--s", str(s))
+        assert (code, err) == (0, ""), (r, s)
+        got[r, s] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == BIJECTION_STDOUT
 
 
 def test_verify_all_smoke(capsys):

@@ -21,7 +21,10 @@ Core claims:
       and its prime factorisation equals math.comb(2n, n)
     - the row-stepped free-pair, same-endpoint count and meeting-probability
       forms equal a plain-comb reference under any query order: k ascending,
-      descending, repeated or random, rows in turn or interleaved
+      descending, repeated or random, rows in turn or interleaved; the
+      meeting probability, stepped as a reduced fraction, equals the
+      same-endpoint count over C(2n, n) at every n < 60, swept forward,
+      backward and shuffled
     - the ratio-stepped sums equal the one-binom-per-factor references kept
       below: both rectangle forms on every instance with n <= 30 and on a
       sparse grid at n = 100 and 301, the two-endpoint expression under
@@ -32,6 +35,7 @@ Core claims:
     - the telescoping companion satisfies its difference identity
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, zip_longest
@@ -450,6 +454,16 @@ def test_row_stepped_forms_equal_comb_reference_in_any_order(queries):
         assert value == _row_reference(name, n, k), (name, n, k)
         assert type(value) is (Fraction if name == "same_endpoint_meet_prob" else int)
     assert len(formulas._ROW_MEMO) <= formulas._ROW_MEMO_SIZE
+
+
+def test_stepped_meet_prob_is_the_count_over_the_central_binomial_in_any_order():
+    shuffle = random.Random(16)
+    for n in range(1, 60):
+        expected = [Fraction(formulas.same_endpoint_pair_count(n, k), comb(2 * n, n)) for k in range(n)]
+        shuffled = list(range(n))
+        shuffle.shuffle(shuffled)
+        for ks in (range(n), range(n - 1, -1, -1), shuffled):
+            assert [formulas.same_endpoint_meet_prob(n, k) for k in ks] == [expected[k] for k in ks], n
 
 
 def test_central_binomial_equals_comb():

@@ -8,9 +8,9 @@ Core claims:
       exactly as documented (interior = excluding-start minus one shared end)
     - all three counts are symmetric in the pair order
     - the one enumerator lists every path once, in combination order
-    - the batch forms (census, unordered scan, meeting points) agree with the
-      per-pair operations and enforce the same preconditions, with the same
-      messages
+    - the batch and mask forms (census, meeting points from vertex masks)
+      agree with the per-pair operations and enforce the same preconditions,
+      with the same messages
     - the bit-sliced census equals the per-pair tally on random families of
       unequal sizes, across machine words, away from the origin and with
       counts that need four bit planes
@@ -33,7 +33,7 @@ from pathpairs.paths import (
     intersections_excluding_start,
     intersections_interior,
     meeting_census,
-    scan_pairs,
+    meeting_points,
     shared_vertices,
 )
 
@@ -271,25 +271,32 @@ def test_census_counts_up_to_eight_meetings():
     assert census[8] == len(walks)
 
 
-def test_scan_visits_unordered_pairs_in_order():
+def _zipped_points(a, b, convention):
+    """The shared vertices read by walking both vertex lists in step."""
+    stop = -1 if convention is intersections_interior else None
+    return tuple(u for u, v in zip(a.vertices[1:stop], b.vertices[1:stop]) if u == v)
+
+
+def test_mask_meeting_points_equal_the_vertex_walk():
     ps = all_paths(4, 2)
-    scanned = list(scan_pairs(ps, intersections_interior))
-    expected = [
-        (ps[i], ps[j], intersections_interior(PathPair(ps[i], ps[j])))
-        for i in range(len(ps))
-        for j in range(i, len(ps))
-    ]
-    assert scanned == expected
+    for a in ps:
+        for b in ps:
+            for convention in CONVENTIONS:
+                expected = _zipped_points(a, b, convention)
+                assert meeting_points(a, b, convention) == expected
+                assert shared_vertices(PathPair(a, b), convention) == expected
 
 
-
-def test_scan_away_from_origin():
-    # vertex masks are keyed from the family's start, so negative
-    # coordinates shift by nonnegative amounts
+def test_mask_keys_away_from_origin():
+    # vertex masks are keyed from the path's start, so negative coordinates
+    # shift by nonnegative amounts and decode back to where they were
     ps = _shifted(5, 2, (-3, -4))
-    assert [k for _, _, k in scan_pairs(ps, intersections_interior)] == [
-        intersections_interior(PathPair(a, b)) for i, a in enumerate(ps) for b in ps[i:]
-    ]
+    assert all(p.vertex_mask.bit_count() == p.n + 1 and p.vertex_mask & 1 for p in ps)
+    for i, a in enumerate(ps):
+        for b in ps[i:]:
+            for convention in (intersections_interior, intersections_excluding_start):
+                assert meeting_points(a, b, convention) == _zipped_points(a, b, convention)
+
 
 # --- shared paths and their fast preconditions ---------------------------------
 
@@ -341,4 +348,4 @@ def test_batch_forms_keep_the_pair_messages():
         # reports those through PathPair
         _raises(message, lambda: shared_vertices(PathPair(a, b), convention))
         _raises(message, lambda: meeting_census([a], [b], convention))
-        _raises(message, lambda: list(scan_pairs([a, b], convention)))
+        _raises(message, lambda: meeting_points(a, b, convention))
