@@ -83,16 +83,11 @@ class RectPair:
         if upper.start != (0, 0) or lower.start != (0, 0):
             raise ValueError("rectangle pairs start at the origin")
         if upper.word < lower.word:
-            raise ValueError("upper must be the canonical (north-first) member; use RectPair.of")
+            raise ValueError("upper must be the canonical (north-first) member; use RectPair.from_words")
         points = paths.meeting_points(upper, lower, paths.intersections_interior)
         if len(points) > 1:
             raise ValueError(f"pair shares {len(points)} interior vertices; only 0 or 1 allowed")
         object.__setattr__(self, "_meeting_points", points)
-
-    @classmethod
-    def of(cls, a: PathNE, b: PathNE) -> "RectPair":
-        # 'N' sorts above 'E', so plain string order puts the north word first
-        return cls(a, b) if a.word >= b.word else cls(b, a)
 
     @classmethod
     def from_words(cls, a: str, b: str) -> "RectPair":

@@ -33,9 +33,9 @@ separate ``binom_gen`` is the falling-factorial binomial, defined for any
 integer upper argument, which the two convolution identities in
 ``vandermonde_a``/``vandermonde_b`` need to hold without restrictions.
 
-No other route is imported here: every comparison with enumeration,
-including the table that tells the readings of the two-endpoint formula
-apart, lives in ``verify``.
+No other route is imported here, only ``paths`` for its probability
+check: every comparison with enumeration, including the table that tells
+the readings of the two-endpoint formula apart, lives in ``verify``.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import comb, factorial, isqrt, perm, prod
+
+from . import paths
 
 
 def binom(a: int, b: int) -> int:
@@ -405,13 +407,6 @@ def average_crossings_asymptote(n: int) -> float:
 # --- meeting-at-the-origin probabilities ------------------------------------
 
 
-def _probability(p) -> Fraction:
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    return p
-
-
 def barrier_meet_formula(a: int, b: int, x: int, p) -> Fraction:
     """Closed form for the constant-rate barrier walk:
 
@@ -419,7 +414,7 @@ def barrier_meet_formula(a: int, b: int, x: int, p) -> Fraction:
     """
     if a < 0 or b < 0 or x < 0:
         raise ValueError("a, b, x must be nonnegative")
-    p = _probability(p)
+    p = paths.as_probability(p)
     q = 1 - p
     total = Fraction(0)
     for t in range(x + 1):
@@ -434,7 +429,7 @@ def same_start_meet_formula(a: int, b: int, p) -> Fraction:
     """
     if a < 0 or b < 0:
         raise ValueError("a and b must be nonnegative")
-    p = _probability(p)
+    p = paths.as_probability(p)
     return 2 * binom(a + b, a) * p ** (a + 1) * (1 - p) ** (b + 1)
 
 

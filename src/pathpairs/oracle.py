@@ -21,21 +21,23 @@ the West probability at (r, s) is supplied by a rate model; a walker that
 reaches an axis is swept deterministically along it toward the origin (West
 on the x-axis, South on the y-axis). Both coordinate sums shrink by one per
 step, so the walkers stay on a common diagonal and can only meet at equal
-times; both hit the origin exactly when the diagonal runs out. Both rate
-models depend only on the level, so one *unconstrained* walker
-(``endpoint_distribution``) is placed after t steps by its number of West
-steps alone, and its DP counts West steps.
+times; both hit the origin exactly when the diagonal runs out. A walker on
+level m = r + s is therefore named by its x-coordinate r alone, and the
+pair DP keys its positions that way. Both rate models depend only on the
+level, so one *unconstrained* walker (``endpoint_distribution``) is placed
+after t steps by its number of West steps alone, and its DP counts West
+steps.
 
 The pair walk has one implementation, ``_survival_levels``. It sweeps the
-levels upward from level 1, where the one distinct pair ((0, 1), (1, 0)) has
-mass 1, and gives each ordered pair (u, l) on level m the moves-weighted sum
-of the masses of its non-meeting successor pairs on level m - 1. Neither
-x-coordinate grows, and each drops by at most 1 per step, so two walkers
-change order only by meeting: the pairs with u.r < l.r are all it needs.
-``barrier_survival_table`` keeps every pair of every level, which is what a
-suite over all configurations asks for; the single queries
-(``barrier_meet_prob``, ``same_start_meet_prob``) keep only the positions
-their own walkers can reach, and only the last level.
+levels upward from level 1, where the one pair of x's (0, 1) has mass 1,
+and gives each pair (u, l) of x's on level m the moves-weighted sum of the
+masses of its non-meeting successor pairs on level m - 1. Neither x grows,
+and each drops by at most 1 per step, so two walkers change order only by
+meeting: the pairs with u < l are all it needs. ``barrier_survival_table``
+keeps every pair of every level, which is what a suite over all
+configurations asks for; the single queries (``barrier_meet_prob``,
+``same_start_meet_prob``) keep only the x's their own walkers can reach,
+and only the last level.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ from itertools import combinations
 from math import comb, lcm
 
 from . import paths
-
-Point = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -130,13 +130,6 @@ def same_endpoint_pair_table(n: int) -> CountTable:
 # --- exact walker probabilities -------------------------------------------
 
 
-def _as_prob(p) -> Fraction:
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    return p
-
-
 @dataclass(frozen=True)
 class ConstantRate:
     """Every interior point has the same West probability."""
@@ -144,7 +137,7 @@ class ConstantRate:
     p: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _as_prob(self.p))
+        object.__setattr__(self, "p", paths.as_probability(self.p))
 
     def west(self, r: int, s: int) -> Fraction:
         return self.p
@@ -166,7 +159,7 @@ class LevelRate:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("LevelRate needs at least one value")
-        object.__setattr__(self, "values", tuple(_as_prob(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(paths.as_probability(v) for v in self.values))
 
     def west(self, r: int, s: int) -> Fraction:
         m = min(max(r + s, 1), len(self.values))
@@ -190,73 +183,59 @@ class BarrierConfig:
             raise ValueError("a, b, x must be nonnegative")
 
 
-def _move_tables(positions, rate: RateModel) -> tuple[int, dict]:
-    """One step's integer move tables for constrained walkers at ``positions``.
+def _move_tables(m: int, xs, rate: RateModel) -> tuple[int, dict[int, tuple[tuple[int, int], ...]]]:
+    """One step's integer move tables for constrained walkers at the x's
+    ``xs`` of level m >= 1: ``tables[x]`` lists ``(x', weight)`` for each x'
+    the walker at (x, m - x) reaches on level m - 1.
 
     Every weight is over the returned scale d, the lcm of the denominators
-    of the West rates the interior positions use: a West move weighs
-    p.numerator * (d // p.denominator), a South move weighs d minus that,
-    and a forced axis sweep or a stay at the origin weighs d. Zero-weight
-    moves are left out.
+    of the West rates the interior x's use: a West move (to x - 1) weighs
+    p.numerator * (d // p.denominator), a South move (x stays) weighs d
+    minus that, and the forced axis sweeps, South from x = 0 and West from
+    x = m, weigh d; those two tables are always present. Zero-weight moves
+    are left out.
     """
-    west = {pos: rate.west(*pos) for pos in positions if pos[0] and pos[1]}
+    west = {x: rate.west(x, m - x) for x in xs if 0 < x < m}
     d = lcm(*{p.denominator for p in west.values()})
-    tables = {}
-    for pos in positions:
-        r, s = pos
-        if r == 0 and s == 0:
-            tables[pos] = ((pos, d),)
-        elif s == 0:  # swept West along the x-axis
-            tables[pos] = (((r - 1, 0), d),)
-        elif r == 0:  # swept South along the y-axis
-            tables[pos] = (((0, s - 1), d),)
-        else:
-            p = west[pos]
-            w = p.numerator * (d // p.denominator)
-            moves = []
-            if w:
-                moves.append(((r - 1, s), w))
-            if w != d:
-                moves.append(((r, s - 1), d - w))
-            tables[pos] = tuple(moves)
+    tables = {0: ((0, d),), m: ((m - 1, d),)}
+    for x, p in west.items():
+        w = p.numerator * (d // p.denominator)
+        tables[x] = tuple(move for move in ((x - 1, w), (x, d - w)) if move[1])
     return d, tables
 
 
-SurvivalLevel = tuple[dict[tuple[Point, Point], int], int]
+SurvivalLevel = tuple[dict[tuple[int, int], int], int]
 
 
-def _survival_levels(rate: RateModel, top: int, start: tuple[Point, Point] | None = None):
+def _survival_levels(rate: RateModel, top: int, start: tuple[int, int] | None = None):
     """Yield ``(m, masses, den)`` for levels 1..top, where
-    ``masses[(u, l)] / den`` is the probability that walkers started at u
-    and l on level m (u.r < l.r) reach level 1 without meeting.
+    ``masses[u, l] / den`` is the probability that walkers started at the
+    x's u < l of level m, at (u, m - u) and (l, m - l), reach level 1
+    without meeting.
 
     Level m reads level m - 1 through the moves of ``_move_tables`` on its
-    own positions, drops the moves that land both walkers on one vertex, and
+    own x's, drops the moves that land both walkers on one x, and
     multiplies the running denominator by d * d. Without ``start`` every
-    ordered pair is kept. With a start pair (u0, l0) on level ``top``, level
-    m keeps for each walker only the positions r0 - (top - m) <= r <= r0 it
-    can reach from its own start; every successor of a kept position is kept
+    pair u < l is kept. With a start pair (u0, l0) of x's on level ``top``,
+    level m keeps for each walker only the x's x0 - (top - m) <= x <= x0 it
+    can reach from its own start x0; every successor of a kept x is kept
     one level down, so the lookups into level m - 1 never miss. Only the
     current and the previous level are held here.
     """
-    masses = {((0, 1), (1, 0)): 1}
+    masses = {(0, 1): 1}
     den = 1
     yield 1, masses, den
     for m in range(2, top + 1):
         if start is None:
-            positions = uppers = lowers = [(r, m - r) for r in range(m + 1)]
+            uppers = lowers = range(m + 1)
         else:
-            uppers, lowers = (
-                [(r, m - r) for r in range(max(0, r0 - (top - m)), min(r0, m) + 1)] for r0, _ in start
-            )
-            positions = {*uppers, *lowers}
-        d, moves = _move_tables(positions, rate)
+            uppers, lowers = (range(max(0, x0 - (top - m)), min(x0, m) + 1) for x0 in start)
+        d, moves = _move_tables(m, {*uppers, *lowers}, rate)
         below = masses
         masses = {}
-        l_lo = lowers[0][0]
         for u in uppers:
             upper = moves[u]
-            for l in lowers[max(0, u[0] + 1 - l_lo):]:  # the lower walker's positions right of u
+            for l in range(max(u + 1, lowers.start), lowers.stop):
                 lower = moves[l]
                 total = 0
                 for qu, wu in upper:
@@ -270,10 +249,13 @@ def _survival_levels(rate: RateModel, top: int, start: tuple[Point, Point] | Non
 
 def barrier_survival_table(rate: RateModel, top_level: int) -> dict[int, SurvivalLevel]:
     """Survival masses of every ordered start pair on levels 1..top_level,
-    from one backward sweep: ``table[m] = (masses, den)``, where
-    ``masses[(u, l)] / den`` is the probability that walkers started at u
-    and l on level m (u.r < l.r) reach level 1 without meeting, i.e.
-    ``barrier_meet_prob`` of that pair."""
+    from one backward sweep: ``table[m] = (masses, den)``.
+
+    A pair is keyed by its walkers' x-coordinates: ``masses[u, l] / den``,
+    for 0 <= u < l <= m, is the probability that walkers started at
+    (u, m - u) and (l, m - l) reach level 1 without meeting, i.e.
+    ``barrier_meet_prob`` of that pair. The configuration (a, b, x) is the
+    pair (a, a + x + 1) on level a + b + x + 1."""
     if top_level < 1:
         raise ValueError(f"top_level must be at least 1, got {top_level}")
     return {m: (masses, den) for m, masses, den in _survival_levels(rate, top_level)}
@@ -285,11 +267,12 @@ def barrier_meet_prob(config: BarrierConfig) -> Fraction:
     After a+b+x steps both walkers sit on the diagonal x + y = 1; survivors
     are at (0, 1) and (1, 0) in some order and the single remaining forced
     step lands both on the origin together. The survival mass of the start
-    pair on level a+b+x+1 is therefore exactly the wanted probability.
+    pair, the x's a and a+x+1 on level a+b+x+1, is therefore exactly the
+    wanted probability.
     """
-    u = (config.a, config.b + config.x + 1)
-    l = (config.a + config.x + 1, config.b)
-    for _, masses, den in _survival_levels(config.rate, sum(u), (u, l)):
+    a, b, x = config.a, config.b, config.x
+    u, l = a, a + x + 1
+    for _, masses, den in _survival_levels(config.rate, a + b + x + 1, (u, l)):
         pass
     return Fraction(masses[u, l], den)
 
@@ -299,22 +282,21 @@ def same_start_meet_prob(a: int, b: int, p) -> Fraction:
     after time zero is at the origin. Same sweep rules as the barrier walk.
 
     The shared start is exempt from the meeting rule, so it is filled from
-    its own moves: West to (a, b+1) and South to (a+1, b) split the walkers
-    in either order, each with the mass of that pair on level a+b+1.
+    its own moves: West to x = a and South to x = a+1 on level a+b+1 split
+    the walkers in either order, each with the mass of that pair.
     """
     if a < 0 or b < 0:
         raise ValueError("a and b must be nonnegative")
     rate = ConstantRate(p)
-    start = (a + 1, b + 1)
-    split = ((a, b + 1), (a + 1, b))
-    for _, masses, den in _survival_levels(rate, a + b + 1, split):
+    top = a + b + 1
+    for _, masses, den in _survival_levels(rate, top, (a, a + 1)):
         pass
-    d, moves = _move_tables([start], rate)
-    total = sum(wu * wl * masses[qu, ql] for (qu, wu), (ql, wl) in combinations(moves[start], 2))
+    d, moves = _move_tables(top + 1, [a + 1], rate)
+    total = sum(wu * wl * masses[qu, ql] for (qu, wu), (ql, wl) in combinations(moves[a + 1], 2))
     return Fraction(2 * total, den * d * d)
 
 
-def endpoint_distribution(start: Point, steps: int, rate: RateModel) -> tuple[dict[Point, int], int]:
+def endpoint_distribution(start: paths.Point, steps: int, rate: RateModel) -> tuple[dict[paths.Point, int], int]:
     """Where one *unconstrained* West/South walker is after exactly ``steps``
     steps, as integer masses over one denominator: the walker ends at q with
     probability ``masses[q] / den``, and the masses sum to ``den``. No axis
@@ -323,7 +305,7 @@ def endpoint_distribution(start: Point, steps: int, rate: RateModel) -> tuple[di
     return _endpoint_masses(start, steps, rate)
 
 
-def _endpoint_masses(start: Point, steps: int, rate: RateModel) -> tuple[dict[Point, int], int]:
+def _endpoint_masses(start: paths.Point, steps: int, rate: RateModel) -> tuple[dict[paths.Point, int], int]:
     """The single-walker DP behind both public single-walker functions.
     ``endpoint_probability`` calls it rather than ``endpoint_distribution``
     so that a trace wrapping the public functions counts one walker call
@@ -347,7 +329,7 @@ def _endpoint_masses(start: Point, steps: int, rate: RateModel) -> tuple[dict[Po
     return {(r - w, s - steps + w): mass for w, mass in enumerate(masses) if mass}, den
 
 
-def endpoint_probability(start: Point, steps: int, targets, rate: RateModel) -> Fraction:
+def endpoint_probability(start: paths.Point, steps: int, targets, rate: RateModel) -> Fraction:
     """Probability that one *unconstrained* West/South walker is in ``targets``
     after exactly ``steps`` steps. No axis rules; coordinates may go negative."""
     masses, den = _endpoint_masses(start, steps, rate)

@@ -37,12 +37,14 @@ each path many times).
 
 All values are immutable and all operations are pure functions.
 ``InvariantError`` is what a route raises when one of its own
-postconditions fails.
+postconditions fails, and ``as_probability`` is the one check the routes
+apply to a probability argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 
@@ -62,6 +64,15 @@ class InvariantError(RuntimeError):
     """A route broke one of its own postconditions: the program is wrong,
     not its input. Defined here so every route can raise it without
     importing another route."""
+
+
+def as_probability(p) -> Fraction:
+    """``p`` as an exact Fraction, checked to lie in [0, 1]. Shared here so
+    every route rejects a bad probability with the same message."""
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError(f"probability {p} outside [0, 1]")
+    return p
 
 
 @dataclass(frozen=True)

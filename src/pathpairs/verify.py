@@ -446,10 +446,11 @@ _PROBS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
 
 def _pair_walk(table: dict, config: oracle.BarrierConfig) -> Fraction:
     """The pair-walk probability of ``config``, read off its rate's
-    ``oracle.barrier_survival_table``."""
+    ``oracle.barrier_survival_table``: the walkers' x's a and a+x+1 on
+    level a+b+x+1."""
     a, b, x = config.a, config.b, config.x
     masses, den = table[a + b + x + 1]
-    return Fraction(masses[(a, b + x + 1), (a + x + 1, b)], den)
+    return Fraction(masses[a, a + x + 1], den)
 
 
 def check_barrier(n_max: int | None = None, seed: int = 20114) -> CheckReport:

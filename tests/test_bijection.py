@@ -51,6 +51,8 @@ def test_rect_pair_canonical_order_and_kind():
     meeting = rp("EN", "EN")
     assert meeting.kind == bijection.ONE_MEETING
     assert meeting.meeting_point == (1, 0)
+    with pytest.raises(ValueError, match="use RectPair.from_words$"):
+        RectPair(PathNE.from_word("EN"), PathNE.from_word("NE"))
 
 
 def test_rect_pair_rejects_two_meetings():

@@ -10,9 +10,10 @@ Core claims:
       the documented degenerate cases
     - the integer-mass walker DPs equal a Fraction-mass reference DP exactly,
       and a single walker's endpoint masses sum to their denominator
-    - the backward survival table holds every ordered start pair of every
-      level, equals the reference DP on each, and equals the sweep limited to
-      one start pair on every small barrier configuration
+    - the pair DP names each walker by its x on the level; the backward
+      survival table holds every pair u < l of x's of every level, equals
+      the reference DP on each, and equals the sweep limited to one start
+      pair on every small barrier configuration
     - the limited sweep equals the closed forms and the single-walker
       reduction at levels past 30
     - preconditions (ranges, probability bounds) are enforced
@@ -176,6 +177,22 @@ def test_level_rate_reuses_last_value():
     assert rate.west(1, 0) == Fraction(1, 3)  # level 1
 
 
+def test_move_tables_name_each_successor_by_its_x():
+    """On level m a walker at x goes West to x - 1 or South to x, the axis
+    x's 0 and m are swept South and West, and zero-weight moves are left
+    out; the scale is the lcm of the interior rates' denominators."""
+    rate = oracle.LevelRate((Fraction(1, 3), Fraction(1), Fraction(0), Fraction(1, 4)))
+    d, moves = oracle._move_tables(4, range(5), rate)
+    assert d == 4
+    assert moves == {0: ((0, 4),), 1: ((0, 1), (1, 3)), 2: ((1, 1), (2, 3)), 3: ((2, 1), (3, 3)), 4: ((3, 4),)}
+    d, moves = oracle._move_tables(3, [1, 2], rate)
+    assert (d, moves[1], moves[2]) == (1, ((1, 1),), ((2, 1),))
+    d, moves = oracle._move_tables(2, [1], rate)
+    assert (d, moves[1]) == (1, ((0, 1),))
+    d, moves = oracle._move_tables(5, [0, 5], rate)
+    assert (d, moves[0], moves[5]) == (1, ((0, 1),), ((4, 1),))
+
+
 def test_same_start_one_step_split():
     for p in (Fraction(1, 2), Fraction(1, 5), Fraction(3, 4)):
         assert oracle.same_start_meet_prob(0, 0, p) == 2 * p * (1 - p)
@@ -308,8 +325,12 @@ def test_single_walker_equals_fraction_reference(start, steps, west_steps, rate)
 
 
 def _ordered_pairs(m):
-    level = [(r, m - r) for r in range(m + 1)]
-    return {(u, l) for i, u in enumerate(level) for l in level[i + 1:]}
+    return {(u, l) for u in range(m + 1) for l in range(u + 1, m + 1)}
+
+
+def _point(m, x):
+    """The vertex of level m whose x-coordinate is x."""
+    return (x, m - x)
 
 
 @settings(max_examples=80, deadline=None)
@@ -325,7 +346,8 @@ def test_survival_table_equals_fraction_reference(top_level, rate):
         assert isinstance(den, int) and den > 0
         for (u, l), mass in masses.items():
             assert isinstance(mass, int) and 0 <= mass <= den
-            assert Fraction(mass, den) == _reference_surviving_mass(u, l, rate, m - 1), (m, u, l)
+            want = _reference_surviving_mass(_point(m, u), _point(m, l), rate, m - 1)
+            assert Fraction(mass, den) == want, (m, u, l)
 
 
 # the constant rates of the walker suites, and two level tables
@@ -345,8 +367,10 @@ def test_survival_table_equals_forward_dp_on_small_configs(rate):
     for a in range(7):
         for b in range(7 - a):
             for x in range(7 - a - b):
-                masses, den = table[a + b + x + 1]
-                got = Fraction(masses[(a, b + x + 1), (a + x + 1, b)], den)
+                m, u, l = a + b + x + 1, a, a + x + 1
+                assert (_point(m, u), _point(m, l)) == ((a, b + x + 1), (a + x + 1, b))
+                masses, den = table[m]
+                got = Fraction(masses[u, l], den)
                 assert got == oracle.barrier_meet_prob(oracle.BarrierConfig(a, b, x, rate)), (a, b, x)
                 checked += 1
     assert checked == 84  # every a + b + x <= 6

@@ -11,6 +11,7 @@ Core claims:
     - the batch and mask forms (census, meeting points from vertex masks)
       agree with the per-pair operations and enforce the same preconditions,
       with the same messages
+    - ``as_probability`` is the one exact, bounded probability check
     - the bit-sliced census equals the per-pair tally on random families of
       unequal sizes, across machine words, away from the origin and with
       counts that need four bit planes
@@ -19,6 +20,7 @@ Core claims:
 """
 
 import re
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -29,6 +31,7 @@ from pathpairs.paths import (
     PathNE,
     PathPair,
     all_paths,
+    as_probability,
     intersections_excluding_origin,
     intersections_excluding_start,
     intersections_interior,
@@ -328,6 +331,13 @@ def test_end_counted_from_steps_is_the_last_vertex():
 def _raises(message, call):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_as_probability_is_exact_and_bounded():
+    assert as_probability("2/6") == Fraction(1, 3)
+    assert as_probability(0) == 0 and as_probability(1) == 1
+    for bad in (Fraction(3, 2), Fraction(-1, 4)):
+        _raises(f"probability {bad} outside [0, 1]", lambda: as_probability(bad))
 
 
 def test_batch_forms_keep_the_pair_messages():
