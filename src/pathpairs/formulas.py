@@ -22,9 +22,10 @@ terms the vanishing convention drops, and no divisor is zero.
 
 The one-binomial row forms (free-pair counts, same-endpoint counts and
 meeting probabilities) step across calls instead: ``_row_binomial`` keeps
-the last value of each binomial row, so a sweep over k at one n pays one
-``comb`` and then one small-int step per k. The meeting probability keeps
-its own last reduced value and steps that by a small ratio.
+the last value of a binomial row in one of 32 fixed slots, so a sweep over
+k at one n pays one ``comb`` and then one small-int step per k. The meeting
+probability keeps its own last reduced value and steps that by a small
+ratio.
 
 Binomials follow the factorial convention used throughout: a term whose
 denominator would contain the factorial of a negative integer vanishes.
@@ -94,10 +95,11 @@ def _central_binomial(n: int) -> int:
     return powers[0] if powers else 1
 
 
-# The last C(a, b) asked for at each lower index b, as b: (a, value), at most
-# _ROW_MEMO_SIZE of them, oldest dropped first. It holds a few ints, not rows.
-_ROW_MEMO: dict[int, tuple[int, int]] = {}
+# The last C(a, b) asked for at lower index b, as (b, a, value) in slot
+# b % _ROW_MEMO_SIZE. A new b takes its slot over, so nothing is evicted, and
+# threads sharing the slots only read and write whole tuples.
 _ROW_MEMO_SIZE = 32
+_ROW_MEMO: list[tuple[int, int, int]] = [(-1, -1, 0)] * _ROW_MEMO_SIZE
 
 
 def _row_binomial(a: int, b: int) -> int:
@@ -107,7 +109,10 @@ def _row_binomial(a: int, b: int) -> int:
     ``comb``. A sweep over k at one n walks a row of a closed form this way,
     one step per k in either direction; the value never depends on what the
     memo holds."""
-    last, value = _ROW_MEMO.get(b, (None, 0))
+    slot = b % _ROW_MEMO_SIZE
+    last_b, last, value = _ROW_MEMO[slot]
+    if last_b != b:
+        last = None
     if last == a:
         return value
     if last == a + 1:
@@ -116,9 +121,7 @@ def _row_binomial(a: int, b: int) -> int:
         value = value * a // (a - b)
     else:
         value = comb(a, b)
-    if last is None and len(_ROW_MEMO) >= _ROW_MEMO_SIZE:
-        del _ROW_MEMO[next(iter(_ROW_MEMO))]
-    _ROW_MEMO[b] = (a, value)
+    _ROW_MEMO[slot] = (b, a, value)
     return value
 
 
@@ -411,15 +414,23 @@ def barrier_meet_formula(a: int, b: int, x: int, p) -> Fraction:
     """Closed form for the constant-rate barrier walk:
 
         sum_{t=0..x} C(a+b+x, a+t) p^(a+t) q^(b+x-t),  q = 1 - p.
+
+    With p = P/Q (``west`` over ``scale``) the sum is one integer numerator
+    over Q^(a+b+x), the sum of C(a+b+x, a+t) P^(a+t) (Q-P)^(b+x-t). It is taken as P^a (Q-P)^b
+    times sum_t C(a+b+x, a+t) P^t (Q-P)^(x-t), by Horner's rule in t, with
+    the binomial stepped by C(m, k+1) = C(m, k)(m-k)/(k+1).
     """
     if a < 0 or b < 0 or x < 0:
         raise ValueError("a, b, x must be nonnegative")
     p = paths.as_probability(p)
-    q = 1 - p
-    total = Fraction(0)
+    west, scale = p.numerator, p.denominator
+    south = scale - west
+    coeff, west_power, total = binom(a + b + x, a), 1, 0
     for t in range(x + 1):
-        total += binom(a + b + x, a + t) * p ** (a + t) * q ** (b + x - t)
-    return total
+        total = total * south + coeff * west_power
+        west_power *= west
+        coeff = coeff * (b + x - t) // (a + t + 1)
+    return Fraction(west**a * south**b * total, scale ** (a + b + x))
 
 
 def same_start_meet_formula(a: int, b: int, p) -> Fraction:

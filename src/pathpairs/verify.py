@@ -15,6 +15,9 @@ Each ``check_<suite>`` states its own sweep sizes once: ``n_max`` None runs
 its default grid, and a given ``n_max`` shrinks it, never below the suite's
 smallest meaningful size. Every enumerated table, from any of the four
 ``oracle.*_pair_table`` functions, is read through one memo, ``_table``.
+The barrier suite runs one single-walker distribution per level and rate,
+and compares it with the pair walk in integers, by cross-multiplying the
+two walker DPs' masses and denominators.
 
 ``run_all`` executes a configurable selection of suites in a fixed order and
 is the engine behind the command line's ``verify`` subcommand.
@@ -65,6 +68,16 @@ class _Recorder:
                 "right": str(right),
                 **{k: str(v) for k, v in context.items()},
             }
+
+    def expect_equal_ratio(self, left: tuple[int, int], right: tuple[int, int], **context) -> None:
+        """``expect_equal`` on two exact probabilities given as integer
+        ``(mass, den)`` pairs: the masses are cross-multiplied, and the
+        reduced ``Fraction``s are built only to record a failure."""
+        (left_mass, left_den), (right_mass, right_den) = left, right
+        if left_mass * right_den == right_mass * left_den:
+            self.instances += 1
+        else:
+            self.expect_equal(Fraction(left_mass, left_den), Fraction(right_mass, right_den), **context)
 
     def expect(self, ok: bool, **context) -> None:
         self.instances += 1
@@ -400,57 +413,43 @@ def _level_rates(seed: int, count: int, length: int) -> list[oracle.LevelRate]:
     return out
 
 
-def _axis_target_checks(rec, config: oracle.BarrierConfig, b_value: Fraction, diagonal) -> None:
-    """Theorem-4 style cross checks for one configuration; ``diagonal`` is
-    the configuration's rate's ``_diagonal_masses``."""
-    a, b, x = config.a, config.b, config.x
-    upper = diagonal((a, b + x + 1), True)
-    rec.expect_equal(b_value, upper[x], a=a, b=b, x=x, sides="pair walk vs single walker")
-    l = diagonal((a + x + 1, b), False)[a + x]
-    rec.expect_equal(b_value, upper[b + x] + l - 1, a=a, b=b, x=x, sides="pair walk vs u + l - 1")
-
-
-def _start_distributions(rate: oracle.RateModel):
-    """Single-walker endpoint distributions under one rate, each computed
-    once. Both starts of a configuration lie on the level a + b + x + 1 and
-    walk a + b + x steps, so a start (r, s) always runs r + s - 1 steps and
-    the start alone is the key."""
-    return lru_cache(maxsize=None)(
-        lambda start: oracle.endpoint_distribution(start, start[0] + start[1] - 1, rate)
-    )
-
-
-def _diagonal_masses(rate: oracle.RateModel):
-    """Running target masses of the single walkers under one rate, each list
-    computed once per (start, side). Every target of a start is a prefix of
-    one diagonal of level 1: (-t, 1 + t) for t < s when the start (r, s) is
-    the upper walker, (1 + t, -t) for t < r when it is the lower, so entry t
-    holds the mass the walker puts on the targets 0..t."""
-    distribution = _start_distributions(rate)
-
-    @lru_cache(maxsize=None)
-    def running(start: tuple[int, int], upper: bool) -> list[Fraction]:
-        masses, den = distribution(start)
-        if upper:
-            targets = ((-t, 1 + t) for t in range(start[1]))
-        else:
-            targets = ((1 + t, -t) for t in range(start[0]))
-        return [Fraction(total, den) for total in accumulate(masses.get(t, 0) for t in targets)]
-
-    return running
+def _walker_levels(rate: oracle.RateModel, top_level: int) -> dict[int, tuple[list[int], int]]:
+    """One single-walker distribution per level 1..top_level under one rate:
+    ``levels[m] = (running, den)``, where ``running[w]`` is the integer mass
+    ``oracle.endpoint_distribution((0, m), m - 1, rate)`` puts on fewer than
+    w West steps, that is on the points (-v, 1 + v) with v < w, over ``den``."""
+    levels = {}
+    for m in range(1, top_level + 1):
+        masses, den = oracle.endpoint_distribution((0, m), m - 1, rate)
+        levels[m] = [0, *accumulate(masses.get((-w, 1 + w), 0) for w in range(m))], den
+    return levels
 
 
 #: The constant West rates of the walker suites.
 _PROBS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
 
 
-def _pair_walk(table: dict, config: oracle.BarrierConfig) -> Fraction:
-    """The pair-walk probability of ``config``, read off its rate's
-    ``oracle.barrier_survival_table``: the walkers' x's a and a+x+1 on
-    level a+b+x+1."""
-    a, b, x = config.a, config.b, config.x
+def _pair_walk(table: dict, a: int, b: int, x: int) -> tuple[int, int]:
+    """The pair-walk probability of the configuration (a, b, x) as
+    ``(mass, den)``, read off its rate's ``oracle.barrier_survival_table``:
+    the walkers' x's a and a+x+1 on level a+b+x+1."""
     masses, den = table[a + b + x + 1]
-    return Fraction(masses[a, a + x + 1], den)
+    return masses[a, a + x + 1], den
+
+
+def _walker_checks(rec, a: int, b: int, x: int, pair: tuple[int, int], levels) -> None:
+    """Theorem-4 style cross checks of the pair walk of (a, b, x) against its
+    level's single walker in ``levels``, from ``_walker_levels``."""
+    running, den = levels[a + b + x + 1]
+    # Both rate models depend only on the level, so a walker started anywhere
+    # on level m spreads its m - 1 steps over West-step counts w exactly as
+    # the one from (0, m) does. The upper walker from (a, b+x+1) reaches the
+    # target (-t, 1+t) after w = a + t West steps, for t <= b + x; the lower
+    # walker from (a+x+1, b) reaches (1+t, -t) after w = a + x - t, t <= a + x.
+    first_x = running[a + x + 1] - running[a]
+    upper, lower = den - running[a], running[a + x + 1]
+    rec.expect_equal_ratio(pair, (first_x, den), a=a, b=b, x=x, sides="pair walk vs single walker")
+    rec.expect_equal_ratio(pair, (upper + lower - den, den), a=a, b=b, x=x, sides="pair walk vs u + l - 1")
 
 
 def check_barrier(n_max: int | None = None, seed: int = 20114) -> CheckReport:
@@ -460,9 +459,12 @@ def check_barrier(n_max: int | None = None, seed: int = 20114) -> CheckReport:
     and u + l - 1, for a, b, x <= 4. Level-dependent rates: pair DP ==
     single-walker DP and u + l - 1 over 20 rate tables drawn from ``seed``,
     for a + b + x <= 10. The pair DP is one backward sweep per rate,
-    ``oracle.barrier_survival_table``, read once per configuration; the
-    single-walker distributions are shared by every configuration of one
-    rate, but never feed the pair DP.
+    ``oracle.barrier_survival_table``, read once per configuration. The
+    single walker is one distribution per level and rate,
+    ``_walker_levels``, shared by every configuration on that level and
+    never fed to the pair DP. Both walker DPs carry integer masses over one
+    denominator, and the single-walker comparisons cross-multiply them; a
+    ``Fraction`` is built only for the closed form and for a failure.
 
     A full sweep answers every start pair up to its top level at once, so it
     suits this suite, which asks for every pair; a single query (the CLI,
@@ -475,25 +477,23 @@ def check_barrier(n_max: int | None = None, seed: int = 20114) -> CheckReport:
     for p in _PROBS:
         rate = oracle.ConstantRate(Fraction(p))
         table = oracle.barrier_survival_table(rate, 3 * const_limit + 1)
-        diagonal = _diagonal_masses(rate)
+        levels = _walker_levels(rate, 3 * const_limit + 1)
         for a in range(const_limit + 1):
             for b in range(const_limit + 1):
                 for x in range(const_limit + 1):
-                    config = oracle.BarrierConfig(a, b, x, rate)
-                    value = _pair_walk(table, config)
+                    pair = _pair_walk(table, a, b, x)
                     rec.expect_equal(
-                        value, formulas.barrier_meet_formula(a, b, x, p),
+                        Fraction(*pair), formulas.barrier_meet_formula(a, b, x, p),
                         a=a, b=b, x=x, p=p, sides="pair walk vs closed form",
                     )
-                    _axis_target_checks(rec, config, value, diagonal)
+                    _walker_checks(rec, a, b, x, pair, levels)
     for rate in _level_rates(seed, 20, level_total + 2):
         table = oracle.barrier_survival_table(rate, level_total + 1)
-        diagonal = _diagonal_masses(rate)
+        levels = _walker_levels(rate, level_total + 1)
         for a in range(level_total + 1):
             for b in range(level_total + 1 - a):
                 for x in range(level_total + 1 - a - b):
-                    config = oracle.BarrierConfig(a, b, x, rate)
-                    _axis_target_checks(rec, config, _pair_walk(table, config), diagonal)
+                    _walker_checks(rec, a, b, x, _pair_walk(table, a, b, x), levels)
     return rec.report()
 
 

@@ -24,11 +24,14 @@ Core claims:
       descending, repeated or random, rows in turn or interleaved; the
       meeting probability, stepped as a reduced fraction, equals the
       same-endpoint count over C(2n, n) at every n < 60, swept forward,
-      backward and shuffled
+      backward and shuffled; the binomial-row memo gives exact values to
+      eight threads calling it at once
     - the ratio-stepped sums equal the one-binom-per-factor references kept
       below: both rectangle forms on every instance with n <= 30 and on a
       sparse grid at n = 100 and 301, the two-endpoint expression under
-      every reading to n = 9 and at n = 60 and 150
+      every reading to n = 9 and at n = 60 and 150, and the barrier closed
+      form, one integer numerator, equals its one-Fraction-per-term sum for
+      every a, b, x <= 8 at five rates and at a = b = x = 200
     - at k = 0, far past enumeration, both rectangle forms and the
       two-endpoint count equal the Lindstrom-Gessel-Viennot 2x2
       determinants of nonintersecting path pairs
@@ -36,6 +39,9 @@ Core claims:
 """
 
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, zip_longest
@@ -456,6 +462,26 @@ def test_row_stepped_forms_equal_comb_reference_in_any_order(queries):
     assert len(formulas._ROW_MEMO) <= formulas._ROW_MEMO_SIZE
 
 
+def test_row_binomial_is_safe_to_share_between_threads():
+    start = threading.Barrier(8)
+
+    def calls(seed):
+        rng = random.Random(seed)
+        queries = [(b + rng.randrange(3), b) for b in (rng.randrange(256) for _ in range(20_000))]
+        start.wait(timeout=60)
+        return queries, [formulas._row_binomial(a, b) for a, b in queries]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            runs = list(pool.map(calls, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for queries, values in runs:
+        assert values == [comb(a, b) for a, b in queries]
+
+
 def test_stepped_meet_prob_is_the_count_over_the_central_binomial_in_any_order():
     shuffle = random.Random(16)
     for n in range(1, 60):
@@ -524,6 +550,26 @@ def test_barrier_formula_matches_walkers():
                     assert formulas.barrier_meet_formula(a, b, x, p) == oracle.barrier_meet_prob(
                         oracle.BarrierConfig(a, b, x, rate)
                     )
+
+
+def _termwise_barrier_formula(a, b, x, p):
+    """The barrier closed form as a sum of one ``Fraction`` per term."""
+    q = 1 - p
+    total = Fraction(0)
+    for t in range(x + 1):
+        total += formulas.binom(a + b + x, a + t) * p ** (a + t) * q ** (b + x - t)
+    return total
+
+
+def test_barrier_formula_equals_termwise_reference():
+    for p in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(5, 16)):
+        for a in range(9):
+            for b in range(9):
+                for x in range(9):
+                    expected = _termwise_barrier_formula(a, b, x, p)
+                    assert formulas.barrier_meet_formula(a, b, x, p) == expected, (a, b, x, p)
+    p = Fraction(3, 7)
+    assert formulas.barrier_meet_formula(200, 200, 200, p) == _termwise_barrier_formula(200, 200, 200, p)
 
 
 def test_same_start_formula_examples():

@@ -10,6 +10,8 @@ Core claims:
       the documented degenerate cases
     - the integer-mass walker DPs equal a Fraction-mass reference DP exactly,
       and a single walker's endpoint masses sum to their denominator
+    - under both rate models, every start on a level spreads its steps over
+      West-step counts as the start (0, m) does, shifted by the start
     - the pair DP names each walker by its x on the level; the backward
       survival table holds every pair u < l of x's of every level, equals
       the reference DP on each, and equals the sweep limited to one start
@@ -319,6 +321,18 @@ def test_single_walker_equals_fraction_reference(start, steps, west_steps, rate)
     masses, den = oracle.endpoint_distribution(start, steps, rate)
     assert all(isinstance(m, int) and m > 0 for m in masses.values())
     assert sum(masses.values()) == den
+
+
+@pytest.mark.parametrize(
+    "rate",
+    [oracle.ConstantRate(Fraction(3, 7)), oracle.LevelRate(_mixed_levels.values + (Fraction(7, 11),) * 3)],
+)
+def test_every_start_on_a_level_spreads_like_the_axis_start(rate):
+    for m in range(1, 10):
+        masses, den = oracle.endpoint_distribution((0, m), m - 1, rate)
+        for r in range(m + 1):
+            shifted = {(q[0] + r, q[1] - r): mass for q, mass in masses.items()}
+            assert oracle.endpoint_distribution((r, m - r), m - 1, rate) == (shifted, den), (m, r)
 
 
 # --- the backward survival table ----------------------------------------------

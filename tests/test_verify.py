@@ -12,10 +12,14 @@ Core claims:
     - a shrunken n_max still passes every suite (smoke run)
     - every suite reads the four enumerated tables through one memo, so a
       full run builds each (function, arguments) table exactly once
+    - the barrier suite compares its two walker DPs in integers, but a
+      perturbed single-walker or pair mass fails it with the configuration
+      and both values shown as reduced probabilities
 """
 
 import inspect
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -134,3 +138,45 @@ def test_every_enumerated_table_is_built_once(monkeypatch):
     assert {name for name, _ in builds} == set(TABLE_FUNCTIONS)
     assert max(builds.values()) == 1, [key for key, count in builds.items() if count > 1]
     assert builds[("free_pair_table", (8,))] == builds[("same_endpoint_pair_table", (9,))] == 1
+
+
+def test_barrier_suite_fails_on_a_perturbed_single_walker(monkeypatch):
+    distribution = oracle.endpoint_distribution
+
+    def perturbed(start, steps, rate):
+        masses, den = distribution(start, steps, rate)
+        if start == (0, 5):  # level 5: four steps, den 16 at p = 1/2
+            masses = {**masses, (0, 1): masses.get((0, 1), 0) + 4}
+        return masses, den
+
+    monkeypatch.setattr(oracle, "endpoint_distribution", perturbed)
+    report = verify.check_barrier()
+    assert not report.passed
+    # the first configuration on level 5 whose targets include w = 0: the
+    # pair walk from (0, 5) and (5, 0) meets at the origin surely
+    assert report.first_failure == {
+        "left": "1", "right": "5/4", "a": "0", "b": "0", "x": "4", "sides": "pair walk vs single walker",
+    }
+
+
+def test_barrier_suite_fails_on_a_perturbed_pair_mass(monkeypatch):
+    survival_table = oracle.barrier_survival_table
+    shown = []
+
+    def perturbed(rate, top_level):
+        table = survival_table(rate, top_level)
+        if isinstance(rate, oracle.LevelRate):
+            masses, den = table[4]
+            mass = masses[1, 3]
+            table[4] = {**masses, (1, 3): mass + 1}, den
+            shown.append({"left": str(Fraction(mass + 1, den)), "right": str(Fraction(mass, den))})
+        return table
+
+    monkeypatch.setattr(oracle, "barrier_survival_table", perturbed)
+    report = verify.check_barrier()
+    assert not report.passed
+    # the x's 1 and 3 on level 4 are the configuration a = b = x = 1; the
+    # single walker still shows the unperturbed pair-walk probability
+    assert report.first_failure == {
+        **shown[0], "a": "1", "b": "1", "x": "1", "sides": "pair walk vs single walker",
+    }
