@@ -19,23 +19,37 @@ meeting sits:
                the pre-meeting north path stays north throughout.
 
 The forward map finds the first gap-1 column, the first interior column
-where the two paths stand one unit apart, in one pass over both paths'
-cached vertices: the first step at which the north path's next vertex sits
-just above the south path's.
+where the two paths stand one unit apart, from the two paths' vertex
+masks (``PathNE.vertex_mask``): it is the lowest south-path vertex
+(x0, y0), 0 < x0 < r, whose neighbour above, (x0, y0 + 1), is on the north
+path, and one shift and two ANDs find it.
 
-Meeting points come from ``paths``: a ``RectPair`` finds its own once,
-when it is built, as ``paths.meeting_points`` under
-``intersections_interior``, which ANDs the two paths' vertex masks.
-``RectPair.from_words`` shares the pairs it built last, so the inverse of
-an image finds its source without building it again.
+Both maps work on step words. ``_insert_words`` and ``_remove_words`` hold
+the one copy of each word surgery; ``insert_meeting`` and
+``remove_meeting`` are thin wrappers over them that take and return
+``RectPair``s. A ``RectPair`` finds its meeting points once, when it is
+built, as ``paths.meeting_points`` under ``intersections_interior``, which
+ANDs the two paths' vertex masks.
 
-``verify_correspondence`` scans no pairs of paths. It walks the nonmeeting
-sources directly, in the order of ``paths.all_paths``, and shows that the
-images exhaust the one-meeting set by counting them: they are pairwise
-distinct, each is a pair on the rectangle with exactly one interior
-meeting, and there are as many as ``paths.meeting_census`` counts
-one-meeting pairs. Outside that bit-sliced census the work grows with the
-pairs replayed, not with the square of the number of paths.
+``verify_correspondence`` scans no pairs of paths and, on a passing
+replay, builds no ``RectPair``. It walks the nonmeeting sources directly,
+in the order of ``paths.all_paths``, and reads every pair through the
+vertex masks of the rectangle's one family, ``paths.all_paths(r + s, r)``:
+
+* an image passes when both its words are in that family and the AND of
+  their masks inside the window has exactly one bit, at the meeting point
+  its construction case names;
+* a round trip passes when the inverse returns the source's words; the
+  source walk yields only meeting-free pairs, so a matching inverse needs
+  no second check.
+
+Anything that fails one of these fast checks goes to the ``RectPair``
+checks, so each failure reads as it always has. The images exhaust the
+one-meeting set by count: they are pairwise distinct, each is a pair on
+the rectangle with exactly one interior meeting, and there are as many as
+``paths.meeting_census`` counts over the same family. Outside that
+bit-sliced census the work grows with the pairs replayed, not with the
+square of the number of paths.
 
 Every constructed path is revalidated (endpoints, exact meeting count and
 location), and a violated postcondition raises ``paths.InvariantError`` with
@@ -51,18 +65,13 @@ group II images, which is how classification resolves that corner.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
-from operator import le
+from typing import NamedTuple
 
 from . import paths
 from .paths import EAST, NORTH, InvariantError, PathNE, Point
-
-# Bound on the pairs ``RectPair.from_words`` shares. The replay builds a
-# source, its images and their inverses in turn, and each inverse is that
-# source again, so a short memory serves it.
-_SHARED_PAIRS = 64
 
 NONMEETING = "nonmeeting"
 ONE_MEETING = "one-meeting"
@@ -91,9 +100,9 @@ class RectPair:
 
     @classmethod
     def from_words(cls, a: str, b: str) -> "RectPair":
-        """The pair of these two words, given in either order; a pair built
-        lately is shared, not built again."""
-        return _shared_pair(cls, a, b) if a >= b else _shared_pair(cls, b, a)
+        """The pair of these two words, given in either order."""
+        upper, lower = _canonical(a, b)
+        return cls(PathNE.from_word(upper), PathNE.from_word(lower))
 
     @property
     def kind(self) -> str:
@@ -111,10 +120,9 @@ class RectPair:
         return (self.upper.word, self.lower.word)
 
 
-@lru_cache(maxsize=_SHARED_PAIRS)
-def _shared_pair(cls, upper: str, lower: str) -> RectPair:
-    # an invalid pair raises on every call: lru_cache keeps no exceptions
-    return cls(PathNE.from_word(upper), PathNE.from_word(lower))
+def _canonical(a: str, b: str) -> tuple[str, str]:
+    """Two words in canonical (upper, lower) order."""
+    return (a, b) if a >= b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -158,11 +166,10 @@ def _validated_image(wa: str, wb: str, point: Point, case: str) -> RectPair:
 def insert_meeting(pair: RectPair) -> tuple[RectPair, RectPair]:
     """Map a nonmeeting pair to its two one-meeting images.
 
-    The first gap-1 column x0 is read in one scan of the two vertex tuples:
-    the first step t0 at which the south path is at (x0, y0), 0 < x0 < r,
-    and the north path's next vertex is (x0, y0 + 1). The north path is
-    strictly north in every interior column, so y0 is the south path's top
-    there.
+    The first gap-1 column x0 is read from the two vertex masks: (x0, y0)
+    is the first south-path vertex with 0 < x0 < r whose neighbour
+    (x0, y0 + 1) is on the north path. The north path is strictly north in
+    every interior column, so y0 is the south path's top there.
 
     Case A (every interior column gap is at least 2, vacuous for r = 1):
     slide the north path down one unit through its first N edge and re-top
@@ -180,44 +187,54 @@ def insert_meeting(pair: RectPair) -> tuple[RectPair, RectPair]:
     moves that doubled edge to the northeast corner and shifts the pair one
     unit west, meeting at (r-1, s).
     """
-    _, first, second = _insert(pair)
+    if pair._meeting_points:
+        raise ValueError("insert_meeting needs a nonmeeting pair")
+    r, s = pair.shape
+    if r == 0 or s == 0:
+        raise ValueError("degenerate rectangle: need r >= 1 and s >= 1")
+    _, first, second = _insert_words(*pair.words(), _PATH_MASKS, _validated_image)
     return first, second
 
 
-def _insert(pair: RectPair) -> tuple[str, RectPair, RectPair]:
-    """``insert_meeting`` with the construction case ("A", "B" or "C") it
-    took, ahead of the two images."""
-    if pair._meeting_points:
-        raise ValueError("insert_meeting needs a nonmeeting pair")
-    upper, lower = pair.upper, pair.lower
-    r, s = upper.end
-    if r == 0 or s == 0:
-        raise ValueError("degenerate rectangle: need r >= 1 and s >= 1")
-    up, lo = upper.word, lower.word
+class _PathMasks:
+    """``masks[word]`` is the ``PathNE.vertex_mask`` of the word's shared
+    path, for the kernels' ``RectPair`` wrappers."""
 
-    north, south = upper.vertices, lower.vertices
-    for t0 in range(1, r + s - 1):
-        x0, y0 = south[t0]
-        if 0 < x0 < r and north[t0 + 1] == (x0, y0 + 1):
-            break
-    else:
-        first = _validated_image(up[1:] + NORTH, lo, (r, s - 1), "A1")
-        second = _validated_image(up, NORTH + lo[:-1], (0, 1), "A2")
-        return "A", first, second
+    def __getitem__(self, word: str) -> int:
+        return PathNE.from_word(word).vertex_mask
 
+
+_PATH_MASKS = _PathMasks()
+
+
+def _insert_words(up: str, lo: str, masks, image):
+    """The construction case ("A", "B" or "C") of the nonmeeting pair with
+    canonical words ``up`` and ``lo`` on an r x s rectangle, r, s >= 1, and
+    its two images, in the order ``insert_meeting`` returns them.
+
+    ``masks[word]`` is the ``PathNE.vertex_mask`` of the word's path. Each
+    image is ``image(wa, wb, point, label)``: whatever the caller builds
+    from the image's two words, in either order, after checking that they
+    meet at ``point`` only. ``label`` names the construction case and the
+    image, "A1" to "C2", for the check's message."""
+    n = len(up)
+    r = up.count(EAST)
+    s, side = n - r, n + 1
+    # vertex (x, y) is bit x * side + y, so a north vertex (x, y + 1) shifts
+    # onto the south vertex (x, y) below it
+    gap = (masks[up] >> 1) & masks[lo] & ((1 << r * side) - (1 << side))  # columns 1 .. r - 1
+    if not gap:
+        return "A", image(up[1:] + NORTH, lo, (r, s - 1), "A1"), image(up, NORTH + lo[:-1], (0, 1), "A2")
+    point = divmod((gap & -gap).bit_length() - 1, side)
+    x0, y0 = point
+    t0 = x0 + y0
     prefix, suffix = up[: t0 + 1], up[t0 + 1 :]  # prefix reaches (x0, y0 + 1)
     moved = _drop_first_north(prefix) + NORTH + suffix
-
-    if (x0, y0) != (1, 0):
-        first = _validated_image(moved, lo, (x0, y0), "B1")
-        swapped_a = moved[:t0] + lo[t0:]
-        swapped_b = lo[:t0] + moved[t0:]
-        second = _validated_image(swapped_a, swapped_b, (x0, y0), "B2")
-        return "B", first, second
-
-    first = _validated_image(moved, lo, (1, 0), "C1")
-    second = _validated_image(moved[1:] + EAST, lo[1:] + EAST, (r - 1, s), "C2")
-    return "C", first, second
+    if point != (1, 0):
+        first = image(moved, lo, point, "B1")
+        return "B", first, image(moved[:t0] + lo[t0:], lo[:t0] + moved[t0:], point, "B2")
+    first = image(moved, lo, point, "C1")
+    return "C", first, image(moved[1:] + EAST, lo[1:] + EAST, (r - 1, s), "C2")
 
 
 def _classify(r: int, s: int, point: Point) -> tuple[str, str]:
@@ -238,9 +255,24 @@ def _classify(r: int, s: int, point: Point) -> tuple[str, str]:
     return ("III", "")
 
 
-def _north_throughout(a: PathNE, b: PathNE) -> bool:
-    # vertices at one step share x + y, so (x, y) order puts the north one first
-    return all(map(le, a.vertices, b.vertices))
+def _interior(r: int, s: int) -> int:
+    """Every vertex-mask bit of the r x s rectangle below the corner's but
+    the origin's: ANDed with two paths' masks, it keeps their interior
+    meetings."""
+    return (1 << r * (r + s + 1) + s) - 2
+
+
+def _north_throughout(north: int, south: int, bottoms: int) -> bool:
+    """Whether the path with vertex mask ``north`` stays weakly north of the
+    one with mask ``south`` at every step, both running from the origin to
+    the same corner (r, s), r >= 1; ``bottoms`` holds bit (x, 0) of every
+    column x = 0 .. r.
+
+    A path enters column x at step x + y, y its lowest vertex there, so the
+    first path is never east of the second exactly when, in every column,
+    none of its vertices lies below the second's lowest one."""
+    lowest = south & ~(south << 1)  # a path's vertices in a column are contiguous
+    return not north & (lowest - bottoms)
 
 
 def remove_meeting(pair: RectPair) -> tuple[RectPair, GroupTag]:
@@ -253,78 +285,95 @@ def remove_meeting(pair: RectPair) -> tuple[RectPair, GroupTag]:
     """
     if len(pair._meeting_points) != 1:
         raise ValueError("remove_meeting needs a pair with exactly one meeting")
-    (point,) = pair._meeting_points
-    r, s = pair.upper.end
+    words, tag = _remove_words(*pair.words(), pair._meeting_points[0], _PATH_MASKS)
+    source = RectPair.from_words(*words)
+    if source._meeting_points:
+        raise InvariantError(
+            f"inverse of group {tag.group} left meetings {source._meeting_points}: {pair.words()}"
+        )
+    return source, tag
+
+
+def _remove_words(up: str, lo: str, point: Point, masks) -> tuple[tuple[str, str], GroupTag]:
+    """The canonical words of the nonmeeting source of the one-meeting pair
+    with canonical words ``up`` and ``lo`` on an r x s rectangle, meeting
+    only at ``point``, and its tag. ``masks[word]`` is the
+    ``PathNE.vertex_mask`` of the word's path. Every step is checked but
+    the last: that the source shares no vertex is left to the caller."""
+    words = (up, lo)
+    n = len(up)
+    r = up.count(EAST)
+    s, side = n - r, n + 1
     group, role = _classify(r, s, point)
-    up, lo = pair.upper.word, pair.lower.word
 
     if group == "I":
         if role == "partner":
             # move the doubled E edge at the far corner back to the origin
-            shifted = RectPair.from_words(EAST + up[:-1], EAST + lo[:-1])
-            if shifted.meeting_point != (1, 0):
-                raise InvariantError(f"group I partner did not shift back to (1, 0): {pair.words()}")
-            up, lo = shifted.words()
+            up, lo = EAST + up[:-1], EAST + lo[:-1]
+            if masks[up] & masks[lo] & _interior(r, s) != 1 << side:  # bit side is (1, 0)
+                raise InvariantError(f"group I partner did not shift back to (1, 0): {words}")
         # exactly one member turns north right after (1, 0)
         modified, other = (up, lo) if up[1] == NORTH else (lo, up)
         if modified[:2] != EAST + NORTH:
-            raise InvariantError(f"group I pair lacks the E,N corner at (1, 0): {pair.words()}")
-        source = RectPair.from_words(NORTH + EAST + modified[2:], other)
-        tag = _TAG_I
-    elif group == "II":
+            raise InvariantError(f"group I pair lacks the E,N corner at (1, 0): {words}")
+        return _canonical(NORTH + EAST + modified[2:], other), _TAG_I
+    if group == "II":
         if role == "partner":
             # meeting at (r, s-1): the modified member arrives there by an E step
-            n = r + s
             modified, other = (up, lo) if up[n - 2] == EAST else (lo, up)
             if modified[-1] != NORTH:
-                raise InvariantError(f"group II partner does not end with N: {pair.words()}")
-            source = RectPair.from_words(NORTH + modified[:-1], other)
-        else:
-            # meeting at (0, 1): the modified member turns east right after it
-            modified, other = (up, lo) if up[1] == EAST else (lo, up)
-            if modified[0] != NORTH:
-                raise InvariantError(f"group II pair lacks the leading N edge: {pair.words()}")
-            source = RectPair.from_words(modified[1:] + NORTH, other)
-        tag = _TAG_II
-    else:
-        x0, y0 = point
-        t0 = x0 + y0
-        aligned = _north_throughout(pair.upper, pair.lower)
-        if aligned:
-            north, south = up, lo
-        else:
-            # un-swap the tails; the result must be aligned
-            cand_a, cand_b = up[:t0] + lo[t0:], lo[:t0] + up[t0:]
-            path_a, path_b = PathNE.from_word(cand_a), PathNE.from_word(cand_b)
-            if _north_throughout(path_a, path_b):
-                north, south = cand_a, cand_b
-            elif _north_throughout(path_b, path_a):
-                north, south = cand_b, cand_a
-            else:
-                raise InvariantError(f"group III pair fails to align after unswap: {pair.words()}")
-        if north[t0] != NORTH:
-            raise InvariantError(
-                f"group III aligned member lacks the inserted N edge at {point}"
-            )
-        source = RectPair.from_words(NORTH + north[:t0] + north[t0 + 1 :], south)
-        tag = _TAG_III[aligned]
+                raise InvariantError(f"group II partner does not end with N: {words}")
+            return _canonical(NORTH + modified[:-1], other), _TAG_II
+        # meeting at (0, 1): the modified member turns east right after it
+        modified, other = (up, lo) if up[1] == EAST else (lo, up)
+        if modified[0] != NORTH:
+            raise InvariantError(f"group II pair lacks the leading N edge: {words}")
+        return _canonical(modified[1:] + NORTH, other), _TAG_II
 
-    if source._meeting_points:
-        raise InvariantError(
-            f"inverse of group {group} left meetings {source._meeting_points}: {pair.words()}"
-        )
-    return source, tag
+    x0, y0 = point
+    t0 = x0 + y0
+    bottoms = ((1 << (r + 1) * side) - 1) // ((1 << side) - 1)  # bit x * side for x = 0 .. r
+    aligned = _north_throughout(masks[up], masks[lo], bottoms)
+    if aligned:
+        north, south = up, lo
+    else:
+        # un-swap the tails; the result must be aligned
+        cand_a, cand_b = up[:t0] + lo[t0:], lo[:t0] + up[t0:]
+        mask_a, mask_b = masks[cand_a], masks[cand_b]
+        if _north_throughout(mask_a, mask_b, bottoms):
+            north, south = cand_a, cand_b
+        elif _north_throughout(mask_b, mask_a, bottoms):
+            north, south = cand_b, cand_a
+        else:
+            raise InvariantError(f"group III pair fails to align after unswap: {words}")
+    if north[t0] != NORTH:
+        raise InvariantError(f"group III aligned member lacks the inserted N edge at {point}")
+    return _canonical(NORTH + north[:t0] + north[t0 + 1 :], south), _TAG_III[aligned]
 
 
 # --- exhaustive verification --------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class CorrespondenceRow:
-    source: RectPair
-    images: tuple[RectPair, RectPair]
+class CorrespondenceRow(NamedTuple):
+    """One replayed source: the canonical words of the source and of its
+    two images, the images' meeting points, the construction case and the
+    images' tags. ``source`` and ``images`` build ``RectPair``s only when
+    read."""
+
+    source_words: tuple[str, str]
+    image_words: tuple[tuple[str, str], tuple[str, str]]
+    meeting_points: tuple[Point | None, Point | None]
     case: str
     tags: tuple[GroupTag, GroupTag]
+
+    @property
+    def source(self) -> RectPair:
+        return RectPair.from_words(*self.source_words)
+
+    @property
+    def images(self) -> tuple[RectPair, RectPair]:
+        first, second = self.image_words
+        return RectPair.from_words(*first), RectPair.from_words(*second)
 
 
 @dataclass(frozen=True)
@@ -338,7 +387,14 @@ class CorrespondenceReport:
     rows: tuple[CorrespondenceRow, ...]
 
 
-_EXPECTED_GROUP = {"A": "II", "B": "III", "C": "I"}
+# The tags the inverse gives the two images of each construction case. A
+# row whose tags match shares the tuple here, so the rows of a large replay
+# hold fewer objects for the garbage collector to trace.
+_CASE_TAGS = {
+    "A": (_TAG_II, _TAG_II),
+    "B": (_TAG_III[True], _TAG_III[False]),
+    "C": (_TAG_I, _TAG_I),
+}
 
 
 def _nonmeeting_words(r: int, s: int):
@@ -375,24 +431,23 @@ def _nonmeeting_words(r: int, s: int):
                 stack.append((t + 1, x + 1, word + EAST))
 
 
-def _one_meeting_count(r: int, s: int) -> int:
-    """The unordered one-meeting pairs on the r x s rectangle, from the
+def _one_meeting_count(family: list[PathNE]) -> int:
+    """The unordered one-meeting pairs of a rectangle's paths, from the
     census of ordered pairs. That census counts each pair a != b twice and
     each a == b once; a path meets itself at all r + s - 1 interior
     vertices, which is one vertex only on the 1 x 1 rectangle."""
-    family = paths.all_paths(r + s, r)
     ordered = paths.meeting_census(family, family, paths.intersections_interior).get(1, 0)
-    diagonal = len(family) if r + s == 2 else 0
+    diagonal = len(family) if family[0].n == 2 else 0
     return (ordered + diagonal) // 2
 
 
-def _one_meeting_words(r: int, s: int) -> set[tuple[str, str]]:
-    """The canonical ``(upper, lower)`` words of every one-meeting pair on
-    the r x s rectangle, by a check of every pair. Only a failing replay
-    needs them, to name the pairs it missed or overshot."""
-    family = paths.all_paths(r + s, r)  # ascending words: b is the upper one
+def _one_meeting_words(family: list[PathNE]) -> set[tuple[str, str]]:
+    """The canonical ``(upper, lower)`` words of every one-meeting pair of a
+    rectangle's paths, in ``all_paths`` order, by a check of every pair.
+    Only a failing replay needs them, to name the pairs it missed or
+    overshot."""
     return {
-        (b.word, a.word)
+        (b.word, a.word)  # ascending words: b is the upper one
         for i, a in enumerate(family)
         for b in family[i:]
         if len(paths.meeting_points(a, b, paths.intersections_interior)) == 1
@@ -414,50 +469,75 @@ def verify_correspondence(r: int, s: int) -> CorrespondenceReport:
     ``paths.meeting_census`` tallies. Only when that fails is the set listed,
     to name the pairs outside it or never hit. Defects are reported, not
     raised.
+
+    Every pair is read as words, through the masks of the rectangle's
+    paths; an image or an inverse that fails those fast checks is rebuilt
+    as a ``RectPair`` and checked again by ``_validated_image`` or
+    ``remove_meeting``, whose messages the failures carry.
     """
     if r < 1 or s < 1:
         raise ValueError("need r >= 1 and s >= 1")
+    side = r + s + 1
+    family = paths.all_paths(r + s, r)
+    # a word off the rectangle reads as meeting nothing
+    masks = defaultdict(int, {p.word: p.vertex_mask for p in family})
+    interior = _interior(r, s)
+
+    def image(wa: str, wb: str, point: Point, label: str):
+        """The image's canonical words and, if it is an r x s pair that
+        meets at ``point`` only, that point; else None."""
+        x, y = point
+        if masks[wa] & masks[wb] & interior == 1 << x * side + y:
+            return _canonical(wa, wb), point
+        # raises the check's own message, unless the pair is off this rectangle
+        return _validated_image(wa, wb, point, label).words(), None
+
     failures: list[str] = []
     rows: list[CorrespondenceRow] = []
     images: list[tuple[str, str]] = []
     sources = 0
     inside = True  # every image so far is an r x s pair with one interior meeting
-    for words in _nonmeeting_words(r, s):
+    for source in _nonmeeting_words(r, s):
         sources += 1
         try:
-            source = RectPair.from_words(*words)
-            case, first, second = _insert(source)
+            case, first, second = _insert_words(*source, masks, image)
         except (ValueError, RuntimeError) as exc:
-            failures.append(f"forward map failed on {words}: {exc}")
+            failures.append(f"forward map failed on {source}: {exc}")
             continue
-        tags = []
-        for image in (first, second):
-            images.append(image.words())
-            inside = inside and len(image._meeting_points) == 1 and image.upper.end == (r, s)
+        points, tags = [], []
+        for words, point in (first, second):
+            images.append(words)
+            inside = inside and point is not None
             try:
-                back, tag = remove_meeting(image)
+                if point is not None:
+                    back, tag = _remove_words(*words, point, masks)
+                if point is None or back != source:  # the RectPair checks name the fault
+                    pair = RectPair.from_words(*words)
+                    point = pair.meeting_point
+                    back_pair, tag = remove_meeting(pair)
+                    back = back_pair.words()
             except (ValueError, RuntimeError) as exc:
-                failures.append(f"inverse failed on image {image.words()}: {exc}")
+                failures.append(f"inverse failed on image {words}: {exc}")
+                points.append(point)
                 tags.append(_TAG_III[False])
                 continue
+            points.append(point)
             tags.append(tag)
             if back != source:
-                failures.append(
-                    f"round trip broke: {source.words()} -> {image.words()} -> {back.words()}"
-                )
-            if tag.group != _EXPECTED_GROUP[case]:
-                failures.append(
-                    f"image {image.words()} of case {case} tagged group {tag.group}"
-                )
-        if len(tags) == 2:
-            rows.append(CorrespondenceRow(source, (first, second), case, tuple(tags)))
+                failures.append(f"round trip broke: {source} -> {words} -> {back}")
+            if tag.group != _CASE_TAGS[case][0].group:
+                failures.append(f"image {words} of case {case} tagged group {tag.group}")
+        tags = tuple(tags)
+        if tags == _CASE_TAGS[case]:
+            tags = _CASE_TAGS[case]
+        rows.append(CorrespondenceRow(source, (first[0], second[0]), tuple(points), case, tags))
 
     hit = set(images)
     if len(hit) != len(images):
         failures.append("images are not pairwise distinct")
-    one_meeting_count = _one_meeting_count(r, s)
+    one_meeting_count = _one_meeting_count(family)
     if not inside or len(hit) != one_meeting_count:
-        one_meeting = _one_meeting_words(r, s)
+        one_meeting = _one_meeting_words(family)
         extra = hit - one_meeting
         missing = one_meeting - hit
         if extra:

@@ -376,12 +376,12 @@ def cmd_bijection(args) -> int:
             tags.append(label)
         results.append(
             {
-                "source": "|".join(row.source.words()),
-                "image_1": "|".join(row.images[0].words()),
-                "meeting_1": str(row.images[0].meeting_point),
+                "source": "|".join(row.source_words),
+                "image_1": "|".join(row.image_words[0]),
+                "meeting_1": str(row.meeting_points[0]),
                 "tag_1": tags[0],
-                "image_2": "|".join(row.images[1].words()),
-                "meeting_2": str(row.images[1].meeting_point),
+                "image_2": "|".join(row.image_words[1]),
+                "meeting_2": str(row.meeting_points[1]),
                 "tag_2": tags[1],
                 "case": row.case,
             }

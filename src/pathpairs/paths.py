@@ -24,16 +24,20 @@ pairs), ``shared_vertices`` (the meeting points of one ``PathPair``) or
 ``meeting_census`` resolves the window and checks the precondition once per
 call, not once per pair, and is bit-sliced: each pair is counted exactly, in
 its own bit lane of big-int bit planes, so one integer operation advances
-the counts of a left path against every right path at once. The per-pair
-forms read each path's ``vertex_mask``, one int with a bit per vertex keyed
-from the path's start, so a pair's shared vertices are the set bits of the
-AND of its two masks, inside the window. ``all_paths`` is the one
-enumerator, in the fixed order of the E-step positions as combinations.
+the counts of a left path against every right path at once. A left path
+reuses the planes of the vertex prefix it shares with the path before it,
+from a stack kept by prefix length, and the histogram is recovered once per
+call, by inclusion-exclusion, from running popcounts of the AND of each
+subset of planes. The per-pair forms read each path's ``vertex_mask``, one
+int with a bit per vertex keyed from the path's start, so a pair's shared
+vertices are the set bits of the AND of its two masks, inside the window.
+``all_paths`` is the one enumerator, in the fixed order of the E-step
+positions as combinations.
 
 Paths built by ``PathNE.from_word`` are shared: equal words from the same
 start give one ``PathNE`` instance, so its vertices and vertex mask are
-computed once however often the word is rebuilt (the 2-to-1 replay rebuilds
-each path many times).
+computed once however often the word is rebuilt (the ``RectPair`` forms of
+the 2-to-1 maps rebuild the same few words many times).
 
 All values are immutable and all operations are pure functions.
 ``InvariantError`` is what a route raises when one of its own
@@ -46,7 +50,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, compress, count
+from operator import add, ne
 
 Point = tuple[int, int]
 
@@ -267,10 +272,16 @@ def meeting_census(left, right, convention) -> dict[int, int]:
     paths through it. For one left path ``a``, the masks of a's vertices are
     added into a binary counter kept as bit planes (``planes[i]`` holds bit i
     of every lane's count), so lane j ends holding the exact count of the
-    pair; the lanes with count k are then selected by ANDing each plane or
-    its complement, and counted with ``bit_count``. Every pair is counted,
-    but in big-int operations over all of ``right`` at once, not one
-    interpreter step per pair."""
+    pair. Consecutive left paths share vertex prefixes (long ones in
+    ``all_paths`` order), so the counter states are kept on a stack by
+    prefix length and each path adds only the vertices after the prefix it
+    shares with the path before it; any order is counted alike. For each
+    subset S of the planes, ``above[S]`` sums over the left paths the lanes
+    whose count has every bit of S set, the ``bit_count`` of the AND of those
+    planes. The histogram comes out of ``above`` once, at the end, by
+    inclusion-exclusion over supersets. Every pair is counted, but in big-int
+    operations over all of ``right`` at once, not one interpreter step per
+    pair."""
     window = _window(convention, [*left, *right])
     masks: dict[Point, int] = {}
     for j, b in enumerate(right):
@@ -278,20 +289,31 @@ def meeting_census(left, right, convention) -> dict[int, int]:
             masks[v] = masks.get(v, 0) | 1 << j
     full = (1 << len(right)) - 1
     depth = len(range(right[0].n + 1)[window]).bit_length()
-    tally = [0] * (1 << depth)
+    above = [0] * (1 << depth)
+    stack = [[0] * depth]  # stack[i]: the planes after the first i vertices of the last path
+    last: tuple[Point, ...] = ()
     for a in left:
-        planes = [0] * depth
-        for v in a.vertices[window]:
+        vertices = a.vertices[window]
+        # the first index at which a's vertices leave the last path's
+        shared = next(compress(count(), map(ne, vertices, last)), len(last))
+        del stack[shared + 1 :]
+        planes = stack[-1]
+        for v in vertices[shared:]:
+            planes = planes.copy()
             carry = masks.get(v, 0)
             for i, plane in enumerate(planes):
                 if not carry:
                     break
                 planes[i] = plane ^ carry
                 carry &= plane
-        lanes = [full]  # split by each plane, high to low: lanes[k] ends as count k
-        for plane in reversed(planes):
-            lanes = [half for group in lanes for half in (group & ~plane, group & plane)]
-        for k, group in enumerate(lanes):
-            tally[k] += group.bit_count()
-    return {k: count for k, count in enumerate(tally) if count}
-
+            stack.append(planes)
+        last = vertices
+        lanes = [full]  # lanes[S]: the AND of the planes in S, bit i for planes[i]
+        for plane in planes:
+            lanes += [group & plane for group in lanes]
+        above = list(map(add, above, map(int.bit_count, lanes)))
+    for i in range(depth):  # keep in above[S] only the lanes whose count is S
+        for subset in range(1 << depth):
+            if not subset >> i & 1:
+                above[subset] -= above[subset | 1 << i]
+    return {k: pairs for k, pairs in enumerate(above) if pairs}

@@ -9,11 +9,15 @@ Core claims:
       when their doubled edge is peeled off
     - exhaustive replay passes on small rectangles with the documented counts,
       and reports a forward map that repeats an image or leaves the
-      one-meeting set; a passing replay never lists that set
+      one-meeting set, and an inverse that returns another source; a passing
+      replay never lists that set and builds no ``RectPair``, and each row
+      builds the pairs of the words it stores when it is read
     - the direct source walk yields exactly the nonmeeting pairs, in the
       order of ``paths.all_paths``, and as many as the Lindstrom-Gessel-Viennot
       determinant and the Narayana number give on every rectangle with
       r + s <= 12
+    - the inverse's mask test of one path staying north of another is the
+      step-by-step comparison of their vertices
     - on random rectangles with r + s <= 16, the forward map takes the case
       and meeting points that the first gap-1 column, read from column
       heights, dictates, and the inverse returns both images of a random
@@ -191,34 +195,55 @@ def test_verify_counts_small_rectangles():
 
 
 def test_verify_reports_a_repeated_image(monkeypatch):
-    real_insert = bijection._insert
+    real_insert = bijection._insert_words
 
-    def repeat_first(pair):
-        case, first, _ = real_insert(pair)
+    def repeat_first(up, lo, masks, image):
+        case, first, _ = real_insert(up, lo, masks, image)
         return case, first, first
 
-    monkeypatch.setattr(bijection, "_insert", repeat_first)
+    monkeypatch.setattr(bijection, "_insert_words", repeat_first)
     report = verify_correspondence(2, 2)
+    monkeypatch.undo()
     assert not report.passed
     assert "images are not pairwise distinct" in report.failures
-    dropped = sorted(real_insert(row.source)[2].words() for row in report.rows)
+    dropped = sorted(insert_meeting(row.source)[1].words() for row in report.rows)
     assert len(dropped) == report.nonmeeting_count == 3
     assert f"one-meeting pairs never hit: {dropped}" in report.failures
 
 
 def test_verify_reports_an_image_outside_the_one_meeting_set(monkeypatch):
-    real_insert = bijection._insert
+    real_insert = bijection._insert_words
 
-    def return_source(pair):
-        case, first, _ = real_insert(pair)
-        return case, first, pair  # the nonmeeting source itself
+    def return_source(up, lo, masks, image):
+        case, first, _ = real_insert(up, lo, masks, image)
+        return case, first, ((up, lo), None)  # the nonmeeting source itself, meeting nowhere
 
-    monkeypatch.setattr(bijection, "_insert", return_source)
+    monkeypatch.setattr(bijection, "_insert_words", return_source)
     report = verify_correspondence(2, 2)
     assert not report.passed
     outside = [f for f in report.failures if f.startswith("images outside the one-meeting set")]
     sources = [("NENE", "EENN"), ("NNEE", "EENN"), ("NNEE", "ENEN")]
     assert outside == [f"images outside the one-meeting set: {sources}"]
+
+
+def test_verify_reports_an_inverse_that_returns_another_source(monkeypatch):
+    real_remove = bijection._remove_words
+    sources = [("NENE", "EENN"), ("NNEE", "EENN"), ("NNEE", "ENEN")]
+    next_source = dict(zip(sources, sources[1:] + sources[:1]))
+
+    def return_another(up, lo, point, masks):
+        words, tag = real_remove(up, lo, point, masks)
+        return next_source[words], tag  # a nonmeeting pair, but not the source
+
+    monkeypatch.setattr(bijection, "_remove_words", return_another)
+    report = verify_correspondence(2, 2)
+    assert not report.passed
+    assert list(report.failures) == [
+        f"round trip broke: {row.source_words} -> {words} -> {next_source[row.source_words]}"
+        for row in report.rows
+        for words in row.image_words
+    ]
+    assert len(report.failures) == 2 * len(sources)
 
 
 def test_passing_replay_never_lists_the_one_meeting_set(monkeypatch):
@@ -228,6 +253,36 @@ def test_passing_replay_never_lists_the_one_meeting_set(monkeypatch):
     monkeypatch.setattr(bijection, "_one_meeting_words", refuse)
     for r, s in ((1, 1), (1, 4), (3, 3), (4, 2)):
         assert verify_correspondence(r, s).passed
+
+
+def test_passing_replay_builds_no_rect_pair(monkeypatch):
+    built = []
+    real_post_init = RectPair.__post_init__
+
+    def counted(pair):
+        built.append(pair)
+        real_post_init(pair)
+
+    monkeypatch.setattr(RectPair, "__post_init__", counted)
+    for total in range(2, 9):
+        for r in range(1, total):
+            assert verify_correspondence(r, total - r).passed, (r, total - r)
+    assert built == []
+    row = verify_correspondence(2, 2).rows[0]
+    assert row.source.kind == bijection.NONMEETING  # pairs are built when a row is read
+    assert len(built) == 1
+
+
+def test_rows_build_the_pairs_of_their_stored_words():
+    for total in range(2, 9):
+        for r in range(1, total):
+            for row in verify_correspondence(r, total - r).rows:
+                assert row.source == RectPair.from_words(*row.source_words)
+                assert row.source.words() == row.source_words
+                images = row.images
+                assert images == tuple(RectPair.from_words(*words) for words in row.image_words)
+                assert tuple(image.words() for image in images) == row.image_words
+                assert tuple(image.meeting_point for image in images) == row.meeting_points
 
 
 def test_source_walk_yields_the_nonmeeting_pairs_in_path_order():
@@ -250,6 +305,20 @@ def test_source_walk_counts_the_lgv_determinant_and_the_narayana_number():
             walked = sum(1 for _ in bijection._nonmeeting_words(r, s))
             lgv = comb(n - 2, r - 1) * comb(n - 2, s - 1) - comb(n - 2, r) * comb(n - 2, s)
             assert walked == lgv == formulas.narayana(n, r), (r, s)
+
+
+def test_north_throughout_on_masks_is_the_vertex_walk():
+    # no vertex below the other path's lowest vertex in its column, against
+    # the step-by-step definition, on every ordered pair of paths
+    for n in range(2, 8):
+        for r in range(1, n):
+            side = n + 1
+            bottoms = sum(1 << x * side for x in range(r + 1))
+            family = paths.all_paths(n, r)
+            for a in family:
+                for b in family:
+                    walk = all(u[0] <= v[0] for u, v in zip(a.vertices, b.vertices))
+                    assert bijection._north_throughout(a.vertex_mask, b.vertex_mask, bottoms) == walk
 
 
 def test_verify_rejects_degenerate():
@@ -318,7 +387,9 @@ def _reference_case(pair: RectPair):
 @given(source=nonmeeting_pairs())
 def test_random_round_trip_returns_source_with_its_tag(source):
     assert source.kind == bijection.NONMEETING
-    case, first, second = bijection._insert(source)
+    case, first, second = bijection._insert_words(
+        *source.words(), bijection._PATH_MASKS, bijection._validated_image
+    )
     assert (case, first.meeting_point, second.meeting_point) == _reference_case(source)
     assert first != second
     expected = {"A": "II", "B": "III", "C": "I"}[case]

@@ -14,11 +14,14 @@ Core claims:
     - ``as_probability`` is the one exact, bounded probability check
     - the bit-sliced census equals the per-pair tally on random families of
       unequal sizes, across machine words, away from the origin and with
-      counts that need four bit planes
+      counts that need four bit planes; on shuffled, repeated and
+      single-path families under every convention, and a family of mixed
+      lengths, starts or endpoints raises the per-pair message
     - ``from_word`` shares one path per (word, start) and never caches a
       rejected word; ``end`` counted from the steps is the last vertex
 """
 
+import random
 import re
 from fractions import Fraction
 from itertools import combinations, product
@@ -226,6 +229,53 @@ def test_census_enforces_preconditions():
         meeting_census(all_paths(3, 1), all_paths(2, 1), intersections_excluding_start)
     with pytest.raises(ValueError):
         meeting_census(all_paths(3, 1), all_paths(3, 1), len)
+
+
+def test_census_is_the_per_pair_tally_in_any_order_and_with_repeats():
+    # prefix sharing keeps counter states by the prefix each path shares with
+    # the one before it, so neither order nor repeats may change a count
+    rng = random.Random(19)
+    for n in range(7):
+        walks = [p for r in range(n + 1) for p in all_paths(n, r)]
+        for convention in CONVENTIONS:
+            if convention is intersections_interior:
+                families = [all_paths(n, r) for r in range(n + 1)]
+            else:
+                families = [walks]
+            for family in families:
+                shuffled = rng.sample(family, len(family))
+                repeated = family + rng.choices(family, k=len(family))
+                rng.shuffle(repeated)
+                cases = [
+                    (shuffled, family),
+                    (family[::-1], shuffled),
+                    (repeated, shuffled),
+                    (shuffled, repeated),
+                    (family[-1:], family),
+                    (family, family[:1]),
+                    (repeated[:1], repeated[:1]),
+                ]
+                for left, right in cases:
+                    assert meeting_census(left, right, convention) == _tally(left, right, convention)
+
+
+def test_census_of_a_mixed_family_raises_the_per_pair_message():
+    rng = random.Random(23)
+    short, long = all_paths(3, 1), all_paths(4, 1)
+    ends = all_paths(4, 1) + all_paths(4, 2)
+    moved = [PathNE(p.steps, (1, 0)) for p in short]
+    cases = [
+        (short[:1] + long, "paths have different step counts: 3 vs 4", CONVENTIONS),
+        (long[:1] + short, "paths have different step counts: 4 vs 3", CONVENTIONS),
+        (short[:1] + moved, "paths have different starts: (0, 0) vs (1, 0)", CONVENTIONS),
+        (ends, "interior count needs equal endpoints, got [(1, 3), (2, 2)]", (intersections_interior,)),
+    ]
+    for family, message, conventions in cases:
+        for convention in conventions:
+            rest = family[1:]
+            for left, right in ((family[:1], rng.sample(rest, len(rest))), (family, family)):
+                _raises(message, lambda: meeting_census(left, right, convention))
+                _raises(message, lambda: _tally(left, right, convention))
 
 
 def _shifted(n, r, start):
