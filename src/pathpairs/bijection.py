@@ -31,10 +31,10 @@ the one copy of each word surgery; ``insert_meeting`` and
 built, as ``paths.meeting_points`` under ``intersections_interior``, which
 ANDs the two paths' vertex masks.
 
-``verify_correspondence`` scans no pairs of paths and, on a passing
-replay, builds no ``RectPair``. It walks the nonmeeting sources directly,
-in the order of ``paths.all_paths``, and reads every pair through the
-vertex masks of the rectangle's one family, ``paths.all_paths(r + s, r)``:
+``verify_correspondence`` scans no pairs of paths and builds no
+``RectPair``. It walks the nonmeeting sources directly, in the order of
+``paths.all_paths``, and reads every pair through the vertex masks of the
+rectangle's one family, ``paths.all_paths(r + s, r)``:
 
 * an image passes when both its words are in that family and the AND of
   their masks inside the window has exactly one bit, at the meeting point
@@ -43,20 +43,18 @@ vertex masks of the rectangle's one family, ``paths.all_paths(r + s, r)``:
   source walk yields only meeting-free pairs, so a matching inverse needs
   no second check.
 
-Anything that fails one of these fast checks goes to the ``RectPair``
-checks, so each failure reads as it always has. The images exhaust the
-one-meeting set by count: they are pairwise distinct, each is a pair on
-the rectangle with exactly one interior meeting, and there are as many as
-``paths.meeting_census`` counts over the same family. Outside that
-bit-sliced census the work grows with the pairs replayed, not with the
-square of the number of paths.
+The images exhaust the one-meeting set by count: they are pairwise
+distinct, each is a pair on the rectangle with exactly one interior
+meeting, and there are as many as ``paths.meeting_census`` counts over the
+same family. Outside that bit-sliced census the work grows with the pairs
+replayed, not with the square of the number of paths.
 
-Every constructed path is revalidated (endpoints, exact meeting count and
-location), and a violated postcondition raises ``paths.InvariantError`` with
-the construction case in the message; the word surgery below has enough
-edits that silent slips must fail loudly. ``verify_correspondence`` replays
-the whole correspondence on a rectangle and reports, rather than raises, any
-defect it finds.
+Every image ``insert_meeting`` builds is revalidated (endpoints, exact
+meeting count and location), and a violated postcondition raises
+``paths.InvariantError`` with the construction case in the message; the
+word surgery below has enough edits that silent slips must fail loudly.
+``verify_correspondence`` replays the whole correspondence on a rectangle
+and reports, rather than raises, any defect it finds.
 
 On the 1 x 1 rectangle the boundary meeting points coincide: (1, 0) is also
 (r, s-1) and (0, 1) is also (r-1, s). Both one-meeting pairs there arise as
@@ -192,13 +190,13 @@ def insert_meeting(pair: RectPair) -> tuple[RectPair, RectPair]:
     r, s = pair.shape
     if r == 0 or s == 0:
         raise ValueError("degenerate rectangle: need r >= 1 and s >= 1")
-    _, first, second = _insert_words(*pair.words(), _PATH_MASKS, _validated_image)
-    return first, second
+    _, first, second = _insert_words(*pair.words(), _PATH_MASKS)
+    return _validated_image(*first), _validated_image(*second)
 
 
 class _PathMasks:
-    """``masks[word]`` is the ``PathNE.vertex_mask`` of the word's shared
-    path, for the kernels' ``RectPair`` wrappers."""
+    """``masks[word]`` is the ``PathNE.vertex_mask`` of the word's path,
+    for the kernels' ``RectPair`` wrappers."""
 
     def __getitem__(self, word: str) -> int:
         return PathNE.from_word(word).vertex_mask
@@ -207,16 +205,15 @@ class _PathMasks:
 _PATH_MASKS = _PathMasks()
 
 
-def _insert_words(up: str, lo: str, masks, image):
+def _insert_words(up: str, lo: str, masks):
     """The construction case ("A", "B" or "C") of the nonmeeting pair with
     canonical words ``up`` and ``lo`` on an r x s rectangle, r, s >= 1, and
     its two images, in the order ``insert_meeting`` returns them.
 
     ``masks[word]`` is the ``PathNE.vertex_mask`` of the word's path. Each
-    image is ``image(wa, wb, point, label)``: whatever the caller builds
-    from the image's two words, in either order, after checking that they
-    meet at ``point`` only. ``label`` names the construction case and the
-    image, "A1" to "C2", for the check's message."""
+    image is ``(wa, wb, point, label)``: its two words, in either order,
+    the point where the construction says they meet, and the label of the
+    case and image, "A1" to "C2". Nothing here checks the images."""
     n = len(up)
     r = up.count(EAST)
     s, side = n - r, n + 1
@@ -224,17 +221,15 @@ def _insert_words(up: str, lo: str, masks, image):
     # onto the south vertex (x, y) below it
     gap = (masks[up] >> 1) & masks[lo] & ((1 << r * side) - (1 << side))  # columns 1 .. r - 1
     if not gap:
-        return "A", image(up[1:] + NORTH, lo, (r, s - 1), "A1"), image(up, NORTH + lo[:-1], (0, 1), "A2")
+        return "A", (up[1:] + NORTH, lo, (r, s - 1), "A1"), (up, NORTH + lo[:-1], (0, 1), "A2")
     point = divmod((gap & -gap).bit_length() - 1, side)
     x0, y0 = point
     t0 = x0 + y0
     prefix, suffix = up[: t0 + 1], up[t0 + 1 :]  # prefix reaches (x0, y0 + 1)
     moved = _drop_first_north(prefix) + NORTH + suffix
     if point != (1, 0):
-        first = image(moved, lo, point, "B1")
-        return "B", first, image(moved[:t0] + lo[t0:], lo[:t0] + moved[t0:], point, "B2")
-    first = image(moved, lo, point, "C1")
-    return "C", first, image(moved[1:] + EAST, lo[1:] + EAST, (r - 1, s), "C2")
+        return "B", (moved, lo, point, "B1"), (moved[:t0] + lo[t0:], lo[:t0] + moved[t0:], point, "B2")
+    return "C", (moved, lo, point, "C1"), (moved[1:] + EAST, lo[1:] + EAST, (r - 1, s), "C2")
 
 
 def _classify(r: int, s: int, point: Point) -> tuple[str, str]:
@@ -471,9 +466,8 @@ def verify_correspondence(r: int, s: int) -> CorrespondenceReport:
     raised.
 
     Every pair is read as words, through the masks of the rectangle's
-    paths; an image or an inverse that fails those fast checks is rebuilt
-    as a ``RectPair`` and checked again by ``_validated_image`` or
-    ``remove_meeting``, whose messages the failures carry.
+    paths. An image that does not meet at its case's point only is
+    reported by its label and gets no inverse.
     """
     if r < 1 or s < 1:
         raise ValueError("need r >= 1 and s >= 1")
@@ -483,15 +477,6 @@ def verify_correspondence(r: int, s: int) -> CorrespondenceReport:
     masks = defaultdict(int, {p.word: p.vertex_mask for p in family})
     interior = _interior(r, s)
 
-    def image(wa: str, wb: str, point: Point, label: str):
-        """The image's canonical words and, if it is an r x s pair that
-        meets at ``point`` only, that point; else None."""
-        x, y = point
-        if masks[wa] & masks[wb] & interior == 1 << x * side + y:
-            return _canonical(wa, wb), point
-        # raises the check's own message, unless the pair is off this rectangle
-        return _validated_image(wa, wb, point, label).words(), None
-
     failures: list[str] = []
     rows: list[CorrespondenceRow] = []
     images: list[tuple[str, str]] = []
@@ -500,28 +485,29 @@ def verify_correspondence(r: int, s: int) -> CorrespondenceReport:
     for source in _nonmeeting_words(r, s):
         sources += 1
         try:
-            case, first, second = _insert_words(*source, masks, image)
+            case, first, second = _insert_words(*source, masks)
         except (ValueError, RuntimeError) as exc:
             failures.append(f"forward map failed on {source}: {exc}")
             continue
-        points, tags = [], []
-        for words, point in (first, second):
+        pairs, points, tags = [], [], []
+        for wa, wb, point, label in (first, second):
+            words = _canonical(wa, wb)
             images.append(words)
-            inside = inside and point is not None
-            try:
-                if point is not None:
-                    back, tag = _remove_words(*words, point, masks)
-                if point is None or back != source:  # the RectPair checks name the fault
-                    pair = RectPair.from_words(*words)
-                    point = pair.meeting_point
-                    back_pair, tag = remove_meeting(pair)
-                    back = back_pair.words()
-            except (ValueError, RuntimeError) as exc:
-                failures.append(f"inverse failed on image {words}: {exc}")
-                points.append(point)
+            pairs.append(words)
+            x, y = point
+            if masks[wa] & masks[wb] & interior != 1 << x * side + y:
+                failures.append(f"image {label} of {source} does not meet at {point} only: {words}")
+                inside = False
+                points.append(None)
                 tags.append(_TAG_III[False])
                 continue
             points.append(point)
+            try:
+                back, tag = _remove_words(*words, point, masks)
+            except (ValueError, RuntimeError) as exc:
+                failures.append(f"inverse failed on image {words}: {exc}")
+                tags.append(_TAG_III[False])
+                continue
             tags.append(tag)
             if back != source:
                 failures.append(f"round trip broke: {source} -> {words} -> {back}")
@@ -530,7 +516,7 @@ def verify_correspondence(r: int, s: int) -> CorrespondenceReport:
         tags = tuple(tags)
         if tags == _CASE_TAGS[case]:
             tags = _CASE_TAGS[case]
-        rows.append(CorrespondenceRow(source, (first[0], second[0]), tuple(points), case, tags))
+        rows.append(CorrespondenceRow(source, tuple(pairs), tuple(points), case, tags))
 
     hit = set(images)
     if len(hit) != len(images):

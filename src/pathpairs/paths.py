@@ -34,11 +34,6 @@ vertices are the set bits of the AND of its two masks, inside the window.
 ``all_paths`` is the one enumerator, in the fixed order of the E-step
 positions as combinations.
 
-Paths built by ``PathNE.from_word`` are shared: equal words from the same
-start give one ``PathNE`` instance, so its vertices and vertex mask are
-computed once however often the word is rebuilt (the ``RectPair`` forms of
-the 2-to-1 maps rebuild the same few words many times).
-
 All values are immutable and all operations are pure functions.
 ``InvariantError`` is what a route raises when one of its own
 postconditions fails, and ``as_probability`` is the one check the routes
@@ -49,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations, compress, count
 from operator import add, ne
 
@@ -59,11 +54,6 @@ EAST = "E"
 NORTH = "N"
 
 _VALID_STEPS = frozenset((EAST, NORTH))
-
-# Bound on the paths ``PathNE.from_word`` shares; the largest rectangle the
-# CLI replays, r + s = 12, has 924 of them.
-_SHARED_PATHS = 4096
-
 
 class InvariantError(RuntimeError):
     """A route broke one of its own postconditions: the program is wrong,
@@ -98,8 +88,8 @@ class PathNE:
 
     @classmethod
     def from_word(cls, word: str, start: Point = (0, 0)) -> "PathNE":
-        """The one shared path with this word and start."""
-        return _shared_path(cls, word, start)
+        """The path with this word and start."""
+        return cls(tuple(word), start)
 
     @cached_property
     def word(self) -> str:
@@ -144,12 +134,6 @@ class PathNE:
     def column_heights(self, x: int) -> tuple[int, ...]:
         """All y with (x, y) on the path, in increasing order."""
         return tuple(vy for vx, vy in self.vertices if vx == x)
-
-
-@lru_cache(maxsize=_SHARED_PATHS)
-def _shared_path(cls, word: str, start: Point) -> PathNE:
-    # a word that fails validation raises on every call: lru_cache keeps no exceptions
-    return cls(tuple(word), start)
 
 
 def all_paths(n: int, r: int) -> list[PathNE]:
@@ -210,11 +194,13 @@ _CONVENTIONS = (
 
 
 def _window(convention, paths) -> slice:
-    """Step indices ``convention`` counts on a nonempty family of paths,
-    after checking on every path that any two of them form a valid pair
-    for it."""
+    """Step indices ``convention`` counts on a family of paths, after
+    checking on every path that any two of them form a valid pair for it.
+    An empty family counts none."""
     if convention not in _CONVENTIONS:
         raise ValueError(f"unknown counting convention {convention!r}")
+    if not paths:
+        return slice(0)
     first = paths[0]
     n, start = len(first.steps), first.start
     for p in paths:
@@ -238,16 +224,9 @@ def shared_vertices(pair: PathPair, convention) -> tuple[Point, ...]:
 def meeting_points(a: PathNE, b: PathNE, convention) -> tuple[Point, ...]:
     """``shared_vertices(PathPair(a, b), convention)`` without building the
     pair: the set bits of ``a.vertex_mask & b.vertex_mask`` inside the
-    window, decoded in bit order.
-
-    Two paths with one start and one end are a valid interior pair, which
-    settles the common case in two comparisons; any other pair goes through
-    ``_window``, which checks it as a family of two and raises the pair's
-    message."""
-    if convention is intersections_interior and a.start == b.start and a.end == b.end:
-        interior = True
-    else:
-        interior = _window(convention, (a, b)).stop == len(a.steps)
+    window, decoded in bit order. ``_window`` checks the two paths as a
+    family of two and raises the pair's message."""
+    interior = _window(convention, (a, b)).stop == len(a.steps)
     common = a.vertex_mask & b.vertex_mask & ~1  # no window counts the start, bit 0
     if interior:  # ... and the interior one leaves out the common end, the top bit
         common &= ~(1 << a.vertex_mask.bit_length() - 1)
@@ -283,6 +262,8 @@ def meeting_census(left, right, convention) -> dict[int, int]:
     operations over all of ``right`` at once, not one interpreter step per
     pair."""
     window = _window(convention, [*left, *right])
+    if not right:
+        return {}
     masks: dict[Point, int] = {}
     for j, b in enumerate(right):
         for v in b.vertices[window]:

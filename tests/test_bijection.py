@@ -9,7 +9,8 @@ Core claims:
       when their doubled edge is peeled off
     - exhaustive replay passes on small rectangles with the documented counts,
       and reports a forward map that repeats an image or leaves the
-      one-meeting set, and an inverse that returns another source; a passing
+      one-meeting set, an image that meets elsewhere or twice (by its
+      label), and an inverse that raises or returns another source; a passing
       replay never lists that set and builds no ``RectPair``, and each row
       builds the pairs of the words it stores when it is read
     - the direct source walk yields exactly the nonmeeting pairs, in the
@@ -197,8 +198,8 @@ def test_verify_counts_small_rectangles():
 def test_verify_reports_a_repeated_image(monkeypatch):
     real_insert = bijection._insert_words
 
-    def repeat_first(up, lo, masks, image):
-        case, first, _ = real_insert(up, lo, masks, image)
+    def repeat_first(up, lo, masks):
+        case, first, _ = real_insert(up, lo, masks)
         return case, first, first
 
     monkeypatch.setattr(bijection, "_insert_words", repeat_first)
@@ -214,9 +215,9 @@ def test_verify_reports_a_repeated_image(monkeypatch):
 def test_verify_reports_an_image_outside_the_one_meeting_set(monkeypatch):
     real_insert = bijection._insert_words
 
-    def return_source(up, lo, masks, image):
-        case, first, _ = real_insert(up, lo, masks, image)
-        return case, first, ((up, lo), None)  # the nonmeeting source itself, meeting nowhere
+    def return_source(up, lo, masks):
+        case, first, (_, _, point, label) = real_insert(up, lo, masks)
+        return case, first, (up, lo, point, label)  # the nonmeeting source itself, meeting nowhere
 
     monkeypatch.setattr(bijection, "_insert_words", return_source)
     report = verify_correspondence(2, 2)
@@ -244,6 +245,77 @@ def test_verify_reports_an_inverse_that_returns_another_source(monkeypatch):
         for words in row.image_words
     ]
     assert len(report.failures) == 2 * len(sources)
+
+
+def test_verify_reports_an_image_that_meets_elsewhere(monkeypatch):
+    # case A's two images are valid one-meeting pairs, so swapping the
+    # points they should meet at leaves each a pair meeting elsewhere
+    real_insert = bijection._insert_words
+
+    def swap_points(up, lo, masks):
+        case, (a1, b1, p1, l1), (a2, b2, p2, l2) = real_insert(up, lo, masks)
+        if case == "A":
+            return case, (a1, b1, p2, l1), (a2, b2, p1, l2)
+        return case, (a1, b1, p1, l1), (a2, b2, p2, l2)
+
+    monkeypatch.setattr(bijection, "_insert_words", swap_points)
+    for r, s in ((2, 2), (3, 3)):
+        report = verify_correspondence(r, s)
+        assert not report.passed
+        expected = []
+        for row in report.rows:
+            if row.case == "A":
+                first, second = row.image_words
+                expected += [
+                    f"image A1 of {row.source_words} does not meet at {(0, 1)} only: {first}",
+                    f"image A2 of {row.source_words} does not meet at {(r, s - 1)} only: {second}",
+                ]
+                assert row.meeting_points == (None, None)
+        assert expected and list(report.failures) == expected
+
+
+def test_verify_reports_an_image_with_two_meetings(monkeypatch):
+    real_insert = bijection._insert_words
+    for r, s in ((2, 2), (3, 3)):
+        family = paths.all_paths(r + s, r)
+        a, b = next(
+            (a, b)
+            for a in family
+            for b in family
+            if len(paths.meeting_points(a, b, paths.intersections_interior)) == 2
+        )
+        twice = paths.meeting_points(a, b, paths.intersections_interior)
+
+        def meet_twice(up, lo, masks):
+            case, first, (_, _, _, label) = real_insert(up, lo, masks)
+            return case, first, (a.word, b.word, twice[0], label)
+
+        monkeypatch.setattr(bijection, "_insert_words", meet_twice)
+        report = verify_correspondence(r, s)
+        monkeypatch.undo()
+        assert not report.passed
+        words = bijection._canonical(a.word, b.word)
+        for row in report.rows:
+            label = row.case + "2"
+            message = f"image {label} of {row.source_words} does not meet at {twice[0]} only: {words}"
+            assert message in report.failures
+        assert "images are not pairwise distinct" in report.failures
+        assert f"images outside the one-meeting set: {[words]}" in report.failures
+
+
+def test_verify_reports_an_inverse_that_raises(monkeypatch):
+    def refuse(up, lo, point, masks):
+        raise paths.InvariantError(f"no source for {(up, lo)}")
+
+    monkeypatch.setattr(bijection, "_remove_words", refuse)
+    for r, s in ((2, 2), (3, 3)):
+        report = verify_correspondence(r, s)
+        assert not report.passed
+        assert list(report.failures) == [
+            f"inverse failed on image {words}: no source for {words}"
+            for row in report.rows
+            for words in row.image_words
+        ]
 
 
 def test_passing_replay_never_lists_the_one_meeting_set(monkeypatch):
@@ -387,9 +459,8 @@ def _reference_case(pair: RectPair):
 @given(source=nonmeeting_pairs())
 def test_random_round_trip_returns_source_with_its_tag(source):
     assert source.kind == bijection.NONMEETING
-    case, first, second = bijection._insert_words(
-        *source.words(), bijection._PATH_MASKS, bijection._validated_image
-    )
+    case, *images = bijection._insert_words(*source.words(), bijection._PATH_MASKS)
+    first, second = (bijection._validated_image(*image) for image in images)
     assert (case, first.meeting_point, second.meeting_point) == _reference_case(source)
     assert first != second
     expected = {"A": "II", "B": "III", "C": "I"}[case]

@@ -16,9 +16,10 @@ Core claims:
       unequal sizes, across machine words, away from the origin and with
       counts that need four bit planes; on shuffled, repeated and
       single-path families under every convention, and a family of mixed
-      lengths, starts or endpoints raises the per-pair message
-    - ``from_word`` shares one path per (word, start) and never caches a
-      rejected word; ``end`` counted from the steps is the last vertex
+      lengths, starts or endpoints raises the per-pair message; an empty
+      family on either side gives an empty tally
+    - ``from_word`` rejects an invalid word on every call; ``end`` counted
+      from the steps is the last vertex
 """
 
 import random
@@ -231,6 +232,18 @@ def test_census_enforces_preconditions():
         meeting_census(all_paths(3, 1), all_paths(3, 1), len)
 
 
+def test_census_of_an_empty_family_is_empty():
+    family = all_paths(4, 2)
+    for convention in CONVENTIONS:
+        assert meeting_census(family, [], convention) == {}
+        assert meeting_census([], family, convention) == {}
+        assert meeting_census([], [], convention) == {}
+    # the other family is still checked, and so is the convention
+    _raises("interior count needs equal endpoints, got [(1, 3), (2, 2)]",
+            lambda: meeting_census(family + all_paths(4, 1), [], intersections_interior))
+    _raises(f"unknown counting convention {len!r}", lambda: meeting_census([], [], len))
+
+
 def test_census_is_the_per_pair_tally_in_any_order_and_with_repeats():
     # prefix sharing keeps counter states by the prefix each path shares with
     # the one before it, so neither order nor repeats may change a count
@@ -351,17 +364,7 @@ def test_mask_keys_away_from_origin():
                 assert meeting_points(a, b, convention) == _zipped_points(a, b, convention)
 
 
-# --- shared paths and their fast preconditions ---------------------------------
-
-
-def test_from_word_shares_one_path_per_word_and_start():
-    for word, start in (("ENNE", (0, 0)), ("ENNE", (2, 3)), ("", (0, 0))):
-        p = PathNE.from_word(word, start)
-        assert PathNE.from_word(word, start) is p
-        assert p == PathNE(tuple(word), start)
-        assert hash(p) == hash(PathNE(tuple(word), start))
-    assert PathNE.from_word("ENNE") is PathNE.from_word("ENNE", (0, 0))
-    assert PathNE.from_word("ENNE") is not PathNE.from_word("ENNE", (2, 3))
+# --- built paths and their fast preconditions ----------------------------------
 
 
 def test_from_word_rejects_an_invalid_word_on_every_call():
