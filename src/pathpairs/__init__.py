@@ -45,8 +45,6 @@ from .formulas import (
     same_start_meet_formula,
 )
 from .bijection import (
-    GroupTag,
-    RectPair,
     insert_meeting,
     remove_meeting,
     verify_correspondence,
@@ -89,8 +87,6 @@ __all__ = [
     "average_crossings",
     "barrier_meet_formula",
     "same_start_meet_formula",
-    "RectPair",
-    "GroupTag",
     "insert_meeting",
     "remove_meeting",
     "verify_correspondence",

@@ -24,21 +24,30 @@ masks (``PathNE.vertex_mask``): it is the lowest south-path vertex
 (x0, y0), 0 < x0 < r, whose neighbour above, (x0, y0 + 1), is on the north
 path, and one shift and two ANDs find it.
 
-Both maps work on step words. ``_insert_words`` and ``_remove_words`` hold
-the one copy of each word surgery; ``insert_meeting`` and
-``remove_meeting`` are thin wrappers over them that take and return
-``RectPair``s. A ``RectPair`` finds its meeting points once, when it is
-built, as ``paths.meeting_points`` under ``intersections_interior``, which
-ANDs the two paths' vertex masks.
+Pairs are step words throughout. ``insert_meeting`` and ``remove_meeting``
+take two words in either order and return canonical ``(upper, lower)``
+words; ``_insert_words`` and ``_remove_words`` hold the one copy of each
+word surgery. Tags are labels: "I", "II", and for group III "III:aligned"
+when the pre-meeting north path stays north throughout, "III:crossed"
+when it does not.
 
-``verify_correspondence`` scans no pairs of paths and builds no
-``RectPair``. It walks the nonmeeting sources directly, in the order of
-``paths.all_paths``, and reads every pair through the vertex masks of the
-rectangle's one family, ``paths.all_paths(r + s, r)``:
+Every pair is read through one mask mapping per rectangle, ``_RectMasks``:
+a word across the r x s rectangle maps to its path's
+``PathNE.vertex_mask`` and any other word to 0. The AND of a pair's two
+masks inside ``_interior(r, s)`` holds exactly its interior meetings, so
+one test checks an image: both words are on the rectangle and that AND is
+the one bit of the meeting point its construction case names. The public
+functions reject a pair that is not two paths across one rectangle with
+r, s >= 1, or that meets the wrong number of times, with ``ValueError``;
+an image or source of their own that fails the test raises
+``paths.InvariantError``, since the word surgery has enough edits that
+silent slips must fail loudly.
 
-* an image passes when both its words are in that family and the AND of
-  their masks inside the window has exactly one bit, at the meeting point
-  its construction case names;
+``verify_correspondence`` scans no pairs of paths. It walks the nonmeeting
+sources directly, in the order of ``paths.all_paths``, and reports, rather
+than raises, any defect it finds:
+
+* an image passes the mask test above, run inline;
 * a round trip passes when the inverse returns the source's words; the
   source walk yields only meeting-free pairs, so a matching inverse needs
   no second check.
@@ -49,13 +58,6 @@ meeting, and there are as many as ``paths.meeting_census`` counts over the
 same family. Outside that bit-sliced census the work grows with the pairs
 replayed, not with the square of the number of paths.
 
-Every image ``insert_meeting`` builds is revalidated (endpoints, exact
-meeting count and location), and a violated postcondition raises
-``paths.InvariantError`` with the construction case in the message; the
-word surgery below has enough edits that silent slips must fail loudly.
-``verify_correspondence`` replays the whole correspondence on a rectangle
-and reports, rather than raises, any defect it finds.
-
 On the 1 x 1 rectangle the boundary meeting points coincide: (1, 0) is also
 (r, s-1) and (0, 1) is also (r-1, s). Both one-meeting pairs there arise as
 group II images, which is how classification resolves that corner.
@@ -63,59 +65,34 @@ group II images, which is how classification resolves that corner.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
 from . import paths
 from .paths import EAST, NORTH, InvariantError, PathNE, Point
 
-NONMEETING = "nonmeeting"
-ONE_MEETING = "one-meeting"
 
+class _RectMasks(dict):
+    """``masks[word]`` is the ``PathNE.vertex_mask`` of the word's path when
+    the word crosses the r x s rectangle, and 0 for any other word, so a
+    pair with a word off the rectangle meets nowhere. A mask is computed
+    when first read and kept."""
 
-@dataclass(frozen=True, slots=True)
-class RectPair:
-    """An unordered pair of corner-to-corner paths sharing 0 or 1 interior
-    vertices; ``upper`` is the canonical (north-first) member. Its meeting
-    points are found once, when it is built."""
+    def __init__(self, r: int, s: int) -> None:
+        super().__init__()
+        self.r, self.s = r, s
 
-    upper: PathNE
-    lower: PathNE
-    _meeting_points: tuple[Point, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        upper, lower = self.upper, self.lower
-        if upper.start != (0, 0) or lower.start != (0, 0):
-            raise ValueError("rectangle pairs start at the origin")
-        if upper.word < lower.word:
-            raise ValueError("upper must be the canonical (north-first) member; use RectPair.from_words")
-        points = paths.meeting_points(upper, lower, paths.intersections_interior)
-        if len(points) > 1:
-            raise ValueError(f"pair shares {len(points)} interior vertices; only 0 or 1 allowed")
-        object.__setattr__(self, "_meeting_points", points)
-
-    @classmethod
-    def from_words(cls, a: str, b: str) -> "RectPair":
-        """The pair of these two words, given in either order."""
-        upper, lower = _canonical(a, b)
-        return cls(PathNE.from_word(upper), PathNE.from_word(lower))
-
-    @property
-    def kind(self) -> str:
-        return NONMEETING if not self._meeting_points else ONE_MEETING
-
-    @property
-    def meeting_point(self) -> Point | None:
-        return self._meeting_points[0] if self._meeting_points else None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.upper.end
-
-    def words(self) -> tuple[str, str]:
-        return (self.upper.word, self.lower.word)
+    def __missing__(self, word) -> int:
+        if not (
+            isinstance(word, str)
+            and word.count(EAST) == self.r
+            and word.count(NORTH) == self.s
+            and len(word) == self.r + self.s
+        ):
+            return 0
+        mask = self[word] = PathNE.from_word(word).vertex_mask
+        return mask
 
 
 def _canonical(a: str, b: str) -> tuple[str, str]:
@@ -123,24 +100,17 @@ def _canonical(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a >= b else (b, a)
 
 
-@dataclass(frozen=True)
-class GroupTag:
-    """Which group a one-meeting pair belongs to; ``north_throughout`` is
-    only meaningful for interior meetings (group III)."""
-
-    group: str
-    north_throughout: bool | None = None
-
-    def __post_init__(self) -> None:
-        if self.group not in ("I", "II", "III"):
-            raise ValueError(f"unknown group {self.group!r}")
-        if (self.group == "III") != (self.north_throughout is not None):
-            raise ValueError("north_throughout is set exactly for group III")
-
-
-# remove_meeting hands out these shared tags rather than building new ones
-_TAG_I, _TAG_II = GroupTag("I"), GroupTag("II")
-_TAG_III = {aligned: GroupTag("III", north_throughout=aligned) for aligned in (True, False)}
+def _rect_pair(a: str, b: str) -> tuple[str, str, _RectMasks, int]:
+    """The canonical words of two paths across one r x s rectangle,
+    r, s >= 1, that rectangle's masks and ``_interior(r, s)``; a
+    ``ValueError`` for any other input."""
+    r, s = (a.count(EAST), a.count(NORTH)) if isinstance(a, str) else (0, 0)
+    masks = _RectMasks(r, s)
+    if not (masks[a] and masks[b]):
+        raise ValueError(f"{a!r} and {b!r} are not two paths across one rectangle")
+    if r == 0 or s == 0:
+        raise ValueError("degenerate rectangle: need r >= 1 and s >= 1")
+    return *_canonical(a, b), masks, _interior(r, s)
 
 
 def _drop_first_north(word: str) -> str:
@@ -148,21 +118,9 @@ def _drop_first_north(word: str) -> str:
     return word[:i] + word[i + 1 :]
 
 
-def _validated_image(wa: str, wb: str, point: Point, case: str) -> RectPair:
-    try:
-        pair = RectPair.from_words(wa, wb)
-    except ValueError as exc:
-        raise InvariantError(f"construction case {case} produced an invalid pair: {exc}") from exc
-    if pair.meeting_point != point:
-        raise InvariantError(
-            f"construction case {case}: expected a single meeting at {point}, "
-            f"got {pair._meeting_points} for {pair.words()}"
-        )
-    return pair
-
-
-def insert_meeting(pair: RectPair) -> tuple[RectPair, RectPair]:
-    """Map a nonmeeting pair to its two one-meeting images.
+def insert_meeting(a: str, b: str) -> tuple[tuple[str, str], tuple[str, str]]:
+    """Map the nonmeeting pair of words ``a`` and ``b``, in either order, to
+    the canonical words of its two one-meeting images.
 
     The first gap-1 column x0 is read from the two vertex masks: (x0, y0)
     is the first south-path vertex with 0 < x0 < r whose neighbour
@@ -185,24 +143,17 @@ def insert_meeting(pair: RectPair) -> tuple[RectPair, RectPair]:
     moves that doubled edge to the northeast corner and shifts the pair one
     unit west, meeting at (r-1, s).
     """
-    if pair._meeting_points:
+    up, lo, masks, interior = _rect_pair(a, b)
+    if masks[up] & masks[lo] & interior:
         raise ValueError("insert_meeting needs a nonmeeting pair")
-    r, s = pair.shape
-    if r == 0 or s == 0:
-        raise ValueError("degenerate rectangle: need r >= 1 and s >= 1")
-    _, first, second = _insert_words(*pair.words(), _PATH_MASKS)
-    return _validated_image(*first), _validated_image(*second)
-
-
-class _PathMasks:
-    """``masks[word]`` is the ``PathNE.vertex_mask`` of the word's path,
-    for the kernels' ``RectPair`` wrappers."""
-
-    def __getitem__(self, word: str) -> int:
-        return PathNE.from_word(word).vertex_mask
-
-
-_PATH_MASKS = _PathMasks()
+    case, *images = _insert_words(up, lo, masks)
+    side = len(up) + 1
+    for wa, wb, (x, y), label in images:
+        if masks[wa] & masks[wb] & interior != 1 << x * side + y:
+            raise InvariantError(
+                f"construction case {case}: image {label} of {(up, lo)} does not meet at {(x, y)} only"
+            )
+    return tuple(_canonical(wa, wb) for wa, wb, _, _ in images)
 
 
 def _insert_words(up: str, lo: str, masks):
@@ -270,26 +221,28 @@ def _north_throughout(north: int, south: int, bottoms: int) -> bool:
     return not north & (lowest - bottoms)
 
 
-def remove_meeting(pair: RectPair) -> tuple[RectPair, GroupTag]:
-    """Map a one-meeting pair back to its nonmeeting source, with its tag.
+def remove_meeting(a: str, b: str) -> tuple[tuple[str, str], str]:
+    """Map the one-meeting pair of words ``a`` and ``b``, in either order,
+    back to the canonical words of its nonmeeting source, with its tag.
 
     Each branch undoes the matching ``insert_meeting`` edit: group I peels
     the doubled E edge (after shifting the partner image back east), group II
     re-lifts the doubled N edge, and group III removes the inserted N edge
     from the aligned member after un-swapping a crossed one.
     """
-    if len(pair._meeting_points) != 1:
+    up, lo, masks, interior = _rect_pair(a, b)
+    meets = masks[up] & masks[lo] & interior
+    if not meets or meets & (meets - 1):
         raise ValueError("remove_meeting needs a pair with exactly one meeting")
-    words, tag = _remove_words(*pair.words(), pair._meeting_points[0], _PATH_MASKS)
-    source = RectPair.from_words(*words)
-    if source._meeting_points:
-        raise InvariantError(
-            f"inverse of group {tag.group} left meetings {source._meeting_points}: {pair.words()}"
-        )
+    point = divmod(meets.bit_length() - 1, len(up) + 1)
+    source, tag = _remove_words(up, lo, point, masks)
+    upper, lower = masks[source[0]], masks[source[1]]
+    if not (upper and lower) or upper & lower & interior:
+        raise InvariantError(f"inverse tagged {tag} left no nonmeeting pair: {(up, lo)} -> {source}")
     return source, tag
 
 
-def _remove_words(up: str, lo: str, point: Point, masks) -> tuple[tuple[str, str], GroupTag]:
+def _remove_words(up: str, lo: str, point: Point, masks) -> tuple[tuple[str, str], str]:
     """The canonical words of the nonmeeting source of the one-meeting pair
     with canonical words ``up`` and ``lo`` on an r x s rectangle, meeting
     only at ``point``, and its tag. ``masks[word]`` is the
@@ -311,19 +264,19 @@ def _remove_words(up: str, lo: str, point: Point, masks) -> tuple[tuple[str, str
         modified, other = (up, lo) if up[1] == NORTH else (lo, up)
         if modified[:2] != EAST + NORTH:
             raise InvariantError(f"group I pair lacks the E,N corner at (1, 0): {words}")
-        return _canonical(NORTH + EAST + modified[2:], other), _TAG_I
+        return _canonical(NORTH + EAST + modified[2:], other), "I"
     if group == "II":
         if role == "partner":
             # meeting at (r, s-1): the modified member arrives there by an E step
             modified, other = (up, lo) if up[n - 2] == EAST else (lo, up)
             if modified[-1] != NORTH:
                 raise InvariantError(f"group II partner does not end with N: {words}")
-            return _canonical(NORTH + modified[:-1], other), _TAG_II
+            return _canonical(NORTH + modified[:-1], other), "II"
         # meeting at (0, 1): the modified member turns east right after it
         modified, other = (up, lo) if up[1] == EAST else (lo, up)
         if modified[0] != NORTH:
             raise InvariantError(f"group II pair lacks the leading N edge: {words}")
-        return _canonical(modified[1:] + NORTH, other), _TAG_II
+        return _canonical(modified[1:] + NORTH, other), "II"
 
     x0, y0 = point
     t0 = x0 + y0
@@ -343,7 +296,7 @@ def _remove_words(up: str, lo: str, point: Point, masks) -> tuple[tuple[str, str
             raise InvariantError(f"group III pair fails to align after unswap: {words}")
     if north[t0] != NORTH:
         raise InvariantError(f"group III aligned member lacks the inserted N edge at {point}")
-    return _canonical(NORTH + north[:t0] + north[t0 + 1 :], south), _TAG_III[aligned]
+    return _canonical(NORTH + north[:t0] + north[t0 + 1 :], south), "III:aligned" if aligned else "III:crossed"
 
 
 # --- exhaustive verification --------------------------------------------------
@@ -352,23 +305,14 @@ def _remove_words(up: str, lo: str, point: Point, masks) -> tuple[tuple[str, str
 class CorrespondenceRow(NamedTuple):
     """One replayed source: the canonical words of the source and of its
     two images, the images' meeting points, the construction case and the
-    images' tags. ``source`` and ``images`` build ``RectPair``s only when
-    read."""
+    images' tags. An image that fails its mask test has no meeting point
+    and no tag, and one whose inverse raises has no tag: both read None."""
 
     source_words: tuple[str, str]
     image_words: tuple[tuple[str, str], tuple[str, str]]
     meeting_points: tuple[Point | None, Point | None]
     case: str
-    tags: tuple[GroupTag, GroupTag]
-
-    @property
-    def source(self) -> RectPair:
-        return RectPair.from_words(*self.source_words)
-
-    @property
-    def images(self) -> tuple[RectPair, RectPair]:
-        first, second = self.image_words
-        return RectPair.from_words(*first), RectPair.from_words(*second)
+    tags: tuple[str | None, str | None]
 
 
 @dataclass(frozen=True)
@@ -386,9 +330,9 @@ class CorrespondenceReport:
 # row whose tags match shares the tuple here, so the rows of a large replay
 # hold fewer objects for the garbage collector to trace.
 _CASE_TAGS = {
-    "A": (_TAG_II, _TAG_II),
-    "B": (_TAG_III[True], _TAG_III[False]),
-    "C": (_TAG_I, _TAG_I),
+    "A": ("II", "II"),
+    "B": ("III:aligned", "III:crossed"),
+    "C": ("I", "I"),
 }
 
 
@@ -473,8 +417,8 @@ def verify_correspondence(r: int, s: int) -> CorrespondenceReport:
         raise ValueError("need r >= 1 and s >= 1")
     side = r + s + 1
     family = paths.all_paths(r + s, r)
-    # a word off the rectangle reads as meeting nothing
-    masks = defaultdict(int, {p.word: p.vertex_mask for p in family})
+    masks = _RectMasks(r, s)
+    masks.update({p.word: p.vertex_mask for p in family})
     interior = _interior(r, s)
 
     failures: list[str] = []
@@ -499,20 +443,20 @@ def verify_correspondence(r: int, s: int) -> CorrespondenceReport:
                 failures.append(f"image {label} of {source} does not meet at {point} only: {words}")
                 inside = False
                 points.append(None)
-                tags.append(_TAG_III[False])
+                tags.append(None)
                 continue
             points.append(point)
             try:
                 back, tag = _remove_words(*words, point, masks)
             except (ValueError, RuntimeError) as exc:
                 failures.append(f"inverse failed on image {words}: {exc}")
-                tags.append(_TAG_III[False])
+                tags.append(None)
                 continue
             tags.append(tag)
             if back != source:
                 failures.append(f"round trip broke: {source} -> {words} -> {back}")
-            if tag.group != _CASE_TAGS[case][0].group:
-                failures.append(f"image {words} of case {case} tagged group {tag.group}")
+            if tag not in _CASE_TAGS[case]:
+                failures.append(f"image {words} of case {case} tagged group {tag.partition(':')[0]}")
         tags = tuple(tags)
         if tags == _CASE_TAGS[case]:
             tags = _CASE_TAGS[case]

@@ -368,21 +368,15 @@ def cmd_bijection(args) -> int:
     report = bijection.verify_correspondence(r, s)
     results = []
     for row in report.rows:
-        tags = []
-        for tag in row.tags:
-            label = tag.group
-            if tag.north_throughout is not None:
-                label += ":aligned" if tag.north_throughout else ":crossed"
-            tags.append(label)
         results.append(
             {
                 "source": "|".join(row.source_words),
                 "image_1": "|".join(row.image_words[0]),
                 "meeting_1": str(row.meeting_points[0]),
-                "tag_1": tags[0],
+                "tag_1": row.tags[0],
                 "image_2": "|".join(row.image_words[1]),
                 "meeting_2": str(row.meeting_points[1]),
-                "tag_2": tags[1],
+                "tag_2": row.tags[1],
                 "case": row.case,
             }
         )

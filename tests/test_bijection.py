@@ -1,18 +1,25 @@
 """The 2-to-1 correspondence and its inverse.
 
 Core claims:
+    - the word API takes a pair in either order, returns canonical words,
+      and rejects words off one rectangle, a degenerate rectangle, letters
+      other than E and N, and a pair meeting the wrong number of times
     - the forward map reproduces the hand-traced images on 1x1 and 1x2 and
-      always produces two one-meeting pairs
+      always produces two one-meeting pairs; a construction that breaks
+      its mask test, or an inverse that leaves a meeting, raises an
+      invariant error naming it
     - the inverse undoes the forward map on both branches with the group tag
-      the construction case dictates
+      the construction case dictates; tags are the four labels I, II,
+      III:aligned and III:crossed
     - group I and II partners reduce to the same smaller nonmeeting pair
       when their doubled edge is peeled off
     - exhaustive replay passes on small rectangles with the documented counts,
       and reports a forward map that repeats an image or leaves the
       one-meeting set, an image that meets elsewhere or twice (by its
-      label), and an inverse that raises or returns another source; a passing
-      replay never lists that set and builds no ``RectPair``, and each row
-      builds the pairs of the words it stores when it is read
+      label), and an inverse that raises, returns another source or tags
+      an image with another case's group; a passing
+      replay never lists that set, and each row's words agree with the
+      word API
     - the direct source walk yields exactly the nonmeeting pairs, in the
       order of ``paths.all_paths``, and as many as the Lindstrom-Gessel-Viennot
       determinant and the Narayana number give on every rectangle with
@@ -33,83 +40,94 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathpairs import bijection, formulas, paths
-from pathpairs.bijection import (
-    GroupTag,
-    RectPair,
-    insert_meeting,
-    remove_meeting,
-    verify_correspondence,
-)
-from pathpairs.paths import PathNE
+from pathpairs.bijection import insert_meeting, remove_meeting, verify_correspondence
+from pathpairs.paths import InvariantError, PathNE
 
 
-def rp(a: str, b: str) -> RectPair:
-    return RectPair.from_words(a, b)
+def meetings(words: tuple[str, str]) -> tuple:
+    """The interior meeting points of a pair of words, by the vertex walk
+    of ``paths.meeting_points``."""
+    a, b = (PathNE.from_word(w) for w in words)
+    return paths.meeting_points(a, b, paths.intersections_interior)
 
 
-def test_rect_pair_canonical_order_and_kind():
-    pair = rp("EN", "NE")
-    assert pair.upper.word == "NE"
-    assert pair.lower.word == "EN"
-    assert pair.kind == bijection.NONMEETING
-    assert pair.meeting_point is None
-    meeting = rp("EN", "EN")
-    assert meeting.kind == bijection.ONE_MEETING
-    assert meeting.meeting_point == (1, 0)
-    with pytest.raises(ValueError, match="use RectPair.from_words$"):
-        RectPair(PathNE.from_word("EN"), PathNE.from_word("NE"))
+def test_word_api_takes_either_order_and_returns_canonical_words():
+    images = (("EN", "EN"), ("NE", "NE"))
+    assert insert_meeting("NE", "EN") == insert_meeting("EN", "NE") == images
+    assert remove_meeting("EN", "EN") == (("NE", "EN"), "II")
+    assert remove_meeting("ENN", "NEN") == remove_meeting("NEN", "ENN") == (("NNE", "ENN"), "II")
 
 
-def test_rect_pair_rejects_two_meetings():
-    with pytest.raises(ValueError):
-        rp("ENEN", "ENEN")  # identical 4-step paths share 3 interior vertices
-    with pytest.raises(ValueError):
-        RectPair.from_words("EN", "NN")  # unequal endpoints
+def test_word_api_rejects_pairs_off_one_rectangle():
+    for api in (insert_meeting, remove_meeting):
+        with pytest.raises(ValueError, match="not two paths across one rectangle"):
+            api("EN", "NN")  # unequal rectangles
+        with pytest.raises(ValueError, match="not two paths across one rectangle"):
+            api("EX", "EN")  # a letter other than E or N
+        with pytest.raises(ValueError, match="not two paths across one rectangle"):
+            api("EN", ("E", "N"))  # not a word
+        with pytest.raises(ValueError, match="degenerate rectangle"):
+            api("NN", "NN")
+        with pytest.raises(ValueError, match="meeting"):
+            api("ENEN", "ENEN")  # identical 4-step paths share 3 interior vertices
 
 
 def test_insert_meeting_unit_square():
-    first, second = insert_meeting(rp("NE", "EN"))
-    assert first.words() == ("EN", "EN")
-    assert first.meeting_point == (1, 0)
-    assert second.words() == ("NE", "NE")
-    assert second.meeting_point == (0, 1)
+    first, second = insert_meeting("NE", "EN")
+    assert first == ("EN", "EN")
+    assert meetings(first) == ((1, 0),)
+    assert second == ("NE", "NE")
+    assert meetings(second) == ((0, 1),)
 
 
 def test_insert_meeting_one_by_two():
-    first, second = insert_meeting(rp("NNE", "ENN"))
-    assert first.words() == ("NEN", "ENN")
-    assert first.meeting_point == (1, 1)
-    assert second.words() == ("NNE", "NEN")
-    assert second.meeting_point == (0, 1)
+    first, second = insert_meeting("NNE", "ENN")
+    assert first == ("NEN", "ENN")
+    assert meetings(first) == ((1, 1),)
+    assert second == ("NNE", "NEN")
+    assert meetings(second) == ((0, 1),)
 
 
 def test_insert_meeting_postconditions_everywhere():
     for r, s in ((1, 1), (1, 3), (2, 2), (3, 2), (2, 4)):
         report = verify_correspondence(r, s)
         for row in report.rows:
-            for image in row.images:
-                assert image.kind == bijection.ONE_MEETING
+            for image, point in zip(row.image_words, row.meeting_points):
+                assert meetings(image) == (point,)
 
 
 def test_insert_meeting_rejections():
+    with pytest.raises(ValueError, match="needs a nonmeeting pair"):
+        insert_meeting("EN", "EN")  # already meets
     with pytest.raises(ValueError):
-        insert_meeting(rp("EN", "EN"))  # already meets
-    with pytest.raises(ValueError):
-        insert_meeting(rp("NN", "NN"))  # degenerate rectangle
+        insert_meeting("NN", "NN")  # degenerate rectangle
+
+
+def test_word_api_raises_on_a_broken_construction(monkeypatch):
+    real_insert = bijection._insert_words
+
+    def return_source(up, lo, masks):
+        case, first, (_, _, point, label) = real_insert(up, lo, masks)
+        return case, first, (up, lo, point, label)  # meets nowhere
+
+    monkeypatch.setattr(bijection, "_insert_words", return_source)
+    with pytest.raises(InvariantError, match=r"construction case A: image A2 of \('NE', 'EN'\)"):
+        insert_meeting("NE", "EN")
+    monkeypatch.undo()
+
+    monkeypatch.setattr(bijection, "_remove_words", lambda up, lo, point, masks: ((up, lo), "I"))
+    with pytest.raises(InvariantError, match="inverse tagged I left no nonmeeting pair"):
+        remove_meeting("EN", "EN")
 
 
 def test_remove_meeting_examples():
-    source, tag = remove_meeting(rp("EN", "EN"))
-    assert source.words() == ("NE", "EN")
-    assert tag.group == "II"
-    source, tag = remove_meeting(rp("NEN", "ENN"))
-    assert source.words() == ("NNE", "ENN")
-    assert tag.group == "II"
+    assert remove_meeting("EN", "EN") == (("NE", "EN"), "II")
+    assert remove_meeting("NEN", "ENN") == (("NNE", "ENN"), "II")
 
 
 def test_remove_meeting_rejects_nonmeeting():
-    with pytest.raises(ValueError):
-        remove_meeting(rp("NE", "EN"))
+    with pytest.raises(ValueError, match="exactly one meeting"):
+        remove_meeting("NE", "EN")
 
 
 def test_round_trip_with_tags():
@@ -118,11 +136,9 @@ def test_round_trip_with_tags():
         report = verify_correspondence(r, s)
         assert report.passed, report.failures
         for row in report.rows:
-            for image, tag in zip(row.images, row.tags):
-                back, back_tag = remove_meeting(image)
-                assert back == row.source
-                assert back_tag == tag
-                assert tag.group == expected_group[row.case]
+            for image, tag in zip(row.image_words, row.tags):
+                assert remove_meeting(*image) == (row.source_words, tag)
+                assert tag.partition(":")[0] == expected_group[row.case]
 
 
 def test_group_three_flags_split_aligned_and_crossed():
@@ -130,19 +146,14 @@ def test_group_three_flags_split_aligned_and_crossed():
     seen = set()
     for row in report.rows:
         if row.case == "B":
-            flags = tuple(tag.north_throughout for tag in row.tags)
-            assert flags == (True, False)
-            seen.add(flags)
+            assert row.tags == ("III:aligned", "III:crossed")
+            seen.add(row.tags)
     assert seen  # 3x3 has interior-meeting groups
 
 
-def test_group_tag_validation():
-    with pytest.raises(ValueError):
-        GroupTag("IV")
-    with pytest.raises(ValueError):
-        GroupTag("I", north_throughout=True)
-    with pytest.raises(ValueError):
-        GroupTag("III")
+def test_tags_are_the_four_labels():
+    tags = {tag for row in verify_correspondence(3, 3).rows for tag in row.tags}
+    assert tags == {"I", "II", "III:aligned", "III:crossed"}
 
 
 def test_partner_images_reduce_to_one_smaller_pair():
@@ -154,15 +165,11 @@ def test_partner_images_reduce_to_one_smaller_pair():
             if row.case != "C":
                 continue
             found += 1
-            at_origin, at_corner = row.images
-            assert at_origin.meeting_point == (1, 0)
-            assert at_corner.meeting_point == (r - 1, s)
-            a, b = at_origin.words()
-            peel_origin = RectPair.from_words(a[1:], b[1:])
-            c, d = at_corner.words()
-            peel_corner = RectPair.from_words(c[:-1], d[:-1])
-            assert peel_origin == peel_corner
-            assert peel_origin.kind == bijection.NONMEETING
+            (a, b), (c, d) = row.image_words
+            assert row.meeting_points == ((1, 0), (r - 1, s))
+            peel_origin = (a[1:], b[1:])
+            assert peel_origin == (c[:-1], d[:-1])
+            assert meetings(peel_origin) == ()
     assert found
 
 
@@ -174,12 +181,9 @@ def test_partner_images_group_two_reduce_alike():
             if row.case != "A":
                 continue
             found += 1
-            at_corner, at_origin = row.images
-            assert at_corner.meeting_point == (r, s - 1)
-            assert at_origin.meeting_point == (0, 1)
-            a, b = at_corner.words()
-            c, d = at_origin.words()
-            assert RectPair.from_words(a[:-1], b[:-1]) == RectPair.from_words(c[1:], d[1:])
+            (a, b), (c, d) = row.image_words
+            assert row.meeting_points == ((r, s - 1), (0, 1))
+            assert sorted((a[:-1], b[:-1])) == sorted((c[1:], d[1:]))
     assert found
 
 
@@ -207,7 +211,7 @@ def test_verify_reports_a_repeated_image(monkeypatch):
     monkeypatch.undo()
     assert not report.passed
     assert "images are not pairwise distinct" in report.failures
-    dropped = sorted(insert_meeting(row.source)[1].words() for row in report.rows)
+    dropped = sorted(insert_meeting(*row.source_words)[1] for row in report.rows)
     assert len(dropped) == report.nonmeeting_count == 3
     assert f"one-meeting pairs never hit: {dropped}" in report.failures
 
@@ -303,6 +307,24 @@ def test_verify_reports_an_image_with_two_meetings(monkeypatch):
         assert f"images outside the one-meeting set: {[words]}" in report.failures
 
 
+def test_verify_reports_an_image_tagged_with_another_group(monkeypatch):
+    real_remove = bijection._remove_words
+
+    def tag_crossed(up, lo, point, masks):
+        words, _ = real_remove(up, lo, point, masks)
+        return words, "III:crossed"
+
+    monkeypatch.setattr(bijection, "_remove_words", tag_crossed)
+    report = verify_correspondence(2, 2)
+    assert not report.passed
+    assert list(report.failures) == [
+        f"image {words} of case {row.case} tagged group III"
+        for row in report.rows
+        if row.case != "B"
+        for words in row.image_words
+    ]
+
+
 def test_verify_reports_an_inverse_that_raises(monkeypatch):
     def refuse(up, lo, point, masks):
         raise paths.InvariantError(f"no source for {(up, lo)}")
@@ -327,34 +349,15 @@ def test_passing_replay_never_lists_the_one_meeting_set(monkeypatch):
         assert verify_correspondence(r, s).passed
 
 
-def test_passing_replay_builds_no_rect_pair(monkeypatch):
-    built = []
-    real_post_init = RectPair.__post_init__
-
-    def counted(pair):
-        built.append(pair)
-        real_post_init(pair)
-
-    monkeypatch.setattr(RectPair, "__post_init__", counted)
+def test_rows_agree_with_the_word_api():
     for total in range(2, 9):
         for r in range(1, total):
-            assert verify_correspondence(r, total - r).passed, (r, total - r)
-    assert built == []
-    row = verify_correspondence(2, 2).rows[0]
-    assert row.source.kind == bijection.NONMEETING  # pairs are built when a row is read
-    assert len(built) == 1
-
-
-def test_rows_build_the_pairs_of_their_stored_words():
-    for total in range(2, 9):
-        for r in range(1, total):
-            for row in verify_correspondence(r, total - r).rows:
-                assert row.source == RectPair.from_words(*row.source_words)
-                assert row.source.words() == row.source_words
-                images = row.images
-                assert images == tuple(RectPair.from_words(*words) for words in row.image_words)
-                assert tuple(image.words() for image in images) == row.image_words
-                assert tuple(image.meeting_point for image in images) == row.meeting_points
+            report = verify_correspondence(r, total - r)
+            assert report.passed, (r, total - r)
+            for row in report.rows:
+                assert insert_meeting(*row.source_words) == row.image_words
+                for image, tag in zip(row.image_words, row.tags):
+                    assert remove_meeting(*image) == (row.source_words, tag)
 
 
 def test_source_walk_yields_the_nonmeeting_pairs_in_path_order():
@@ -401,10 +404,10 @@ def test_verify_rejects_degenerate():
 def test_nonmeeting_upper_is_strictly_north_inside():
     for r, s in ((2, 2), (3, 2), (2, 4)):
         for row in verify_correspondence(r, s).rows:
-            pair = row.source
+            upper, lower = (PathNE.from_word(w) for w in row.source_words)
             for x in range(1, r):
-                low = min(pair.upper.column_heights(x))
-                high = max(pair.lower.column_heights(x))
+                low = min(upper.column_heights(x))
+                high = max(lower.column_heights(x))
                 assert low > high
 
 
@@ -417,7 +420,8 @@ def _word(length: int, east_positions) -> str:
 
 @st.composite
 def nonmeeting_pairs(draw):
-    """A nonmeeting pair on a random r x s rectangle with r + s <= 16.
+    """The canonical words of a nonmeeting pair on a random r x s
+    rectangle with r + s <= 16.
 
     Two paths from the origin to (r-1, s-1), read as their west and east
     envelopes at each step, run weakly ordered. Prefixing N to the west one
@@ -438,17 +442,18 @@ def nonmeeting_pairs(draw):
     def steps(points):
         return "".join("E" if q[0] > p[0] else "N" for p, q in zip(points, points[1:]))
 
-    return RectPair.from_words("N" + steps(west) + "E", "E" + steps(east) + "N")
+    return "N" + steps(west) + "E", "E" + steps(east) + "N"
 
 
-def _reference_case(pair: RectPair):
+def _reference_case(words: tuple[str, str]):
     """The construction case and the two images' meeting points, from the
     first interior column x0 whose gap min(upper) - max(lower) is 1, with
     y0 the lower path's top there."""
-    r, s = pair.shape
+    upper, lower = (PathNE.from_word(w) for w in words)
+    r, s = upper.end
     for x0 in range(1, r):
-        y0 = max(pair.lower.column_heights(x0))
-        if min(pair.upper.column_heights(x0)) - y0 == 1:
+        y0 = max(lower.column_heights(x0))
+        if min(upper.column_heights(x0)) - y0 == 1:
             if (x0, y0) == (1, 0):
                 return "C", (1, 0), (r - 1, s)
             return "B", (x0, y0), (x0, y0)
@@ -458,18 +463,17 @@ def _reference_case(pair: RectPair):
 @settings(max_examples=300, deadline=None)
 @given(source=nonmeeting_pairs())
 def test_random_round_trip_returns_source_with_its_tag(source):
-    assert source.kind == bijection.NONMEETING
-    case, *images = bijection._insert_words(*source.words(), bijection._PATH_MASKS)
-    first, second = (bijection._validated_image(*image) for image in images)
-    assert (case, first.meeting_point, second.meeting_point) == _reference_case(source)
+    assert meetings(source) == ()
+    r, s = source[0].count("E"), source[0].count("N")
+    case = bijection._insert_words(*source, bijection._RectMasks(r, s))[0]
+    first, second = insert_meeting(*source)
     assert first != second
-    expected = {"A": "II", "B": "III", "C": "I"}[case]
-    flags = []
+    (p1,), (p2,) = meetings(first), meetings(second)
+    assert (case, p1, p2) == _reference_case(source)
+    tags = []
     for image in (first, second):
-        assert image.kind == bijection.ONE_MEETING
-        back, tag = remove_meeting(image)
+        back, tag = remove_meeting(*image)
         assert back == source
-        assert tag.group == expected
-        flags.append(tag.north_throughout)
-    if case == "B":
-        assert flags == [True, False]
+        tags.append(tag)
+    expected = {"A": ["II", "II"], "B": ["III:aligned", "III:crossed"], "C": ["I", "I"]}
+    assert tags == expected[case]

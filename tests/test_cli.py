@@ -18,6 +18,8 @@ Core claims:
     - the parser is built once per process: a rejected query leaves it as
       new, help text is unchanged, and each command is looked up when main
       runs, so a patched cmd_* is the one called
+    - a failing correspondence replay exits 1, prints each image's stored
+      words, and gives a failed image no group label
     - every command in the size-cap table refuses a costly query one past
       its bound with one exact message, runs it under --unsafe-nmax, and
       runs a closed-form-only query of that size; --unsafe-nmax exists on
@@ -28,7 +30,9 @@ Core claims:
       stdout bytes, rows in the order the enumerated pairs come in
 """
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -40,7 +44,7 @@ from types import SimpleNamespace
 import pytest
 
 import pathpairs
-from pathpairs import bijection, cli, formulas
+from pathpairs import bijection, cli, formulas, paths
 from pathpairs.cli import main
 
 
@@ -264,6 +268,46 @@ def test_bijection_correspondence_table(capsys):
     assert record["nonmeeting"] == 3 and record["one_meeting"] == 6
     record = run_json(capsys, "bijection", "--r", "1", "--s", "1")
     assert record["nonmeeting"] == 1 and record["one_meeting"] == 2
+
+
+def test_bijection_gives_a_failed_image_no_tag(capsys, monkeypatch):
+    def refuse(up, lo, point, masks):
+        raise paths.InvariantError("no source")
+
+    monkeypatch.setattr(bijection, "_remove_words", refuse)
+    code, out, _ = run(capsys, "bijection", "--r", "2", "--s", "2")
+    record = json.loads(out)
+    assert (code, record["consistency"]) == (1, False)
+    assert [(row["tag_1"], row["tag_2"]) for row in record["results"]] == [(None, None)] * 3
+    code, out, _ = run(capsys, "bijection", "--r", "2", "--s", "2", "--format", "csv")
+    assert code == 1
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["case"] for row in rows] == ["C", "A", "B"]
+    assert [(row["tag_1"], row["tag_2"]) for row in rows] == [("", "")] * 3
+
+
+def test_bijection_prints_an_image_that_meets_twice(capsys, monkeypatch):
+    family = paths.all_paths(4, 2)
+    a, b = next(
+        (a, b)
+        for a in family
+        for b in family
+        if len(paths.meeting_points(a, b, paths.intersections_interior)) == 2
+    )
+    twice = paths.meeting_points(a, b, paths.intersections_interior)
+    real_insert = bijection._insert_words
+
+    def meet_twice(up, lo, masks):
+        case, first, (_, _, _, label) = real_insert(up, lo, masks)
+        return case, first, (a.word, b.word, twice[0], label)
+
+    monkeypatch.setattr(bijection, "_insert_words", meet_twice)
+    code, out, _ = run(capsys, "bijection", "--r", "2", "--s", "2")
+    record = json.loads(out)
+    assert (code, record["consistency"]) == (1, False)
+    words = "|".join(bijection._canonical(a.word, b.word))
+    assert [(row["image_2"], row["tag_2"]) for row in record["results"]] == [(words, None)] * 3
+    assert [row["tag_1"] for row in record["results"]] == ["I", "II", "III:aligned"]
 
 
 # SHA-256 of `bijection --r R --s S` stdout, taken when the replay still

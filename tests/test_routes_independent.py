@@ -62,7 +62,7 @@ def test_import_reader_sees_every_spelling(tmp_path):
         "import math\n"
         "import pathpairs.oracle\n"
         "from pathpairs import series\n"
-        "from pathpairs.bijection import RectPair\n"
+        "from pathpairs.bijection import insert_meeting\n"
         "from . import paths\n"
         "from .formulas import binom\n"
         "def f():\n"
