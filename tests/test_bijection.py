@@ -18,8 +18,9 @@ Core claims:
       one-meeting set, an image that meets elsewhere or twice (by its
       label), and an inverse that raises, returns another source or tags
       an image with another case's group; a passing
-      replay never lists that set, and each row's words agree with the
-      word API
+      replay never lists that set and validates no pair through the word
+      API, and each row's words, meeting points and tags agree with the
+      word API and the vertex walk
     - the direct source walk yields exactly the nonmeeting pairs, in the
       order of ``paths.all_paths``, and as many as the Lindstrom-Gessel-Viennot
       determinant and the Narayana number give on every rectangle with
@@ -349,14 +350,36 @@ def test_passing_replay_never_lists_the_one_meeting_set(monkeypatch):
         assert verify_correspondence(r, s).passed
 
 
-def test_rows_agree_with_the_word_api():
+def test_passing_replay_builds_no_rect_pair(monkeypatch):
+    # the replay reads the rectangle's masks directly; only the word API
+    # validates a pair through _rect_pair
+    built = []
+    real_rect_pair = bijection._rect_pair
+
+    def counted(a, b):
+        built.append((a, b))
+        return real_rect_pair(a, b)
+
+    monkeypatch.setattr(bijection, "_rect_pair", counted)
+    for total in range(2, 9):
+        for r in range(1, total):
+            assert verify_correspondence(r, total - r).passed, (r, total - r)
+    assert built == []
+    row = verify_correspondence(2, 2).rows[0]
+    assert insert_meeting(*row.source_words) == row.image_words
+    assert len(built) == 1
+
+
+def test_rows_build_the_pairs_of_their_stored_words():
     for total in range(2, 9):
         for r in range(1, total):
             report = verify_correspondence(r, total - r)
             assert report.passed, (r, total - r)
             for row in report.rows:
+                assert meetings(row.source_words) == ()
                 assert insert_meeting(*row.source_words) == row.image_words
-                for image, tag in zip(row.image_words, row.tags):
+                for image, point, tag in zip(row.image_words, row.meeting_points, row.tags):
+                    assert meetings(image) == (point,)
                     assert remove_meeting(*image) == (row.source_words, tag)
 
 
