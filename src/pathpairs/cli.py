@@ -368,14 +368,16 @@ def cmd_bijection(args) -> int:
     report = bijection.verify_correspondence(r, s)
     results = []
     for row in report.rows:
+        # a failed image has no meeting point: JSON null, an empty CSV cell
+        meeting = [None if point is None else str(point) for point in row.meeting_points]
         results.append(
             {
                 "source": "|".join(row.source_words),
                 "image_1": "|".join(row.image_words[0]),
-                "meeting_1": str(row.meeting_points[0]),
+                "meeting_1": meeting[0],
                 "tag_1": row.tags[0],
                 "image_2": "|".join(row.image_words[1]),
-                "meeting_2": str(row.meeting_points[1]),
+                "meeting_2": meeting[1],
                 "tag_2": row.tags[1],
                 "case": row.case,
             }

@@ -3,12 +3,12 @@
 Nothing in this module knows a closed form. Every pair of paths is
 counted, bit-parallel, through ``paths.meeting_census``; probabilities come
 from evolving exact integer masses over walker states. At each step every
-live state moves with integer weights over one scale, the lcm of the
-denominators of the West rates in use, and the running denominator grows by
-that scale (its square for the two-walker DP); one Fraction is built from
-the final masses, so no per-step rational is ever normalised. The
-closed-form and series modules are checked against these outputs, never
-the other way around.
+live state moves with integer weights over one scale, the denominator of
+the level's West rate, and the running denominator grows by that scale
+(its square for the two-walker DP); one Fraction is built from the final
+masses, so no per-step rational is ever normalised. The closed-form and
+series modules are checked against these outputs, never the other way
+around.
 
 Paths come from ``paths.all_paths`` and every table is a
 ``paths.meeting_census`` under the named convention its docstring states, so
@@ -29,23 +29,33 @@ after t steps by its number of West steps alone, and its DP counts West
 steps.
 
 The pair walk has one implementation, ``_survival_levels``. It sweeps the
-levels upward from level 1, where the one pair of x's (0, 1) has mass 1,
-and gives each pair (u, l) of x's on level m the moves-weighted sum of the
-masses of its non-meeting successor pairs on level m - 1. Neither x grows,
-and each drops by at most 1 per step, so two walkers change order only by
-meeting: the pairs with u < l are all it needs. ``barrier_survival_table``
-keeps every pair of every level, which is what a suite over all
-configurations asks for; the single queries (``barrier_meet_prob``,
-``same_start_meet_prob``) keep only the x's their own walkers can reach,
-and only the last level.
+levels upward from level 1, where the one pair of x's (0, 1) has mass 1.
+Row u of a level is one int whose slot l - lo holds the integer mass of the
+pair (u, l). A level is the one below taken through both walkers' steps,
+A B A^T, as two single-walker passes on whole rows: the lower walker steps
+along each row (South keeps l, West shifts the row up one slot, and the
+x-axis end is swept West), then the upper walker combines neighbouring rows
+(row 0, on the y-axis, is swept South) and clearing the slots l <= u drops
+the meetings. Neither x grows, and each drops by at most 1 per step, so two
+walkers change order only by meeting: the pairs with u < l are all it
+needs. A slot is 2 + sum(2 * d.bit_length()) bits wide over the levels'
+scales d, which exceeds the bit length of the top level's denominator; no
+mass exceeds its level's denominator, so no slot carries into the next.
+
+The pair walk reads one West rate per level, the level-only assumption the
+single walker makes too; a rate whose interior x's on one level differ
+raises ``ValueError`` naming the level. ``barrier_survival_table`` keeps
+every pair of every level, which is what a suite over all configurations
+asks for, and unpacks it into a dict; the single queries
+(``barrier_meet_prob``, ``same_start_meet_prob``) keep only the x's their
+own walkers can reach and read one slot of the last level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb, lcm
+from math import comb
 
 from . import paths
 
@@ -183,68 +193,121 @@ class BarrierConfig:
             raise ValueError("a, b, x must be nonnegative")
 
 
-def _move_tables(m: int, xs, rate: RateModel) -> tuple[int, dict[int, tuple[tuple[int, int], ...]]]:
-    """One step's integer move tables for constrained walkers at the x's
-    ``xs`` of level m >= 1: ``tables[x]`` lists ``(x', weight)`` for each x'
-    the walker at (x, m - x) reaches on level m - 1.
-
-    Every weight is over the returned scale d, the lcm of the denominators
-    of the West rates the interior x's use: a West move (to x - 1) weighs
-    p.numerator * (d // p.denominator), a South move (x stays) weighs d
-    minus that, and the forced axis sweeps, South from x = 0 and West from
-    x = m, weigh d; those two tables are always present. Zero-weight moves
-    are left out.
-    """
-    west = {x: rate.west(x, m - x) for x in xs if 0 < x < m}
-    d = lcm(*{p.denominator for p in west.values()})
-    tables = {0: ((0, d),), m: ((m - 1, d),)}
-    for x, p in west.items():
-        w = p.numerator * (d // p.denominator)
-        tables[x] = tuple(move for move in ((x - 1, w), (x, d - w)) if move[1])
-    return d, tables
-
-
 SurvivalLevel = tuple[dict[tuple[int, int], int], int]
+
+# One level of a sweep: the x's [ulo, uhi] of the upper walker and [llo, lhi]
+# of the lower walker kept on level m, and the level's West weight ``west``
+# over its scale ``d``.
+_LevelStep = tuple[int, int, int, int, int, int]
+
+
+def _level_steps(rate: RateModel, top: int, start: tuple[int, int] | None) -> list[_LevelStep]:
+    """The steps of levels 2..top, one ``_LevelStep`` each.
+
+    Without ``start`` level m keeps every pair: uppers 0..m-1, lowers 1..m.
+    With a start pair (u0, l0) on level ``top`` it keeps, for each walker,
+    only the x's x0 - (top - m) <= x <= x0 it can reach from its own x0.
+
+    The pair walk reads one rate per level, at the interior x's its walkers
+    use there: the West weight is p.numerator over the scale
+    d = p.denominator. A rate that gives those x's different values raises
+    ``ValueError`` naming the level. A level with no interior x in use has
+    d = 1 and only the forced axis sweeps.
+    """
+    steps = []
+    for m in range(2, top + 1):
+        if start is None:
+            ulo, uhi, llo, lhi = 0, m - 1, 1, m
+        else:
+            back = top - m
+            ulo, uhi = max(0, start[0] - back), min(start[0], m - 1)
+            llo, lhi = max(1, start[1] - back), min(start[1], m)
+        # the interior x's either walker uses, each once
+        xs = (*range(max(ulo, 1), uhi + 1), *range(max(llo, uhi + 1), min(lhi, m - 1) + 1))
+        rates = [rate.west(x, m - x) for x in xs] or [Fraction(0)]
+        if rates.count(rates[0]) < len(rates):
+            raise ValueError(f"the West rate varies along level {m}; the pair walk needs one rate per level")
+        steps.append((ulo, uhi, llo, lhi, rates[0].denominator, rates[0].numerator))
+    return steps
 
 
 def _survival_levels(rate: RateModel, top: int, start: tuple[int, int] | None = None):
-    """Yield ``(m, masses, den)`` for levels 1..top, where
-    ``masses[u, l] / den`` is the probability that walkers started at the
-    x's u < l of level m, at (u, m - u) and (l, m - l), reach level 1
-    without meeting.
+    """The pair walk over levels 1..top, as ``(width, levels)``.
 
-    Level m reads level m - 1 through the moves of ``_move_tables`` on its
-    own x's, drops the moves that land both walkers on one x, and
-    multiplies the running denominator by d * d. Without ``start`` every
-    pair u < l is kept. With a start pair (u0, l0) of x's on level ``top``,
-    level m keeps for each walker only the x's x0 - (top - m) <= x <= x0 it
-    can reach from its own start x0; every successor of a kept x is kept
-    one level down, so the lookups into level m - 1 never miss. Only the
-    current and the previous level are held here.
+    ``levels`` yields ``(m, rows, den)`` per level. ``rows[i]`` packs row
+    u = ulo + i of level m, for the x's ``_level_steps`` keeps there: its
+    slot j, ``width`` bits wide, holds the integer mass of the pair (u, l)
+    with l = llo + j, and ``mass / den`` is the probability that walkers
+    started at (u, m - u) and (l, m - l) reach level 1 without meeting.
+    Level 1 is the one pair (0, 1) with mass 1, and only the current level
+    is held.
+
+    Each level is A B A^T, with B the level below and A the one-walker
+    step, done as two single-walker passes over whole rows:
+
+    - the lower walker, along each row of B: l takes South weight from slot
+      l and West weight from slot l - 1, i.e. ``south * row + west * (row
+      << width)``; at l = m the x-axis sweep adds ``(d - west) * slot(m -
+      1)``, so that x moves West with weight d. The row is then cut to the
+      lowers kept on level m.
+    - the upper walker, across the rows this gives:
+      ``row_u = south * t[u] + west * t[u - 1]``, and ``d * t[0]`` for the
+      y-axis sweep at u = 0. Clearing the slots l <= u then drops the
+      meetings.
+
+    Neither x grows and each drops by at most 1 per step, so the walkers
+    change order only by meeting, and the pairs u < l are all the walk
+    needs. A mass never exceeds its level's ``den``, the product of the
+    squared scales of levels 2..m, so ``width = 2 + sum(2 * d.bit_length())``
+    leaves every slot room for its value and no carry crosses slots.
     """
-    masses = {(0, 1): 1}
+    steps = _level_steps(rate, top, start)
+    width = 2 + sum(2 * step[4].bit_length() for step in steps)
+    return width, _sweep(steps, width)
+
+
+def _sweep(steps: list[_LevelStep], width: int):
+    """The levels of ``_survival_levels``, from its steps and slot width."""
+    rows, ulo, llo, lhi = [1], 0, 1, 1
     den = 1
-    yield 1, masses, den
-    for m in range(2, top + 1):
-        if start is None:
-            uppers = lowers = range(m + 1)
-        else:
-            uppers, lowers = (range(max(0, x0 - (top - m)), min(x0, m) + 1) for x0 in start)
-        d, moves = _move_tables(m, {*uppers, *lowers}, rate)
-        below = masses
-        masses = {}
-        for u in uppers:
-            upper = moves[u]
-            for l in range(max(u + 1, lowers.start), lowers.stop):
-                lower = moves[l]
-                total = 0
-                for qu, wu in upper:
-                    for ql, wl in lower:
-                        if qu != ql:
-                            total += wu * wl * below[qu, ql]
-                masses[u, l] = total
+    yield 1, rows, den
+    for m, (ulo_m, uhi_m, llo_m, lhi_m, d, west) in enumerate(steps, 2):
+        south = d - west
+        top_slot = width * (lhi - llo)
+        keep = (1 << width * (lhi_m - llo + 1)) - 1
+        drop = width * (llo_m - llo)
+        t = []
+        for row in rows:
+            moved = south * row + west * (row << width)
+            if lhi_m == m:
+                moved += south * (row >> top_slot) << top_slot + width
+            t.append((moved & keep) >> drop)
+        rows = []
+        for u in range(ulo_m, uhi_m + 1):
+            i = u - ulo
+            if u == 0:
+                row = d * t[0]
+            else:
+                row = west * t[i - 1]
+                if i < len(t):  # the level below kept no row u = m - 1: it has no l > u
+                    row += south * t[i]
+            if u >= llo_m:
+                cut = width * (u - llo_m + 1)
+                row = row >> cut << cut
+            rows.append(row)
+        ulo, llo, lhi = ulo_m, llo_m, lhi_m
         den *= d * d
-        yield m, masses, den
+        yield m, rows, den
+
+
+def _start_mass(rate: RateModel, top: int, start: tuple[int, int]) -> tuple[int, int]:
+    """``(mass, den)`` of the start pair on level ``top``, from a sweep that
+    keeps only the x's its walkers can reach: the last level is one row of
+    one slot."""
+    _, levels = _survival_levels(rate, top, start)
+    for _, rows, den in levels:
+        pass
+    return rows[0], den
 
 
 def barrier_survival_table(rate: RateModel, top_level: int) -> dict[int, SurvivalLevel]:
@@ -255,10 +318,22 @@ def barrier_survival_table(rate: RateModel, top_level: int) -> dict[int, Surviva
     for 0 <= u < l <= m, is the probability that walkers started at
     (u, m - u) and (l, m - l) reach level 1 without meeting, i.e.
     ``barrier_meet_prob`` of that pair. The configuration (a, b, x) is the
-    pair (a, a + x + 1) on level a + b + x + 1."""
+    pair (a, a + x + 1) on level a + b + x + 1. Every pair is unpacked from
+    the sweep's rows, zeros included."""
     if top_level < 1:
         raise ValueError(f"top_level must be at least 1, got {top_level}")
-    return {m: (masses, den) for m, masses, den in _survival_levels(rate, top_level)}
+    width, levels = _survival_levels(rate, top_level)
+    mask = (1 << width) - 1
+    table = {}
+    for m, rows, den in levels:
+        masses = {}
+        for u, row in enumerate(rows):
+            row >>= width * u
+            for l in range(u + 1, m + 1):
+                masses[u, l] = row & mask
+                row >>= width
+        table[m] = masses, den
+    return table
 
 
 def barrier_meet_prob(config: BarrierConfig) -> Fraction:
@@ -271,10 +346,7 @@ def barrier_meet_prob(config: BarrierConfig) -> Fraction:
     wanted probability.
     """
     a, b, x = config.a, config.b, config.x
-    u, l = a, a + x + 1
-    for _, masses, den in _survival_levels(config.rate, a + b + x + 1, (u, l)):
-        pass
-    return Fraction(masses[u, l], den)
+    return Fraction(*_start_mass(config.rate, a + b + x + 1, (a, a + x + 1)))
 
 
 def same_start_meet_prob(a: int, b: int, p) -> Fraction:
@@ -283,17 +355,15 @@ def same_start_meet_prob(a: int, b: int, p) -> Fraction:
 
     The shared start is exempt from the meeting rule, so it is filled from
     its own moves: West to x = a and South to x = a+1 on level a+b+1 split
-    the walkers in either order, each with the mass of that pair.
+    the walkers in either order, each with the mass of the pair (a, a+1),
+    so the answer is 2 west south mass / (den d^2).
     """
     if a < 0 or b < 0:
         raise ValueError("a and b must be nonnegative")
     rate = ConstantRate(p)
-    top = a + b + 1
-    for _, masses, den in _survival_levels(rate, top, (a, a + 1)):
-        pass
-    d, moves = _move_tables(top + 1, [a + 1], rate)
-    total = sum(wu * wl * masses[qu, ql] for (qu, wu), (ql, wl) in combinations(moves[a + 1], 2))
-    return Fraction(2 * total, den * d * d)
+    mass, den = _start_mass(rate, a + b + 1, (a, a + 1))
+    d, west = rate.p.denominator, rate.p.numerator
+    return Fraction(2 * west * (d - west) * mass, den * d * d)
 
 
 def endpoint_distribution(start: paths.Point, steps: int, rate: RateModel) -> tuple[dict[paths.Point, int], int]:

@@ -306,8 +306,13 @@ def test_bijection_prints_an_image_that_meets_twice(capsys, monkeypatch):
     record = json.loads(out)
     assert (code, record["consistency"]) == (1, False)
     words = "|".join(bijection._canonical(a.word, b.word))
-    assert [(row["image_2"], row["tag_2"]) for row in record["results"]] == [(words, None)] * 3
+    assert [(row["image_2"], row["meeting_2"], row["tag_2"]) for row in record["results"]] == [(words, None, None)] * 3
     assert [row["tag_1"] for row in record["results"]] == ["I", "II", "III:aligned"]
+    assert all(row["meeting_1"] not in (None, "None") for row in record["results"])
+    code, out, _ = run(capsys, "bijection", "--r", "2", "--s", "2", "--format", "csv")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == 1
+    assert [(row["meeting_2"], row["tag_2"]) for row in rows] == [("", "")] * 3
 
 
 # SHA-256 of `bijection --r R --s S` stdout, taken when the replay still

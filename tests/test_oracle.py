@@ -17,10 +17,16 @@ Core claims:
       the reference DP on each, and equals the sweep limited to one start
       pair on every small barrier configuration
     - the limited sweep equals the closed forms and the single-walker
-      reduction at levels past 30
+      reduction at levels past 30, and the full table's entry up to level
+      40 under level rates with per-level scales
+    - the pair walk reads one West weight per level over the rate's
+      denominator, its axis sweeps weigh the whole scale, and a rate that
+      varies along a level is refused with the level named
     - preconditions (ranges, probability bounds) are enforced
 """
 
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -179,20 +185,52 @@ def test_level_rate_reuses_last_value():
     assert rate.west(1, 0) == Fraction(1, 3)  # level 1
 
 
-def test_move_tables_name_each_successor_by_its_x():
-    """On level m a walker at x goes West to x - 1 or South to x, the axis
-    x's 0 and m are swept South and West, and zero-weight moves are left
-    out; the scale is the lcm of the interior rates' denominators."""
+def test_level_steps_read_one_weight_per_level():
+    """Each level of the pair walk reads one West weight over the rate's
+    denominator; p = 0 and p = 1 give scale 1, and a level whose kept x's
+    are all on the axes has scale 1 and only the forced sweeps."""
     rate = oracle.LevelRate((Fraction(1, 3), Fraction(1), Fraction(0), Fraction(1, 4)))
-    d, moves = oracle._move_tables(4, range(5), rate)
-    assert d == 4
-    assert moves == {0: ((0, 4),), 1: ((0, 1), (1, 3)), 2: ((1, 1), (2, 3)), 3: ((2, 1), (3, 3)), 4: ((3, 4),)}
-    d, moves = oracle._move_tables(3, [1, 2], rate)
-    assert (d, moves[1], moves[2]) == (1, ((1, 1),), ((2, 1),))
-    d, moves = oracle._move_tables(2, [1], rate)
-    assert (d, moves[1]) == (1, ((0, 1),))
-    d, moves = oracle._move_tables(5, [0, 5], rate)
-    assert (d, moves[0], moves[5]) == (1, ((0, 1),), ((4, 1),))
+    steps = oracle._level_steps(rate, 4, None)
+    assert steps == [(0, 1, 1, 2, 1, 1), (0, 2, 1, 3, 1, 0), (0, 3, 1, 4, 4, 1)]
+    # the start pair (0, 5) on level 5 keeps x = 0 and x = 5 there
+    assert oracle._level_steps(rate, 5, (0, 5))[-1] == (0, 0, 5, 5, 1, 0)
+
+
+def test_axis_sweeps_weigh_the_scale():
+    """Walkers on the two axes never meet before level 1, so every pair
+    (0, m) keeps the whole denominator, a product of the squared scales."""
+    rate = oracle.LevelRate((Fraction(1, 3), Fraction(2, 5), Fraction(0), Fraction(1, 4), Fraction(7, 16)))
+    table = oracle.barrier_survival_table(rate, 7)
+    want_den = 1
+    for m, (masses, den) in table.items():
+        if m > 1:
+            want_den *= rate.west(1, m - 1).denominator ** 2
+        assert den == want_den
+        assert masses[0, m] == den, m
+
+
+@dataclass(frozen=True)
+class _AlternatingRate:
+    """A West rate that differs between neighbouring x's on one level."""
+
+    def west(self, r: int, s: int) -> Fraction:
+        return Fraction(1, 2) if r % 2 else Fraction(1, 3)
+
+
+def test_a_rate_that_varies_along_a_level_is_refused():
+    """The pair walk reads one rate per level; each sweep refuses a rate
+    whose kept interior x's differ and names the level: the full table, a
+    single barrier query and the same-start window (``same_start_meet_prob``
+    itself takes one constant p)."""
+    rate = _AlternatingRate()
+    with pytest.raises(ValueError, match="level 3"):
+        oracle.barrier_survival_table(rate, 5)
+    with pytest.raises(ValueError, match="level 3"):
+        oracle.barrier_meet_prob(oracle.BarrierConfig(1, 1, 1, rate))
+    with pytest.raises(ValueError, match="level 3"):
+        oracle._start_mass(rate, 5, (2, 3))
+    # one interior x per level: nothing to disagree
+    assert oracle.barrier_meet_prob(oracle.BarrierConfig(1, 0, 0, rate)) == Fraction(1, 2)
 
 
 def test_same_start_one_step_split():
@@ -408,6 +446,31 @@ def test_single_queries_at_large_levels():
     for a, b in ((15, 15), (0, 30), (31, 0)):
         p = Fraction(3, 7)
         assert oracle.same_start_meet_prob(a, b, p) == formulas.same_start_meet_formula(a, b, p), (a, b)
+
+
+def _high_level_rates():
+    rng = random.Random(4122)
+    return [
+        oracle.LevelRate(tuple(Fraction(rng.randint(0, den), den) for den in (rng.randint(1, 16) for _ in range(40))))
+        for _ in range(3)
+    ]
+
+
+@pytest.mark.parametrize("rate", _high_level_rates())
+def test_windowed_queries_equal_the_full_sweep_at_high_levels(rate):
+    """Up to level 40 the window of a single query moves far; its one slot
+    still equals the full table's entry, for an upper walker on the y-axis
+    (a = 0), a lower walker on the x-axis (b = 0) and two interior walkers."""
+    table = oracle.barrier_survival_table(rate, 40)
+    configs = [
+        (0, 20, 19), (0, 1, 37), (0, 30, 2),
+        (20, 0, 19), (37, 0, 1), (3, 0, 30),
+        (13, 13, 13), (1, 37, 0), (25, 2, 5), (9, 16, 4),
+    ]
+    for a, b, x in configs:
+        masses, den = table[a + b + x + 1]
+        want = Fraction(masses[a, a + x + 1], den)
+        assert oracle.barrier_meet_prob(oracle.BarrierConfig(a, b, x, rate)) == want, (a, b, x)
 
 
 def test_survival_table_rejects_empty_range():
