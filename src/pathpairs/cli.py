@@ -281,12 +281,19 @@ def cmd_fnk(args) -> int:
     if n < 0:
         raise UsageError("n must be nonnegative")
     ks = _k_range(args.k, n)
-    denom = 4 ** n
     return _run_routes(
         "fnk", args, args, ks, {"n": n, "k": args.k, "method": args.method},
         ["k", "value", "probability", "provenance"],
-        row=lambda k, value: {"k": str(k), "value": str(value), "probability": str(Fraction(value, denom))},
+        row=lambda k, value: {"k": str(k), "value": str(value), "probability": _over_power_of_two(value, 2 * n)},
     )
+
+
+def _over_power_of_two(value: int, bits: int) -> str:
+    """``str(Fraction(value, 2**bits))``, reduced by shifting out the factors
+    of two that value and 2**bits share rather than by a full gcd."""
+    shift = min((value & -value).bit_length() - 1, bits) if value else bits
+    num, den = value >> shift, 1 << bits - shift
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def cmd_pnk(args) -> int:

@@ -208,11 +208,11 @@ def _level_steps(rate: RateModel, top: int, start: tuple[int, int] | None) -> li
     With a start pair (u0, l0) on level ``top`` it keeps, for each walker,
     only the x's x0 - (top - m) <= x <= x0 it can reach from its own x0.
 
-    The pair walk reads one rate per level, at the interior x's its walkers
-    use there: the West weight is p.numerator over the scale
-    d = p.denominator. A rate that gives those x's different values raises
-    ``ValueError`` naming the level. A level with no interior x in use has
-    d = 1 and only the forced axis sweeps.
+    The pair walk reads one rate p per level, by ``_level_rate`` at the
+    interior x's its walkers use there: the West weight is p.numerator over
+    the scale d = p.denominator. A rate that gives those x's different
+    values raises ``ValueError`` naming the level. A level with no interior
+    x in use has d = 1 and only the forced axis sweeps.
     """
     steps = []
     for m in range(2, top + 1):
@@ -224,11 +224,20 @@ def _level_steps(rate: RateModel, top: int, start: tuple[int, int] | None) -> li
             llo, lhi = max(1, start[1] - back), min(start[1], m)
         # the interior x's either walker uses, each once
         xs = (*range(max(ulo, 1), uhi + 1), *range(max(llo, uhi + 1), min(lhi, m - 1) + 1))
-        rates = [rate.west(x, m - x) for x in xs] or [Fraction(0)]
-        if rates.count(rates[0]) < len(rates):
-            raise ValueError(f"the West rate varies along level {m}; the pair walk needs one rate per level")
-        steps.append((ulo, uhi, llo, lhi, rates[0].denominator, rates[0].numerator))
+        p = _level_rate(rate, m, xs)
+        steps.append((ulo, uhi, llo, lhi, p.denominator, p.numerator))
     return steps
+
+
+def _level_rate(rate: RateModel, m: int, xs) -> Fraction:
+    """The one West rate of level m, read at every x in ``xs``; 0 when
+    ``xs`` is empty. A rate that gives those x's different values raises
+    ``ValueError`` naming the level: the walker DPs step a whole level with
+    one rate."""
+    rates = [rate.west(x, m - x) for x in xs] or [Fraction(0)]
+    if rates.count(rates[0]) < len(rates):
+        raise ValueError(f"the West rate varies along level {m}; the walker DPs need one rate per level")
+    return rates[0]
 
 
 def _survival_levels(rate: RateModel, top: int, start: tuple[int, int] | None = None):
@@ -381,10 +390,12 @@ def _endpoint_masses(start: paths.Point, steps: int, rate: RateModel) -> tuple[d
     so that a trace wrapping the public functions counts one walker call
     per probability query.
 
-    Both rate models depend only on the level, so after i steps from (r, s)
-    the walker sits at (r - w, s - i + w), fixed by its count w of West
-    steps, whose weight is ``masses[w]``. Each step reads one rate p, at
-    (r, s - i); endpoints are named, and zero masses dropped, at the end.
+    After i steps from (r, s) the walker sits at (r - w, s - i + w), fixed
+    by its count w of West steps, whose weight is ``masses[w]``. Each step
+    reads one rate p for its level, at every x the walker can occupy there
+    (``_level_rate``), so a rate that varies along that stretch of a level
+    raises ``ValueError``; endpoints are named, and zero masses dropped, at
+    the end.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -392,7 +403,7 @@ def _endpoint_masses(start: paths.Point, steps: int, rate: RateModel) -> tuple[d
     masses = [1]
     den = 1
     for i in range(steps):
-        p = rate.west(r, s - i)
+        p = _level_rate(rate, r + s - i, range(r - i, r + 1))
         west, d = p.numerator, p.denominator
         masses = [stay * (d - west) + moved * west for stay, moved in zip(masses + [0], [0] + masses)]
         den *= d

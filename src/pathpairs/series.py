@@ -18,26 +18,35 @@ read-only {(i, j): Fraction} view of the nonzero coefficients.
 The derived operations take few products; each gives the same exact
 series as the textbook expansion it replaces:
 
-- Square roots demand constant term 1 and return the branch whose constant
-  term is +1. They take no product: one pass over the monomials in order of
-  total degree solves 2 f E(g) = g E(f), where E = x d/dx + y d/dy (J. C. P.
-  Miller's power recurrence; Knuth, TAOCP vol. 2, 4.7). Each coefficient
-  reads only the input's few nonzero terms.
+- Square roots and inverse square roots demand constant term 1 and return
+  the branch whose constant term is +1. They take no product: one pass over
+  the monomials in order of total degree solves 2 f E(g) = e g E(f) for
+  g = f^(e/2), e = +1 or -1, where E = x d/dx + y d/dy (J. C. P. Miller's
+  power recurrence; Knuth, TAOCP vol. 2, 4.7). Each coefficient reads only
+  the input's few nonzero terms.
 - Inverses require a nonzero constant term and are grown by Newton steps
   v <- v - v(s v - 1) with precision doubling (Brent and Kung, J. ACM 25,
   1978): each step runs at its own working degree 1, 3, 7, ..., D, so no
   step carries wrong high-order terms.
-- Powers square and multiply over the bits of the exponent, about 2 log2 m
-  products in place of m.
+- ``pow`` squares and multiplies over the bits of the exponent, about
+  2 log2 m products in place of m.
 
 The builders at the bottom produce the generating series whose coefficients
 the enumeration oracle and the closed forms must reproduce, plus a direct
-Lagrange-inversion coefficient extractor for solutions of f = x g(f).
+Lagrange-inversion coefficient extractor for solutions of f = x g(f). Each
+builder powers an h = 1 - sqrt(P) with P a polynomial of at most six terms
+(the rectangle kernel, the meeting polynomial's discriminant, 1 - 4x). Such
+an h is algebraic, h^2 = 2h - c with c = 1 - P (Wilf,
+generatingfunctionology), so its powers obey the three-term chain
+s_(m+1) = 2 s_m - c s_(m-1): one product by the few terms of c per power in
+place of dense products. Truncation by total degree is a ring
+homomorphism, so the chain gives the very series square-and-multiply gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 
@@ -187,11 +196,15 @@ class BiSeries:
         return acc
 
     def sqrt(self) -> "BiSeries":
+        return self._half_power(1)
+
+    def _half_power(self, e: int) -> "BiSeries":
+        """self^(e/2) for e = 1 or -1, the branch whose constant term is +1."""
         if self.coeff(0, 0) != 1:
-            raise ValueError(f"sqrt needs constant term 1, got {self.coeff(0, 0)}")
-        # 2 f E(g) = g E(f) for g = sqrt(f), E = x d/dx + y d/dy, which
+            raise ValueError(f"the power {e}/2 needs constant term 1, got {self.coeff(0, 0)}")
+        # 2 f E(g) = e g E(f) for g = f^(e/2), E = x d/dx + y d/dy, which
         # multiplies x^i y^j by i + j; at the monomial m, with f_0 = g_0 = 1,
-        #   g_m = sum_{a != 0} f_a (3|a| - 2|m|) g_{m-a} / (2|m|).
+        #   g_m = sum_{a != 0} f_a ((2 + e)|a| - 2|m|) g_{m-a} / (2|m|).
         # The run stays in ints: root[m] is g_m times scale[|m|], where
         # scale[t] = prod_{s <= t} 2 s den, so the division by 2t and by the
         # input's denominator is a factor of scale[t] / scale[t-1], and a
@@ -206,7 +219,7 @@ class BiSeries:
         for t in range(1, d + 1):
             scale.append(scale[-1] * 2 * t * den)
             weights = [
-                (ai, aj, c * (3 * size - 2 * t) * (scale[t - 1] // scale[t - size]))
+                (ai, aj, c * ((2 + e) * size - 2 * t) * (scale[t - 1] // scale[t - size]))
                 for size, ai, aj, c in steps
                 if size <= t
             ]
@@ -259,56 +272,104 @@ def rect_pair_base(degree: int) -> BiSeries:
     return 1 - _rect_kernel(degree).sqrt()
 
 
+def _chain(first: BiSeries, second: BiSeries, c: BiSeries):
+    """Yield s_0 = first, s_1 = second and s_(m+1) = 2 s_m - c s_(m-1).
+
+    If h = 1 - sqrt(P) then h^2 = 2h - c with c = 1 - P, so with second =
+    h first the terms are s_m = h^m first, each from one product by the
+    few terms of c. Truncation by total degree is a ring homomorphism, so
+    the truncated terms obey the same recurrence and equal the truncated
+    powers exactly. c must have integer coefficients; then every term's
+    numerators sit over the lcm of the first two denominators.
+    """
+    if c._den != 1:
+        raise ValueError("the chain needs c with integer coefficients")
+    d = first.degree
+    den = lcm(first._den, second._den)
+    prev = {key: v * (den // first._den) for key, v in first._num.items()}
+    cur = {key: v * (den // second._den) for key, v in second._num.items()}
+    # each term of c meets only the monomials that stay within degree d
+    steps = [(d - i - j, i, j, a) for (i, j), a in c._num.items()]
+    yield first
+    yield second
+    while True:
+        nxt = {key: 2 * v for key, v in cur.items()}
+        for room, ai, aj, a in steps:
+            for (i, j), v in prev.items():
+                if i + j <= room:
+                    key = (i + ai, j + aj)
+                    nxt[key] = nxt.get(key, 0) - a * v
+        prev, cur = cur, nxt
+        yield BiSeries._of(d, cur, den)
+
+
+def _rect_chain(degree: int):
+    """The powers 0, 1, 2, ... of the base series h = 1 - sqrt(kernel), by
+    the chain with c = 1 - kernel."""
+    one = BiSeries(degree, {(0, 0): 1})
+    return _chain(one, rect_pair_base(degree), 1 - _rect_kernel(degree))
+
+
 def rect_pair_powers(k_max: int, degree: int) -> list[BiSeries]:
-    """The powers 1 .. k_max+1 of the base series, each built from the one
-    before it; entry k's (x^n y^r) coefficient counts ordered pairs with
-    exactly k interior meetings."""
+    """The powers 1 .. k_max+1 of the base series, each by the chain from
+    the two powers before it (see ``_chain``); entry k's (x^n y^r)
+    coefficient counts ordered pairs with exactly k interior meetings."""
     if k_max < 0:
         raise ValueError("k must be nonnegative")
-    base = rect_pair_base(degree)
-    powers = [base]
-    for _ in range(k_max):
-        powers.append(powers[-1] * base)
-    return powers
+    return list(islice(_rect_chain(degree), 1, k_max + 2))
 
 
 def rect_pair_power(k: int, degree: int) -> BiSeries:
-    """(k+1)-th power of the base series; its (x^n y^r) coefficient counts
-    ordered pairs with exactly k interior meetings."""
+    """(k+1)-th power of the base series, by the chain with c = 1 - kernel
+    (see ``_chain``), holding two terms at a time; its (x^n y^r)
+    coefficient counts ordered pairs with exactly k interior meetings."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return rect_pair_base(degree).pow(k + 1)
+    return next(islice(_rect_chain(degree), k + 1, None))
+
+
+def _narayana_disc(degree: int) -> BiSeries:
+    # (1-y-z)^2 - 4yz, exponents ordered (y, z)
+    return BiSeries(
+        degree,
+        {(0, 0): 1, (1, 0): -2, (0, 1): -2, (2, 0): 1, (1, 1): -2, (0, 2): 1},
+    )
 
 
 def narayana_base(degree: int) -> BiSeries:
     """The series f(y, z) with f = (y+f)(z+f) and f(0,0) = 0, in closed form
     ((1-y-z) - sqrt((1-y-z)^2 - 4yz)) / 2. Its (y^r z^(n-r)) coefficient is
     half the nonmeeting rectangle pair count."""
-    disc = BiSeries(
-        degree,
-        {(0, 0): 1, (1, 0): -2, (0, 1): -2, (2, 0): 1, (1, 1): -2, (0, 2): 1},
-    )
     linear = BiSeries(degree, {(0, 0): 1, (1, 0): -1, (0, 1): -1})
-    return (linear - disc.sqrt()) * Fraction(1, 2)
+    return (linear - _narayana_disc(degree).sqrt()) * Fraction(1, 2)
 
 
 def meeting_poly_power(k: int, degree: int) -> BiSeries:
     """(y + z + 2 f)^(k+1); its (y^r z^(n-r)) coefficient is the rectangle
-    pair count with k interior meetings."""
+    pair count with k interior meetings.
+
+    y + z + 2f = 1 - sqrt(disc), so the power comes from the chain with
+    c = 1 - disc = 2(y+z) - (y-z)^2 (see ``_chain``), holding two terms at
+    a time; the series powered is the one built from ``narayana_base``."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    f = narayana_base(degree)
-    base = BiSeries(degree, {(1, 0): 1, (0, 1): 1}) + 2 * f
-    return base.pow(k + 1)
+    one = BiSeries(degree, {(0, 0): 1})
+    base = BiSeries(degree, {(1, 0): 1, (0, 1): 1}) + 2 * narayana_base(degree)
+    return next(islice(_chain(one, base, 1 - _narayana_disc(degree)), k + 1, None))
 
 
 def free_pair_series(k: int, degree: int) -> BiSeries:
     """(1 - sqrt(1-4x))^k / sqrt(1-4x); the x^n coefficient counts free pair
-    walks with exactly k post-origin meetings (zero for n < k)."""
+    walks with exactly k post-origin meetings (zero for n < k).
+
+    With P = 1 - 4x and h = 1 - sqrt(P), h^k / sqrt(P) is the chain's term
+    k from F_0 = P^(-1/2) (Miller's recurrence, as in ``sqrt``) and F_1 =
+    h F_0 = F_0 - 1, with c = 1 - P = 4x (see ``_chain``)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    sq = BiSeries(degree, {(0, 0): 1, (1, 0): -4}).sqrt()
-    return (1 - sq).pow(k) * sq.inverse()
+    kernel = BiSeries(degree, {(0, 0): 1, (1, 0): -4})
+    f0 = kernel._half_power(-1)
+    return next(islice(_chain(f0, f0 - 1, 1 - kernel), k, None))
 
 
 # --- Lagrange inversion -------------------------------------------------------

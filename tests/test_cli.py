@@ -6,6 +6,7 @@ Core claims:
       all numbers round-trip through Fraction parsing
     - CSV output carries the same rows under a header
     - probabilities must be rational strings; decimals and bad ranges exit 2
+    - fnk's probability column prints exactly str(Fraction(value, 4**n))
     - verification failures and routes that disagree under --method all
       exit 1 (the record is still emitted), empty suite selection exits 0
     - a reader that closes the pipe early gets exit 141 and no traceback
@@ -123,6 +124,18 @@ def test_fnk_probability_field(capsys):
     row = record["results"][0]
     assert row["value"] == "12870"
     assert Fraction(row["probability"]) == Fraction(12870, 4 ** 8)
+
+
+def test_fnk_probability_prints_the_reduced_fraction(capsys):
+    """The probability column shifts out shared factors of two; it prints
+    str(Fraction(value, 4**n)) for every k, the denominator-1 rows too."""
+    for n in range(65):
+        record = run_json(capsys, "fnk", "--n", str(n))
+        assert [row["k"] for row in record["results"]] == [str(k) for k in range(n + 1)]
+        for row in record["results"]:
+            assert row["probability"] == str(Fraction(int(row["value"]), 4 ** n))
+    for value in (0, 1, 6, 2 ** 10, 3 * 2 ** 12):
+        assert cli._over_power_of_two(value, 10) == str(Fraction(value, 2 ** 10))
 
 
 def test_fnk_table_round_trips(capsys):

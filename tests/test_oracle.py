@@ -21,7 +21,8 @@ Core claims:
       40 under level rates with per-level scales
     - the pair walk reads one West weight per level over the rate's
       denominator, its axis sweeps weigh the whole scale, and a rate that
-      varies along a level is refused with the level named
+      varies along a level is refused with the level named, by the pair
+      walk and by the single walker alike
     - preconditions (ranges, probability bounds) are enforced
 """
 
@@ -231,6 +232,22 @@ def test_a_rate_that_varies_along_a_level_is_refused():
         oracle._start_mass(rate, 5, (2, 3))
     # one interior x per level: nothing to disagree
     assert oracle.barrier_meet_prob(oracle.BarrierConfig(1, 0, 0, rate)) == Fraction(1, 2)
+
+
+def test_single_walker_refuses_a_rate_that_varies_along_a_level():
+    """The single walker reads its level's rate at every x it can occupy,
+    so it refuses the rate the pair walk refuses, with the level named.
+    From (3, 3) the Fraction reference gives 101/216 on the two lowest
+    West-step targets, where one rate per step gave 5/16."""
+    rate = _AlternatingRate()
+    targets = [(3, -1), (2, 0)]
+    assert _reference_endpoint_probability((3, 3), 4, targets, rate) == Fraction(101, 216)
+    with pytest.raises(ValueError, match="level 5"):
+        oracle.endpoint_probability((3, 3), 4, targets, rate)
+    with pytest.raises(ValueError, match="level 5"):
+        oracle.endpoint_distribution((3, 3), 4, rate)
+    # one step leaves the walker one x per level: nothing to disagree
+    assert oracle.endpoint_probability((3, 3), 1, [(2, 3)], rate) == Fraction(1, 2)
 
 
 def test_same_start_one_step_split():

@@ -11,14 +11,17 @@ Core claims:
     - the quadratic-equation series has zero residual and drives the meeting
       polynomial whose coefficients are again the rectangle counts
     - the free-pair series matches 2^k C(2n-k, n) and vanishes below degree k
+    - the three builders' three-term chain s_(m+1) = 2 s_m - c s_(m-1) gives
+      the very series that pow and inverse give, at every k <= D + 1 for
+      D <= 16 and at the large-exact bench sizes
     - Lagrange extraction reproduces its textbook examples and the row sums
       of the rectangle counts at rational specializations
     - the integer-numerator arithmetic equals a Fraction-dict reference on
       random rational series of degree <= 8 under +, -, *, scalar *, pow
       (exponents to 9, so square-and-multiply meets multi-bit exponents),
-      sqrt and inverse (dense inputs and sparse kernel-shaped ones), obeys
-      the ring laws, hands out Fractions, and keeps a canonical form: equal
-      values give equal, equally hashed series
+      sqrt, inverse and the inverse root (dense inputs and sparse
+      kernel-shaped ones), obeys the ring laws, hands out Fractions, and
+      keeps a canonical form: equal values give equal, equally hashed series
 """
 
 from fractions import Fraction
@@ -183,6 +186,52 @@ def test_free_pair_series_matches_closed_form():
         for n in range(13):
             expect = formulas.free_pair_count(n, k) if n >= k else 0
             assert fk.coeff(n) == expect
+
+
+# each builder's series by square-and-multiply ``pow`` and Newton ``inverse``
+def _rect_reference(k, degree):
+    return series.rect_pair_base(degree).pow(k + 1)
+
+
+def _meeting_reference(k, degree):
+    base = BiSeries(degree, {(1, 0): 1, (0, 1): 1}) + 2 * series.narayana_base(degree)
+    return base.pow(k + 1)
+
+
+def _free_reference(k, degree):
+    root = one_var([1, -4], degree).sqrt()
+    return (1 - root).pow(k) * root.inverse()
+
+
+_BUILDERS = [
+    (series.rect_pair_power, _rect_reference),
+    (series.meeting_poly_power, _meeting_reference),
+    (series.free_pair_series, _free_reference),
+]
+
+
+@pytest.mark.parametrize("degree", range(17))
+def test_builders_equal_square_and_multiply(degree):
+    """The chain gives the very series square-and-multiply does, at every
+    k <= degree + 1: numerators and denominator equal."""
+    powers = series.rect_pair_powers(degree + 1, degree)
+    assert powers == [_rect_reference(k, degree) for k in range(degree + 2)]
+    for build, reference in _BUILDERS:
+        for k in range(degree + 2):
+            assert build(k, degree) == reference(k, degree), (build.__name__, k)
+
+
+@pytest.mark.parametrize(
+    "build, reference, k, degree",
+    [
+        (series.rect_pair_power, _rect_reference, 5, 36),
+        (series.meeting_poly_power, _meeting_reference, 6, 28),
+        (series.free_pair_series, _free_reference, 10, 120),
+    ],
+    ids=["rect_pair_power", "meeting_poly_power", "free_pair_series"],
+)
+def test_builders_equal_square_and_multiply_at_bench_sizes(build, reference, k, degree):
+    assert build(k, degree) == reference(k, degree)
 
 
 def test_lagrange_textbook_examples():
@@ -350,6 +399,29 @@ def test_sqrt_and_inverse_equal_fraction_reference(root, inv, kernel):
     ref = _ref_clean(d, coeffs)
     _matches(BiSeries(d, coeffs).sqrt(), _ref_sqrt(d, ref))
     _matches(BiSeries(d, coeffs).inverse(), _ref_inverse(d, ref))
+
+
+@settings(max_examples=60, deadline=None)
+@given(root=_series_dicts(1, constant=st.just(1)), kernel=_kernel_dicts())
+def test_inverse_root_equals_fraction_reference(root, kernel):
+    for d, coeffs in ((root[0], root[1][0]), kernel):
+        s = BiSeries(d, coeffs)
+        _matches(s._half_power(-1), _ref_inverse(d, _ref_sqrt(d, _ref_clean(d, coeffs))))
+        assert s._half_power(-1) == s.sqrt().inverse()
+
+
+def test_half_powers_require_unit_constant_term():
+    for e in (1, -1):
+        with pytest.raises(ValueError, match="constant term 1"):
+            one_var([2, 1], 3)._half_power(e)
+
+
+def test_chain_needs_integer_c():
+    """The chain keeps every term over one denominator, which a rational c
+    would break, so it refuses one."""
+    one = one_var([1], 3)
+    with pytest.raises(ValueError, match="integer coefficients"):
+        next(series._chain(one, one, one_var([0, Fraction(1, 2)], 3)))
 
 
 @settings(max_examples=60, deadline=None)
