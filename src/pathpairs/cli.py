@@ -414,6 +414,8 @@ def cmd_verify(args) -> int:
             names.extend(part.strip() for part in chunk.split(",") if part.strip())
         if names == ["none"]:
             names = []
+        elif not names:
+            raise UsageError("--suite names no suite; give a suite name, or 'none' for an empty run")
         suites = tuple(names)  # VerifyConfig rejects unknown names
     reports = verify.run_all(verify.VerifyConfig(suites=suites, n_max=args.nmax))
     results = []

@@ -17,21 +17,22 @@ order is fixed, so results are reproducible.
 
 Walker model for the meeting probabilities: two walkers move simultaneously,
 one step per time unit, West or South. Strictly inside the first quadrant
-the West probability at (r, s) is supplied by a rate model; a walker that
-reaches an axis is swept deterministically along it toward the origin (West
-on the x-axis, South on the y-axis). Both coordinate sums shrink by one per
-step, so the walkers stay on a common diagonal and can only meet at equal
-times; both hit the origin exactly when the diagonal runs out. A walker on
-level m = r + s is therefore named by its x-coordinate r alone, and the
-pair DP keys its positions that way. Both rate models depend only on the
+the West probability on level m = r + s is ``rate.at_level(m)``; a walker
+that reaches an axis is swept deterministically along it toward the origin
+(West on the x-axis, South on the y-axis). Both coordinate sums shrink by
+one per step, so the walkers stay on a common diagonal and can only meet at
+equal times; both hit the origin exactly when the diagonal runs out. A
+walker on level m is therefore named by its x-coordinate r alone, and the
+pair DP keys its positions that way. A rate model states one rate per
 level, so one *unconstrained* walker (``endpoint_distribution``) is placed
 after t steps by its number of West steps alone, and its DP counts West
-steps.
+steps. The walkers read the rate once per level they step through; the
+pair walk reads each level once more to size its slots.
 
-The pair walk has one implementation, ``_survival_levels``. It sweeps the
-levels upward from level 1, where the one pair of x's (0, 1) has mass 1.
-Row u of a level is one int whose slot l - lo holds the integer mass of the
-pair (u, l). A level is the one below taken through both walkers' steps,
+The pair walk has one implementation, ``_sweep``. It sweeps the levels
+upward from level 1, where the one pair of x's (0, 1) has mass 1. Row u of
+a level is one int whose slot l - lo holds the integer mass of the pair
+(u, l). A level is the one below taken through both walkers' steps,
 A B A^T, as two single-walker passes on whole rows: the lower walker steps
 along each row (South keeps l, West shifts the row up one slot, and the
 x-axis end is swept West), then the upper walker combines neighbouring rows
@@ -42,13 +43,10 @@ needs. A slot is 2 + sum(2 * d.bit_length()) bits wide over the levels'
 scales d, which exceeds the bit length of the top level's denominator; no
 mass exceeds its level's denominator, so no slot carries into the next.
 
-The pair walk reads one West rate per level, the level-only assumption the
-single walker makes too; a rate whose interior x's on one level differ
-raises ``ValueError`` naming the level. ``barrier_survival_table`` keeps
-every pair of every level, which is what a suite over all configurations
-asks for, and unpacks it into a dict; the single queries
-(``barrier_meet_prob``, ``same_start_meet_prob``) keep only the x's their
-own walkers can reach and read one slot of the last level.
+``barrier_survival_table`` keeps every pair of every level, which is what a
+suite over all configurations asks for, and unpacks it into a dict; the
+single queries (``barrier_meet_prob``, ``same_start_meet_prob``) keep only
+the x's their own walkers can reach and read one slot of the last level.
 """
 
 from __future__ import annotations
@@ -149,7 +147,7 @@ class ConstantRate:
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", paths.as_probability(self.p))
 
-    def west(self, r: int, s: int) -> Fraction:
+    def at_level(self, m: int) -> Fraction:
         return self.p
 
 
@@ -157,11 +155,9 @@ class ConstantRate:
 class LevelRate:
     """West probability depends only on the level m = r + s.
 
-    ``values[m - 1]`` is the rate on level m; levels past the end of the
-    table reuse the last entry, and levels below 1 use the first. The same
-    rate applies at every point of a level, including points with
-    nonpositive coordinates, which is what makes an unconstrained walker's
-    step distribution depend on time alone.
+    ``at_level(m)`` is ``values[m - 1]``; levels past the end of the table
+    reuse the last entry, and levels below 1, which an unconstrained walker
+    reaches once its coordinate sum runs out, use the first.
     """
 
     values: tuple[Fraction, ...]
@@ -171,9 +167,8 @@ class LevelRate:
             raise ValueError("LevelRate needs at least one value")
         object.__setattr__(self, "values", tuple(paths.as_probability(v) for v in self.values))
 
-    def west(self, r: int, s: int) -> Fraction:
-        m = min(max(r + s, 1), len(self.values))
-        return self.values[m - 1]
+    def at_level(self, m: int) -> Fraction:
+        return self.values[min(max(m, 1), len(self.values)) - 1]
 
 
 RateModel = ConstantRate | LevelRate
@@ -195,64 +190,29 @@ class BarrierConfig:
 
 SurvivalLevel = tuple[dict[tuple[int, int], int], int]
 
-# One level of a sweep: the x's [ulo, uhi] of the upper walker and [llo, lhi]
-# of the lower walker kept on level m, and the level's West weight ``west``
-# over its scale ``d``.
-_LevelStep = tuple[int, int, int, int, int, int]
+
+def _slot_width(rate: RateModel, top: int) -> int:
+    """The slot width of a pair walk to level ``top``; see ``_sweep``."""
+    return 2 + sum(2 * rate.at_level(m).denominator.bit_length() for m in range(2, top + 1))
 
 
-def _level_steps(rate: RateModel, top: int, start: tuple[int, int] | None) -> list[_LevelStep]:
-    """The steps of levels 2..top, one ``_LevelStep`` each.
+def _sweep(rate: RateModel, top: int, start: tuple[int, int] | None = None):
+    """The pair walk over levels 1..top, yielding ``(m, rows, den)``.
 
     Without ``start`` level m keeps every pair: uppers 0..m-1, lowers 1..m.
     With a start pair (u0, l0) on level ``top`` it keeps, for each walker,
     only the x's x0 - (top - m) <= x <= x0 it can reach from its own x0.
+    ``rows[i]`` packs row u = ulo + i of level m, over the uppers ulo..uhi
+    kept there: its slot j, ``_slot_width(rate, top)`` bits wide, holds the
+    integer mass of the pair (u, l) with l = llo + j, and ``mass / den`` is
+    the probability that walkers started at (u, m - u) and (l, m - l) reach
+    level 1 without meeting. Level 1 is the one pair (0, 1) with mass 1, and
+    only the current level is held.
 
-    The pair walk reads one rate p per level, by ``_level_rate`` at the
-    interior x's its walkers use there: the West weight is p.numerator over
-    the scale d = p.denominator. A rate that gives those x's different
-    values raises ``ValueError`` naming the level. A level with no interior
-    x in use has d = 1 and only the forced axis sweeps.
-    """
-    steps = []
-    for m in range(2, top + 1):
-        if start is None:
-            ulo, uhi, llo, lhi = 0, m - 1, 1, m
-        else:
-            back = top - m
-            ulo, uhi = max(0, start[0] - back), min(start[0], m - 1)
-            llo, lhi = max(1, start[1] - back), min(start[1], m)
-        # the interior x's either walker uses, each once
-        xs = (*range(max(ulo, 1), uhi + 1), *range(max(llo, uhi + 1), min(lhi, m - 1) + 1))
-        p = _level_rate(rate, m, xs)
-        steps.append((ulo, uhi, llo, lhi, p.denominator, p.numerator))
-    return steps
-
-
-def _level_rate(rate: RateModel, m: int, xs) -> Fraction:
-    """The one West rate of level m, read at every x in ``xs``; 0 when
-    ``xs`` is empty. A rate that gives those x's different values raises
-    ``ValueError`` naming the level: the walker DPs step a whole level with
-    one rate."""
-    rates = [rate.west(x, m - x) for x in xs] or [Fraction(0)]
-    if rates.count(rates[0]) < len(rates):
-        raise ValueError(f"the West rate varies along level {m}; the walker DPs need one rate per level")
-    return rates[0]
-
-
-def _survival_levels(rate: RateModel, top: int, start: tuple[int, int] | None = None):
-    """The pair walk over levels 1..top, as ``(width, levels)``.
-
-    ``levels`` yields ``(m, rows, den)`` per level. ``rows[i]`` packs row
-    u = ulo + i of level m, for the x's ``_level_steps`` keeps there: its
-    slot j, ``width`` bits wide, holds the integer mass of the pair (u, l)
-    with l = llo + j, and ``mass / den`` is the probability that walkers
-    started at (u, m - u) and (l, m - l) reach level 1 without meeting.
-    Level 1 is the one pair (0, 1) with mass 1, and only the current level
-    is held.
-
-    Each level is A B A^T, with B the level below and A the one-walker
-    step, done as two single-walker passes over whole rows:
+    Level m reads one rate p = ``rate.at_level(m)``: the West weight is
+    ``west`` = p.numerator over the scale d = p.denominator. Each level is
+    A B A^T, with B the level below and A the one-walker step, done as two
+    single-walker passes over whole rows:
 
     - the lower walker, along each row of B: l takes South weight from slot
       l and West weight from slot l - 1, i.e. ``south * row + west * (row
@@ -270,17 +230,19 @@ def _survival_levels(rate: RateModel, top: int, start: tuple[int, int] | None = 
     squared scales of levels 2..m, so ``width = 2 + sum(2 * d.bit_length())``
     leaves every slot room for its value and no carry crosses slots.
     """
-    steps = _level_steps(rate, top, start)
-    width = 2 + sum(2 * step[4].bit_length() for step in steps)
-    return width, _sweep(steps, width)
-
-
-def _sweep(steps: list[_LevelStep], width: int):
-    """The levels of ``_survival_levels``, from its steps and slot width."""
+    width = _slot_width(rate, top)
     rows, ulo, llo, lhi = [1], 0, 1, 1
     den = 1
     yield 1, rows, den
-    for m, (ulo_m, uhi_m, llo_m, lhi_m, d, west) in enumerate(steps, 2):
+    for m in range(2, top + 1):
+        if start is None:
+            ulo_m, uhi_m, llo_m, lhi_m = 0, m - 1, 1, m
+        else:
+            back = top - m
+            ulo_m, uhi_m = max(0, start[0] - back), min(start[0], m - 1)
+            llo_m, lhi_m = max(1, start[1] - back), min(start[1], m)
+        p = rate.at_level(m)
+        d, west = p.denominator, p.numerator
         south = d - west
         top_slot = width * (lhi - llo)
         keep = (1 << width * (lhi_m - llo + 1)) - 1
@@ -313,8 +275,7 @@ def _start_mass(rate: RateModel, top: int, start: tuple[int, int]) -> tuple[int,
     """``(mass, den)`` of the start pair on level ``top``, from a sweep that
     keeps only the x's its walkers can reach: the last level is one row of
     one slot."""
-    _, levels = _survival_levels(rate, top, start)
-    for _, rows, den in levels:
+    for _, rows, den in _sweep(rate, top, start):
         pass
     return rows[0], den
 
@@ -331,10 +292,10 @@ def barrier_survival_table(rate: RateModel, top_level: int) -> dict[int, Surviva
     the sweep's rows, zeros included."""
     if top_level < 1:
         raise ValueError(f"top_level must be at least 1, got {top_level}")
-    width, levels = _survival_levels(rate, top_level)
+    width = _slot_width(rate, top_level)
     mask = (1 << width) - 1
     table = {}
-    for m, rows, den in levels:
+    for m, rows, den in _sweep(rate, top_level):
         masses = {}
         for u, row in enumerate(rows):
             row >>= width * u
@@ -391,11 +352,9 @@ def _endpoint_masses(start: paths.Point, steps: int, rate: RateModel) -> tuple[d
     per probability query.
 
     After i steps from (r, s) the walker sits at (r - w, s - i + w), fixed
-    by its count w of West steps, whose weight is ``masses[w]``. Each step
-    reads one rate p for its level, at every x the walker can occupy there
-    (``_level_rate``), so a rate that varies along that stretch of a level
-    raises ``ValueError``; endpoints are named, and zero masses dropped, at
-    the end.
+    by its count w of West steps, whose weight is ``masses[w]``. Step i
+    reads its level's rate once, ``rate.at_level(r + s - i)``; endpoints are
+    named, and zero masses dropped, at the end.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -403,7 +362,7 @@ def _endpoint_masses(start: paths.Point, steps: int, rate: RateModel) -> tuple[d
     masses = [1]
     den = 1
     for i in range(steps):
-        p = _level_rate(rate, r + s - i, range(r - i, r + 1))
+        p = rate.at_level(r + s - i)
         west, d = p.numerator, p.denominator
         masses = [stay * (d - west) + moved * west for stay, moved in zip(masses + [0], [0] + masses)]
         den *= d

@@ -441,11 +441,12 @@ def _walker_checks(rec, a: int, b: int, x: int, pair: tuple[int, int], levels) -
     """Theorem-4 style cross checks of the pair walk of (a, b, x) against its
     level's single walker in ``levels``, from ``_walker_levels``."""
     running, den = levels[a + b + x + 1]
-    # Both rate models depend only on the level, so a walker started anywhere
-    # on level m spreads its m - 1 steps over West-step counts w exactly as
-    # the one from (0, m) does. The upper walker from (a, b+x+1) reaches the
-    # target (-t, 1+t) after w = a + t West steps, for t <= b + x; the lower
-    # walker from (a+x+1, b) reaches (1+t, -t) after w = a + x - t, t <= a + x.
+    # A rate model states one rate per level (``at_level``), so a walker
+    # started anywhere on level m spreads its m - 1 steps over West-step
+    # counts w exactly as the one from (0, m) does. The upper walker from
+    # (a, b+x+1) reaches the target (-t, 1+t) after w = a + t West steps, for
+    # t <= b + x; the lower walker from (a+x+1, b) reaches (1+t, -t) after
+    # w = a + x - t, t <= a + x.
     first_x = running[a + x + 1] - running[a]
     upper, lower = den - running[a], running[a + x + 1]
     rec.expect_equal_ratio(pair, (first_x, den), a=a, b=b, x=x, sides="pair walk vs single walker")

@@ -8,7 +8,8 @@ Core claims:
     - probabilities must be rational strings; decimals and bad ranges exit 2
     - fnk's probability column prints exactly str(Fraction(value, 4**n))
     - verification failures and routes that disagree under --method all
-      exit 1 (the record is still emitted), empty suite selection exits 0
+      exit 1 (the record is still emitted), verify --suite none exits 0
+      and a --suite that names no suite otherwise exits 2
     - a reader that closes the pipe early gets exit 141 and no traceback
     - a closed-form count that fails its integrality check, or a route that
       breaks its own postcondition, is a program bug and exits 3, not 2
@@ -407,6 +408,13 @@ def test_verify_single_suite(capsys):
 def test_verify_none_is_empty_success(capsys):
     record = run_json(capsys, "verify", "--suite", "none")
     assert record["results"] == []
+
+
+@pytest.mark.parametrize("spelling", [",", ""])
+def test_verify_suite_naming_no_suite_exits_2(capsys, spelling):
+    code, out, err = run(capsys, "verify", "--suite", spelling)
+    assert (code, out) == (2, "")
+    assert err == "error: --suite names no suite; give a suite name, or 'none' for an empty run\n"
 
 
 def test_verify_unknown_suite(capsys):

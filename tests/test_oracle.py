@@ -19,15 +19,17 @@ Core claims:
     - the limited sweep equals the closed forms and the single-walker
       reduction at levels past 30, and the full table's entry up to level
       40 under level rates with per-level scales
-    - the pair walk reads one West weight per level over the rate's
-      denominator, its axis sweeps weigh the whole scale, and a rate that
-      varies along a level is refused with the level named, by the pair
-      walk and by the single walker alike
+    - a rate states one West probability per level through ``at_level``;
+      the pair walk weighs each level over that value's denominator and its
+      axis sweeps by the whole scale, the walkers read one rate per level
+      (t reads for t single-walker steps, at most 2(L - 1) for a pair query
+      to level L), and a rate object without ``at_level`` is refused at
+      every walker entry point
     - preconditions (ranges, probability bounds) are enforced
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -181,20 +183,24 @@ def test_rates_reject_bad_probabilities():
 
 def test_level_rate_reuses_last_value():
     rate = oracle.LevelRate((Fraction(1, 3), Fraction(1, 4)))
-    assert rate.west(1, 1) == Fraction(1, 4)  # level 2
-    assert rate.west(5, 5) == Fraction(1, 4)  # beyond the table
-    assert rate.west(1, 0) == Fraction(1, 3)  # level 1
+    assert rate.at_level(2) == Fraction(1, 4)
+    assert rate.at_level(10) == Fraction(1, 4)  # beyond the table
+    assert rate.at_level(1) == Fraction(1, 3)
+    assert rate.at_level(0) == Fraction(1, 3)  # below level 1
+    assert rate.at_level(-4) == Fraction(1, 3)
 
 
-def test_level_steps_read_one_weight_per_level():
-    """Each level of the pair walk reads one West weight over the rate's
-    denominator; p = 0 and p = 1 give scale 1, and a level whose kept x's
-    are all on the axes has scale 1 and only the forced sweeps."""
+def test_at_level_gives_each_level_one_weight():
+    """A rate states one West probability per level, and each level of the
+    pair walk multiplies the denominator by that value's squared scale:
+    p = 0 and p = 1 give scale 1. Walkers kept on the two axes still weigh
+    their sweeps by the whole scale."""
     rate = oracle.LevelRate((Fraction(1, 3), Fraction(1), Fraction(0), Fraction(1, 4)))
-    steps = oracle._level_steps(rate, 4, None)
-    assert steps == [(0, 1, 1, 2, 1, 1), (0, 2, 1, 3, 1, 0), (0, 3, 1, 4, 4, 1)]
+    assert [rate.at_level(m) for m in range(1, 5)] == list(rate.values)
+    assert {oracle.ConstantRate(Fraction(2, 5)).at_level(m) for m in (-3, 0, 1, 7)} == {Fraction(2, 5)}
+    assert [den for _, _, den in oracle._sweep(rate, 4)] == [1, 1, 1, 16]
     # the start pair (0, 5) on level 5 keeps x = 0 and x = 5 there
-    assert oracle._level_steps(rate, 5, (0, 5))[-1] == (0, 0, 5, 5, 1, 0)
+    assert oracle._start_mass(rate, 5, (0, 5)) == (256, 256)
 
 
 def test_axis_sweeps_weigh_the_scale():
@@ -205,49 +211,56 @@ def test_axis_sweeps_weigh_the_scale():
     want_den = 1
     for m, (masses, den) in table.items():
         if m > 1:
-            want_den *= rate.west(1, m - 1).denominator ** 2
+            want_den *= rate.at_level(m).denominator ** 2
         assert den == want_den
         assert masses[0, m] == den, m
 
 
-@dataclass(frozen=True)
-class _AlternatingRate:
-    """A West rate that differs between neighbouring x's on one level."""
+class _PointOnlyRate:
+    """A rate with a per-point West accessor and no ``at_level``."""
 
     def west(self, r: int, s: int) -> Fraction:
         return Fraction(1, 2) if r % 2 else Fraction(1, 3)
 
 
-def test_a_rate_that_varies_along_a_level_is_refused():
-    """The pair walk reads one rate per level; each sweep refuses a rate
-    whose kept interior x's differ and names the level: the full table, a
-    single barrier query and the same-start window (``same_start_meet_prob``
-    itself takes one constant p)."""
-    rate = _AlternatingRate()
-    with pytest.raises(ValueError, match="level 3"):
+def test_a_rate_without_at_level_is_refused():
+    """The walkers read a rate only through ``at_level``, so a per-point
+    rate raises before any value is computed: the full table, a single
+    barrier query, the same-start window and the single walker."""
+    rate = _PointOnlyRate()
+    with pytest.raises(AttributeError, match="at_level"):
         oracle.barrier_survival_table(rate, 5)
-    with pytest.raises(ValueError, match="level 3"):
+    with pytest.raises(AttributeError, match="at_level"):
         oracle.barrier_meet_prob(oracle.BarrierConfig(1, 1, 1, rate))
-    with pytest.raises(ValueError, match="level 3"):
+    with pytest.raises(AttributeError, match="at_level"):
         oracle._start_mass(rate, 5, (2, 3))
-    # one interior x per level: nothing to disagree
-    assert oracle.barrier_meet_prob(oracle.BarrierConfig(1, 0, 0, rate)) == Fraction(1, 2)
+    with pytest.raises(AttributeError, match="at_level"):
+        oracle.endpoint_probability((3, 3), 4, [(3, -1), (2, 0)], rate)
 
 
-def test_single_walker_refuses_a_rate_that_varies_along_a_level():
-    """The single walker reads its level's rate at every x it can occupy,
-    so it refuses the rate the pair walk refuses, with the level named.
-    From (3, 3) the Fraction reference gives 101/216 on the two lowest
-    West-step targets, where one rate per step gave 5/16."""
-    rate = _AlternatingRate()
-    targets = [(3, -1), (2, 0)]
-    assert _reference_endpoint_probability((3, 3), 4, targets, rate) == Fraction(101, 216)
-    with pytest.raises(ValueError, match="level 5"):
-        oracle.endpoint_probability((3, 3), 4, targets, rate)
-    with pytest.raises(ValueError, match="level 5"):
-        oracle.endpoint_distribution((3, 3), 4, rate)
-    # one step leaves the walker one x per level: nothing to disagree
-    assert oracle.endpoint_probability((3, 3), 1, [(2, 3)], rate) == Fraction(1, 2)
+@dataclass(frozen=True)
+class _CountingRate(oracle.LevelRate):
+    """A level rate that records the level of every ``at_level`` read."""
+
+    reads: list[int] = field(default_factory=list)
+
+    def at_level(self, m: int) -> Fraction:
+        self.reads.append(m)
+        return super().at_level(m)
+
+
+def test_walkers_read_one_rate_per_level():
+    """A single walker reads one rate per step; a pair query to level L
+    reads each of levels 2..L at most twice (slot width and step)."""
+    values = tuple(Fraction(m % 4, m % 5 + 4) for m in range(12))
+    for start, steps in (((5, 20), 0), ((5, 20), 1), ((5, 20), 24), ((-2, 3), 9)):
+        rate = _CountingRate(values)
+        oracle.endpoint_probability(start, steps, [(0, 0)], rate)
+        assert len(rate.reads) == steps, (start, steps)
+    for a, b, x in ((0, 0, 0), (0, 0, 9), (3, 4, 2), (0, 9, 5), (7, 0, 6), (8, 8, 8)):
+        rate = _CountingRate(values)
+        oracle.barrier_meet_prob(oracle.BarrierConfig(a, b, x, rate))
+        assert len(rate.reads) <= 2 * (a + b + x), (a, b, x)
 
 
 def test_same_start_one_step_split():
@@ -288,7 +301,7 @@ def _reference_moves(pos, rate):
         return (((r - 1, 0), Fraction(1)),)
     if r == 0:
         return (((0, s - 1), Fraction(1)),)
-    p = rate.west(r, s)
+    p = rate.at_level(r + s)
     return tuple(move for move in (((r - 1, s), p), ((r, s - 1), 1 - p)) if move[1])
 
 
@@ -312,7 +325,7 @@ def _reference_endpoint_probability(start, steps, targets, rate):
     for _ in range(steps):
         nxt = {}
         for (r, s), mass in dist.items():
-            p = rate.west(r, s)
+            p = rate.at_level(r + s)
             for key, w in (((r - 1, s), p), ((r, s - 1), 1 - p)):
                 if w:
                     nxt[key] = nxt.get(key, Fraction(0)) + mass * w
@@ -477,12 +490,13 @@ def _high_level_rates():
 def test_windowed_queries_equal_the_full_sweep_at_high_levels(rate):
     """Up to level 40 the window of a single query moves far; its one slot
     still equals the full table's entry, for an upper walker on the y-axis
-    (a = 0), a lower walker on the x-axis (b = 0) and two interior walkers."""
+    (a = 0), a lower walker on the x-axis (b = 0), both walkers on the axes
+    at every level (a = b = 0) and two interior walkers."""
     table = oracle.barrier_survival_table(rate, 40)
     configs = [
         (0, 20, 19), (0, 1, 37), (0, 30, 2),
         (20, 0, 19), (37, 0, 1), (3, 0, 30),
-        (13, 13, 13), (1, 37, 0), (25, 2, 5), (9, 16, 4),
+        (0, 0, 39), (13, 13, 13), (1, 37, 0), (25, 2, 5), (9, 16, 4),
     ]
     for a, b, x in configs:
         masses, den = table[a + b + x + 1]
