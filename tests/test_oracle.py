@@ -223,10 +223,11 @@ class _PointOnlyRate:
         return Fraction(1, 2) if r % 2 else Fraction(1, 3)
 
 
-def test_a_rate_without_at_level_is_refused():
-    """The walkers read a rate only through ``at_level``, so a per-point
-    rate raises before any value is computed: the full table, a single
-    barrier query, the same-start window and the single walker."""
+def test_a_rate_that_varies_along_a_level_is_refused():
+    """The pair walk reads a rate only through ``at_level``, so a rate that
+    varies along a level, stated per point, raises before any value is
+    computed: the full table, a single barrier query and the same-start
+    window (``same_start_meet_prob`` itself takes one constant p)."""
     rate = _PointOnlyRate()
     with pytest.raises(AttributeError, match="at_level"):
         oracle.barrier_survival_table(rate, 5)
@@ -234,8 +235,16 @@ def test_a_rate_without_at_level_is_refused():
         oracle.barrier_meet_prob(oracle.BarrierConfig(1, 1, 1, rate))
     with pytest.raises(AttributeError, match="at_level"):
         oracle._start_mass(rate, 5, (2, 3))
+
+
+def test_single_walker_refuses_a_rate_that_varies_along_a_level():
+    """The single walker reads one rate per step through ``at_level``, so
+    it refuses the per-point rate the pair walk refuses."""
+    rate = _PointOnlyRate()
     with pytest.raises(AttributeError, match="at_level"):
         oracle.endpoint_probability((3, 3), 4, [(3, -1), (2, 0)], rate)
+    with pytest.raises(AttributeError, match="at_level"):
+        oracle.endpoint_distribution((3, 3), 4, rate)
 
 
 @dataclass(frozen=True)
