@@ -10,10 +10,6 @@ from .paths import (
     NORTH,
     InvariantError,
     PathNE,
-    PathPair,
-    intersections_excluding_origin,
-    intersections_excluding_start,
-    intersections_interior,
 )
 from .oracle import (
     BarrierConfig,
@@ -58,10 +54,6 @@ __all__ = [
     "NORTH",
     "InvariantError",
     "PathNE",
-    "PathPair",
-    "intersections_interior",
-    "intersections_excluding_origin",
-    "intersections_excluding_start",
     "CountTable",
     "BarrierConfig",
     "ConstantRate",

@@ -375,7 +375,7 @@ def _one_meeting_count(family: list[PathNE]) -> int:
     census of ordered pairs. That census counts each pair a != b twice and
     each a == b once; a path meets itself at all r + s - 1 interior
     vertices, which is one vertex only on the 1 x 1 rectangle."""
-    ordered = paths.meeting_census(family, family, paths.intersections_interior).get(1, 0)
+    ordered = paths.meeting_census(family, family, paths.INTERIOR).get(1, 0)
     diagonal = len(family) if family[0].n == 2 else 0
     return (ordered + diagonal) // 2
 
@@ -389,7 +389,7 @@ def _one_meeting_words(family: list[PathNE]) -> set[tuple[str, str]]:
         (b.word, a.word)  # ascending words: b is the upper one
         for i, a in enumerate(family)
         for b in family[i:]
-        if len(paths.meeting_points(a, b, paths.intersections_interior)) == 1
+        if len(paths.meeting_points(a, b, paths.INTERIOR)) == 1
     }
 
 

@@ -406,7 +406,9 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.all or not args.suite:
+    if args.all and args.suite:
+        raise UsageError("give --all or --suite, not both")
+    if not args.suite:
         suites = None
     else:
         names = []
@@ -416,7 +418,7 @@ def cmd_verify(args) -> int:
             names = []
         elif not names:
             raise UsageError("--suite names no suite; give a suite name, or 'none' for an empty run")
-        suites = tuple(names)  # VerifyConfig rejects unknown names
+        suites = tuple(names)  # VerifyConfig rejects unknown and repeated names
     reports = verify.run_all(verify.VerifyConfig(suites=suites, n_max=args.nmax))
     results = []
     for rep in reports:

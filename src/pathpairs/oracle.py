@@ -89,12 +89,12 @@ def rect_pair_table(n: int, r: int) -> CountTable:
     """All ordered pairs of corner-to-corner paths on an r x (n-r) rectangle,
     keyed by interior shared vertices. Total is C(n, r)^2."""
     ps = paths.all_paths(n, r)
-    return CountTable.from_entries(paths.meeting_census(ps, ps, paths.intersections_interior))
+    return CountTable.from_entries(paths.meeting_census(ps, ps, paths.INTERIOR))
 
 
 def endpoint_pair_table(n: int, r: int, s: int) -> CountTable:
     """Unordered pairs of origin walks ending at (r, n-r) and (s, n-s), r < s,
-    keyed by shared vertices excluding the start.
+    keyed by shared vertices excluding the origin (shared endpoints count).
 
     Distinct endpoints mean every unordered pair has exactly one
     representative with the r-path first, so the iteration is already
@@ -102,9 +102,7 @@ def endpoint_pair_table(n: int, r: int, s: int) -> CountTable:
     """
     if not 0 <= r < s <= n:
         raise ValueError(f"need 0 <= r < s <= n, got r={r}, s={s}, n={n}")
-    census = paths.meeting_census(
-        paths.all_paths(n, r), paths.all_paths(n, s), paths.intersections_excluding_start
-    )
+    census = paths.meeting_census(paths.all_paths(n, r), paths.all_paths(n, s), paths.EXCLUDING_ORIGIN)
     return CountTable.from_entries(census)
 
 
@@ -114,7 +112,7 @@ def free_pair_table(n: int) -> CountTable:
     if n < 0:
         raise ValueError("n must be nonnegative")
     walks = [p for r in range(n + 1) for p in paths.all_paths(n, r)]
-    return CountTable.from_entries(paths.meeting_census(walks, walks, paths.intersections_excluding_origin))
+    return CountTable.from_entries(paths.meeting_census(walks, walks, paths.EXCLUDING_ORIGIN))
 
 
 def same_endpoint_pair_table(n: int) -> CountTable:
@@ -125,7 +123,7 @@ def same_endpoint_pair_table(n: int) -> CountTable:
     table: dict[int, int] = {}
     for r in range(n + 1):
         ps = paths.all_paths(n, r)
-        for k, v in paths.meeting_census(ps, ps, paths.intersections_interior).items():
+        for k, v in paths.meeting_census(ps, ps, paths.INTERIOR).items():
             table[k] = table.get(k, 0) + v
     out = CountTable.from_entries(table)
     if out.total != comb(2 * n, n):  # not an assert: ``python -O`` would strip it

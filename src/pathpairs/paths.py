@@ -1,38 +1,35 @@
-"""Monotone lattice paths and the vertex-sharing counts everything else rests on.
+"""Monotone lattice paths from the origin and the vertex-sharing counts
+everything else rests on.
 
-A path is a word of unit steps E (east, +x) and N (north, +y) starting at a
-lattice vertex. After t steps the coordinate sum is start.x + start.y + t, so
-two equal-length paths with the same start can only share a vertex at the
-same step index; every count below is therefore the size of the
-intersection of the two vertex sets over a window of step indices.
+A path is its word of unit steps E (east, +x) and N (north, +y) from the
+origin (0, 0). After t steps the coordinate sum is t, so two equal-length
+paths can only share a vertex at the same step index; every count below is
+therefore the size of the intersection of the two vertex sets over a window
+of step indices.
 
-Three counting conventions coexist on purpose, one operation each, so no
-caller can silently use the wrong one:
+A counting convention is one of two named windows, so no caller can
+silently use the wrong one:
 
-* ``intersections_interior``         -- shared vertices excluding both the
-  common start and the common end (endpoints must coincide);
-* ``intersections_excluding_origin`` -- shared vertices excluding the common
-  origin; a shared final vertex counts (both paths must start at (0, 0));
-* ``intersections_excluding_start``  -- shared vertices excluding the common
-  start; a shared final vertex counts.
+* ``INTERIOR``         -- shared vertices excluding both the origin and the
+  common end, steps 1..n-1 (endpoints must coincide);
+* ``EXCLUDING_ORIGIN`` -- shared vertices excluding the origin, steps 1..n;
+  a shared final vertex counts.
 
 This module is the only place that knows a convention's window. The
-enumeration oracle and the 2-to-1 correspondence pass the convention
-operation itself to ``meeting_census`` (a tally over a whole family of
-pairs), ``shared_vertices`` (the meeting points of one ``PathPair``) or
-``meeting_points`` (the same for two paths, without building the pair).
-``meeting_census`` resolves the window and checks the precondition once per
-call, not once per pair, and is bit-sliced: each pair is counted exactly, in
-its own bit lane of big-int bit planes, so one integer operation advances
-the counts of a left path against every right path at once. A left path
-reuses the planes of the vertex prefix it shares with the path before it,
-from a stack kept by prefix length, and the histogram is recovered once per
-call, by inclusion-exclusion, from running popcounts of the AND of each
-subset of planes. The per-pair forms read each path's ``vertex_mask``, one
-int with a bit per vertex keyed from the path's start, so a pair's shared
-vertices are the set bits of the AND of its two masks, inside the window.
-``all_paths`` is the one enumerator, in the fixed order of the E-step
-positions as combinations.
+enumeration oracle and the 2-to-1 correspondence pass the convention to
+``meeting_census`` (a tally over a whole family of pairs) or
+``meeting_points`` (the shared vertices of one pair). ``meeting_census``
+resolves the window and checks the precondition once per call, not once
+per pair, and is bit-sliced: each pair is counted exactly, in its own bit
+lane of big-int bit planes, so one integer operation advances the counts of
+a left path against every right path at once. A left path reuses the planes
+of the vertex prefix it shares with the path before it, from a stack kept by
+prefix length, and the histogram is recovered once per call, by
+inclusion-exclusion, from running popcounts of the AND of each subset of
+planes. ``meeting_points`` reads each path's ``vertex_mask``, one int with a
+bit per vertex, so a pair's shared vertices are the set bits of the AND of
+its two masks, inside the window. ``all_paths`` is the one enumerator, in
+the fixed order of the E-step positions as combinations.
 
 All values are immutable and all operations are pure functions.
 ``InvariantError`` is what a route raises when one of its own
@@ -55,6 +52,11 @@ NORTH = "N"
 
 _VALID_STEPS = frozenset((EAST, NORTH))
 
+#: The two counting conventions, each a window of step indices (see above).
+INTERIOR = "interior"
+EXCLUDING_ORIGIN = "excluding-origin"
+
+
 class InvariantError(RuntimeError):
     """A route broke one of its own postconditions: the program is wrong,
     not its input. Defined here so every route can raise it without
@@ -63,7 +65,10 @@ class InvariantError(RuntimeError):
 
 def as_probability(p) -> Fraction:
     """``p`` as an exact Fraction, checked to lie in [0, 1]. Shared here so
-    every route rejects a bad probability with the same message."""
+    every route rejects a bad probability with the same message. A float is
+    refused: ``Fraction(0.1)`` is the binary value, not the 1/10 meant."""
+    if isinstance(p, float):
+        raise ValueError(f"probability {p!r} is a float; give an int, a Fraction or a 'p/q' string")
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"probability {p} outside [0, 1]")
@@ -72,39 +77,35 @@ def as_probability(p) -> Fraction:
 
 @dataclass(frozen=True)
 class PathNE:
-    """A monotone lattice path stored as its step word.
+    """A monotone lattice path from the origin, stored as its step word.
 
-    The step word is canonical; the vertex list is derived on demand and
-    cached. ``start`` defaults to the origin.
+    The word is canonical; the vertex list is derived on demand and cached.
     """
 
-    steps: tuple[str, ...]
-    start: Point = (0, 0)
+    word: str
 
     def __post_init__(self) -> None:
-        bad = [s for s in self.steps if s not in _VALID_STEPS]
-        if bad:
+        if not isinstance(self.word, str):
+            raise ValueError(f"a path is a str of steps, got {self.word!r}")
+        if not _VALID_STEPS.issuperset(self.word):
+            bad = [s for s in self.word if s not in _VALID_STEPS]
             raise ValueError(f"invalid steps {bad!r}: only {EAST!r} and {NORTH!r} are allowed")
 
     @classmethod
-    def from_word(cls, word: str, start: Point = (0, 0)) -> "PathNE":
-        """The path with this word and start."""
-        return cls(tuple(word), start)
-
-    @cached_property
-    def word(self) -> str:
-        return "".join(self.steps)
+    def from_word(cls, word: str) -> "PathNE":
+        """The path with this word."""
+        return cls(word)
 
     @property
     def n(self) -> int:
         """Total number of steps."""
-        return len(self.steps)
+        return len(self.word)
 
     @cached_property
     def vertices(self) -> tuple[Point, ...]:
-        x, y = self.start
+        x = y = 0
         out = [(x, y)]
-        for s in self.steps:
+        for s in self.word:
             if s == EAST:
                 x += 1
             else:
@@ -114,19 +115,17 @@ class PathNE:
 
     @cached_property
     def end(self) -> Point:
-        x, y = self.start
-        east = self.steps.count(EAST)
-        return (x + east, y + len(self.steps) - east)
+        east = self.word.count(EAST)
+        return (east, len(self.word) - east)
 
     @cached_property
     def vertex_mask(self) -> int:
-        """The vertices as one int: vertex (x, y) of a path from (x0, y0) is
-        bit (x - x0) * (n + 1) + (y - y0). A path's y values span at most n,
-        so the bits of distinct vertices differ, the start is bit 0, and
-        increasing bit order is (x, y) order, which along a monotone path is
-        step order."""
+        """The vertices as one int: vertex (x, y) is bit x * (n + 1) + y. A
+        path's y values span at most n, so the bits of distinct vertices
+        differ, the origin is bit 0, and increasing bit order is (x, y)
+        order, which along a monotone path is step order."""
         side, bit, mask = self.n + 1, 0, 1
-        for s in self.steps:
+        for s in self.word:
             bit += side if s == EAST else 1
             mask |= 1 << bit
         return mask
@@ -146,97 +145,44 @@ def all_paths(n: int, r: int) -> list[PathNE]:
         steps = [NORTH] * n
         for t in epos:
             steps[t] = EAST
-        out.append(PathNE(tuple(steps)))
+        out.append(PathNE("".join(steps)))
     return out
-
-
-@dataclass(frozen=True)
-class PathPair:
-    """Two same-start, same-length paths."""
-
-    first: PathNE
-    second: PathNE
-
-    def __post_init__(self) -> None:
-        if self.first.n != self.second.n:
-            raise ValueError(
-                f"paths have different step counts: {self.first.n} vs {self.second.n}"
-            )
-        if self.first.start != self.second.start:
-            raise ValueError(
-                f"paths have different starts: {self.first.start} vs {self.second.start}"
-            )
-
-
-def intersections_interior(pair: PathPair) -> int:
-    """Shared vertices of a same-endpoints pair, excluding start and end."""
-    return len(shared_vertices(pair, intersections_interior))
-
-
-def intersections_excluding_origin(pair: PathPair) -> int:
-    """Shared vertices of an origin-anchored pair, excluding the origin only.
-
-    Endpoints may differ; a shared final vertex is counted.
-    """
-    return len(shared_vertices(pair, intersections_excluding_origin))
-
-
-def intersections_excluding_start(pair: PathPair) -> int:
-    """Shared vertices excluding the common start; a shared end is counted."""
-    return len(shared_vertices(pair, intersections_excluding_start))
-
-
-_CONVENTIONS = (
-    intersections_interior,
-    intersections_excluding_origin,
-    intersections_excluding_start,
-)
 
 
 def _window(convention, paths) -> slice:
     """Step indices ``convention`` counts on a family of paths, after
     checking on every path that any two of them form a valid pair for it.
     An empty family counts none."""
-    if convention not in _CONVENTIONS:
+    if convention not in (INTERIOR, EXCLUDING_ORIGIN):
         raise ValueError(f"unknown counting convention {convention!r}")
     if not paths:
         return slice(0)
-    first = paths[0]
-    n, start = len(first.steps), first.start
+    n = paths[0].n
     for p in paths:
-        if len(p.steps) != n or p.start != start:
-            PathPair(first, p)  # raises the pair's message
-    if convention is intersections_interior:
+        if p.n != n:
+            raise ValueError(f"paths have different step counts: {n} vs {p.n}")
+    if convention == INTERIOR:
         ends = {p.end for p in paths}
         if len(ends) > 1:
             raise ValueError(f"interior count needs equal endpoints, got {sorted(ends)}")
-        return slice(1, first.n)
-    if convention is intersections_excluding_origin and first.start != (0, 0):
-        raise ValueError(f"both paths must start at the origin, got {first.start}")
-    return slice(1, first.n + 1)
-
-
-def shared_vertices(pair: PathPair, convention) -> tuple[Point, ...]:
-    """The vertices ``pair`` shares under ``convention``, in step order."""
-    return meeting_points(pair.first, pair.second, convention)
+        return slice(1, n)
+    return slice(1, n + 1)
 
 
 def meeting_points(a: PathNE, b: PathNE, convention) -> tuple[Point, ...]:
-    """``shared_vertices(PathPair(a, b), convention)`` without building the
-    pair: the set bits of ``a.vertex_mask & b.vertex_mask`` inside the
+    """The vertices ``a`` and ``b`` share under ``convention``, in step
+    order: the set bits of ``a.vertex_mask & b.vertex_mask`` inside the
     window, decoded in bit order. ``_window`` checks the two paths as a
-    family of two and raises the pair's message."""
-    interior = _window(convention, (a, b)).stop == len(a.steps)
-    common = a.vertex_mask & b.vertex_mask & ~1  # no window counts the start, bit 0
-    if interior:  # ... and the interior one leaves out the common end, the top bit
+    family of two."""
+    _window(convention, (a, b))
+    common = a.vertex_mask & b.vertex_mask & ~1  # no window counts the origin, bit 0
+    if convention == INTERIOR:  # ... and the interior one leaves out the common end, the top bit
         common &= ~(1 << a.vertex_mask.bit_length() - 1)
-    side = len(a.steps) + 1
-    x0, y0 = a.start
+    side = a.n + 1
     out = []
     while common:
         low = common & -common
-        x, y = divmod(low.bit_length() - 1, side)
-        out.append((x0 + x, y0 + y))
+        out.append(divmod(low.bit_length() - 1, side))
         common ^= low
     return tuple(out)
 
@@ -244,7 +190,7 @@ def meeting_points(a: PathNE, b: PathNE, convention) -> tuple[Point, ...]:
 def meeting_census(left, right, convention) -> dict[int, int]:
     """How many pairs (a, b) in ``left`` x ``right`` share k vertices under
     ``convention``, for every k that occurs: the tally of
-    ``convention(PathPair(a, b))`` over all pairs.
+    ``len(meeting_points(a, b, convention))`` over all pairs.
 
     Bit-sliced: bit j of every int below is the lane of the pair (a,
     ``right[j]``). Each vertex inside the window gets the mask of the right

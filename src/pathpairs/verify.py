@@ -655,6 +655,9 @@ class VerifyConfig:
             unknown = [name for name in self.suites if name not in SUITE_NAMES]
             if unknown:
                 raise ValueError(f"unknown suites {unknown}; known: {', '.join(SUITE_NAMES)}")
+            repeated = sorted({name for name in self.suites if self.suites.count(name) > 1})
+            if repeated:
+                raise ValueError(f"suites named more than once: {repeated}")
 
 
 SUITE_NAMES = (

@@ -49,7 +49,7 @@ def meetings(words: tuple[str, str]) -> tuple:
     """The interior meeting points of a pair of words, by the vertex walk
     of ``paths.meeting_points``."""
     a, b = (PathNE.from_word(w) for w in words)
-    return paths.meeting_points(a, b, paths.intersections_interior)
+    return paths.meeting_points(a, b, paths.INTERIOR)
 
 
 def test_word_api_takes_either_order_and_returns_canonical_words():
@@ -287,9 +287,9 @@ def test_verify_reports_an_image_with_two_meetings(monkeypatch):
             (a, b)
             for a in family
             for b in family
-            if len(paths.meeting_points(a, b, paths.intersections_interior)) == 2
+            if len(paths.meeting_points(a, b, paths.INTERIOR)) == 2
         )
-        twice = paths.meeting_points(a, b, paths.intersections_interior)
+        twice = paths.meeting_points(a, b, paths.INTERIOR)
 
         def meet_twice(up, lo, masks):
             case, first, (_, _, _, label) = real_insert(up, lo, masks)
@@ -391,7 +391,7 @@ def test_source_walk_yields_the_nonmeeting_pairs_in_path_order():
                 (b.word, a.word)
                 for i, a in enumerate(ps)
                 for b in ps[i + 1 :]
-                if not paths.meeting_points(a, b, paths.intersections_interior)
+                if not paths.meeting_points(a, b, paths.INTERIOR)
             ]
             assert list(bijection._nonmeeting_words(r, total - r)) == scanned, (r, total - r)
 

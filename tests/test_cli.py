@@ -9,7 +9,8 @@ Core claims:
     - fnk's probability column prints exactly str(Fraction(value, 4**n))
     - verification failures and routes that disagree under --method all
       exit 1 (the record is still emitted), verify --suite none exits 0
-      and a --suite that names no suite otherwise exits 2
+      and a --suite that names no suite otherwise exits 2, as do --all
+      beside --suite and a suite named twice
     - a reader that closes the pipe early gets exit 141 and no traceback
     - a closed-form count that fails its integrality check, or a route that
       breaks its own postcondition, is a program bug and exits 3, not 2
@@ -306,9 +307,9 @@ def test_bijection_prints_an_image_that_meets_twice(capsys, monkeypatch):
         (a, b)
         for a in family
         for b in family
-        if len(paths.meeting_points(a, b, paths.intersections_interior)) == 2
+        if len(paths.meeting_points(a, b, paths.INTERIOR)) == 2
     )
-    twice = paths.meeting_points(a, b, paths.intersections_interior)
+    twice = paths.meeting_points(a, b, paths.INTERIOR)
     real_insert = bijection._insert_words
 
     def meet_twice(up, lo, masks):
@@ -790,6 +791,11 @@ GOLDEN = [
      "dd19475cfe60523879ae09497757573b22178a378ca58a5cf29007ff23f4162e", ""),
     ("verify --suite nope", 2, EMPTY,
      "error: unknown suites ['nope']; known: theorem1, recurrence, eq8, wz, barrier, same-start, bijection, nkr, doubling, mrs, fnk, pnk, diag, avg, vandermonde, legendre, series-uk, series-f, series-fk, lagrange\n"),
+    ("verify --all --suite nope", 2, EMPTY, "error: give --all or --suite, not both\n"),
+    ("verify --all --suite theorem1", 2, EMPTY, "error: give --all or --suite, not both\n"),
+    ("verify --suite theorem1,theorem1", 2, EMPTY, "error: suites named more than once: ['theorem1']\n"),
+    ("verify --suite theorem1 --suite wz,theorem1", 2, EMPTY,
+     "error: suites named more than once: ['theorem1']\n"),
 ]
 
 

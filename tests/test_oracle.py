@@ -5,7 +5,9 @@ Core claims:
       totals are the expected binomial quantities
     - table keys stay inside the documented windows and tables reflect
       under r -> n - r
-    - the tables agree with applying the named path operation pair by pair
+    - the tables agree with applying the named path operation pair by pair,
+      and the endpoint, free and same-endpoint tables with a tally that
+      walks both vertex lists in step
     - the walker programs reproduce hand-computed meeting probabilities and
       the documented degenerate cases
     - the integer-mass walker DPs equal a Fraction-mass reference DP exactly,
@@ -25,7 +27,8 @@ Core claims:
       (t reads for t single-walker steps, at most 2(L - 1) for a pair query
       to level L), and a rate object without ``at_level`` is refused at
       every walker entry point
-    - preconditions (ranges, probability bounds) are enforced
+    - preconditions (ranges, probability bounds) are enforced, and a
+      float probability is refused
 """
 
 import random
@@ -38,7 +41,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathpairs import formulas, oracle
-from pathpairs.paths import PathNE, PathPair, intersections_interior
+from pathpairs.paths import INTERIOR, PathNE, meeting_points
 
 
 def test_rect_table_two_steps():
@@ -80,15 +83,61 @@ def test_rect_table_matches_path_objects():
         table = {}
         for wa in vocab:
             for wb in vocab:
-                k = intersections_interior(
-                    PathPair(PathNE.from_word(wa), PathNE.from_word(wb))
-                )
+                k = len(meeting_points(PathNE.from_word(wa), PathNE.from_word(wb), INTERIOR))
                 table[k] = table.get(k, 0) + 1
         return table
 
     for n in range(1, 6):
         for r in range(n + 1):
             assert oracle.rect_pair_table(n, r).entries == by_paths(n, r)
+
+
+def _vertex_lists(n, r):
+    """Every n-step walk from the origin with r east steps, as its list of
+    vertices, built here from the E-step positions."""
+    out = []
+    for epos in combinations(range(n), r):
+        x = y = 0
+        walk = [(x, y)]
+        for t in range(n):
+            if t in epos:
+                x += 1
+            else:
+                y += 1
+            walk.append((x, y))
+        out.append(walk)
+    return out
+
+
+def _stepwise_tally(left, right, interior):
+    """Pairs of ``left`` x ``right`` keyed by the steps past the origin at
+    which both walks stand on the same vertex; ``interior`` leaves out the
+    last step."""
+    table = {}
+    for a in left:
+        for b in right:
+            stop = len(a) - 1 if interior else len(a)
+            k = sum(u == v for u, v in zip(a[1:stop], b[1:stop]))
+            table[k] = table.get(k, 0) + 1
+    return table
+
+
+def test_endpoint_free_and_same_endpoint_tables_match_a_stepwise_walk():
+    # no census and no vertex masks: both vertex lists walked in step
+    for n in range(7):
+        for r, s in combinations(range(n + 1), 2):
+            expected = _stepwise_tally(_vertex_lists(n, r), _vertex_lists(n, s), interior=False)
+            assert oracle.endpoint_pair_table(n, r, s).entries == expected
+    for n in range(6):
+        walks = [walk for r in range(n + 1) for walk in _vertex_lists(n, r)]
+        assert oracle.free_pair_table(n).entries == _stepwise_tally(walks, walks, interior=False)
+    for n in range(1, 7):
+        expected = {}
+        for r in range(n + 1):
+            family = _vertex_lists(n, r)
+            for k, v in _stepwise_tally(family, family, interior=True).items():
+                expected[k] = expected.get(k, 0) + v
+        assert oracle.same_endpoint_pair_table(n).entries == expected
 
 
 def test_rect_table_rejects_bad_r():
@@ -179,6 +228,21 @@ def test_rates_reject_bad_probabilities():
         oracle.LevelRate((Fraction(1, 2), Fraction(-1, 4)))
     with pytest.raises(ValueError):
         oracle.LevelRate(())
+
+
+def test_every_probability_argument_refuses_a_float():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not the 1/10 meant
+    message = "^probability 0.1 is a float; give an int, a Fraction or a 'p/q' string$"
+    calls = [
+        lambda: oracle.ConstantRate(0.1),
+        lambda: oracle.LevelRate((Fraction(1, 2), 0.1)),
+        lambda: formulas.barrier_meet_formula(1, 1, 1, 0.1),
+        lambda: formulas.same_start_meet_formula(1, 1, 0.1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert oracle.ConstantRate("1/10").p == oracle.ConstantRate(Fraction(1, 10)).p == Fraction(1, 10)
 
 
 def test_level_rate_reuses_last_value():

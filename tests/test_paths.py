@@ -1,24 +1,25 @@
-"""Path objects and the three vertex-sharing conventions.
+"""Path objects and the two vertex-sharing conventions.
 
 Core claims:
-    - vertex lists derive correctly from step words and starts
-    - a shared vertex of same-start equal-length paths sits at the same index
-      in both, so stepwise equality equals vertex-set intersection
-    - the three counting conventions give their documented values and differ
-      exactly as documented (interior = excluding-start minus one shared end)
-    - all three counts are symmetric in the pair order
+    - vertex lists derive correctly from step words read from the origin
+    - a shared vertex of equal-length paths sits at the same index in both,
+      so stepwise equality equals vertex-set intersection
+    - the two counting conventions give their documented values and differ
+      exactly as documented (interior = excluding-origin minus one shared
+      end)
+    - both counts are symmetric in the pair order
     - the one enumerator lists every path once, in combination order
     - the batch and mask forms (census, meeting points from vertex masks)
-      agree with the per-pair operations and enforce the same preconditions,
-      with the same messages
+      agree with a walk along both vertex lists and enforce the same
+      preconditions, with the same messages
     - ``as_probability`` is the one exact, bounded probability check
     - the bit-sliced census equals the per-pair tally on random families of
-      unequal sizes, across machine words, away from the origin and with
-      counts that need four bit planes; on shuffled, repeated and
-      single-path families under every convention, and a family of mixed
-      lengths, starts or endpoints raises the per-pair message; an empty
-      family on either side gives an empty tally
-    - ``from_word`` rejects an invalid word on every call; ``end`` counted
+      unequal sizes, across machine words and with counts that need four
+      bit planes; on shuffled, repeated and single-path families under both
+      conventions, and a family of mixed lengths or endpoints raises the
+      per-pair message; an empty family on either side gives an empty tally
+    - a path is a str of E and N steps, with no start of its own, and
+      ``from_word`` rejects an invalid word on every call; ``end`` counted
       from the steps is the last vertex
 """
 
@@ -32,23 +33,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathpairs.paths import (
+    EXCLUDING_ORIGIN,
+    INTERIOR,
     PathNE,
-    PathPair,
     all_paths,
     as_probability,
-    intersections_excluding_origin,
-    intersections_excluding_start,
-    intersections_interior,
     meeting_census,
     meeting_points,
-    shared_vertices,
 )
 
-CONVENTIONS = (intersections_interior, intersections_excluding_origin, intersections_excluding_start)
+CONVENTIONS = (INTERIOR, EXCLUDING_ORIGIN)
 
 
-def pair(a: str, b: str) -> PathPair:
-    return PathPair(PathNE.from_word(a), PathNE.from_word(b))
+def meetings(a: str, b: str, convention) -> int:
+    """How many vertices the paths with words ``a`` and ``b`` share under
+    ``convention``."""
+    return len(meeting_points(PathNE.from_word(a), PathNE.from_word(b), convention))
 
 
 def words(n: int, r: int) -> list[str]:
@@ -66,11 +66,6 @@ def test_vertices_and_end():
     assert p.word == "ENN"
 
 
-def test_vertices_respect_start():
-    p = PathNE.from_word("NE", start=(2, 5))
-    assert p.vertices == ((2, 5), (2, 6), (3, 6))
-
-
 def test_column_heights():
     p = PathNE.from_word("NENNE")
     assert p.column_heights(1) == (1, 2, 3)
@@ -80,64 +75,54 @@ def test_column_heights():
 def test_invalid_step_rejected():
     with pytest.raises(ValueError):
         PathNE(("E", "X"))
+    with pytest.raises(ValueError, match=re.escape("a path is a str of steps, got ('E', 'N')")):
+        PathNE(("E", "N"))
 
 
 def test_pair_requires_equal_lengths_and_starts():
-    with pytest.raises(ValueError):
-        PathPair(PathNE.from_word("EN"), PathNE.from_word("E"))
-    with pytest.raises(ValueError):
-        PathPair(PathNE.from_word("EN"), PathNE.from_word("EN", start=(1, 0)))
+    for convention in CONVENTIONS:
+        with pytest.raises(ValueError):
+            meetings("EN", "E", convention)
+    # every path starts at the origin: there is no start to differ
+    with pytest.raises(TypeError):
+        PathNE("EN", (1, 0))
 
 
 def test_interior_examples():
-    assert intersections_interior(pair("EN", "NE")) == 0
-    assert intersections_interior(pair("EN", "EN")) == 1
-    assert intersections_interior(pair("ENN", "NEN")) == 1
+    assert meetings("EN", "NE", INTERIOR) == 0
+    assert meetings("EN", "EN", INTERIOR) == 1
+    assert meetings("ENN", "NEN", INTERIOR) == 1
 
 
 def test_interior_identical_paths_share_all_inner_vertices():
     word = "ENNEE"
-    assert intersections_interior(pair(word, word)) == len(word) - 1
+    assert meetings(word, word, INTERIOR) == len(word) - 1
 
 
 def test_interior_rejects_different_endpoints():
     with pytest.raises(ValueError):
-        intersections_interior(pair("EN", "EE"))
+        meetings("EN", "EE", INTERIOR)
 
 
 def test_excluding_origin_examples():
-    assert intersections_excluding_origin(pair("E", "E")) == 1
-    assert intersections_excluding_origin(pair("E", "N")) == 0
-    assert intersections_excluding_origin(pair("EN", "NE")) == 1  # shared endpoint counts
+    assert meetings("E", "E", EXCLUDING_ORIGIN) == 1
+    assert meetings("E", "N", EXCLUDING_ORIGIN) == 0
+    assert meetings("EN", "NE", EXCLUDING_ORIGIN) == 1  # shared endpoint counts
 
 
 def test_excluding_origin_one_step_census():
     counts = {}
     for a, b in product(["E", "N"], repeat=2):
-        k = intersections_excluding_origin(pair(a, b))
+        k = meetings(a, b, EXCLUDING_ORIGIN)
         counts[k] = counts.get(k, 0) + 1
     assert counts == {0: 2, 1: 2}
 
 
-def test_excluding_origin_rejects_offset_start():
-    shifted = PathPair(
-        PathNE.from_word("E", start=(1, 1)), PathNE.from_word("N", start=(1, 1))
-    )
-    with pytest.raises(ValueError):
-        intersections_excluding_origin(shifted)
-
-
 def test_excluding_start_examples():
-    assert intersections_excluding_start(pair("NN", "EN")) == 0
-    assert intersections_excluding_start(pair("NN", "NE")) == 1
+    assert meetings("NN", "EN", EXCLUDING_ORIGIN) == 0
+    assert meetings("NN", "NE", EXCLUDING_ORIGIN) == 1
     for word in ("EE", "EN", "NE", "NN"):
-        assert intersections_excluding_start(pair(word, word)) == 2
-
-
-def test_excluding_start_works_away_from_origin():
-    a = PathNE.from_word("NE", start=(3, 4))
-    b = PathNE.from_word("NN", start=(3, 4))
-    assert intersections_excluding_start(PathPair(a, b)) == 1  # both visit (3, 5)
+        assert meetings(word, word, EXCLUDING_ORIGIN) == 2
 
 
 def _vertex_set_interior(p: PathNE, q: PathNE) -> int:
@@ -153,50 +138,45 @@ def test_stepwise_equality_matches_vertex_sets():
         vocab = words(3, r)
         for wa in vocab:
             for wb in vocab:
-                p = pair(wa, wb)
-                assert intersections_interior(p) == _vertex_set_interior(
-                    p.first, p.second
-                )
+                p, q = PathNE.from_word(wa), PathNE.from_word(wb)
+                assert len(meeting_points(p, q, INTERIOR)) == _vertex_set_interior(p, q)
 
 
 def test_all_conventions_symmetric():
     vocab = [w for r in range(4) for w in words(3, r)]
     for wa in vocab:
         for wb in vocab:
-            p, q = pair(wa, wb), pair(wb, wa)
-            assert intersections_excluding_origin(p) == intersections_excluding_origin(q)
-            assert intersections_excluding_start(p) == intersections_excluding_start(q)
-            if p.first.end == p.second.end:
-                assert intersections_interior(p) == intersections_interior(q)
+            assert meetings(wa, wb, EXCLUDING_ORIGIN) == meetings(wb, wa, EXCLUDING_ORIGIN)
+            if PathNE(wa).end == PathNE(wb).end:
+                assert meetings(wa, wb, INTERIOR) == meetings(wb, wa, INTERIOR)
 
 
-def test_interior_is_excluding_start_minus_shared_end():
+def test_interior_is_excluding_origin_minus_shared_end():
     for wa in words(4, 2):
         for wb in words(4, 2):
-            p = pair(wa, wb)
-            assert intersections_interior(p) == intersections_excluding_start(p) - 1
+            assert meetings(wa, wb, INTERIOR) == meetings(wa, wb, EXCLUDING_ORIGIN) - 1
 
 
 def test_all_paths_in_combination_order():
     assert [p.word for p in all_paths(4, 2)] == words(4, 2)
     assert [p.word for p in all_paths(3, 0)] == ["NNN"]
-    assert all_paths(0, 0) == [PathNE(())]
+    assert all_paths(0, 0) == [PathNE("")]
     with pytest.raises(ValueError):
         all_paths(3, 4)
 
 
-def test_shared_vertices_are_the_counted_points():
-    p = pair("ENEN", "EENN")
-    assert shared_vertices(p, intersections_interior) == ((1, 0), (2, 1))
-    assert shared_vertices(p, intersections_excluding_start) == ((1, 0), (2, 1), (2, 2))
-    assert shared_vertices(pair("NE", "EN"), intersections_interior) == ()
+def test_meeting_points_are_the_counted_points():
+    a, b = PathNE.from_word("ENEN"), PathNE.from_word("EENN")
+    assert meeting_points(a, b, INTERIOR) == ((1, 0), (2, 1))
+    assert meeting_points(a, b, EXCLUDING_ORIGIN) == ((1, 0), (2, 1), (2, 2))
+    assert meeting_points(PathNE.from_word("NE"), PathNE.from_word("EN"), INTERIOR) == ()
 
 
 def _tally(left, right, convention):
     out = {}
     for a in left:
         for b in right:
-            k = convention(PathPair(a, b))
+            k = len(meeting_points(a, b, convention))
             out[k] = out.get(k, 0) + 1
     return out
 
@@ -204,30 +184,19 @@ def _tally(left, right, convention):
 def test_census_matches_per_pair_counts():
     for n in range(5):
         walks = [p for r in range(n + 1) for p in all_paths(n, r)]
-        for convention in (intersections_excluding_origin, intersections_excluding_start):
-            assert meeting_census(walks, walks, convention) == _tally(walks, walks, convention)
+        assert meeting_census(walks, walks, EXCLUDING_ORIGIN) == _tally(walks, walks, EXCLUDING_ORIGIN)
         for r in range(n + 1):
             ps = all_paths(n, r)
-            assert meeting_census(ps, ps, intersections_interior) == _tally(ps, ps, intersections_interior)
+            assert meeting_census(ps, ps, INTERIOR) == _tally(ps, ps, INTERIOR)
     left, right = all_paths(5, 1), all_paths(5, 3)
-    assert meeting_census(left, right, intersections_excluding_start) == _tally(
-        left, right, intersections_excluding_start
-    )
-
-
-def test_census_away_from_origin():
-    a = PathNE.from_word("NE", start=(3, 4))
-    b = PathNE.from_word("NN", start=(3, 4))
-    assert meeting_census([a], [a, b], intersections_excluding_start) == {1: 1, 2: 1}
-    with pytest.raises(ValueError):
-        meeting_census([a], [b], intersections_excluding_origin)
+    assert meeting_census(left, right, EXCLUDING_ORIGIN) == _tally(left, right, EXCLUDING_ORIGIN)
 
 
 def test_census_enforces_preconditions():
     with pytest.raises(ValueError):
-        meeting_census(all_paths(3, 1), all_paths(3, 2), intersections_interior)
+        meeting_census(all_paths(3, 1), all_paths(3, 2), INTERIOR)
     with pytest.raises(ValueError):
-        meeting_census(all_paths(3, 1), all_paths(2, 1), intersections_excluding_start)
+        meeting_census(all_paths(3, 1), all_paths(2, 1), EXCLUDING_ORIGIN)
     with pytest.raises(ValueError):
         meeting_census(all_paths(3, 1), all_paths(3, 1), len)
 
@@ -240,7 +209,7 @@ def test_census_of_an_empty_family_is_empty():
         assert meeting_census([], [], convention) == {}
     # the other family is still checked, and so is the convention
     _raises("interior count needs equal endpoints, got [(1, 3), (2, 2)]",
-            lambda: meeting_census(family + all_paths(4, 1), [], intersections_interior))
+            lambda: meeting_census(family + all_paths(4, 1), [], INTERIOR))
     _raises(f"unknown counting convention {len!r}", lambda: meeting_census([], [], len))
 
 
@@ -251,7 +220,7 @@ def test_census_is_the_per_pair_tally_in_any_order_and_with_repeats():
     for n in range(7):
         walks = [p for r in range(n + 1) for p in all_paths(n, r)]
         for convention in CONVENTIONS:
-            if convention is intersections_interior:
+            if convention == INTERIOR:
                 families = [all_paths(n, r) for r in range(n + 1)]
             else:
                 families = [walks]
@@ -276,12 +245,10 @@ def test_census_of_a_mixed_family_raises_the_per_pair_message():
     rng = random.Random(23)
     short, long = all_paths(3, 1), all_paths(4, 1)
     ends = all_paths(4, 1) + all_paths(4, 2)
-    moved = [PathNE(p.steps, (1, 0)) for p in short]
     cases = [
         (short[:1] + long, "paths have different step counts: 3 vs 4", CONVENTIONS),
         (long[:1] + short, "paths have different step counts: 4 vs 3", CONVENTIONS),
-        (short[:1] + moved, "paths have different starts: (0, 0) vs (1, 0)", CONVENTIONS),
-        (ends, "interior count needs equal endpoints, got [(1, 3), (2, 2)]", (intersections_interior,)),
+        (ends, "interior count needs equal endpoints, got [(1, 3), (2, 2)]", (INTERIOR,)),
     ]
     for family, message, conventions in cases:
         for convention in conventions:
@@ -291,25 +258,17 @@ def test_census_of_a_mixed_family_raises_the_per_pair_message():
                 _raises(message, lambda: _tally(left, right, convention))
 
 
-def _shifted(n, r, start):
-    return [PathNE(p.steps, start) for p in all_paths(n, r)]
-
-
 @st.composite
 def _census_cases(draw):
     """Two sub-families of ``all_paths(n, r)`` (n <= 9) valid together under a
     drawn convention: one small list and one random subset of a whole
-    family, in either order, from a start that may be away from the origin
-    under ``intersections_excluding_start``."""
+    family, in either order."""
     convention = draw(st.sampled_from(CONVENTIONS))
     n = draw(st.integers(0, 9))
     r_small = draw(st.integers(0, n))
-    r_large = r_small if convention is intersections_interior else draw(st.integers(0, n))
-    start = (0, 0)
-    if convention is intersections_excluding_start:
-        start = draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
-    small = draw(st.lists(st.sampled_from(_shifted(n, r_small, start)), min_size=1, max_size=5))
-    pool = _shifted(n, r_large, start)
+    r_large = r_small if convention == INTERIOR else draw(st.integers(0, n))
+    small = draw(st.lists(st.sampled_from(all_paths(n, r_small)), min_size=1, max_size=5))
+    pool = all_paths(n, r_large)
     picks = draw(st.integers(1, (1 << len(pool)) - 1))
     large = [p for i, p in enumerate(pool) if picks >> i & 1]
     left, right = (small, large) if draw(st.booleans()) else (large, small)
@@ -317,9 +276,9 @@ def _census_cases(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@example(case=(all_paths(9, 4)[:1], all_paths(9, 4), intersections_interior))
-@example(case=(all_paths(8, 3), all_paths(8, 5)[-1:], intersections_excluding_origin))
-@example(case=(_shifted(9, 5, (-3, -2))[::8], _shifted(9, 4, (-3, -2)), intersections_excluding_start))
+@example(case=(all_paths(9, 4)[:1], all_paths(9, 4), INTERIOR))
+@example(case=(all_paths(8, 3), all_paths(8, 5)[-1:], EXCLUDING_ORIGIN))
+@example(case=(all_paths(9, 5)[::8], all_paths(9, 4), EXCLUDING_ORIGIN))
 @given(case=_census_cases())
 def test_bit_sliced_census_equals_per_pair_tally(case):
     left, right, convention = case
@@ -332,35 +291,24 @@ def test_census_counts_up_to_eight_meetings():
     # identical 8-step walks meet at all 8 vertices past the origin, a count
     # that needs a fourth bit plane; 70 lanes cross a 64-bit word
     walks = all_paths(8, 4)
-    census = meeting_census(walks, walks, intersections_excluding_origin)
-    assert census == _tally(walks, walks, intersections_excluding_origin)
+    census = meeting_census(walks, walks, EXCLUDING_ORIGIN)
+    assert census == _tally(walks, walks, EXCLUDING_ORIGIN)
     assert census[8] == len(walks)
 
 
 def _zipped_points(a, b, convention):
     """The shared vertices read by walking both vertex lists in step."""
-    stop = -1 if convention is intersections_interior else None
+    stop = -1 if convention == INTERIOR else None
     return tuple(u for u, v in zip(a.vertices[1:stop], b.vertices[1:stop]) if u == v)
 
 
 def test_mask_meeting_points_equal_the_vertex_walk():
     ps = all_paths(4, 2)
+    # one bit per vertex, the origin at bit 0
+    assert all(p.vertex_mask.bit_count() == p.n + 1 and p.vertex_mask & 1 for p in ps)
     for a in ps:
         for b in ps:
             for convention in CONVENTIONS:
-                expected = _zipped_points(a, b, convention)
-                assert meeting_points(a, b, convention) == expected
-                assert shared_vertices(PathPair(a, b), convention) == expected
-
-
-def test_mask_keys_away_from_origin():
-    # vertex masks are keyed from the path's start, so negative coordinates
-    # shift by nonnegative amounts and decode back to where they were
-    ps = _shifted(5, 2, (-3, -4))
-    assert all(p.vertex_mask.bit_count() == p.n + 1 and p.vertex_mask & 1 for p in ps)
-    for i, a in enumerate(ps):
-        for b in ps[i:]:
-            for convention in (intersections_interior, intersections_excluding_start):
                 assert meeting_points(a, b, convention) == _zipped_points(a, b, convention)
 
 
@@ -376,9 +324,8 @@ def test_from_word_rejects_an_invalid_word_on_every_call():
 def test_end_counted_from_steps_is_the_last_vertex():
     for n in range(9):
         for steps in product("EN", repeat=n):
-            for start in ((0, 0), (3, -2)):
-                p = PathNE(steps, start)
-                assert p.end == p.vertices[-1]
+            p = PathNE("".join(steps))
+            assert p.end == p.vertices[-1]
 
 
 def _raises(message, call):
@@ -394,21 +341,13 @@ def test_as_probability_is_exact_and_bounded():
 
 
 def test_batch_forms_keep_the_pair_messages():
-    en, e = PathNE.from_word("EN"), PathNE.from_word("E")
-    shifted = PathNE.from_word("EN", start=(1, 0))
-    ee = PathNE.from_word("EE")
-    offset_e, offset_n = PathNE.from_word("E", start=(1, 1)), PathNE.from_word("N", start=(1, 1))
+    en, e, ee = PathNE.from_word("EN"), PathNE.from_word("E"), PathNE.from_word("EE")
     cases = [
-        ("paths have different step counts: 2 vs 1", en, e, intersections_excluding_start),
-        ("paths have different starts: (0, 0) vs (1, 0)", en, shifted, intersections_excluding_start),
-        ("interior count needs equal endpoints, got [(1, 1), (2, 0)]", en, ee, intersections_interior),
-        ("both paths must start at the origin, got (1, 1)", offset_e, offset_n,
-         intersections_excluding_origin),
+        ("paths have different step counts: 2 vs 1", en, e, EXCLUDING_ORIGIN),
+        ("paths have different step counts: 2 vs 1", en, e, INTERIOR),
+        ("interior count needs equal endpoints, got [(1, 1), (2, 0)]", en, ee, INTERIOR),
         (f"unknown counting convention {len!r}", en, en, len),
     ]
     for message, a, b, convention in cases:
-        # a pair of unequal lengths or starts cannot be built, so shared_vertices
-        # reports those through PathPair
-        _raises(message, lambda: shared_vertices(PathPair(a, b), convention))
         _raises(message, lambda: meeting_census([a], [b], convention))
         _raises(message, lambda: meeting_points(a, b, convention))
