@@ -416,6 +416,8 @@ def cmd_verify(args) -> int:
             names.extend(part.strip() for part in chunk.split(",") if part.strip())
         if names == ["none"]:
             names = []
+        elif "none" in names:
+            raise UsageError("'none' cannot be combined with suite names")
         elif not names:
             raise UsageError("--suite names no suite; give a suite name, or 'none' for an empty run")
         suites = tuple(names)  # VerifyConfig rejects unknown and repeated names

@@ -19,17 +19,23 @@ This module is the only place that knows a convention's window. The
 enumeration oracle and the 2-to-1 correspondence pass the convention to
 ``meeting_census`` (a tally over a whole family of pairs) or
 ``meeting_points`` (the shared vertices of one pair). ``meeting_census``
-resolves the window and checks the precondition once per call, not once
-per pair, and is bit-sliced: each pair is counted exactly, in its own bit
-lane of big-int bit planes, so one integer operation advances the counts of
-a left path against every right path at once. A left path reuses the planes
-of the vertex prefix it shares with the path before it, from a stack kept by
-prefix length, and the histogram is recovered once per call, by
-inclusion-exclusion, from running popcounts of the AND of each subset of
-planes. ``meeting_points`` reads each path's ``vertex_mask``, one int with a
-bit per vertex, so a pair's shared vertices are the set bits of the AND of
-its two masks, inside the window. ``all_paths`` is the one enumerator, in
-the fixed order of the E-step positions as combinations.
+reads only the step words. It resolves the window and checks the
+precondition once per call, not once per pair, and is bit-sliced: each pair
+is counted exactly, in its own bit lane of big ints. The lane masks of the
+right paths at each x are built one step at a time, from that step's column
+of E steps read as one int. A left path walks its own x and adds the mask at
+that x into a binary counter held as bit planes, so one integer operation
+advances its counts against every right path at once. It reuses the
+``(planes, x)`` of the step prefix it shares with the path before it, from a
+stack kept by prefix length. The planes of up to 16 consecutive left paths
+are tallied together, by one popcount of the AND of each subset of planes,
+and the histogram is recovered once per call from those popcounts by
+inclusion-exclusion. ``meeting_points`` reads each path's ``vertex_mask``,
+one int with a bit per vertex, so a pair's shared vertices are the set bits
+of the AND of its two masks, inside the window. ``all_paths`` is the one
+enumerator, in the fixed order of the E-step positions as combinations.
+``PathNE.vertices``, ``end``, ``from_word`` and ``column_heights`` stay as
+public views of a path, though the census reads none of them.
 
 All values are immutable and all operations are pure functions.
 ``InvariantError`` is what a route raises when one of its own
@@ -149,32 +155,33 @@ def all_paths(n: int, r: int) -> list[PathNE]:
     return out
 
 
-def _window(convention, paths) -> slice:
-    """Step indices ``convention`` counts on a family of paths, after
-    checking on every path that any two of them form a valid pair for it.
+def _window(convention, words) -> range:
+    """Step indices ``convention`` counts on a family of step words, after
+    checking on every word that any two of them form a valid pair for it:
+    equal lengths, and for ``INTERIOR`` equal E counts, hence equal ends.
     An empty family counts none."""
     if convention not in (INTERIOR, EXCLUDING_ORIGIN):
         raise ValueError(f"unknown counting convention {convention!r}")
-    if not paths:
-        return slice(0)
-    n = paths[0].n
-    for p in paths:
-        if p.n != n:
-            raise ValueError(f"paths have different step counts: {n} vs {p.n}")
+    if not words:
+        return range(0)
+    n = len(words[0])
+    for word in words:
+        if len(word) != n:
+            raise ValueError(f"paths have different step counts: {n} vs {len(word)}")
     if convention == INTERIOR:
-        ends = {p.end for p in paths}
+        ends = sorted((east, n - east) for east in {word.count(EAST) for word in words})
         if len(ends) > 1:
-            raise ValueError(f"interior count needs equal endpoints, got {sorted(ends)}")
-        return slice(1, n)
-    return slice(1, n + 1)
+            raise ValueError(f"interior count needs equal endpoints, got {ends}")
+        return range(1, n)
+    return range(1, n + 1)
 
 
 def meeting_points(a: PathNE, b: PathNE, convention) -> tuple[Point, ...]:
     """The vertices ``a`` and ``b`` share under ``convention``, in step
     order: the set bits of ``a.vertex_mask & b.vertex_mask`` inside the
-    window, decoded in bit order. ``_window`` checks the two paths as a
+    window, decoded in bit order. ``_window`` checks the two words as a
     family of two."""
-    _window(convention, (a, b))
+    _window(convention, (a.word, b.word))
     common = a.vertex_mask & b.vertex_mask & ~1  # no window counts the origin, bit 0
     if convention == INTERIOR:  # ... and the interior one leaves out the common end, the top bit
         common &= ~(1 << a.vertex_mask.bit_length() - 1)
@@ -187,60 +194,88 @@ def meeting_points(a: PathNE, b: PathNE, convention) -> tuple[Point, ...]:
     return tuple(out)
 
 
+#: Reads a column of steps as binary digits, E as 1.
+_EAST_BITS = str.maketrans({EAST: "1", NORTH: "0"})
+
+#: How many left paths the census tallies with one set of subset ANDs.
+_BATCH = 16
+
+
 def meeting_census(left, right, convention) -> dict[int, int]:
     """How many pairs (a, b) in ``left`` x ``right`` share k vertices under
     ``convention``, for every k that occurs: the tally of
-    ``len(meeting_points(a, b, convention))`` over all pairs.
+    ``len(meeting_points(a, b, convention))`` over all pairs. Only the step
+    words are read.
 
     Bit-sliced: bit j of every int below is the lane of the pair (a,
-    ``right[j]``). Each vertex inside the window gets the mask of the right
-    paths through it. For one left path ``a``, the masks of a's vertices are
-    added into a binary counter kept as bit planes (``planes[i]`` holds bit i
-    of every lane's count), so lane j ends holding the exact count of the
-    pair. Consecutive left paths share vertex prefixes (long ones in
-    ``all_paths`` order), so the counter states are kept on a stack by
-    prefix length and each path adds only the vertices after the prefix it
-    shares with the path before it; any order is counted alike. For each
-    subset S of the planes, ``above[S]`` sums over the left paths the lanes
-    whose count has every bit of S set, the ``bit_count`` of the AND of those
-    planes. The histogram comes out of ``above`` once, at the end, by
-    inclusion-exclusion over supersets. Every pair is counted, but in big-int
-    operations over all of ``right`` at once, not one interpreter step per
-    pair."""
-    window = _window(convention, [*left, *right])
-    if not right:
+    ``right[j]``). The window is steps 1..``counted``, and two paths share
+    the vertex after step t exactly when both are at the same x there.
+    ``masks[t][x]``, the right paths at x after t steps, is built one step
+    at a time from the t-th column of the right words, read as one int with
+    E as 1: the paths at x after t steps are those at x after t - 1 steps
+    that step N and those at x - 1 that step E. A left path walks its own x
+    and adds ``masks[t][x]`` at each counted step into a binary counter kept
+    as bit planes (``planes[i]`` holds bit i of every lane's count), so lane
+    j ends holding the exact count of the pair. Consecutive left paths share
+    step prefixes (long ones in ``all_paths`` order), so ``(planes, x)`` is
+    kept on a stack by prefix length and each path steps only past the
+    prefix it shares with the path before it; any order is counted alike.
+
+    The planes of up to ``_BATCH`` consecutive left paths are concatenated,
+    each path's lanes above the last's, and for each subset S of the planes
+    ``above[S]`` adds the ``bit_count`` of the AND of those planes: the lanes
+    whose count has every bit of S set. A popcount adds over concatenation,
+    so one AND and one ``bit_count`` serve the whole batch. A count is at
+    most ``counted``, and a count with every bit of S set is at least S, so
+    no subset S > ``counted`` is built. The histogram comes out of ``above``
+    once, at the end, by inclusion-exclusion over supersets. Every pair is
+    counted, but in big-int operations over all of ``right`` at once, not
+    one interpreter step per pair."""
+    lefts = [a.word for a in left]
+    rights = [b.word for b in right]
+    counted = len(_window(convention, [*lefts, *rights]))
+    if not rights:
         return {}
-    masks: dict[Point, int] = {}
-    for j, b in enumerate(right):
-        for v in b.vertices[window]:
-            masks[v] = masks.get(v, 0) | 1 << j
-    full = (1 << len(right)) - 1
-    depth = len(range(right[0].n + 1)[window]).bit_length()
-    above = [0] * (1 << depth)
-    stack = [[0] * depth]  # stack[i]: the planes after the first i vertices of the last path
-    last: tuple[Point, ...] = ()
-    for a in left:
-        vertices = a.vertices[window]
-        # the first index at which a's vertices leave the last path's
-        shared = next(compress(count(), map(ne, vertices, last)), len(last))
+    lanes = len(rights)
+    masks = [[(1 << lanes) - 1]]  # masks[t][x]: the right paths at x after t steps
+    for column in zip(*rights):
+        east = int("".join(column).translate(_EAST_BITS)[::-1], 2)
+        row = masks[-1]
+        masks.append([stay & ~east | came & east for stay, came in zip(row + [0], [0] + row)])
+    depth = counted.bit_length()
+    above = [0] * (counted + 1)
+    stack = [([0] * depth, 0)]  # stack[t]: (planes, x) after the first t steps of the last path
+    last = ""
+    batch, size = [0] * depth, 0
+    for done, word in enumerate(lefts, 1):
+        word = word[:counted]
+        # the first step at which word leaves the last path's
+        shared = next(compress(count(), map(ne, word, last)), len(last))
         del stack[shared + 1 :]
-        planes = stack[-1]
-        for v in vertices[shared:]:
+        planes, x = stack[-1]
+        for step in word[shared:]:
+            if step == EAST:
+                x += 1
+            carry = masks[len(stack)][x]
             planes = planes.copy()
-            carry = masks.get(v, 0)
             for i, plane in enumerate(planes):
                 if not carry:
                     break
                 planes[i] = plane ^ carry
                 carry &= plane
-            stack.append(planes)
-        last = vertices
-        lanes = [full]  # lanes[S]: the AND of the planes in S, bit i for planes[i]
-        for plane in planes:
-            lanes += [group & plane for group in lanes]
-        above = list(map(add, above, map(int.bit_count, lanes)))
+            stack.append((planes, x))
+        last = word
+        batch = [high << lanes | plane for high, plane in zip(batch, planes)]
+        size += 1
+        if size == _BATCH or done == len(lefts):
+            # groups[S]: the AND of the planes in S, bit i for planes[i]
+            groups = [(1 << lanes * size) - 1]
+            for i, plane in enumerate(batch):
+                groups += [group & plane for group in groups[: counted + 1 - (1 << i)]]
+            above = list(map(add, above, map(int.bit_count, groups)))
+            batch, size = [0] * depth, 0
     for i in range(depth):  # keep in above[S] only the lanes whose count is S
-        for subset in range(1 << depth):
+        for subset in range(counted + 1 - (1 << i)):
             if not subset >> i & 1:
                 above[subset] -= above[subset | 1 << i]
     return {k: pairs for k, pairs in enumerate(above) if pairs}

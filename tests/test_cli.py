@@ -796,6 +796,9 @@ GOLDEN = [
     ("verify --suite theorem1,theorem1", 2, EMPTY, "error: suites named more than once: ['theorem1']\n"),
     ("verify --suite theorem1 --suite wz,theorem1", 2, EMPTY,
      "error: suites named more than once: ['theorem1']\n"),
+    ("verify --suite none,theorem1", 2, EMPTY, "error: 'none' cannot be combined with suite names\n"),
+    ("verify --suite none --suite theorem1", 2, EMPTY, "error: 'none' cannot be combined with suite names\n"),
+    ("verify --suite none,none", 2, EMPTY, "error: 'none' cannot be combined with suite names\n"),
 ]
 
 

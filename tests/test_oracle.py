@@ -5,6 +5,8 @@ Core claims:
       totals are the expected binomial quantities
     - table keys stay inside the documented windows and tables reflect
       under r -> n - r
+    - at the bench's sizes, the (12, 6) rectangle table and the n = 10
+      same-endpoint table equal their closed forms at every k
     - the tables agree with applying the named path operation pair by pair,
       and the endpoint, free and same-endpoint tables with a tally that
       walks both vertex lists in step
@@ -35,6 +37,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -175,6 +178,18 @@ def test_same_endpoint_table_examples():
     assert oracle.same_endpoint_pair_table(1).entries == {0: 2}
     assert oracle.same_endpoint_pair_table(2).entries == {0: 2, 1: 4}
     assert oracle.same_endpoint_pair_table(3).total == 20  # C(6, 3)
+
+
+def test_tables_at_the_bench_sizes_equal_the_closed_forms():
+    # the largest tables the bench enumerates: a corner-to-corner table at
+    # its size cap and the same-endpoint table summed over eleven censuses
+    rect = oracle.rect_pair_table(12, 6)
+    assert rect.entries == {
+        **{k: formulas.rect_pair_count_a(12, 6, k) for k in range(11)},
+        11: comb(12, 6),  # a path meets itself, and only itself, at all 11 interior vertices
+    }
+    same = oracle.same_endpoint_pair_table(10)
+    assert same.entries == {k: formulas.same_endpoint_pair_count(10, k) for k in range(10)}
 
 
 def test_same_endpoint_rejects_zero():

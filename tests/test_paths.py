@@ -15,7 +15,9 @@ Core claims:
     - ``as_probability`` is the one exact, bounded probability check
     - the bit-sliced census equals the per-pair tally on random families of
       unequal sizes, across machine words and with counts that need four
-      bit planes; on shuffled, repeated and single-path families under both
+      bit planes or, at 17 meetings, five; for left families either side of
+      the 16-path tally batch, families of different sizes and empty
+      windows; on shuffled, repeated and single-path families under both
       conventions, and a family of mixed lengths or endpoints raises the
       per-pair message; an empty family on either side gives an empty tally
     - a path is a str of E and N steps, with no start of its own, and
@@ -294,6 +296,44 @@ def test_census_counts_up_to_eight_meetings():
     census = meeting_census(walks, walks, EXCLUDING_ORIGIN)
     assert census == _tally(walks, walks, EXCLUDING_ORIGIN)
     assert census[8] == len(walks)
+
+
+def test_census_counts_up_to_seventeen_meetings():
+    # a 17-step window needs a fifth bit plane for the count and for x
+    walks = all_paths(17, 1) + all_paths(17, 2)
+    census = meeting_census(walks, walks, EXCLUDING_ORIGIN)
+    assert census == _tally(walks, walks, EXCLUDING_ORIGIN)
+    assert census[17] == len(walks)
+
+
+def test_census_tallies_left_families_on_either_side_of_a_batch():
+    # the planes of 16 left paths are tallied together: 1, 15, 16, 17 and
+    # 33 paths leave a whole, a partial or no batch at the end
+    walks = all_paths(8, 4)
+    for size in (1, 15, 16, 17, 33):
+        left = walks[-size:]
+        for right in (walks, walks[:size], walks[5:6], walks[::3]):
+            for convention in CONVENTIONS:
+                assert meeting_census(left, right, convention) == _tally(left, right, convention)
+
+
+def test_census_of_families_of_different_sizes():
+    for left, right in ((all_paths(9, 2), all_paths(9, 6)), (all_paths(9, 6)[:7], all_paths(9, 2))):
+        assert meeting_census(left, right, EXCLUDING_ORIGIN) == _tally(left, right, EXCLUDING_ORIGIN)
+    left, right = all_paths(9, 4)[::4], all_paths(9, 4)[:50]
+    assert meeting_census(left, right, INTERIOR) == _tally(left, right, INTERIOR)
+
+
+def test_census_of_an_empty_window_counts_every_pair_at_zero():
+    cases = [
+        (all_paths(0, 0), EXCLUDING_ORIGIN),
+        (all_paths(0, 0), INTERIOR),
+        (all_paths(1, 0), INTERIOR),
+        (all_paths(1, 1) * 3, INTERIOR),
+    ]
+    for family, convention in cases:
+        census = meeting_census(family, family, convention)
+        assert census == _tally(family, family, convention) == {0: len(family) ** 2}
 
 
 def _zipped_points(a, b, convention):
