@@ -9,16 +9,18 @@ result row carries its value(s) and a ``provenance`` naming the computation
 route. CSV output emits the same rows with a header line.
 
 The commands with several routes (``nkr``, ``mrs``, ``fnk``, ``pnk`` and
-``barrier``) each check their own arguments and name their k range; the
-``ROUTES`` table holds their routes, and one runner picks the ``--method``
-routes, applies the size cap, builds each route once, tabulates it over the
-k range, sets the ``consistency`` flag under ``--method all`` and emits.
+``barrier``) each check their own arguments and ask ``routes.plan`` which
+routes answer each k; one runner checks the size, tabulates the plan
+through ``routes.tabulate``, sets the ``consistency`` flag under ``--method
+all`` and emits. The ``--method`` choices are the names in
+``routes.ROUTES``.
 
 Cost is bounded here, at the one boundary that takes outside input, and
-nowhere in the library. ``SIZE_CAPS`` bounds the size of each command with a
-costly route, and ``_check_size`` refuses a larger query unless
-``--unsafe-nmax`` (present exactly on those commands) raises the bound; a
-query that runs only closed forms is never capped.
+nowhere in the library. Each route in ``routes.ROUTES`` carries its own
+size bound, and ``_check_size`` refuses a query past the smallest bound
+among the routes that run unless ``--unsafe-nmax`` (present exactly on the
+commands with a bounded route) raises it; a query that runs only closed
+forms is never capped.
 
 The argument parser is built once per process, by the first ``main`` call,
 and every later call parses with it. Commands are dispatched by name when
@@ -45,15 +47,8 @@ import os
 import re
 import sys
 from fractions import Fraction
-from functools import partial
-from math import comb
 
-from . import bijection, formulas, oracle, paths, series, verify
-
-# The default size bound of each command with a costly route, in that
-# command's own size unit: n, r + s for ``bijection``, a + b + x for
-# ``barrier``. Chosen so the defaults stay interactive on desk hardware.
-SIZE_CAPS = {"nkr": 12, "mrs": 12, "fnk": 9, "pnk": 10, "barrier": 120, "bijection": 12}
+from . import formulas, oracle, paths, routes, verify
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -111,26 +106,16 @@ def emit(record: dict, fmt_name: str, row_fields: list[str]) -> None:
         writer.writerow([row.get(field, "") for field in row_fields])
 
 
-def _check_size(command: str, unsafe: int | None, size: int, what: str, costly: bool = True) -> None:
-    """Validate ``--unsafe-nmax`` and, when a costly route runs, refuse a
-    ``size`` past the command's bound in ``SIZE_CAPS`` unless ``--unsafe-nmax``
-    raises it; ``what`` names the size in the message."""
+def _check_size(command: str, planned: dict, unsafe: int | None, size: int, what: str) -> None:
+    """Validate ``--unsafe-nmax`` and refuse a ``size`` past the smallest
+    ``Route.bound`` among the routes ``planned`` runs, unless
+    ``--unsafe-nmax`` raises it; ``what`` names the size in the message."""
     if unsafe is not None and unsafe < 0:
         raise UsageError(f"--unsafe-nmax must be nonnegative, got {unsafe}")
-    if costly and size > max(SIZE_CAPS[command], unsafe or 0):
-        raise UsageError(
-            f"{what} exceeds the default bound {SIZE_CAPS[command]}; pass --unsafe-nmax {size} to allow it"
-        )
-
-
-def _k_range(k: int | None, top: int) -> list[int]:
-    """The meeting counts a query asks for: every count in [0, top], or
-    ``k`` alone once it is checked to lie there."""
-    if k is None:
-        return list(range(top + 1))
-    if not 0 <= k <= top:
-        raise UsageError(f"meeting count k must lie in [0, {top}]")
-    return [k]
+    bounds = [routes.ROUTES[command][name].bound for names in planned.values() for name in names]
+    bound = min((b for b in bounds if b is not None), default=None)
+    if bound is not None and size > max(bound, unsafe or 0):
+        raise UsageError(f"{what} exceeds the default bound {bound}; pass --unsafe-nmax {size} to allow it")
 
 
 def _record(command: str, params: dict, results: list[dict], consistency: bool | None = None) -> dict:
@@ -144,96 +129,29 @@ def _record(command: str, params: dict, results: list[dict], consistency: bool |
 # --- the route runner ------------------------------------------------------------
 
 
-def _rect_series(n: int, r: int, k: int | None):
-    """Rectangle counts read off the base-series powers up to the k asked
-    for, or up to n - 1 for the whole table, built in one pass."""
-    powers = series.rect_pair_powers(n - 1 if k is None else k, n + r)
-    return lambda k: powers[k].coeff(n, r)
-
-
-def _same_endpoint_oracle(n: int):
-    table = oracle.same_endpoint_pair_table(n)
-    denom = comb(2 * n, n)
-    return lambda k: (Fraction(table.get(k), denom), table.get(k))
-
-
-# Route builders of every multi-route command, in the order ``--method all``
-# reports them; the ``--method`` choices are these names plus "all". A
-# builder takes the command's query and returns the route's value as a
-# function of k (barrier has no k and is passed None). Every route but the
-# ``formula*`` closed forms is costly and obeys ``SIZE_CAPS``. Builders look
-# library functions up through their modules when they run, so a patched or
-# traced function is the one that gets called.
-ROUTES = {
-    "nkr": {
-        "formula-a": lambda q: partial(formulas.rect_pair_count_a, q.n, q.r),
-        "formula-b": lambda q: partial(formulas.rect_pair_count_b, q.n, q.r),
-        "series": lambda q: _rect_series(q.n, q.r, q.k),
-        "oracle": lambda q: oracle.rect_pair_table(q.n, q.r).get,
-    },
-    "mrs": {
-        "formula": lambda q: partial(formulas.endpoint_pair_count, q.n, q.r, q.s),
-        "oracle": lambda q: oracle.endpoint_pair_table(q.n, q.r, q.s).get,
-    },
-    "fnk": {
-        "formula": lambda q: partial(formulas.free_pair_count, q.n),
-        "oracle": lambda q: oracle.free_pair_table(q.n).get,
-    },
-    "pnk": {
-        "formula": lambda q: lambda k: (
-            formulas.same_endpoint_meet_prob(q.n, k), formulas.same_endpoint_pair_count(q.n, k)
-        ),
-        "oracle": lambda q: _same_endpoint_oracle(q.n),
-    },
-    "barrier": {
-        "dp": lambda c: lambda _: oracle.barrier_meet_prob(c),
-        "single-walker": lambda c: lambda _: oracle.endpoint_probability(
-            (c.a, c.b + c.x + 1), c.a + c.b + c.x, [(-t, 1 + t) for t in range(c.x + 1)], c.rate
-        ),
-        "formula": lambda c: lambda _: formulas.barrier_meet_formula(c.a, c.b, c.x, c.rate.p),
-    },
-}
-
-
 def _value_row(k, value) -> dict:
     return {"k": str(k), "value": str(value)}
 
 
 def _run_routes(
-    command: str, args, query, ks, params: dict, fields: list[str],
-    row=_value_row, covers=lambda route, k: True, fallback: str | None = None,
-    size: tuple[str, int] | None = None,
+    command: str, args, query, planned: dict, params: dict, row=_value_row, size: tuple[str, int] | None = None,
 ) -> int:
-    """Answer one query: pick the routes ``--method`` names, check the size
-    (``(label, value)``, n by default) if a costly one runs, build each
-    route once, tabulate them over ``ks``, check that they agree, and emit
-    the record. Returns 1 when the routes disagree, after emitting it.
-
-    ``covers(route, k)`` says whether a route reaches k; under ``all`` a
-    route skips the k it misses, and a single method hands it to
-    ``fallback``, whose rows carry the fallback's provenance.
-    """
-    routes = ROUTES[command]
-    chosen = list(routes) if args.method == "all" else [args.method]
-    plan = {k: [route for route in chosen if covers(route, k)] or [fallback] for k in ks}
-    used = {route for names in plan.values() for route in names}
+    """Answer one query by its ``routes.plan``: check the size (``(label,
+    value)``, n by default), tabulate the planned routes, check that they
+    agree, and emit the record, whose fields are those of a ``row`` and the
+    provenance. Returns 1 when the routes disagree, after emitting it."""
     label, value = size or ("n", args.n)
-    _check_size(
-        command, args.unsafe_nmax, value, f"{command}: {label}={value}",
-        costly=any(not route.startswith("formula") for route in used),
-    )
-    value_at = {route: build(query) for route, build in routes.items() if route in used}
+    _check_size(command, planned, args.unsafe_nmax, value, f"{command}: {label}={value}")
     results = []
     disagree = []
-    for k, names in plan.items():
-        values = [(route, value_at[route](k)) for route in names]
+    for k, values in routes.tabulate(command, query, planned).items():
         if len({value for _, value in values}) > 1:
             disagree.append(k)
         results += [{**row(k, value), "provenance": route} for route, value in values]
     record = _record(
         command, params, results, consistency=not disagree if args.method == "all" else None
     )
-    emit(record, args.format, fields)
+    emit(record, args.format, list(results[0]))
     if disagree:
         where = "" if disagree[0] is None else f" at k={disagree[0]}"
         print(
@@ -252,13 +170,9 @@ def cmd_nkr(args) -> int:
     n, r = args.n, args.r
     if not 0 <= r <= n or n < 1:
         raise UsageError(f"need n >= 1 and 0 <= r <= n, got n={n}, r={r}")
-    ks = _k_range(args.k, n - 1)
     return _run_routes(
-        "nkr", args, args, ks, {"n": n, "r": r, "k": args.k, "method": args.method},
-        ["k", "value", "provenance"],
-        # the top entry is outside the formulas' range
-        covers=lambda route, k: k <= n - 2 or not route.startswith("formula"),
-        fallback="oracle",
+        "nkr", args, args, routes.plan("nkr", args.method, args, args.k),
+        {"n": n, "r": r, "k": args.k, "method": args.method},
     )
 
 
@@ -266,13 +180,11 @@ def cmd_mrs(args) -> int:
     n, r, s = args.n, args.r, args.s
     if not 0 <= r <= s <= n or n < 1:
         raise UsageError(f"need n >= 1 and 0 <= r <= s <= n, got n={n}, r={r}, s={s}")
-    top = n if r == s else n - 1
-    ks = _k_range(args.k, top)
+    planned = routes.plan("mrs", args.method, args, args.k)
     if args.method in ("oracle", "all") and r == s:
         raise UsageError("the enumeration route needs r < s; equal endpoints reduce to nkr")
     return _run_routes(
-        "mrs", args, args, ks, {"n": n, "r": r, "s": s, "k": args.k, "method": args.method},
-        ["k", "value", "provenance"],
+        "mrs", args, args, planned, {"n": n, "r": r, "s": s, "k": args.k, "method": args.method}
     )
 
 
@@ -280,10 +192,9 @@ def cmd_fnk(args) -> int:
     n = args.n
     if n < 0:
         raise UsageError("n must be nonnegative")
-    ks = _k_range(args.k, n)
     return _run_routes(
-        "fnk", args, args, ks, {"n": n, "k": args.k, "method": args.method},
-        ["k", "value", "probability", "provenance"],
+        "fnk", args, args, routes.plan("fnk", args.method, args, args.k),
+        {"n": n, "k": args.k, "method": args.method},
         row=lambda k, value: {"k": str(k), "value": str(value), "probability": _over_power_of_two(value, 2 * n)},
     )
 
@@ -300,10 +211,9 @@ def cmd_pnk(args) -> int:
     n = args.n
     if n < 1:
         raise UsageError("n must be at least 1")
-    ks = _k_range(args.k, n - 1)
     return _run_routes(
-        "pnk", args, args, ks, {"n": n, "k": args.k, "method": args.method},
-        ["k", "probability", "count", "provenance"],
+        "pnk", args, args, routes.plan("pnk", args.method, args, args.k),
+        {"n": n, "k": args.k, "method": args.method},
         row=lambda k, value: {"k": str(k), "probability": str(value[0]), "count": str(value[1])},
     )
 
@@ -312,10 +222,9 @@ def cmd_diag(args) -> int:
     n = args.n
     if n < 2:
         raise UsageError("n must be at least 2")
-    ks = _k_range(args.k, n - 2)
     results = [
         {"k": str(k), "value": str(formulas.same_endpoint_pair_count(n, k)), "provenance": "formula"}
-        for k in ks
+        for k in routes.k_range(args.k, n - 2)
     ]
     emit(_record("diag", {"n": n, "k": args.k}, results), args.format, ["k", "value", "provenance"])
     return 0
@@ -326,13 +235,7 @@ def cmd_avg(args) -> int:
     if n < 0:
         raise UsageError("n must be nonnegative")
     exact = formulas.average_crossings(n)
-    results = [
-        {
-            "value": str(exact),
-            "value_float": float(exact),
-            "provenance": "formula",
-        }
-    ]
+    results = [{"value": str(exact), "value_float": float(exact), "provenance": "formula"}]
     emit(_record("avg", {"n": n}, results), args.format, ["value", "value_float", "provenance"])
     return 0
 
@@ -348,18 +251,12 @@ def cmd_barrier(args) -> int:
     else:
         rate = read_level_file(args.level_file)
     config = oracle.BarrierConfig(args.a, args.b, args.x, rate)  # rejects negative a, b, x
-    constant = isinstance(rate, oracle.ConstantRate)
-    if args.method == "formula" and not constant:
+    if args.method == "formula" and not isinstance(rate, oracle.ConstantRate):
         raise UsageError("the closed form needs a constant rate; use dp or single-walker")
     return _run_routes(
-        "barrier", args, config, [None],
-        {
-            "a": args.a, "b": args.b, "x": args.x,
-            "p": args.p, "level_file": args.level_file, "method": args.method,
-        },
-        ["value", "provenance"],
+        "barrier", args, config, routes.plan("barrier", args.method, config),
+        {"a": args.a, "b": args.b, "x": args.x, "p": args.p, "level_file": args.level_file, "method": args.method},
         row=lambda _, value: {"value": str(value)},
-        covers=lambda route, _: constant or route != "formula",
         size=("a+b+x", args.a + args.b + args.x),
     )
 
@@ -371,8 +268,9 @@ def cmd_bijection(args) -> int:
     r, s = args.r, args.s
     if r < 1 or s < 1:
         raise UsageError("need r >= 1 and s >= 1")
-    _check_size("bijection", args.unsafe_nmax, r + s, f"r + s = {r + s}")
-    report = bijection.verify_correspondence(r, s)
+    planned = routes.plan("bijection", "replay", args)
+    _check_size("bijection", planned, args.unsafe_nmax, r + s, f"r + s = {r + s}")
+    ((_, report),) = routes.tabulate("bijection", args, planned)[None]
     results = []
     for row in report.rows:
         # a failed image has no meeting point: JSON null, an empty CSV cell
@@ -389,12 +287,7 @@ def cmd_bijection(args) -> int:
                 "case": row.case,
             }
         )
-    record = _record(
-        "bijection",
-        {"r": r, "s": s},
-        results,
-        consistency=report.passed,
-    )
+    record = _record("bijection", {"r": r, "s": s}, results, consistency=report.passed)
     record["nonmeeting"] = report.nonmeeting_count
     record["one_meeting"] = report.one_meeting_count
     record["failures"] = list(report.failures)
@@ -480,24 +373,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    _add_choice(p, "--method", (*ROUTES["nkr"], "all"), "formula-a")
+    _add_choice(p, "--method", (*routes.ROUTES["nkr"], "all"), "formula-a")
 
     p = subs.add_parser("mrs", help="pair counts with two prescribed endpoints")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    _add_choice(p, "--method", (*ROUTES["mrs"], "all"), "formula")
+    _add_choice(p, "--method", (*routes.ROUTES["mrs"], "all"), "formula")
 
     p = subs.add_parser("fnk", help="free pair counts by post-origin meetings")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    _add_choice(p, "--method", (*ROUTES["fnk"], "all"), "formula")
+    _add_choice(p, "--method", (*routes.ROUTES["fnk"], "all"), "formula")
 
     p = subs.add_parser("pnk", help="same-endpoint meeting probabilities")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    _add_choice(p, "--method", (*ROUTES["pnk"], "all"), "formula")
+    _add_choice(p, "--method", (*routes.ROUTES["pnk"], "all"), "formula")
 
     p = subs.add_parser("diag", help="same-endpoint pair counts (row sums over all splits)")
     p.add_argument("--n", type=int, required=True)
@@ -512,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--p", type=str, default=None, help="constant West rate, e.g. 1/3")
     p.add_argument("--level-file", type=str, default=None, help="one rate per line, level 1 first")
-    _add_choice(p, "--method", (*ROUTES["barrier"], "all"), "all")
+    _add_choice(p, "--method", (*routes.ROUTES["barrier"], "all"), "all")
 
     p = subs.add_parser("bijection", help="replay the 2-to-1 correspondence on a rectangle")
     p.add_argument("--r", type=int, required=True)
@@ -529,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     # added last, so they close every usage line
     for name, sub in subs.choices.items():
         _add_choice(sub, "--format", ("json", "csv"), "json")
-        if name in SIZE_CAPS:
+        if any(route.bound is not None for route in routes.ROUTES.get(name, {}).values()):
             sub.add_argument(
                 "--unsafe-nmax", type=int, default=None,
                 help="raise the built-in size bound (expect long runtimes)",

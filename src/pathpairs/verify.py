@@ -19,6 +19,11 @@ The barrier suite runs one single-walker distribution per level and rate,
 and compares it with the pair walk in integers, by cross-multiplying the
 two walker DPs' masses and denominators.
 
+The ``routes`` suite reads the route table, ``routes.ROUTES``, through the
+same ``routes.plan`` and ``routes.tabulate`` steps the command line runs,
+with ``--method all``, so every route the command line can print is held
+to the others; it is not pinned by the benchmark.
+
 ``run_all`` executes a configurable selection of suites in a fixed order and
 is the engine behind the command line's ``verify`` subcommand.
 """
@@ -32,8 +37,9 @@ from functools import lru_cache, partial
 from itertools import accumulate
 from math import comb, inf
 from time import perf_counter
+from types import SimpleNamespace
 
-from . import bijection, formulas, oracle, series
+from . import bijection, formulas, oracle, routes, series
 
 
 @dataclass(frozen=True)
@@ -639,6 +645,46 @@ def check_lagrange(n_max: int | None = None) -> CheckReport:
     return rec.report()
 
 
+# --- the route table -------------------------------------------------------------
+
+
+def _route_queries(n_max: int, level_total: int):
+    """The ``routes`` suite's grid as ``(command, query)``: every counting
+    query with n <= n_max (and r < s for ``mrs``, whose enumeration needs
+    it), and every barrier configuration with a + b + x <= level_total under
+    the constant rates and two level-rate tables from a fixed seed."""
+    for n in range(n_max + 1):
+        yield "fnk", SimpleNamespace(n=n, k=None)
+    for n in range(1, n_max + 1):
+        yield "pnk", SimpleNamespace(n=n, k=None)
+        for r in range(n + 1):
+            yield "nkr", SimpleNamespace(n=n, r=r, k=None)
+            for s in range(r + 1, n + 1):
+                yield "mrs", SimpleNamespace(n=n, r=r, s=s, k=None)
+    rates = [oracle.ConstantRate(p) for p in _PROBS] + _level_rates(20114, 2, level_total + 2)
+    for rate in rates:
+        for a in range(level_total + 1):
+            for b in range(level_total + 1 - a):
+                for x in range(level_total + 1 - a - b):
+                    yield "barrier", oracle.BarrierConfig(a, b, x, rate)
+
+
+def check_routes(n_max: int | None = None) -> CheckReport:
+    """Every route in ``routes.ROUTES`` agrees with the first route that
+    answers the same k, under the plan ``--method all`` runs, for n <= 5
+    and a + b + x <= 3. This holds the barrier ``dp`` and ``single-walker``
+    routes, which no other suite calls, and any route added to the table,
+    to the others. ``bijection`` has one route; the ``bijection`` suite
+    replays it."""
+    rec = _Recorder("routes")
+    for command, query in _route_queries(min(5, _cap(n_max)), min(3, _cap(n_max))):
+        tabled = routes.tabulate(command, query, routes.plan(command, "all", query))
+        for k, ((first, want), *others) in tabled.items():
+            for name, got in others:
+                rec.expect_equal(want, got, query=query, k=k, sides=f"{first} vs {name}")
+    return rec.report()
+
+
 # --- the aggregate runner -----------------------------------------------------------
 
 
@@ -663,7 +709,7 @@ class VerifyConfig:
 SUITE_NAMES = (
     "theorem1", "recurrence", "eq8", "wz", "barrier", "same-start", "bijection",
     "nkr", "doubling", "mrs", "fnk", "pnk", "diag", "avg", "vandermonde",
-    "legendre", "series-uk", "series-f", "series-fk", "lagrange",
+    "legendre", "series-uk", "series-f", "series-fk", "lagrange", "routes",
 )
 
 

@@ -23,10 +23,13 @@ Core claims:
       runs, so a patched cmd_* is the one called
     - a failing correspondence replay exits 1, prints each image's stored
       words, and gives a failed image no group label
-    - every command in the size-cap table refuses a costly query one past
-      its bound with one exact message, runs it under --unsafe-nmax, and
-      runs a closed-form-only query of that size; --unsafe-nmax exists on
-      exactly the commands in the table
+    - every command with a bounded route in routes.ROUTES refuses a costly
+      query one past its bound with one exact message, runs it under
+      --unsafe-nmax, and runs a closed-form-only query of that size;
+      --unsafe-nmax exists on exactly those commands
+    - a route registered in routes.ROUTES is printed under --method all,
+      bounds the query by its own bound, and is held to the others by the
+      verify routes suite, with no edit to the CLI
     - a golden set of invocations keeps its exit code, stdout bytes and
       stderr text exactly
     - the correspondence table of every rectangle with r + s <= 10 keeps its
@@ -40,6 +43,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -47,7 +51,7 @@ from types import SimpleNamespace
 import pytest
 
 import pathpairs
-from pathpairs import bijection, cli, formulas, paths
+from pathpairs import bijection, cli, formulas, paths, routes, verify
 from pathpairs.cli import main
 
 
@@ -545,7 +549,8 @@ def _off_by_one(build):
 )
 def test_disagreeing_routes_exit_1(capsys, monkeypatch, argv, route):
     command = argv.split()[0]
-    monkeypatch.setitem(cli.ROUTES[command], route, _off_by_one(cli.ROUTES[command][route]))
+    table = routes.ROUTES[command]
+    monkeypatch.setitem(table, route, replace(table[route], build=_off_by_one(table[route].build)))
     code, out, err = run(capsys, *argv.split())
     assert code == 1
     assert f"{command}: the routes disagree" in err
@@ -554,9 +559,42 @@ def test_disagreeing_routes_exit_1(capsys, monkeypatch, argv, route):
     assert route in {row["provenance"] for row in record["results"]}
 
 
-# For each command in the cap table, at size s: a query that runs a costly
-# route, the words naming s in the refusal, and a query of size s that runs
-# closed forms only (bijection has none). m is s - 1.
+def _register_nkr_route(monkeypatch, build):
+    """Add a route to nkr under a new name, with its own bound of 8."""
+    monkeypatch.setitem(routes.ROUTES["nkr"], "oracle-8", routes.Route(build, bound=8))
+
+
+def test_a_registered_route_is_printed_bounded_and_checked(capsys, monkeypatch):
+    (before,) = verify.run_all(verify.VerifyConfig(suites=("routes",)))
+    _register_nkr_route(monkeypatch, routes.ROUTES["nkr"]["oracle"].build)
+    record = run_json(capsys, "nkr", "--n", "5", "--r", "2", "--method", "all")
+    assert record["consistency"] is True
+    assert [row["provenance"] for row in record["results"] if row["k"] == "0"] == [
+        "formula-a", "formula-b", "series", "oracle", "oracle-8",
+    ]
+    assert run(capsys, "nkr", "--n", "9", "--r", "3", "--method", "all") == (
+        2, "", "error: nkr: n=9 exceeds the default bound 8; pass --unsafe-nmax 9 to allow it\n"
+    )
+    (report,) = verify.run_all(verify.VerifyConfig(suites=("routes",)))
+    assert report.passed, report.first_failure
+    # one more comparison for each (n, r, k) of the suite's nkr grid, n <= 5
+    assert report.instances - before.instances == sum(n * (n + 1) for n in range(1, 6))
+
+
+def test_a_registered_route_that_is_off_fails_the_cli_and_the_routes_suite(capsys, monkeypatch):
+    _register_nkr_route(monkeypatch, _off_by_one(routes.ROUTES["nkr"]["oracle"].build))
+    code, out, err = run(capsys, "nkr", "--n", "5", "--r", "2", "--method", "all")
+    assert code == 1
+    assert "nkr: the routes disagree at k=0" in err
+    assert json.loads(out)["consistency"] is False
+    (report,) = verify.run_all(verify.VerifyConfig(suites=("routes",)))
+    assert not report.passed
+    assert report.first_failure["sides"].endswith(" vs oracle-8")
+
+
+# For each command with a bounded route, at size s: a query that runs a
+# costly route, the words naming s in the refusal, and a query of size s that
+# runs closed forms only (bijection has none). m is s - 1.
 CAPPED_QUERIES = {
     "nkr": ("nkr --n {s} --r 2 --method oracle", "nkr: n={s}", "nkr --n {s} --r 2 --k 0"),
     "mrs": ("mrs --n {s} --r 1 --s 2 --method oracle", "mrs: n={s}", "mrs --n {s} --r 1 --s 2 --k 0"),
@@ -570,25 +608,30 @@ CAPPED_QUERIES = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(cli.SIZE_CAPS))
+def _bounds(command):
+    return [route.bound for route in routes.ROUTES[command].values() if route.bound is not None]
+
+
+BOUNDED = sorted(command for command in routes.ROUTES if _bounds(command))
+
+
+@pytest.mark.parametrize("command", BOUNDED)
 def test_size_cap_table(capsys, monkeypatch, command):
-    size = cli.SIZE_CAPS[command] + 1
+    size = min(_bounds(command)) + 1
     costly, what, cheap = (text and text.format(s=size, m=size - 1) for text in CAPPED_QUERIES[command])
     assert run(capsys, *costly.split()) == (
         2, "", f"error: {what} exceeds the default bound {size - 1}; pass --unsafe-nmax {size} to allow it\n"
     )
     # past the cap, the costly routes are stubbed so that nothing enumerates
     built = []
-    value = (0, 0) if command == "pnk" else 0  # pnk: (probability, count)
-    for route in cli.ROUTES.get(command, {}):
-        if not route.startswith("formula"):
-            monkeypatch.setitem(cli.ROUTES[command], route, lambda q: built.append(q) or (lambda k: value))
-    monkeypatch.setattr(
-        bijection, "verify_correspondence",
-        lambda r, s: built.append((r, s)) or SimpleNamespace(
-            rows=[], passed=True, nonmeeting_count=0, one_meeting_count=0, failures=()
-        ),
-    )
+    value = {  # pnk: (probability, count); bijection: the replay's report
+        "pnk": (0, 0),
+        "bijection": SimpleNamespace(rows=[], passed=True, nonmeeting_count=0, one_meeting_count=0, failures=()),
+    }.get(command, 0)
+    table = routes.ROUTES[command]
+    for name, route in table.items():
+        if route.bound is not None:
+            monkeypatch.setitem(table, name, replace(route, build=lambda q: built.append(q) or (lambda k: value)))
     code, _, err = run(capsys, *costly.split(), "--unsafe-nmax", str(size))
     assert (code, err, len(built)) == (0, "", 1)
     if cheap is not None:
@@ -604,7 +647,7 @@ def test_unsafe_nmax_is_on_exactly_the_capped_commands(capsys):
             main([command, "--help"])
         if "--unsafe-nmax" in capsys.readouterr().out:
             having.add(command)
-    assert having == set(cli.SIZE_CAPS)
+    assert having == set(BOUNDED)
 
 
 def test_closed_pipe_exits_141_quietly():
@@ -709,6 +752,12 @@ GOLDEN = [
      "error: nkr: n=20 exceeds the default bound 12; pass --unsafe-nmax 20 to allow it\n"),
     ("nkr --n 13 --r 2 --method formula-a", 2, EMPTY,
      "error: nkr: n=13 exceeds the default bound 12; pass --unsafe-nmax 13 to allow it\n"),
+    # the fallback to the oracle brings in its bound, so a top-k query of
+    # a closed form is capped and a lower k is not
+    ("nkr --n 13 --r 2 --k 3 --method formula-a", 0,
+     "5a76433a6042c08b334fa13a8695ac629331a76c40407bb3af9eb9d2711b2103", ""),
+    ("nkr --n 13 --r 2 --k 12 --method formula-a", 2, EMPTY,
+     "error: nkr: n=13 exceeds the default bound 12; pass --unsafe-nmax 13 to allow it\n"),
     ("nkr --n 3 --r 1 --method bogus", 2, EMPTY,
      "usage: pathpairs nkr [-h] --n N --r R [--k K]\n                     [--method {formula-a,formula-b,series,oracle,all}]\n                     [--format {json,csv}] [--unsafe-nmax UNSAFE_NMAX]\npathpairs nkr: error: argument --method: invalid choice: 'bogus' (choose from 'formula-a', 'formula-b', 'series', 'oracle', 'all')\n"),
     ("mrs --n 5 --r 1 --s 3 --method all", 0,
@@ -723,6 +772,9 @@ GOLDEN = [
      "c92948bdb0c562125a65d63b199c72df911407bb28700a2d564edfa34f0a1ee4", ""),
     ("mrs --n 3 --r 1 --s 1 --method oracle", 2, EMPTY,
      "error: the enumeration route needs r < s; equal endpoints reduce to nkr\n"),
+    # the k range is checked before the routes' own needs
+    ("mrs --n 3 --r 1 --s 1 --k 9 --method oracle", 2, EMPTY,
+     "error: meeting count k must lie in [0, 3]\n"),
     ("fnk --n 5 --method all", 0,
      "3e7631389b0e382b7e24bc71168c72c7516a56716c5c11f6984bfcf1f1fe0845", ""),
     ("fnk --n 6 --k 2 --method oracle --format csv", 0,
@@ -775,6 +827,8 @@ GOLDEN = [
      "error: a, b, x must be nonnegative\n"),
     ("barrier --a 41 --b 40 --x 40 --p 1/2", 2, EMPTY,
      "error: barrier: a+b+x=121 exceeds the default bound 120; pass --unsafe-nmax 121 to allow it\n"),
+    ("barrier --a 41 --b 40 --x 40 --level-file levels.txt --method all", 2, EMPTY,
+     "error: barrier: a+b+x=121 exceeds the default bound 120; pass --unsafe-nmax 121 to allow it\n"),
     ("barrier --a 41 --b 40 --x 40 --p 1/2 --method formula", 0,
      "3482826fe7c989fec8c62fec28893b830c34e0c0662a5beb6c43bd8cc4130505", ""),
     ("bijection --r 2 --s 3", 0,
@@ -786,11 +840,11 @@ GOLDEN = [
     ("verify --suite theorem1,legendre --nmax 4", 0,
      "8c66a14598961e9e3ae93b70c4b8f95919b4205b910dfd5ce96379918f7c0892", ""),
     ("verify --all --nmax 2 --format csv", 0,
-     "89a445b3b1903c25f11e83482de6a8f3ed727a56117bdab750cbbc16c6364fae", ""),
+     "0f137fc0bf183a40eb3ef169b463a9332e2a03e26fda35cb172522e16eda731a", ""),
     ("verify --suite none", 0,
      "dd19475cfe60523879ae09497757573b22178a378ca58a5cf29007ff23f4162e", ""),
     ("verify --suite nope", 2, EMPTY,
-     "error: unknown suites ['nope']; known: theorem1, recurrence, eq8, wz, barrier, same-start, bijection, nkr, doubling, mrs, fnk, pnk, diag, avg, vandermonde, legendre, series-uk, series-f, series-fk, lagrange\n"),
+     "error: unknown suites ['nope']; known: theorem1, recurrence, eq8, wz, barrier, same-start, bijection, nkr, doubling, mrs, fnk, pnk, diag, avg, vandermonde, legendre, series-uk, series-f, series-fk, lagrange, routes\n"),
     ("verify --all --suite nope", 2, EMPTY, "error: give --all or --suite, not both\n"),
     ("verify --all --suite theorem1", 2, EMPTY, "error: give --all or --suite, not both\n"),
     ("verify --suite theorem1,theorem1", 2, EMPTY, "error: suites named more than once: ['theorem1']\n"),

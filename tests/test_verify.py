@@ -15,6 +15,8 @@ Core claims:
     - the barrier suite compares its two walker DPs in integers, but a
       perturbed single-walker or pair mass fails it with the configuration
       and both values shown as reduced probabilities
+    - the routes suite runs every route the command line prints: a barrier
+      route shifted by 10^-12 at every argument fails it, naming the route
 """
 
 import inspect
@@ -180,3 +182,16 @@ def test_barrier_suite_fails_on_a_perturbed_pair_mass(monkeypatch):
     assert report.first_failure == {
         **shown[0], "a": "1", "b": "1", "x": "1", "sides": "pair walk vs single walker",
     }
+
+
+@pytest.mark.parametrize("name, route", [("barrier_meet_prob", "dp"), ("endpoint_probability", "single-walker")])
+def test_routes_suite_fails_on_a_shifted_barrier_route(monkeypatch, name, route):
+    original = getattr(oracle, name)
+    monkeypatch.setattr(oracle, name, lambda *args: original(*args) + Fraction(1, 10**12))
+    (report,) = verify.run_all(VerifyConfig(suites=("routes",)))
+    assert not report.passed
+    failure = report.first_failure
+    left, right = failure["sides"].split(" vs ")
+    values = {left: Fraction(failure["left"]), right: Fraction(failure["right"])}
+    (other,) = set(values) - {route}
+    assert values[route] - values[other] == Fraction(1, 10**12)
