@@ -1,14 +1,15 @@
 """Closed-form pair counts and meeting probabilities, evaluated exactly.
 
 The formulas are written as products and sums of binomials and falling
-factorials, so they are evaluated in Python ints; a ``Fraction`` is built
-once, at the boundary, from one integer numerator and one integer
-denominator. A sum whose terms are not integral (the second rectangle form)
-is taken over one common denominator that every term divides. Results that
-are counts are asserted to reduce to nonnegative integers there, and a failed
-reduction raises ``IntegralityError`` instead of rounding. The prefactors of
-the rectangle-count formulas are not termwise integral, so the assertion is
-load bearing.
+factorials, so they are evaluated in Python ints, as one integer numerator
+over one integer denominator. A sum whose terms are not integral (the second
+rectangle form) is taken over one common denominator that every term
+divides; the two-endpoint expression takes its terms over the lcm of their
+denominators. A count is reduced by one ``divmod``: a nonzero remainder or a
+negative quotient raises ``IntegralityError`` instead of rounding, and only
+then is a ``Fraction`` built, to name the value. A rational result is one
+``Fraction`` built at the boundary. The prefactors of the rectangle-count
+formulas are not termwise integral, so the check is load bearing.
 
 Each sum is evaluated by ratio stepping: its first nonzero term is built
 from ``binom`` calls, and each later term from the one before by one
@@ -31,8 +32,9 @@ Binomials follow the factorial convention used throughout: a term whose
 denominator would contain the factorial of a negative integer vanishes.
 ``binom`` implements that reading for nonnegative upper arguments; the
 separate ``binom_gen`` is the falling-factorial binomial, defined for any
-integer upper argument, which the two convolution identities in
-``vandermonde_a``/``vandermonde_b`` need to hold without restrictions.
+integer upper argument and read off ``comb`` by upper negation, which the
+two convolution identities in ``vandermonde_a``/``vandermonde_b`` need to
+hold without restrictions.
 
 No other route is imported here, only ``paths`` for its probability
 check: every comparison with enumeration, including the table that tells
@@ -44,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import comb, factorial, isqrt, perm, prod
+from math import comb, isqrt, lcm, perm, prod
 
 from . import paths
 
@@ -57,13 +59,15 @@ def binom(a: int, b: int) -> int:
 
 
 def binom_gen(x: int, m: int) -> int:
-    """Falling-factorial binomial x(x-1)...(x-m+1)/m!, any integer x."""
+    """Falling-factorial binomial x(x-1)...(x-m+1)/m!, any integer x: zero
+    for m < 0, C(x, m) for x >= 0 (zero when x < m), and by upper negation
+    (-1)^m C(m-x-1, m) for x < 0."""
     if m < 0:
         return 0
-    num = 1
-    for t in range(m):
-        num *= x - t
-    return num // factorial(m)
+    if x >= 0:
+        return comb(x, m)
+    value = comb(m - x - 1, m)
+    return -value if m % 2 else value
 
 
 @lru_cache(maxsize=256)
@@ -131,14 +135,18 @@ class IntegralityError(ArithmeticError):
     function and its inputs."""
 
 
-def _as_count(value: Fraction, context: str) -> int:
-    if value.denominator != 1 or value < 0:
+def _as_count(num: int, den: int, context: str) -> int:
+    """num / den as a count, by one ``divmod``; the reduced ``Fraction`` is
+    built only to name a value that is not a nonnegative integer."""
+    q, rem = divmod(num, den)
+    if rem or q < 0:
+        value = Fraction(num, den)
         # a long value is named by its size: str() would pass the
         # interpreter's int-to-str limit and raise ValueError instead
         bits = (value.numerator.bit_length(), value.denominator.bit_length())
         shown = value if sum(bits) <= 1000 else "a %d-bit numerator over a %d-bit denominator" % bits
         raise IntegralityError(f"{context}: expected a nonnegative integer, got {shown}")
-    return int(value)
+    return q
 
 
 def _check_rect_args(n: int, r: int, k: int) -> None:
@@ -166,7 +174,7 @@ def rect_pair_count_a(n: int, r: int, k: int) -> int:
             # C(a-1, n-r) = C(a, n-r)(a-n+r)/a
             m, a = n - k + i - 1, n - i - 1
             term = term * ((k - i) * (m + 1) * (a - n + r)) // ((i + 1) * (m + 1 - r) * a)
-    return _as_count(Fraction(2 * (k + 1), n - k - 1) * total, f"rect_pair_count_a{(n, r, k)}")
+    return _as_count(2 * (k + 1) * total, n - k - 1, f"rect_pair_count_a{(n, r, k)}")
 
 
 def rect_pair_count_b(n: int, r: int, k: int) -> int:
@@ -207,16 +215,14 @@ def rect_pair_count_b(n: int, r: int, k: int) -> int:
             term = term * ((k - 2 * i) * (k - 2 * i - 1) * (n - i - r - 1) * (r - i - 1)) // (
                 (i + 1) * (n - i - 1) * (n - 2 * i - 2) * (n - 2 * i - 3)
             )
-    return _as_count(Fraction(2 * (k + 1) * total, r * common), f"rect_pair_count_b{(n, r, k)}")
+    return _as_count(2 * (k + 1) * total, r * common, f"rect_pair_count_b{(n, r, k)}")
 
 
 def narayana(n: int, r: int) -> int:
     """Half the nonmeeting pair count: C(n-1, r) C(n-1, n-r) / (n-1)."""
     if n < 2 or not 1 <= r <= n - 1:
         raise ValueError(f"need n >= 2 and 1 <= r <= n-1, got n={n}, r={r}")
-    return _as_count(
-        Fraction(binom(n - 1, r) * binom(n - 1, n - r), n - 1), f"narayana{(n, r)}"
-    )
+    return _as_count(binom(n - 1, r) * binom(n - 1, n - r), n - 1, f"narayana{(n, r)}")
 
 
 # --- pairs with two prescribed endpoints ------------------------------------
@@ -235,12 +241,21 @@ def endpoint_pair_expression(n: int, r: int, s: int, k: int, reading: str) -> Fr
     share exactly k vertices beyond the start, under one reading of its
     leading fraction. Valid for r <= s; at r = s the second term vanishes
     and the double sum reduces to the same-endpoint count. Not reduced to
-    an integer: a wrong reading may give a fraction. The double sum runs in
-    integers, one numerator per denominator n-1-j-2t, made Fractions last."""
+    an integer: a wrong reading may give a fraction."""
+    return Fraction(*_endpoint_pair_terms(n, r, s, k, reading))
+
+
+def _endpoint_pair_terms(n: int, r: int, s: int, k: int, reading: str) -> tuple[int, int]:
+    """``endpoint_pair_expression`` as one integer numerator over one
+    denominator, unreduced. The double sum runs in integers, one numerator
+    per denominator n-1-j-2t; those numerators and the second term's
+    (s-r) tot over n-k are taken over the lcm of their denominators. A zero
+    denominator raises ``ZeroDivisionError``, as the Fraction it stands for
+    would."""
     if reading not in ENDPOINT_COUNT_READINGS:
         raise ValueError(f"unknown reading {reading!r}")
     c, e = ENDPOINT_COUNT_READINGS[reading]
-    second = Fraction(0)
+    by_den: dict[int, int] = {}
     if k < n:
         # C(n-k, r-j) and C(n-k, s-j) are nonzero for j in lo..hi; each step
         # multiplies by (k-j)/(j+1), (r-j)/(n-k-r+j+1) and (s-j)/(n-k-s+j+1)
@@ -253,8 +268,7 @@ def endpoint_pair_expression(n: int, r: int, s: int, k: int, reading: str) -> Fr
                 term = term * ((k - j) * (r - j) * (s - j)) // (
                     (j + 1) * (n - k - r + j + 1) * (n - k - s + j + 1)
                 )
-        second = Fraction((s - r) * tot, n - k)
-    by_den: dict[int, int] = {}
+        by_den[n - k] = (s - r) * tot
     for t in range((k + 1) // 2):  # C(k, 2t+1) and C(k-1-2t, j) vanish past these ranges
         q = r - 1 - 2 * t
         if q < 0 or s > n - 1 - 2 * t:
@@ -266,11 +280,12 @@ def endpoint_pair_expression(n: int, r: int, s: int, k: int, reading: str) -> Fr
         term = binom(k, 2 * t + 1) * binom(n - 1 - 2 * t, s) * binom(n - 1 - 2 * t, q)
         for j in range(hi + 1):
             den = n - 1 - j - 2 * t
-            signed = (s - j - r + c + 2 * e * t) * term
+            signed = 2 * (s - j - r + c + 2 * e * t) * term
             by_den[den] = by_den.get(den, 0) + (-signed if j % 2 else signed)
             if j < hi:
                 term = term * ((k - 1 - 2 * t - j) * (s - j) * (den - q)) // ((j + 1) * den * den)
-    return 2 * sum(Fraction(num, den) for den, num in by_den.items()) + second
+    common = lcm(*by_den)
+    return sum(num * (common // den) for den, num in by_den.items()), common
 
 
 def endpoint_pair_count(n: int, r: int, s: int, k: int) -> int:
@@ -295,8 +310,7 @@ def endpoint_pair_count(n: int, r: int, s: int, k: int) -> int:
     if not 0 <= k <= n - 1:
         raise ValueError(f"distinct endpoints need 0 <= k <= n-1, got k={k}")
     return _as_count(
-        endpoint_pair_expression(n, r, s, k, RESOLVED_ENDPOINT_READING),
-        f"endpoint_pair_count{(n, r, s, k)}"
+        *_endpoint_pair_terms(n, r, s, k, RESOLVED_ENDPOINT_READING), f"endpoint_pair_count{(n, r, s, k)}"
     )
 
 
@@ -304,9 +318,7 @@ def endpoint_pair_count_k0(n: int, r: int, s: int) -> int:
     """The no-meeting case in closed form: (s-r)/n * C(n, r) C(n, s)."""
     if not 0 <= r < s <= n:
         raise ValueError(f"need 0 <= r < s <= n, got r={r}, s={s}, n={n}")
-    return _as_count(
-        Fraction((s - r) * binom(n, r) * binom(n, s), n), f"endpoint_pair_count_k0{(n, r, s)}"
-    )
+    return _as_count((s - r) * binom(n, r) * binom(n, s), n, f"endpoint_pair_count_k0{(n, r, s)}")
 
 
 # --- free and same-endpoint pairs -------------------------------------------
@@ -332,8 +344,7 @@ def same_endpoint_pair_count(n: int, k: int) -> int:
     if n < 1 or not 0 <= k <= n - 1:
         raise ValueError(f"need n >= 1 and 0 <= k <= n-1, got n={n}, k={k}")
     return _as_count(
-        Fraction((1 << (k + 1)) * (k + 1) * _row_binomial(2 * n - k - 2, n - 1), n),
-        f"same_endpoint_pair_count{(n, k)}",
+        (1 << (k + 1)) * (k + 1) * _row_binomial(2 * n - k - 2, n - 1), n, f"same_endpoint_pair_count{(n, k)}"
     )
 
 

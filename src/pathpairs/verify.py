@@ -623,23 +623,30 @@ _LAGRANGE_POINTS = (
 
 def check_lagrange(n_max: int | None = None) -> CheckReport:
     """Coefficient extraction through f = x (y+f)(z+f) reproduces the first
-    closed form, at rational specializations of (y, z)."""
+    closed form, at rational specializations of (y, z).
+
+    Over one common denominator, y0 = y_num/den and z0 = z_num/den, the
+    direct row sum of the counts times y0^r z0^(n-r) is one integer
+    numerator, the sum of the counts times y_num^r z_num^(n-r), over den^n:
+    one ``Fraction`` per row."""
     rec = _Recorder("lagrange")
     n_max = max(2, min(8, _cap(n_max)))
     for y0, z0 in _LAGRANGE_POINTS:
+        y_num, z_num = y0.numerator * z0.denominator, z0.numerator * y0.denominator
+        den = y0.denominator * z0.denominator
+        base = y0 + z0
+        g = [y0 * z0, base, 1]
         for n in range(2, n_max + 1):
             for k in range(n - 1):
                 order = n - k - 1
-                base = y0 + z0
-                phi = [
-                    comb(k + 1, m) * base ** (k + 1 - m) * Fraction(2) ** m
-                    for m in range(k + 2)
-                ]
-                g = [y0 * z0, base, Fraction(1)]
+                phi = [comb(k + 1, m) * base ** (k + 1 - m) * 2 ** m for m in range(k + 2)]
                 extracted = series.lagrange_coefficient(phi, g, order)
-                direct = sum(
-                    formulas.rect_pair_count_a(n, r, k) * y0 ** r * z0 ** (n - r)
-                    for r in range(n + 1)
+                direct = Fraction(
+                    sum(
+                        formulas.rect_pair_count_a(n, r, k) * y_num ** r * z_num ** (n - r)
+                        for r in range(n + 1)
+                    ),
+                    den ** n,
                 )
                 rec.expect_equal(extracted, direct, y=y0, z=z0, n=n, k=k, sides="extraction vs row")
     return rec.report()

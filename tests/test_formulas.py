@@ -12,7 +12,9 @@ Core claims:
       formulas match their oracles and special values
     - counts that fail to reduce to integers raise IntegralityError, an
       ArithmeticError naming the function and its inputs, instead of rounding;
-      a value too long to print is named by its bit lengths
+      a value too long to print is named by its bit lengths; the divmod
+      reduction agrees with Fraction(num, den) for either sign of den
+    - binom_gen, read off math.comb, equals the falling-factorial product
     - the integer-arithmetic forms equal their factorial-ratio references:
       rect_pair_count_b equals rect_pair_count_a on every instance with
       n <= 40 (its r = 0 column without calling form a), and the average
@@ -107,18 +109,36 @@ def test_rect_count_b_r0_column_uses_its_own_form(monkeypatch):
 
 def test_non_integral_count_raises_integrality_error():
     with pytest.raises(formulas.IntegralityError, match=r"rect_pair_count_a\(5, 2, 1\)") as info:
-        formulas._as_count(Fraction(272, 3), "rect_pair_count_a(5, 2, 1)")
+        formulas._as_count(272, 3, "rect_pair_count_a(5, 2, 1)")
     assert isinstance(info.value, ArithmeticError)
     with pytest.raises(formulas.IntegralityError):
-        formulas._as_count(Fraction(-4), "narayana(3, 1)")
+        formulas._as_count(-4, 1, "narayana(3, 1)")
 
 
 def test_long_non_integral_count_names_its_size():
     # past the interpreter's 4,300-digit int-to-str limit the message names
     # the bit lengths instead of the value
-    value = Fraction(10**5000 + 1, 3)
     with pytest.raises(formulas.IntegralityError, match="16610-bit numerator over a 2-bit denominator"):
-        formulas._as_count(value, "x")
+        formulas._as_count(10**5000 + 1, 3, "x")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    num=st.integers(-(10**30), 10**30) | st.integers(-50, 50),
+    den=st.integers(-(10**12), 10**12).filter(bool) | st.integers(-12, 12).filter(bool),
+)
+def test_as_count_agrees_with_the_reduced_fraction(num, den):
+    # the divmod reduction returns the int exactly when num/den is a
+    # nonnegative integer, for either sign of den, and otherwise names the
+    # reduced value as the Fraction would print it
+    value = Fraction(num, den)
+    if value.denominator == 1 and value >= 0:
+        got = formulas._as_count(num, den, "ctx")
+        assert type(got) is int and got == value
+    else:
+        with pytest.raises(formulas.IntegralityError) as info:
+            formulas._as_count(num, den, "ctx")
+        assert str(info.value) == f"ctx: expected a nonnegative integer, got {value}"
 
 
 # The rectangle forms as displayed, one binom per factor of every term: the
@@ -307,9 +327,12 @@ def test_endpoint_expression_equals_termwise_reference():
         (60, 20, 35, 30), (60, 0, 60, 59), (60, 29, 30, 12), (60, 30, 30, 58),
         (150, 60, 85, 50), (151, 33, 101, 49),
     ]
+    # rows whose denominators n-1-j-2t and n-k share factors, so the lcm
+    # they are taken over is far below their product
+    shared = [(60, 20, 35, k) for k in (4, 11, 20, 36, 48)] + [(150, 60, 85, k) for k in (29, 74)]
     assert list(formulas.ENDPOINT_COUNT_READINGS) == list(_READING_PREFACTORS)
     raised = 0
-    for args in small + large:
+    for args in small + large + shared:
         for reading in _READING_PREFACTORS:
             want = _value_or_zero_division(_termwise_endpoint_expression, *args, reading)
             got = _value_or_zero_division(formulas.endpoint_pair_expression, *args, reading)
@@ -611,6 +634,23 @@ def test_binom_gen_negative_upper():
     assert formulas.binom_gen(-1, 2) == 1
     assert formulas.binom_gen(4, 2) == 6
     assert formulas.binom_gen(4, -1) == 0
+
+
+def _falling_factorial_binomial(x, m):
+    """x(x-1)...(x-m+1)/m! by the product itself: the reference ``binom_gen``
+    must equal."""
+    if m < 0:
+        return 0
+    num = 1
+    for t in range(m):
+        num *= x - t
+    return num // factorial(m)
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=st.integers(-60, 60), m=st.integers(-3, 40))
+def test_binom_gen_equals_the_falling_factorial(x, m):
+    assert formulas.binom_gen(x, m) == _falling_factorial_binomial(x, m)
 
 
 def test_vandermonde_identities_on_grid():
