@@ -37,6 +37,16 @@ enumerator, in the fixed order of the E-step positions as combinations.
 ``PathNE.vertices``, ``end``, ``from_word`` and ``column_heights`` stay as
 public views of a path, though the census reads none of them.
 
+Both ``all_paths`` and ``meeting_census`` are memoized behind their
+signatures, so every table, the 2-to-1 replay and the command line share
+one enumeration and one tally of each family per process. ``_family``, an
+``lru_cache`` of 128 slots, keeps the families with at most 12 steps (all 91
+fit); ``_census``, one of 256 slots, keeps the tallies of two families of
+at most 924 paths (C(12, 6)) of at most 12 steps, keyed by their words and
+the convention. Each call returns a fresh list or dict, a family that fails
+its checks raises on every call and is never kept, and a larger family is
+built and tallied afresh, by the same code.
+
 All values are immutable and all operations are pure functions.
 ``InvariantError`` is what a route raises when one of its own
 postconditions fails, and ``as_probability`` is the one check the routes
@@ -47,8 +57,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, compress, count
+from math import comb
 from operator import add, ne
 
 Point = tuple[int, int]
@@ -141,18 +152,34 @@ class PathNE:
         return tuple(vy for vx, vy in self.vertices if vx == x)
 
 
+#: The memos keep a family only if it has at most ``_MEMO_PATHS`` paths of
+#: at most ``_MEMO_STEPS`` steps: C(12, 6) = 924 paths of 12 steps, the
+#: largest family a route enumerates within its default bound.
+_MEMO_STEPS = 12
+_MEMO_PATHS = comb(_MEMO_STEPS, _MEMO_STEPS // 2)
+
+
 def all_paths(n: int, r: int) -> list[PathNE]:
     """Every n-step path from the origin with r east steps, in the order of
-    ``itertools.combinations`` over the E-step positions."""
+    ``itertools.combinations`` over the E-step positions, as a fresh list.
+    A family of at most ``_MEMO_STEPS`` steps is built once per process, by
+    ``_family``; a longer one is built afresh on every call."""
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
+    return list(_family(n, r) if n <= _MEMO_STEPS else _family.__wrapped__(n, r))
+
+
+@lru_cache(maxsize=128, typed=True)
+def _family(n: int, r: int) -> tuple[PathNE, ...]:
+    """The paths of ``all_paths(n, r)``, as a tuple. Every (n, r) with
+    n <= 12, 91 in all, fits in the memo at once."""
     out = []
     for epos in combinations(range(n), r):
         steps = [NORTH] * n
         for t in epos:
             steps[t] = EAST
         out.append(PathNE("".join(steps)))
-    return out
+    return tuple(out)
 
 
 def _window(convention, words) -> range:
@@ -204,8 +231,39 @@ _BATCH = 16
 def meeting_census(left, right, convention) -> dict[int, int]:
     """How many pairs (a, b) in ``left`` x ``right`` share k vertices under
     ``convention``, for every k that occurs: the tally of
-    ``len(meeting_points(a, b, convention))`` over all pairs. Only the step
-    words are read.
+    ``len(meeting_points(a, b, convention))`` over all pairs, as a fresh
+    dict. Only the step words are read.
+
+    Two families the memos keep (``_kept``) are tallied once per process,
+    by ``_census``, keyed by their words and the convention; any others are
+    tallied afresh, and so is an unknown convention, which ``_tally``
+    names in its error even when it cannot be hashed. Either way the count
+    is ``_tally``'s. A family that fails ``_window`` raises on every call,
+    so it is never kept."""
+    lefts = tuple([a.word for a in left])
+    rights = tuple([b.word for b in right])
+    if convention in (INTERIOR, EXCLUDING_ORIGIN) and _kept(lefts) and _kept(rights):
+        return dict(_census(lefts, rights, convention))
+    return _tally(lefts, rights, convention)
+
+
+def _kept(words) -> bool:
+    """Whether the memos keep a family of these step words: at most
+    ``_MEMO_PATHS`` of them, and the first at most ``_MEMO_STEPS`` steps
+    long. A family is kept only once ``_window`` has found all its words
+    equally long."""
+    return len(words) <= _MEMO_PATHS and (not words or len(words[0]) <= _MEMO_STEPS)
+
+
+@lru_cache(maxsize=256)
+def _census(lefts: tuple[str, ...], rights: tuple[str, ...], convention) -> dict[int, int]:
+    """``_tally`` of two kept families, memoized; its callers copy the
+    dict."""
+    return _tally(lefts, rights, convention)
+
+
+def _tally(lefts, rights, convention) -> dict[int, int]:
+    """The census of the step words ``lefts`` x ``rights``.
 
     Bit-sliced: bit j of every int below is the lane of the pair (a,
     ``right[j]``). The window is steps 1..``counted``, and two paths share
@@ -231,8 +289,6 @@ def meeting_census(left, right, convention) -> dict[int, int]:
     once, at the end, by inclusion-exclusion over supersets. Every pair is
     counted, but in big-int operations over all of ``right`` at once, not
     one interpreter step per pair."""
-    lefts = [a.word for a in left]
-    rights = [b.word for b in right]
     counted = len(_window(convention, [*lefts, *rights]))
     if not rights:
         return {}

@@ -26,8 +26,9 @@ Core claims:
       descending, repeated or random, rows in turn or interleaved; the
       meeting probability, stepped as a reduced fraction, equals the
       same-endpoint count over C(2n, n) at every n < 60, swept forward,
-      backward and shuffled; the binomial-row memo gives exact values to
-      eight threads calling it at once
+      backward and shuffled, and equals a fresh reduced Fraction when sweeps
+      of rows n and n + 1 interleave; the binomial-row memo gives exact
+      values to eight threads calling it at once
     - the ratio-stepped sums equal the one-binom-per-factor references kept
       below: both rectangle forms on every instance with n <= 30 and on a
       sparse grid at n = 100 and 301, the two-endpoint expression under
@@ -513,6 +514,25 @@ def test_stepped_meet_prob_is_the_count_over_the_central_binomial_in_any_order()
         shuffle.shuffle(shuffled)
         for ks in (range(n), range(n - 1, -1, -1), shuffled):
             assert [formulas.same_endpoint_meet_prob(n, k) for k in ks] == [expected[k] for k in ks], n
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 70),
+    descending=st.tuples(st.booleans(), st.booleans()),
+    turns=st.lists(st.booleans(), max_size=150),
+)
+def test_meet_prob_in_interleaved_row_sweeps_is_the_reduced_fraction(n, descending, turns):
+    # rows n and n + 1 are swept over k, each up or down, and ``turns``
+    # picks which row takes its next step, as the wz suite alternates them
+    sweeps = []
+    for m, down in zip((n, n + 1), descending):
+        ks = range(m - 1, -1, -1) if down else range(m)
+        sweeps.append([(m, k) for k in reversed(ks)])  # popped from the end, in ks order
+    order = [sweeps[turn].pop() for turn in turns if sweeps[turn]] + sweeps[0][::-1] + sweeps[1][::-1]
+    for m, k in order:
+        fresh = Fraction((1 << (k + 1)) * (k + 1) * comb(2 * m - k - 2, m - 1), m * comb(2 * m, m))
+        assert formulas.same_endpoint_meet_prob(m, k) == fresh, (m, k)
 
 
 def test_central_binomial_equals_comb():

@@ -23,17 +23,23 @@ Core claims:
     - a path is a str of E and N steps, with no start of its own, and
       ``from_word`` rejects an invalid word on every call; ``end`` counted
       from the steps is the last vertex
+    - the memos under ``all_paths`` and ``meeting_census`` give what the
+      unmemoized builders give, hand out fresh lists and dicts, never keep a
+      family that raises, stay within their bounds, and keep no family of
+      more than 924 paths or 12 steps
 """
 
 import random
 import re
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pathpairs import paths
 from pathpairs.paths import (
     EXCLUDING_ORIGIN,
     INTERIOR,
@@ -391,3 +397,105 @@ def test_batch_forms_keep_the_pair_messages():
     for message, a, b, convention in cases:
         _raises(message, lambda: meeting_census([a], [b], convention))
         _raises(message, lambda: meeting_points(a, b, convention))
+
+
+# --- the memos under the enumerator and the census ------------------------------
+
+
+def _clear_memos():
+    paths._family.cache_clear()
+    paths._census.cache_clear()
+
+
+def _words(family):
+    return tuple(p.word for p in family)
+
+
+def test_a_mutated_result_does_not_leak_into_the_next_call():
+    family = all_paths(5, 2)
+    words_before = [p.word for p in family]
+    family.reverse()
+    family.append(PathNE("EEEEE"))
+    assert [p.word for p in all_paths(5, 2)] == words_before
+    assert all_paths(5, 2) is not all_paths(5, 2)
+    for convention in CONVENTIONS:
+        census = meeting_census(all_paths(5, 2), all_paths(5, 2), convention)
+        expected = dict(census)
+        census[0] = -1
+        census[99] = 1
+        assert meeting_census(all_paths(5, 2), all_paths(5, 2), convention) == expected
+
+
+def test_an_invalid_family_raises_on_every_call_and_is_never_kept():
+    _clear_memos()
+    short, long = all_paths(3, 1), all_paths(4, 1)
+    cases = [
+        (short[:1], long, EXCLUDING_ORIGIN, "paths have different step counts: 3 vs 4"),
+        (long, long + short, INTERIOR, "paths have different step counts: 4 vs 3"),
+        (long, all_paths(4, 2), INTERIOR, "interior count needs equal endpoints, got [(1, 3), (2, 2)]"),
+        (long, long, len, f"unknown counting convention {len!r}"),
+        (long, long, ["interior"], "unknown counting convention ['interior']"),
+    ]
+    for _ in range(3):
+        for left, right, convention, message in cases:
+            _raises(message, lambda: meeting_census(left, right, convention))
+    assert paths._census.cache_info().currsize == 0
+
+
+@st.composite
+def _families(draw):
+    """An (n, r) with n <= 12, and two sub-families of ``all_paths(n, r)``."""
+    n = draw(st.integers(0, 12))
+    r = draw(st.integers(0, n))
+    family = paths._family.__wrapped__(n, r)
+    left = draw(st.lists(st.sampled_from(family), min_size=0, max_size=20))
+    right = draw(st.lists(st.sampled_from(family), min_size=1, max_size=20))
+    return n, r, left, right
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_families(), convention=st.sampled_from(CONVENTIONS))
+def test_memoized_results_equal_the_unmemoized_builders(case, convention):
+    n, r, left, right = case
+    assert all_paths(n, r) == list(paths._family.__wrapped__(n, r))
+    kernel = paths._census.__wrapped__(_words(left), _words(right), convention)
+    assert meeting_census(left, right, convention) == kernel
+    assert meeting_census(left, right, convention) == kernel  # now from the memo
+    assert meeting_census(left, right, convention) == _tally(left, right, convention)
+
+
+def test_the_memos_stay_within_their_bounds():
+    _clear_memos()
+    for n in range(paths._MEMO_STEPS + 1):
+        for r in range(n + 1):
+            all_paths(n, r)
+    family_info = paths._family.cache_info()
+    assert family_info.currsize == 91 <= family_info.maxsize
+    # 2 x 252 distinct keys, past the census bound of 256
+    family, right = all_paths(10, 5), all_paths(10, 5)[:8]
+    for convention in CONVENTIONS:
+        for i in range(1, len(family) + 1):
+            meeting_census(family[:i], right, convention)
+    census_info = paths._census.cache_info()
+    assert census_info.currsize == census_info.maxsize == 256
+    assert census_info.misses == 2 * len(family)
+
+
+def test_no_family_past_924_paths_or_12_steps_is_kept():
+    _clear_memos()
+    assert comb(13, 6) > paths._MEMO_PATHS == comb(12, 6) == 924
+    big = all_paths(13, 6)
+    assert len(big) == comb(13, 6)
+    long = all_paths(13, 1)  # 13 paths, but of 13 steps
+    walks = [p for r in range(11) for p in all_paths(10, r)]  # 1,024 walks of 10 steps
+    assert paths._family.cache_info().currsize == 11  # only the ten-step families
+    cases = [
+        (big[:3], big, INTERIOR),
+        (big, big[:3], EXCLUDING_ORIGIN),
+        (long, long, INTERIOR),
+        (walks[:5], walks, EXCLUDING_ORIGIN),
+    ]
+    for left, right, convention in cases:
+        census = meeting_census(left, right, convention)
+        assert census == paths._census.__wrapped__(_words(left), _words(right), convention)
+    assert paths._census.cache_info().currsize == 0

@@ -11,7 +11,8 @@ Core claims:
       also its seed), and the runner looks each check up by name as it runs
     - a shrunken n_max still passes every suite (smoke run)
     - every suite reads the four enumerated tables through one memo, so a
-      full run builds each (function, arguments) table exactly once
+      full run builds each (function, arguments) table exactly once; under
+      it, a full run from cleared memos tallies each census key at most once
     - the barrier suite compares its two walker DPs in integers, but a
       perturbed single-walker or pair mass fails it with the configuration
       and both values shown as reduced probabilities
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 import pytest
 
-from pathpairs import oracle, verify
+from pathpairs import oracle, paths, verify
 from pathpairs.verify import CheckReport, VerifyConfig, _Recorder
 
 
@@ -140,6 +141,22 @@ def test_every_enumerated_table_is_built_once(monkeypatch):
     assert {name for name, _ in builds} == set(TABLE_FUNCTIONS)
     assert max(builds.values()) == 1, [key for key, count in builds.items() if count > 1]
     assert builds[("free_pair_table", (8,))] == builds[("same_endpoint_pair_table", (9,))] == 1
+
+
+def test_a_full_run_tallies_each_census_at_most_once(monkeypatch):
+    runs = Counter()
+    tally = paths._tally
+    monkeypatch.setattr(paths, "_tally", lambda *key: runs.update([key]) or tally(*key))
+    memos = (verify._table, paths._family, paths._census)
+    for memo in memos:
+        memo.cache_clear()
+    try:
+        reports = verify.run_all()
+    finally:
+        for memo in memos:
+            memo.cache_clear()
+    assert all(report.passed for report in reports)
+    assert runs and max(runs.values()) == 1, [key[2] for key, count in runs.items() if count > 1]
 
 
 def test_barrier_suite_fails_on_a_perturbed_single_walker(monkeypatch):
