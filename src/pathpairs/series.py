@@ -41,6 +41,17 @@ generatingfunctionology), so its powers obey the three-term chain
 s_(m+1) = 2 s_m - c s_(m-1): one product by the few terms of c per power in
 place of dense products. Truncation by total degree is a ring
 homomorphism, so the chain gives the very series square-and-multiply gives.
+
+Each chain is stepped once per process: ``_CHAINS`` keeps its terms by
+kind and truncation degree, and a builder reads term m there, stepping on
+only past the terms kept, since the next term needs only the two before it.
+Only chains of degree at most 24 are kept (``_MEMO_DEGREE``, twice the
+``series`` route's bound on n), so at most 75 chains of at most degree + 1
+terms each; a larger degree steps a fresh chain, holding two terms at a
+time. Every h has no constant term, so each term past the degree is the
+zero series, returned without stepping. A kept chain is a tuple, read and
+replaced whole, never edited, and a series never changes once built, so
+callers and threads can share the terms.
 """
 
 from __future__ import annotations
@@ -65,10 +76,12 @@ class BiSeries:
     is one with no y terms.
 
     ``coeffs`` maps exponent pairs (i, j) with i + j <= degree to their
-    nonzero coefficients; absent keys are zero.
+    nonzero coefficients; absent keys are zero. A series never changes once
+    built, its ``degree`` included, so the builders can hand one series to
+    every caller.
     """
 
-    __slots__ = ("degree", "_num", "_den", "_view")
+    __slots__ = ("_degree", "_num", "_den", "_view")
 
     def __init__(self, degree: int, coeffs=None):
         if degree < 0:
@@ -90,13 +103,18 @@ class BiSeries:
         if g != 1:
             num = {key: c // g for key, c in num.items()}
             den //= g
-        self.degree, self._num, self._den, self._view = degree, num, den, None
+        self._degree, self._num, self._den, self._view = degree, num, den, None
 
     @classmethod
     def _of(cls, degree: int, num: dict, den: int) -> "BiSeries":
         out = object.__new__(cls)
         out._store(degree, num, den)
         return out
+
+    @property
+    def degree(self) -> int:
+        """The truncation degree D: every kept monomial has i + j <= D."""
+        return self._degree
 
     @property
     def coeffs(self) -> dict:
@@ -106,32 +124,32 @@ class BiSeries:
         return self._view
 
     def coeff(self, i: int, j: int = 0) -> Fraction:
-        if i < 0 or j < 0 or i + j > self.degree:
-            raise IndexError(f"monomial {(i, j)} beyond total degree {self.degree}")
+        if i < 0 or j < 0 or i + j > self._degree:
+            raise IndexError(f"monomial {(i, j)} beyond total degree {self._degree}")
         return Fraction(self._num.get((i, j), 0), self._den)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BiSeries)
-            and self.degree == other.degree
+            and self._degree == other._degree
             and self._den == other._den
             and self._num == other._num
         )
 
     def __hash__(self):
-        return hash((self.degree, self._den, frozenset(self._num.items())))
+        return hash((self._degree, self._den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
-        return f"BiSeries(degree={self.degree}, terms={len(self._num)})"
+        return f"BiSeries(degree={self._degree}, terms={len(self._num)})"
 
     def _coerce(self, other) -> "BiSeries":
         if isinstance(other, BiSeries):
-            if other.degree != self.degree:
+            if other._degree != self._degree:
                 raise ValueError(
-                    f"mixed truncation degrees {self.degree} and {other.degree}"
+                    f"mixed truncation degrees {self._degree} and {other._degree}"
                 )
             return other
-        return BiSeries(self.degree, {(0, 0): other})
+        return BiSeries(self._degree, {(0, 0): other})
 
     def __add__(self, other) -> "BiSeries":
         o = self._coerce(other)
@@ -141,12 +159,12 @@ class BiSeries:
         out = {key: c * mine for key, c in self._num.items()}
         for key, c in o._num.items():
             out[key] = out.get(key, 0) + c * theirs
-        return self._of(self.degree, out, self._den * mine)
+        return self._of(self._degree, out, self._den * mine)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BiSeries":
-        return self._of(self.degree, {key: -c for key, c in self._num.items()}, self._den)
+        return self._of(self._degree, {key: -c for key, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "BiSeries":
         return self + (-self._coerce(other))
@@ -158,9 +176,9 @@ class BiSeries:
         if not isinstance(other, BiSeries):
             c = Fraction(other)
             num = {key: v * c.numerator for key, v in self._num.items()}
-            return self._of(self.degree, num, self._den * c.denominator)
+            return self._of(self._degree, num, self._den * c.denominator)
         o = self._coerce(other)
-        d = self.degree
+        d = self._degree
         # the other factor's terms by total degree t, so each term of this
         # one meets only the t <= d - (i1 + j1) that survive truncation
         by_degree: list[list] = [[] for _ in range(d + 1)]
@@ -185,7 +203,7 @@ class BiSeries:
         if m < 0:
             raise ValueError("negative powers go through inverse()")
         # square-and-multiply over the bits of m, lowest first
-        acc = BiSeries(self.degree, {(0, 0): 1})
+        acc = BiSeries(self._degree, {(0, 0): 1})
         square = self
         while m:
             if m & 1:
@@ -211,7 +229,7 @@ class BiSeries:
         # g_{m-a} is lifted from scale[t-|a|] to scale[t-1] by their ratio.
         # The candidates at degree t are the shifts m' + a of the nonzero
         # g_{m'} with |m'| = t - |a|.
-        d, den = self.degree, self._den
+        d, den = self._degree, self._den
         steps = [(i + j, i, j, c) for (i, j), c in self._num.items() if i or j]
         root = {(0, 0): 1}
         by_degree: list[list] = [[(0, 0)]] + [[] for _ in range(d)]
@@ -248,8 +266,8 @@ class BiSeries:
         # a v exact to degree e is exact to 2e + 1 after one step, and s v - 1
         # has no terms below degree e + 1, so the second product is short
         v = BiSeries(0, {(0, 0): 1 / c0})
-        while v.degree < self.degree:
-            d = min(2 * v.degree + 1, self.degree)
+        while v._degree < self._degree:
+            d = min(2 * v._degree + 1, self._degree)
             v = v._truncated(d)
             v = v - v * (self._truncated(d) * v - 1)
         return v
@@ -284,7 +302,7 @@ def _chain(first: BiSeries, second: BiSeries, c: BiSeries):
     """
     if c._den != 1:
         raise ValueError("the chain needs c with integer coefficients")
-    d = first.degree
+    d = first._degree
     den = lcm(first._den, second._den)
     prev = {key: v * (den // first._den) for key, v in first._num.items()}
     cur = {key: v * (den // second._den) for key, v in second._num.items()}
@@ -303,29 +321,82 @@ def _chain(first: BiSeries, second: BiSeries, c: BiSeries):
         yield BiSeries._of(d, cur, den)
 
 
-def _rect_chain(degree: int):
-    """The powers 0, 1, 2, ... of the base series h = 1 - sqrt(kernel), by
-    the chain with c = 1 - kernel."""
+#: A chain is kept once per process only at a truncation degree of at most
+#: ``_MEMO_DEGREE``: 2 x 12, the largest n + r the ``series`` route of
+#: ``nkr`` reaches within its default bound.
+_MEMO_DEGREE = 24
+
+#: The kept chains, by (kind, degree), where the kind is the function that
+#: starts the chain: its c and the terms s_0, s_1, ... stepped so far, at
+#: most degree + 1 of them. An entry is read and replaced whole, never
+#: edited, so threads that extend one chain at once each step a generator of
+#: their own; the last to write wins, and if its tuple is the shorter, a
+#: later call steps the missing terms again. Every kept tuple is a prefix of
+#: the one chain, so no reader sees a wrong term.
+_CHAINS: dict[tuple, tuple[BiSeries, tuple[BiSeries, ...]]] = {}
+
+
+def _terms(kind, degree: int, start: int, stop: int) -> list[BiSeries]:
+    """Terms start .. stop - 1 of the chain that ``kind(degree)`` starts.
+
+    Every chain's h has no constant term, so each term past the degree is
+    the zero series, returned without stepping. A chain of degree at most
+    ``_MEMO_DEGREE`` is read from ``_CHAINS``; any other is stepped afresh,
+    holding two terms at a time.
+    """
+    top = min(stop, degree + 1)
+    if top <= start:
+        terms = ()
+    elif degree <= _MEMO_DEGREE:
+        terms = _kept(kind, degree, top)[start:top]
+    else:
+        terms = islice(_chain(*kind(degree)), start, top)
+    return [*terms, *(BiSeries(degree) for _ in range(max(start, top), stop))]
+
+
+def _kept(kind, degree: int, length: int) -> tuple[BiSeries, ...]:
+    """At least the first ``length`` terms of a kept chain, for a length of
+    at most degree + 1. The chain is stepped on from the last two terms kept:
+    s_(m+1) = 2 s_m - c s_(m-1) reads only the two terms before it, wherever
+    the chain started."""
+    c, terms = _CHAINS.get((kind, degree), (None, ()))
+    if len(terms) >= length:
+        return terms
+    if len(terms) < 2:
+        first, second, c = kind(degree)
+        terms, steps = (), _chain(first, second, c)
+    else:
+        steps = islice(_chain(terms[-2], terms[-1], c), 2, None)
+    terms += tuple(islice(steps, length - len(terms)))
+    _CHAINS[kind, degree] = c, terms
+    return terms
+
+
+def _rect_chain(degree: int) -> tuple[BiSeries, BiSeries, BiSeries]:
+    """The first two terms and c of the rectangle chain: the powers 0, 1,
+    2, ... of the base series h = 1 - sqrt(kernel), with c = 1 - kernel."""
     one = BiSeries(degree, {(0, 0): 1})
-    return _chain(one, rect_pair_base(degree), 1 - _rect_kernel(degree))
+    return one, rect_pair_base(degree), 1 - _rect_kernel(degree)
 
 
 def rect_pair_powers(k_max: int, degree: int) -> list[BiSeries]:
-    """The powers 1 .. k_max+1 of the base series, each by the chain from
-    the two powers before it (see ``_chain``); entry k's (x^n y^r)
-    coefficient counts ordered pairs with exactly k interior meetings."""
+    """The powers 1 .. k_max+1 of the base series, terms of the rectangle
+    chain (see ``_terms``); entry k's (x^n y^r) coefficient counts ordered
+    pairs with exactly k interior meetings."""
     if k_max < 0:
         raise ValueError("k must be nonnegative")
-    return list(islice(_rect_chain(degree), 1, k_max + 2))
+    return _terms(_rect_chain, degree, 1, k_max + 2)
 
 
 def rect_pair_power(k: int, degree: int) -> BiSeries:
-    """(k+1)-th power of the base series, by the chain with c = 1 - kernel
-    (see ``_chain``), holding two terms at a time; its (x^n y^r)
+    """(k+1)-th power of the base series, term k + 1 of the rectangle chain
+    (see ``_terms``): the kept term up to degree ``_MEMO_DEGREE``, and above
+    it one stepped afresh, holding two terms at a time; its (x^n y^r)
     coefficient counts ordered pairs with exactly k interior meetings."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return next(islice(_rect_chain(degree), k + 1, None))
+    (power,) = _terms(_rect_chain, degree, k + 1, k + 2)
+    return power
 
 
 def _narayana_disc(degree: int) -> BiSeries:
@@ -344,32 +415,46 @@ def narayana_base(degree: int) -> BiSeries:
     return (linear - _narayana_disc(degree).sqrt()) * Fraction(1, 2)
 
 
+def _meeting_chain(degree: int) -> tuple[BiSeries, BiSeries, BiSeries]:
+    """The first two terms and c of the meeting-polynomial chain: the powers
+    of y + z + 2f = 1 - sqrt(disc), f built by ``narayana_base``, with
+    c = 1 - disc = 2(y+z) - (y-z)^2."""
+    one = BiSeries(degree, {(0, 0): 1})
+    base = BiSeries(degree, {(1, 0): 1, (0, 1): 1}) + 2 * narayana_base(degree)
+    return one, base, 1 - _narayana_disc(degree)
+
+
 def meeting_poly_power(k: int, degree: int) -> BiSeries:
     """(y + z + 2 f)^(k+1); its (y^r z^(n-r)) coefficient is the rectangle
     pair count with k interior meetings.
 
-    y + z + 2f = 1 - sqrt(disc), so the power comes from the chain with
-    c = 1 - disc = 2(y+z) - (y-z)^2 (see ``_chain``), holding two terms at
-    a time; the series powered is the one built from ``narayana_base``."""
+    The power is term k + 1 of the meeting-polynomial chain (see
+    ``_terms``): the kept term up to degree ``_MEMO_DEGREE``, and above it
+    one stepped afresh, holding two terms at a time."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    one = BiSeries(degree, {(0, 0): 1})
-    base = BiSeries(degree, {(1, 0): 1, (0, 1): 1}) + 2 * narayana_base(degree)
-    return next(islice(_chain(one, base, 1 - _narayana_disc(degree)), k + 1, None))
+    (power,) = _terms(_meeting_chain, degree, k + 1, k + 2)
+    return power
+
+
+def _free_chain(degree: int) -> tuple[BiSeries, BiSeries, BiSeries]:
+    """The first two terms and c of the free-pair chain: with P = 1 - 4x and
+    h = 1 - sqrt(P), the terms h^m / sqrt(P), from F_0 = P^(-1/2) (Miller's
+    recurrence, as in ``sqrt``) and F_1 = h F_0 = F_0 - 1, with
+    c = 1 - P = 4x."""
+    kernel = BiSeries(degree, {(0, 0): 1, (1, 0): -4})
+    f0 = kernel._half_power(-1)
+    return f0, f0 - 1, 1 - kernel
 
 
 def free_pair_series(k: int, degree: int) -> BiSeries:
-    """(1 - sqrt(1-4x))^k / sqrt(1-4x); the x^n coefficient counts free pair
-    walks with exactly k post-origin meetings (zero for n < k).
-
-    With P = 1 - 4x and h = 1 - sqrt(P), h^k / sqrt(P) is the chain's term
-    k from F_0 = P^(-1/2) (Miller's recurrence, as in ``sqrt``) and F_1 =
-    h F_0 = F_0 - 1, with c = 1 - P = 4x (see ``_chain``)."""
+    """(1 - sqrt(1-4x))^k / sqrt(1-4x), term k of the free-pair chain (see
+    ``_terms``); the x^n coefficient counts free pair walks with exactly k
+    post-origin meetings (zero for n < k)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    kernel = BiSeries(degree, {(0, 0): 1, (1, 0): -4})
-    f0 = kernel._half_power(-1)
-    return next(islice(_chain(f0, f0 - 1, 1 - kernel), k, None))
+    (term,) = _terms(_free_chain, degree, k, k + 1)
+    return term
 
 
 # --- Lagrange inversion -------------------------------------------------------

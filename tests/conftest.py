@@ -1,0 +1,28 @@
+"""Shared fixtures.
+
+``cold_memos`` empties every memo the package keeps for the life of a
+process, before the test and after it, and hands the test the function that
+empties them, so a test that patches code under a memo can start each run
+cold. A warm memo returns what an earlier run computed, so without the clear
+a perturbed function under it would never run, and a mutant would survive
+for no fault of the checks.
+"""
+
+import pytest
+
+from pathpairs import formulas, paths, series, verify
+
+
+def clear_memos() -> None:
+    """Empty the memos of tables, families, censuses, central binomials and
+    series chains."""
+    for memo in (verify._table, paths._family, paths._census, formulas._central_binomial):
+        memo.cache_clear()
+    series._CHAINS.clear()
+
+
+@pytest.fixture
+def cold_memos():
+    clear_memos()
+    yield clear_memos
+    clear_memos()

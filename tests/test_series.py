@@ -22,16 +22,27 @@ Core claims:
       sqrt, inverse and the inverse root (dense inputs and sparse
       kernel-shaped ones), obeys the ring laws, hands out Fractions, and
       keeps a canonical form: equal values give equal, equally hashed series
+    - a series never changes once built: its degree is read-only
+    - each chain of degree <= 24 (twice the series route's bound) is kept once
+      per process: in any request order, from any number of threads, every
+      kept term equals the term a fresh chain steps, repeated calls share one
+      object, terms past the degree are zero and step nothing, and no chain
+      above the bound is kept
 """
 
+import functools
+import random
+import sys
+import threading
 from fractions import Fraction
+from itertools import islice, product
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pathpairs import formulas, oracle, series, verify
+from pathpairs import formulas, oracle, routes, series, verify
 from pathpairs.series import BiSeries
 
 
@@ -464,3 +475,142 @@ def test_coeffs_is_a_read_only_fraction_dict():
     with pytest.raises(TypeError):
         s.coeffs.update({(0, 1): 1})
     assert s.coeff(0, 1) == 0
+
+
+def test_degree_is_read_only():
+    s = series.rect_pair_power(1, 4)
+    twin = BiSeries(4, s.coeffs)
+    with pytest.raises(AttributeError):
+        s.degree = 2
+    assert s.degree == 4 and s.coeff(3, 1) == 4
+    assert s == twin and hash(s) == hash(twin)
+
+
+# --- the kept chains ----------------------------------------------------------
+
+# each builder, the chain it reads and the term it reads at k
+_KEPT = [
+    (series.rect_pair_power, series._rect_chain, 1),
+    (series.meeting_poly_power, series._meeting_chain, 1),
+    (series.free_pair_series, series._free_chain, 0),
+]
+
+
+@functools.cache
+def _fresh_chain(kind, degree):
+    """The terms 0 .. degree + 3 of a chain stepped afresh, by ``_chain``
+    itself, with no memo in the way."""
+    return tuple(islice(series._chain(*kind(degree)), degree + 4))
+
+
+@st.composite
+def _requests(draw):
+    """A request order: builders, degrees <= 24 and terms <= degree + 3, with
+    ``rect_pair_powers`` reading a run of terms."""
+    out = []
+    for _ in range(draw(st.integers(1, 8))):
+        degree = draw(st.integers(0, series._MEMO_DEGREE))
+        which = draw(st.integers(0, len(_KEPT)))
+        offset = _KEPT[which][2] if which < len(_KEPT) else 1
+        out.append((which, degree, draw(st.integers(0, degree + 3 - offset))))
+    return out
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(requests=_requests())
+def test_kept_terms_equal_a_fresh_chain_in_any_request_order(cold_memos, requests):
+    cold_memos()
+    for which, degree, k in requests:
+        if which == len(_KEPT):
+            assert series.rect_pair_powers(k, degree) == list(_fresh_chain(series._rect_chain, degree)[1 : k + 2])
+            continue
+        build, kind, offset = _KEPT[which]
+        assert build(k, degree) == _fresh_chain(kind, degree)[k + offset], (build.__name__, degree, k)
+    for (kind, degree), (_, terms) in series._CHAINS.items():
+        assert terms == _fresh_chain(kind, degree)[: len(terms)]
+        assert len(terms) <= degree + 1
+
+
+def test_every_term_past_the_degree_is_zero_and_steps_nothing(cold_memos):
+    for build, kind, offset in _KEPT:
+        assert build(7 - offset, 3) == build(30, 3) == BiSeries(3) == _fresh_chain(kind, 3)[4]
+        assert build(50, 40) == BiSeries(40)
+    assert series._CHAINS == {}
+
+
+def test_repeated_calls_share_one_kept_series(cold_memos):
+    for build, _, _ in _KEPT:
+        assert build(3, 12) is build(3, 12)
+    powers = series.rect_pair_powers(9, 18)
+    for k, power in enumerate(powers):
+        assert power is series.rect_pair_power(k, 18) is series.rect_pair_powers(k, 18)[k]
+    assert len(series._CHAINS[series._rect_chain, 18][1]) == 11
+
+
+def test_a_chain_past_the_bound_is_not_kept(cold_memos):
+    degree = series._MEMO_DEGREE + 1
+    for build, kind, offset in _KEPT:
+        assert build(4, degree) == _fresh_chain(kind, degree)[4 + offset]
+    assert series.rect_pair_powers(3, degree) == list(_fresh_chain(series._rect_chain, degree)[1:5])
+    assert series._CHAINS == {}
+
+
+def test_threads_extending_one_chain_at_once_get_the_fresh_terms(monkeypatch, cold_memos):
+    degree = 16
+    fresh = _fresh_chain(series._rect_chain, degree)
+    series.rect_pair_power(2, degree)  # keeps the terms 0 .. 3
+    chain = series._chain
+    both_read = threading.Barrier(2, timeout=10)
+
+    def paused(first, second, c):
+        # neither thread steps past the kept terms before both have read them
+        both_read.wait()
+        yield from chain(first, second, c)
+
+    monkeypatch.setattr(series, "_chain", paused)
+    got = {}
+    workers = [
+        threading.Thread(target=lambda k=k: got.update({k: series.rect_pair_powers(k, degree)}))
+        for k in (8, 13)
+    ]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    monkeypatch.setattr(series, "_chain", chain)
+    assert got == {k: list(fresh[1 : k + 2]) for k in (8, 13)}
+    _, kept = series._CHAINS[series._rect_chain, degree]
+    assert len(kept) in (10, 15) and kept == fresh[: len(kept)]
+    assert series.rect_pair_power(degree - 1, degree) == fresh[degree]
+
+
+def test_many_threads_stepping_the_kept_chains_get_the_fresh_terms(cold_memos):
+    requests = [(which, degree, k) for degree in (9, 16, 24) for k in range(degree + 2) for which in range(3)]
+    errors = []
+
+    def worker(seed):
+        for which, degree, k in random.Random(seed).sample(requests, len(requests)):
+            build, kind, offset = _KEPT[which]
+            if build(k, degree) != _fresh_chain(kind, degree)[k + offset]:
+                errors.append((build.__name__, degree, k))
+
+    for kind, degree in product((series._rect_chain, series._meeting_chain, series._free_chain), (9, 16, 24)):
+        _fresh_chain(kind, degree)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in workers)
+    assert errors == []
+    for (kind, degree), (_, terms) in series._CHAINS.items():
+        assert terms == _fresh_chain(kind, degree)[: len(terms)]
+
+
+def test_the_memo_bound_is_twice_the_series_route_bound():
+    assert series._MEMO_DEGREE == 2 * routes.ROUTES["nkr"]["series"].bound == 24

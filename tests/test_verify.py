@@ -13,6 +13,8 @@ Core claims:
     - every suite reads the four enumerated tables through one memo, so a
       full run builds each (function, arguments) table exactly once; under
       it, a full run from cleared memos tallies each census key at most once
+    - a warm series memo hides a perturbed chain step from the series
+      suites, and once every memo is cleared the same mutant fails all three
     - the barrier suite compares its two walker DPs in integers, but a
       perturbed single-walker or pair mass fails it with the configuration
       and both values shown as reduced probabilities
@@ -26,7 +28,8 @@ from fractions import Fraction
 
 import pytest
 
-from pathpairs import oracle, paths, verify
+from pathpairs import oracle, paths, series, verify
+from pathpairs.series import BiSeries
 from pathpairs.verify import CheckReport, VerifyConfig, _Recorder
 
 
@@ -143,20 +146,35 @@ def test_every_enumerated_table_is_built_once(monkeypatch):
     assert builds[("free_pair_table", (8,))] == builds[("same_endpoint_pair_table", (9,))] == 1
 
 
-def test_a_full_run_tallies_each_census_at_most_once(monkeypatch):
+def test_a_full_run_tallies_each_census_at_most_once(monkeypatch, cold_memos):
     runs = Counter()
     tally = paths._tally
     monkeypatch.setattr(paths, "_tally", lambda *key: runs.update([key]) or tally(*key))
-    memos = (verify._table, paths._family, paths._census)
-    for memo in memos:
-        memo.cache_clear()
-    try:
-        reports = verify.run_all()
-    finally:
-        for memo in memos:
-            memo.cache_clear()
+    reports = verify.run_all()
     assert all(report.passed for report in reports)
     assert runs and max(runs.values()) == 1, [key[2] for key, count in runs.items() if count > 1]
+
+
+SERIES_SUITES = ("series-uk", "series-f", "series-fk")
+
+
+def test_a_perturbed_chain_fails_every_series_suite_from_cold_memos(monkeypatch, cold_memos):
+    config = VerifyConfig(suites=SERIES_SUITES)
+    assert all(report.passed for report in verify.run_all(config))
+    chain = series._chain
+
+    def perturbed(first, second, c):
+        # one count added at x^3 to every stepped term: the power k = 1 at
+        # (n, r) = (3, 0) is the first coefficient each suite reads there
+        for m, term in enumerate(chain(first, second, c)):
+            yield term + BiSeries(term.degree, {(3, 0): 1}) if m >= 2 else term
+
+    monkeypatch.setattr(series, "_chain", perturbed)
+    # every chain the three suites read is kept, so the mutant never runs
+    assert all(report.passed for report in verify.run_all(config))
+    cold_memos()
+    reports = verify.run_all(config)
+    assert [report.check_id for report in reports if not report.passed] == list(SERIES_SUITES)
 
 
 def test_barrier_suite_fails_on_a_perturbed_single_walker(monkeypatch):
