@@ -6,7 +6,9 @@ Every numeric result is rendered exactly, as a decimal integer string or a
 explicitly ``*_float`` labeled ones. JSON output shares one shape across
 commands: ``{"command", "params", "results", "consistency"?}`` where each
 result row carries its value(s) and a ``provenance`` naming the computation
-route. CSV output emits the same rows with a header line.
+route. It has exactly the bytes of ``json.dumps(record, indent=2)`` and a
+newline, written row by row rather than built as one string. CSV output
+emits the same rows with a header line.
 
 The commands with several routes (``nkr``, ``mrs``, ``fnk``, ``pnk`` and
 ``barrier``) each check their own arguments and ask ``routes.plan`` which
@@ -47,6 +49,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import formulas, oracle, paths, routes, verify
 
@@ -96,9 +99,76 @@ def read_level_file(path: str) -> oracle.LevelRate:
     return oracle.LevelRate(tuple(values))
 
 
+def _json_scalar(value) -> str:
+    """``json.dumps(value)`` for all but a nonempty list, tuple or dict, by
+    ``json``'s checks in its order; ``TypeError`` where ``json`` fails."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    if isinstance(value, (list, tuple)):
+        return "[]"
+    if isinstance(value, dict):
+        return "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_json(value, write, pad: str = "\n") -> None:
+    """Pass ``json.dumps(value, indent=2)`` to ``write`` in pieces, one per
+    key or row; ``pad`` is the newline and indent of ``value``'s own line.
+    A list's rows that hold the first row's keys in its order, and only
+    strings, go out through one ``%`` template built for the list, each
+    value quoted by ``json``'s C string encoder."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(item, write, inner)
+            sep = "," + inner
+        write(pad + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        first = value[0]
+        keys = tuple(first) if type(first) is dict and first else None
+        if keys is not None:
+            quoted = (encode_basestring_ascii(key).replace("%", "%%") for key in keys)
+            row = "%s{" + ",".join(f"{inner}  {key}: %s" for key in quoted) + inner + "}"
+        sep = inner
+        write("[")
+        for item in value:
+            text = None
+            if type(item) is dict and tuple(item) == keys:
+                try:
+                    text = row % (sep, *map(encode_basestring_ascii, item.values()))
+                except TypeError:  # a value that is not a str
+                    pass
+            if text is None:
+                write(sep)
+                _write_json(item, write, inner)
+            else:
+                write(text)
+            sep = "," + inner
+        write(pad + "]")
+    else:
+        write(_json_scalar(value))
+
+
 def emit(record: dict, fmt_name: str, row_fields: list[str]) -> None:
     if fmt_name == "json":
-        sys.stdout.write(json.dumps(record, indent=2) + "\n")
+        write = sys.stdout.write
+        _write_json(record, write)
+        write("\n")
         return
     writer = csv.writer(sys.stdout)
     writer.writerow(row_fields)

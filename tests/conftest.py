@@ -8,6 +8,8 @@ a perturbed function under it would never run, and a mutant would survive
 for no fault of the checks.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from pathpairs import formulas, paths, series, verify
@@ -15,10 +17,13 @@ from pathpairs import formulas, paths, series, verify
 
 def clear_memos() -> None:
     """Empty the memos of tables, families, censuses, central binomials and
-    series chains."""
+    series chains, and put the binomial-row slots and the last meeting
+    probability back to the values ``formulas`` starts with."""
     for memo in (verify._table, paths._family, paths._census, formulas._central_binomial):
         memo.cache_clear()
     series._CHAINS.clear()
+    formulas._ROW_MEMO[:] = [(-1, -1, 0)] * formulas._ROW_MEMO_SIZE
+    formulas._MEET_MEMO = (0, 0, Fraction(0))
 
 
 @pytest.fixture

@@ -11,7 +11,11 @@ Core claims:
       exit 1 (the record is still emitted), verify --suite none exits 0
       and a --suite that names no suite otherwise exits 2, as do --all
       beside --suite and a suite named twice
-    - a reader that closes the pipe early gets exit 141 and no traceback
+    - JSON output has the bytes of json.dumps(record, indent=2) and a
+      newline, for any value json can encode, and refuses with TypeError
+      what json refuses
+    - a reader that closes the pipe early gets exit 141 and no traceback,
+      in either format
     - a closed-form count that fails its integrality check, or a route that
       breaks its own postcondition, is a program bug and exits 3, not 2
     - verify --timings writes one line per selected suite to stderr and
@@ -36,10 +40,12 @@ Core claims:
       stdout bytes, rows in the order the enumerated pairs come in
 """
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -49,6 +55,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pathpairs
 from pathpairs import bijection, cli, formulas, paths, routes, verify
@@ -453,6 +461,87 @@ def test_every_emitted_number_round_trips(capsys):
         assert Fraction(row["count"]) == Fraction(row["probability"]) * Fraction(924)  # C(12,6)
 
 
+# --- the JSON writer ------------------------------------------------------------
+
+
+# quotes, backslashes, control characters, a percent sign, non-ASCII text
+# and lone surrogates, beside whatever characters() draws
+_TEXT = st.text(
+    st.sampled_from('"\\\n\t\x00\x1f\x7f%\u00e9\u20ac\u2028\ud800\udfff\U0001f600') | st.characters(), max_size=6
+)
+_SCALARS = (
+    _TEXT
+    | st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([-1, -(2**63), 2**64, -(2**100) - 1])
+    | st.floats()
+    | st.sampled_from([-0.0, 1e308, math.nan, math.inf, -math.inf])
+)
+
+
+@st.composite
+def _rows(draw, values):
+    """A list of flat dicts of text under one key order, as the CLI builds;
+    a row may take the keys in another order, or one value that is not text."""
+    keys = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        order = draw(st.permutations(keys)) if draw(st.booleans()) else keys
+        row = {key: draw(_TEXT) for key in order}
+        if draw(st.integers(0, 3)) == 0:
+            row[draw(st.sampled_from(keys))] = draw(values)
+        rows.append(row)
+    return rows
+
+
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda values: (
+        st.lists(values, max_size=3)
+        | st.lists(values, max_size=3).map(tuple)
+        | st.dictionaries(_TEXT, values, max_size=3)
+        | _rows(values)
+    ),
+    max_leaves=12,
+)
+
+
+def _emitted(value) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.emit(value, "json", [])
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(value=_VALUES)
+@example(value=[{"k": "1", "v": "\u00e9"}, {"v": "2", "k": "3"}, {"k": "4", "v": ["5", {"w": None}]}])
+@example(value=[{}, {}, {"k": "1"}])
+@example(value={"floats": [-0.0, 1e308, math.nan, math.inf, -math.inf], "rows": [{"x": math.nan}, {"x": ()}]})
+def test_json_output_is_the_bytes_of_json_dumps(value):
+    assert _emitted(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{"a": {(1, 2): "b"}}, [{"a": "1"}, {"a": b"x"}], [{"a": "1", "b": object()}], {"a": {1, 2}}, [Fraction(1, 2)]],
+    ids=["tuple key", "bytes in a row", "object in a row", "set", "Fraction"],
+)
+def test_json_output_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        _emitted(value)
+
+
+def test_json_output_takes_str_keys_only():
+    # json writes an int key as a string; no record has one
+    for value in ({1: "a"}, {"a": [{1: "b"}]}):
+        with pytest.raises(TypeError):
+            _emitted(value)
+
+
 def test_barrier_rejects_zero_denominator(capsys, tmp_path):
     code, out, err = run(capsys, "barrier", "--a", "1", "--b", "1", "--x", "0", "--p", "1/0")
     assert (code, out) == (2, "")
@@ -650,15 +739,17 @@ def test_unsafe_nmax_is_on_exactly_the_capped_commands(capsys):
     assert having == set(BOUNDED)
 
 
-def test_closed_pipe_exits_141_quietly():
+@pytest.mark.parametrize("fmt, first_line", [("csv", b"source,"), ("json", b"{")], ids=["csv", "json"])
+def test_closed_pipe_exits_141_quietly(fmt, first_line):
     # the table is far larger than a pipe buffer, so writes go on after the
-    # reader has closed its end
+    # reader has closed its end; JSON goes out row by row, so the reader
+    # may see a record cut off part way
     env = {**os.environ, "PYTHONPATH": str(Path(pathpairs.__file__).parents[1])}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "pathpairs.cli", "bijection", "--r", "5", "--s", "5", "--format", "csv"],
+        [sys.executable, "-m", "pathpairs.cli", "bijection", "--r", "5", "--s", "5", "--format", fmt],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
-    assert proc.stdout.readline().startswith(b"source,")
+    assert proc.stdout.readline().startswith(first_line)
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (141, b"")

@@ -28,7 +28,9 @@ Core claims:
       same-endpoint count over C(2n, n) at every n < 60, swept forward,
       backward and shuffled, and equals a fresh reduced Fraction when sweeps
       of rows n and n + 1 interleave; the binomial-row memo gives exact
-      values to eight threads calling it at once
+      values to eight threads calling it at once, and the test fixture
+      ``cold_memos`` puts it and the last meeting probability back to the
+      values a new process starts with
     - the ratio-stepped sums equal the one-binom-per-factor references kept
       below: both rectangle forms on every instance with n <= 30 and on a
       sparse grid at n = 100 and 301, the two-endpoint expression under
@@ -41,6 +43,7 @@ Core claims:
     - the telescoping companion satisfies its difference identity
 """
 
+import importlib.util
 import random
 import sys
 import threading
@@ -504,6 +507,20 @@ def test_row_binomial_is_safe_to_share_between_threads():
         sys.setswitchinterval(interval)
     for queries, values in runs:
         assert values == [comb(a, b) for a, b in queries]
+
+
+def test_clear_memos_puts_the_row_and_meeting_memos_back_to_their_initial_values(cold_memos):
+    # a second copy of the module, loaded from its source, holds the values
+    # the memos start with in a new process
+    spec = importlib.util.spec_from_file_location("pathpairs._formulas_as_loaded", formulas.__file__)
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    formulas.same_endpoint_meet_prob(12, 5)
+    assert formulas._ROW_MEMO != fresh._ROW_MEMO
+    assert formulas._MEET_MEMO != fresh._MEET_MEMO
+    cold_memos()
+    assert formulas._ROW_MEMO == fresh._ROW_MEMO
+    assert formulas._MEET_MEMO == fresh._MEET_MEMO
 
 
 def test_stepped_meet_prob_is_the_count_over_the_central_binomial_in_any_order():
