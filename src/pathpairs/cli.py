@@ -92,7 +92,7 @@ def read_level_file(path: str) -> oracle.LevelRate:
                     values.append(parse_probability(line))
                 except UsageError as exc:
                     raise UsageError(f"{path}:{lineno}: {exc}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read level file {path}: {exc}") from exc
     if not values:
         raise UsageError(f"level file {path} holds no rates")
@@ -411,6 +411,14 @@ def cmd_verify(args) -> int:
 # It holds no command functions and parsing leaves it unchanged, so every
 # query can share it.
 _PARSER: argparse.ArgumentParser | None = None
+
+
+def _forget_parser() -> None:
+    global _PARSER
+    _PARSER = None
+
+
+paths.MEMOS.setdefault("cli._PARSER", _forget_parser)
 
 
 def _add_choice(parser: argparse.ArgumentParser, flag: str, names: tuple, default: str) -> None:

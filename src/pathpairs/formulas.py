@@ -36,9 +36,10 @@ integer upper argument and read off ``comb`` by upper negation, which the
 two convolution identities in ``vandermonde_a``/``vandermonde_b`` need to
 hold without restrictions.
 
-No other route is imported here, only ``paths`` for its probability
-check: every comparison with enumeration, including the table that tells
-the readings of the two-endpoint formula apart, lives in ``verify``.
+No other route is imported here, only ``paths``, for its probability
+check and its memo registry: every comparison with enumeration, including
+the table that tells the readings of the two-endpoint formula apart, lives
+in ``verify``.
 """
 
 from __future__ import annotations
@@ -99,11 +100,21 @@ def _central_binomial(n: int) -> int:
     return powers[0] if powers else 1
 
 
+paths.MEMOS.setdefault("formulas._central_binomial", _central_binomial.cache_clear)
+
+
 # The last C(a, b) asked for at lower index b, as (b, a, value) in slot
 # b % _ROW_MEMO_SIZE. A new b takes its slot over, so nothing is evicted, and
 # threads sharing the slots only read and write whole tuples.
 _ROW_MEMO_SIZE = 32
 _ROW_MEMO: list[tuple[int, int, int]] = [(-1, -1, 0)] * _ROW_MEMO_SIZE
+
+
+def _clear_row_memo() -> None:
+    _ROW_MEMO[:] = [(-1, -1, 0)] * _ROW_MEMO_SIZE
+
+
+paths.MEMOS.setdefault("formulas._ROW_MEMO", _clear_row_memo)
 
 
 def _row_binomial(a: int, b: int) -> int:
@@ -350,6 +361,14 @@ def same_endpoint_pair_count(n: int, k: int) -> int:
 
 # The last meeting probability asked for, as (n, k, p) with p reduced.
 _MEET_MEMO: tuple[int, int, Fraction] = (0, 0, Fraction(0))
+
+
+def _clear_meet_memo() -> None:
+    global _MEET_MEMO
+    _MEET_MEMO = (0, 0, Fraction(0))
+
+
+paths.MEMOS.setdefault("formulas._MEET_MEMO", _clear_meet_memo)
 
 
 def same_endpoint_meet_prob(n: int, k: int) -> Fraction:

@@ -34,8 +34,8 @@ inclusion-exclusion. ``meeting_points`` reads each path's ``vertex_mask``,
 one int with a bit per vertex, so a pair's shared vertices are the set bits
 of the AND of its two masks, inside the window. ``all_paths`` is the one
 enumerator, in the fixed order of the E-step positions as combinations.
-``PathNE.vertices``, ``end``, ``from_word`` and ``column_heights`` stay as
-public views of a path, though the census reads none of them.
+``PathNE.vertices``, ``from_word`` and ``column_heights`` stay as public
+views of a path, though the census reads none of them.
 
 Both ``all_paths`` and ``meeting_census`` are memoized behind their
 signatures, so every table, the 2-to-1 replay and the command line share
@@ -46,6 +46,11 @@ at most 924 paths (C(12, 6)) of at most 12 steps, keyed by their words and
 the convention. Each call returns a fresh list or dict, a family that fails
 its checks raises on every call and is never kept, and a larger family is
 built and tallied afresh, by the same code.
+
+``MEMOS`` names every memo the package keeps for the life of a process, in
+any module, with the call that empties it. Each memo registers itself where
+it is defined, so a caller that must start cold, such as a test that
+perturbs a route, empties them all without knowing where they live.
 
 All values are immutable and all operations are pure functions.
 ``InvariantError`` is what a route raises when one of its own
@@ -61,6 +66,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, compress, count
 from math import comb
 from operator import add, ne
+from typing import Callable
 
 Point = tuple[int, int]
 
@@ -72,6 +78,11 @@ _VALID_STEPS = frozenset((EAST, NORTH))
 #: The two counting conventions, each a window of step indices (see above).
 INTERIOR = "interior"
 EXCLUDING_ORIGIN = "excluding-origin"
+
+#: Every process memo by qualified name, with the call that empties it. A
+#: memo registers itself with ``setdefault`` right after its definition, so
+#: a second copy of its module, loaded from source, keeps the package's own.
+MEMOS: dict[str, Callable[[], None]] = {}
 
 
 class InvariantError(RuntimeError):
@@ -131,11 +142,6 @@ class PathNE:
         return tuple(out)
 
     @cached_property
-    def end(self) -> Point:
-        east = self.word.count(EAST)
-        return (east, len(self.word) - east)
-
-    @cached_property
     def vertex_mask(self) -> int:
         """The vertices as one int: vertex (x, y) is bit x * (n + 1) + y. A
         path's y values span at most n, so the bits of distinct vertices
@@ -180,6 +186,9 @@ def _family(n: int, r: int) -> tuple[PathNE, ...]:
             steps[t] = EAST
         out.append(PathNE("".join(steps)))
     return tuple(out)
+
+
+MEMOS.setdefault("paths._family", _family.cache_clear)
 
 
 def _window(convention, words) -> range:
@@ -260,6 +269,9 @@ def _census(lefts: tuple[str, ...], rights: tuple[str, ...], convention) -> dict
     """``_tally`` of two kept families, memoized; its callers copy the
     dict."""
     return _tally(lefts, rights, convention)
+
+
+MEMOS.setdefault("paths._census", _census.cache_clear)
 
 
 def _tally(lefts, rights, convention) -> dict[int, int]:

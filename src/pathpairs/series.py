@@ -60,6 +60,8 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
 
+from . import paths
+
 
 class _ReadOnlyDict(dict):
     """A dict whose mutators raise, so a view cannot drift from its series."""
@@ -334,6 +336,7 @@ _MEMO_DEGREE = 24
 #: later call steps the missing terms again. Every kept tuple is a prefix of
 #: the one chain, so no reader sees a wrong term.
 _CHAINS: dict[tuple, tuple[BiSeries, tuple[BiSeries, ...]]] = {}
+paths.MEMOS.setdefault("series._CHAINS", _CHAINS.clear)
 
 
 def _terms(kind, degree: int, start: int, stop: int) -> list[BiSeries]:

@@ -39,7 +39,7 @@ from math import comb, inf
 from time import perf_counter
 from types import SimpleNamespace
 
-from . import bijection, formulas, oracle, routes, series
+from . import bijection, formulas, oracle, paths, routes, series
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,9 @@ def _table(build, *args) -> oracle.CountTable:
     ``oracle.*_pair_table`` function looked up on the module at the call
     site, so a traced or patched function is the one that runs."""
     return build(*args)
+
+
+paths.MEMOS.setdefault("verify._table", _table.cache_clear)
 
 
 def endpoint_reading_discrepancies(reading: str, n_max: int = 8) -> list[dict[str, str]]:

@@ -473,7 +473,7 @@ def _reference_case(words: tuple[str, str]):
     first interior column x0 whose gap min(upper) - max(lower) is 1, with
     y0 the lower path's top there."""
     upper, lower = (PathNE.from_word(w) for w in words)
-    r, s = upper.end
+    r, s = upper.vertices[-1]
     for x0 in range(1, r):
         y0 = max(lower.column_heights(x0))
         if min(upper.column_heights(x0)) - y0 == 1:

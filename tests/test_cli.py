@@ -6,6 +6,8 @@ Core claims:
       all numbers round-trip through Fraction parsing
     - CSV output carries the same rows under a header
     - probabilities must be rational strings; decimals and bad ranges exit 2
+    - a level file that cannot be opened or is not UTF-8 exits 2 with a
+      message that names the file
     - fnk's probability column prints exactly str(Fraction(value, 4**n))
     - verification failures and routes that disagree under --method all
       exit 1 (the record is still emitted), verify --suite none exits 0
@@ -269,6 +271,14 @@ def test_barrier_level_file_diagnostics(capsys, tmp_path):
         "--level-file", str(tmp_path / "missing.txt"),
     )
     assert code == 2
+
+
+def test_barrier_level_file_that_is_not_utf8_is_named(capsys, tmp_path):
+    level = tmp_path / "levels.txt"
+    level.write_bytes(b"\xff1/2\n")
+    code, out, err = run(capsys, "barrier", "--a", "1", "--b", "0", "--x", "0", "--level-file", str(level))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read level file {level}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_barrier_requires_exactly_one_rate_source(capsys, tmp_path):

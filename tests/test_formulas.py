@@ -29,8 +29,10 @@ Core claims:
       backward and shuffled, and equals a fresh reduced Fraction when sweeps
       of rows n and n + 1 interleave; the binomial-row memo gives exact
       values to eight threads calling it at once, and the test fixture
-      ``cold_memos`` puts it and the last meeting probability back to the
-      values a new process starts with
+      ``cold_memos``, through the resets the two memos register in
+      ``paths.MEMOS``, puts it and the last meeting probability back to the
+      values a new process starts with, even after a second copy of the
+      module has registered resets of its own
     - the ratio-stepped sums equal the one-binom-per-factor references kept
       below: both rectangle forms on every instance with n <= 30 and on a
       sparse grid at n = 100 and 301, the two-endpoint expression under
@@ -437,10 +439,9 @@ def test_same_endpoint_forms_equal_factorial_forms():
             assert _equals(Fraction(count), _factorial_same_endpoint_count(n, k)), (n, k)
 
 
-def test_central_binomial_cache_is_bounded_and_changes_nothing():
+def test_central_binomial_cache_is_bounded_and_changes_nothing(cold_memos):
     info = formulas._central_binomial.cache_info()
     assert info.maxsize is not None
-    formulas._central_binomial.cache_clear()
     cold = [formulas.same_endpoint_meet_prob(n, k) for n in (1, 7, 1010) for k in range(n)]
     assert formulas._central_binomial.cache_info().misses == 3
     warm = [formulas.same_endpoint_meet_prob(n, k) for n in (1, 7, 1010) for k in range(n)]
@@ -511,7 +512,8 @@ def test_row_binomial_is_safe_to_share_between_threads():
 
 def test_clear_memos_puts_the_row_and_meeting_memos_back_to_their_initial_values(cold_memos):
     # a second copy of the module, loaded from its source, holds the values
-    # the memos start with in a new process
+    # the memos start with in a new process; its registrations leave the
+    # package's resets in place, so cold_memos still resets these memos
     spec = importlib.util.spec_from_file_location("pathpairs._formulas_as_loaded", formulas.__file__)
     fresh = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fresh)

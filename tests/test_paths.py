@@ -21,7 +21,7 @@ Core claims:
       conventions, and a family of mixed lengths or endpoints raises the
       per-pair message; an empty family on either side gives an empty tally
     - a path is a str of E and N steps, with no start of its own, and
-      ``from_word`` rejects an invalid word on every call; ``end`` counted
+      ``from_word`` rejects an invalid word on every call; the end counted
       from the steps is the last vertex
     - the memos under ``all_paths`` and ``meeting_census`` give what the
       unmemoized builders give, hand out fresh lists and dicts, never keep a
@@ -69,7 +69,6 @@ def words(n: int, r: int) -> list[str]:
 def test_vertices_and_end():
     p = PathNE.from_word("ENN")
     assert p.vertices == ((0, 0), (1, 0), (1, 1), (1, 2))
-    assert p.end == (1, 2)
     assert p.n == 3
     assert p.word == "ENN"
 
@@ -155,7 +154,7 @@ def test_all_conventions_symmetric():
     for wa in vocab:
         for wb in vocab:
             assert meetings(wa, wb, EXCLUDING_ORIGIN) == meetings(wb, wa, EXCLUDING_ORIGIN)
-            if PathNE(wa).end == PathNE(wb).end:
+            if wa.count("E") == wb.count("E"):  # equal lengths, so equal ends
                 assert meetings(wa, wb, INTERIOR) == meetings(wb, wa, INTERIOR)
 
 
@@ -371,7 +370,7 @@ def test_end_counted_from_steps_is_the_last_vertex():
     for n in range(9):
         for steps in product("EN", repeat=n):
             p = PathNE("".join(steps))
-            assert p.end == p.vertices[-1]
+            assert (steps.count("E"), steps.count("N")) == p.vertices[-1]
 
 
 def _raises(message, call):
@@ -402,11 +401,6 @@ def test_batch_forms_keep_the_pair_messages():
 # --- the memos under the enumerator and the census ------------------------------
 
 
-def _clear_memos():
-    paths._family.cache_clear()
-    paths._census.cache_clear()
-
-
 def _words(family):
     return tuple(p.word for p in family)
 
@@ -426,8 +420,7 @@ def test_a_mutated_result_does_not_leak_into_the_next_call():
         assert meeting_census(all_paths(5, 2), all_paths(5, 2), convention) == expected
 
 
-def test_an_invalid_family_raises_on_every_call_and_is_never_kept():
-    _clear_memos()
+def test_an_invalid_family_raises_on_every_call_and_is_never_kept(cold_memos):
     short, long = all_paths(3, 1), all_paths(4, 1)
     cases = [
         (short[:1], long, EXCLUDING_ORIGIN, "paths have different step counts: 3 vs 4"),
@@ -464,8 +457,7 @@ def test_memoized_results_equal_the_unmemoized_builders(case, convention):
     assert meeting_census(left, right, convention) == _tally(left, right, convention)
 
 
-def test_the_memos_stay_within_their_bounds():
-    _clear_memos()
+def test_the_memos_stay_within_their_bounds(cold_memos):
     for n in range(paths._MEMO_STEPS + 1):
         for r in range(n + 1):
             all_paths(n, r)
@@ -481,8 +473,7 @@ def test_the_memos_stay_within_their_bounds():
     assert census_info.misses == 2 * len(family)
 
 
-def test_no_family_past_924_paths_or_12_steps_is_kept():
-    _clear_memos()
+def test_no_family_past_924_paths_or_12_steps_is_kept(cold_memos):
     assert comb(13, 6) > paths._MEMO_PATHS == comb(12, 6) == 924
     big = all_paths(13, 6)
     assert len(big) == comb(13, 6)

@@ -126,7 +126,7 @@ TABLE_SUITES = ("recurrence", "eq8", "nkr", "mrs", "fnk", "pnk", "diag", "avg", 
 TABLE_FUNCTIONS = ("rect_pair_table", "endpoint_pair_table", "free_pair_table", "same_endpoint_pair_table")
 
 
-def test_every_enumerated_table_is_built_once(monkeypatch):
+def test_every_enumerated_table_is_built_once(monkeypatch, cold_memos):
     builds = Counter()
 
     def counting(name):
@@ -135,11 +135,9 @@ def test_every_enumerated_table_is_built_once(monkeypatch):
 
     for name in TABLE_FUNCTIONS:
         monkeypatch.setattr(oracle, name, counting(name))
-    verify._table.cache_clear()
-    try:
-        reports = verify.run_all(VerifyConfig(suites=TABLE_SUITES))
-    finally:
-        verify._table.cache_clear()  # its entries are keyed by the counting wrappers
+    # cold_memos empties the table memo afterwards too: its entries are keyed
+    # by the counting wrappers
+    reports = verify.run_all(VerifyConfig(suites=TABLE_SUITES))
     assert all(report.passed for report in reports)
     assert {name for name, _ in builds} == set(TABLE_FUNCTIONS)
     assert max(builds.values()) == 1, [key for key, count in builds.items() if count > 1]
