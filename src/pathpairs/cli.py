@@ -29,6 +29,13 @@ and every later call parses with it. Commands are dispatched by name when
 ``main`` runs: ``nkr`` calls whatever ``cmd_nkr`` is at that moment, so a
 patched or wrapped command function is the one that runs.
 
+A command loads only the modules it runs. This module imports ``paths`` and
+``routes`` alone, and neither loads a route module, so parsing the arguments
+loads none. ``routes.tabulate`` imports the modules of the routes a query
+runs, and ``diag``, ``avg``, ``barrier`` and ``verify`` import ``formulas``,
+``oracle`` or ``verify`` when they run. Both errors that exit 3 are defined
+in ``paths``.
+
 Probabilities are accepted only as rational strings like ``1/3`` (or an
 integer); decimal notation and zero denominators are rejected so exactness
 survives end to end. Exit codes: 0 success, 1 verification failure or
@@ -51,7 +58,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from . import formulas, oracle, paths, routes, verify
+from . import paths, routes
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -78,9 +85,12 @@ def parse_probability(text: str) -> Fraction:
     return value
 
 
-def read_level_file(path: str) -> oracle.LevelRate:
-    """One rational per line; line m holds the West rate on level m = 1, 2, ...
-    Levels beyond the last line reuse its value."""
+def read_level_file(path: str):
+    """The ``oracle.LevelRate`` a file holds: one rational per line; line m
+    holds the West rate on level m = 1, 2, ... Levels beyond the last line
+    reuse its value."""
+    from . import oracle
+
     values = []
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -292,6 +302,8 @@ def cmd_diag(args) -> int:
     n = args.n
     if n < 2:
         raise UsageError("n must be at least 2")
+    from . import formulas
+
     results = [
         {"k": str(k), "value": str(formulas.same_endpoint_pair_count(n, k)), "provenance": "formula"}
         for k in routes.k_range(args.k, n - 2)
@@ -304,6 +316,8 @@ def cmd_avg(args) -> int:
     n = args.n
     if n < 0:
         raise UsageError("n must be nonnegative")
+    from . import formulas
+
     exact = formulas.average_crossings(n)
     results = [{"value": str(exact), "value_float": float(exact), "provenance": "formula"}]
     emit(_record("avg", {"n": n}, results), args.format, ["value", "value_float", "provenance"])
@@ -316,6 +330,8 @@ def cmd_avg(args) -> int:
 def cmd_barrier(args) -> int:
     if (args.p is None) == (args.level_file is None):
         raise UsageError("give exactly one of --p RATIONAL or --level-file PATH")
+    from . import oracle
+
     if args.p is not None:
         rate = oracle.ConstantRate(parse_probability(args.p))
     else:
@@ -384,6 +400,8 @@ def cmd_verify(args) -> int:
         elif not names:
             raise UsageError("--suite names no suite; give a suite name, or 'none' for an empty run")
         suites = tuple(names)  # VerifyConfig rejects unknown and repeated names
+    from . import verify
+
     reports = verify.run_all(verify.VerifyConfig(suites=suites, n_max=args.nmax))
     results = []
     for rep in reports:
@@ -526,7 +544,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (formulas.IntegralityError, paths.InvariantError) as exc:
+    except (paths.IntegralityError, paths.InvariantError) as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError) as exc:

@@ -37,9 +37,9 @@ two convolution identities in ``vandermonde_a``/``vandermonde_b`` need to
 hold without restrictions.
 
 No other route is imported here, only ``paths``, for its probability
-check and its memo registry: every comparison with enumeration, including
-the table that tells the readings of the two-endpoint formula apart, lives
-in ``verify``.
+check, its memo registry and ``IntegralityError``: every comparison with
+enumeration, including the table that tells the readings of the
+two-endpoint formula apart, lives in ``verify``.
 """
 
 from __future__ import annotations
@@ -140,10 +140,9 @@ def _row_binomial(a: int, b: int) -> int:
     return value
 
 
-class IntegralityError(ArithmeticError):
-    """A closed form that must yield a count did not reduce to a nonnegative
-    integer: the program is wrong, not its input. The message names the
-    function and its inputs."""
+#: What a count that is not a nonnegative integer raises: the class
+#: ``paths`` defines, re-exported under its name here.
+IntegralityError = paths.IntegralityError
 
 
 def _as_count(num: int, den: int, context: str) -> int:

@@ -49,18 +49,19 @@ built and tallied afresh, by the same code.
 
 ``MEMOS`` names every memo the package keeps for the life of a process, in
 any module, with the call that empties it. Each memo registers itself where
-it is defined, so a caller that must start cold, such as a test that
-perturbs a route, empties them all without knowing where they live.
+it is defined, when its module is first loaded, so a caller that must start
+cold, such as a test that perturbs a route, empties them all without
+knowing where they live; a module not loaded yet holds no memo.
 
 All values are immutable and all operations are pure functions.
 ``InvariantError`` is what a route raises when one of its own
-postconditions fails, and ``as_probability`` is the one check the routes
-apply to a probability argument.
+postconditions fails, ``IntegralityError`` what a closed form raises when a
+count is not a nonnegative integer, and ``as_probability`` is the one check
+the routes apply to a probability argument.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, compress, count
@@ -91,6 +92,14 @@ class InvariantError(RuntimeError):
     importing another route."""
 
 
+class IntegralityError(ArithmeticError):
+    """A closed form that must yield a count did not reduce to a nonnegative
+    integer: the program is wrong, not its input. The message names the
+    function and its inputs. ``formulas`` raises it, under the same name;
+    it is defined here so the command line can catch it without loading
+    ``formulas``."""
+
+
 def as_probability(p) -> Fraction:
     """``p`` as an exact Fraction, checked to lie in [0, 1]. Shared here so
     every route rejects a bad probability with the same message. A float is
@@ -103,21 +112,36 @@ def as_probability(p) -> Fraction:
     return p
 
 
-@dataclass(frozen=True)
 class PathNE:
     """A monotone lattice path from the origin, stored as its step word.
 
-    The word is canonical; the vertex list is derived on demand and cached.
+    The word is canonical: two paths are equal, and hash alike, exactly when
+    their words are. A path cannot be changed; the vertex list and mask are
+    derived on demand and cached.
     """
 
-    word: str
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.word, str):
-            raise ValueError(f"a path is a str of steps, got {self.word!r}")
-        if not _VALID_STEPS.issuperset(self.word):
-            bad = [s for s in self.word if s not in _VALID_STEPS]
+    def __init__(self, word: str) -> None:
+        if not isinstance(word, str):
+            raise ValueError(f"a path is a str of steps, got {word!r}")
+        if not _VALID_STEPS.issuperset(word):
+            bad = [s for s in word if s not in _VALID_STEPS]
             raise ValueError(f"invalid steps {bad!r}: only {EAST!r} and {NORTH!r} are allowed")
+        object.__setattr__(self, "word", word)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self.word == other.word if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.word,))
+
+    def __repr__(self) -> str:
+        return f"PathNE(word={self.word!r})"
 
     @classmethod
     def from_word(cls, word: str) -> "PathNE":

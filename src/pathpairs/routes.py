@@ -5,8 +5,10 @@ which routes answer each k of a query.
 The command line and ``verify`` both read this table: the CLI to pick,
 bound, build and tabulate the routes a query asks for, and ``verify``'s
 ``routes`` suite to run every route of every command against the others.
-The table imports the route modules, and no route module imports it, so
-the routes stay independent of each other.
+Each route names the module it computes in, and ``tabulate`` imports that
+module when it builds the route, so importing the table loads no route
+module. No route module imports the table, so the routes stay independent
+of each other.
 
 A query is the object a route builder reads: the parsed arguments (n, r,
 s and k) for the counting commands, an ``oracle.BarrierConfig`` for
@@ -15,44 +17,44 @@ s and k) for the counting commands, an ``oracle.BarrierConfig`` for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from importlib import import_module
 from math import comb
-from typing import Callable
-
-from . import bijection, formulas, oracle, series
+from typing import Callable, NamedTuple
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     """One route of a command.
 
-    ``build(query)`` returns the route's value as a function of k (a command
-    without k passes None); builders look library functions up through
-    their modules when they run, so a patched or traced function is the one
-    that gets called. ``bound`` is the largest query size the route runs by
-    default, in the command's own unit: n, a + b + x for ``barrier``, r + s
-    for ``bijection``; None marks a closed form, which runs at any size.
-    ``covers(query, k)`` says whether the route reaches k: under ``--method
-    all`` a route skips the k it misses, and as the one method asked for it
-    hands that k to the route ``fallback`` names.
+    ``module`` names the package module the route computes in, which
+    ``tabulate`` imports and hands to ``build(module, query)``; that returns
+    the route's value as a function of k (a command without k passes None).
+    Builders look library functions up through the module when they run,
+    so a patched or traced function is the one that gets called. ``bound`` is the largest query
+    size the route runs by default, in the command's own unit: n, a + b + x
+    for ``barrier``, r + s for ``bijection``; None marks a closed form,
+    which runs at any size. ``covers(query, k)`` says whether the route
+    reaches k: under ``--method all`` a route skips the k it misses, and as
+    the one method asked for it hands that k to the route ``fallback``
+    names.
     """
 
+    module: str
     build: Callable
     bound: int | None = None
     covers: Callable = lambda query, k: True
     fallback: str | None = None
 
 
-def _rect_series(q):
+def _rect_series(series, q):
     """Rectangle counts read off the base-series powers up to the k asked
     for, or up to n - 1 for the whole table, built in one pass."""
     powers = series.rect_pair_powers(q.n - 1 if q.k is None else q.k, q.n + q.r)
     return lambda k: powers[k].coeff(q.n, q.r)
 
 
-def _same_endpoint_oracle(q):
+def _same_endpoint_oracle(oracle, q):
     table = oracle.same_endpoint_pair_table(q.n)
     denom = comb(2 * q.n, q.n)
     return lambda k: (Fraction(table.get(k), denom), table.get(k))
@@ -63,41 +65,56 @@ def _below_top(q, k) -> bool:
     return k <= q.n - 2
 
 
+def _constant_rate(c, k) -> bool:
+    """The barrier closed form takes a constant rate only."""
+    from .oracle import ConstantRate  # already loaded: it built ``c``
+
+    return isinstance(c.rate, ConstantRate)
+
+
 # Every route of every command, in the order ``--method all`` reports them;
 # the ``--method`` choices are these names plus "all".
 ROUTES = {
     "nkr": {
-        "formula-a": Route(lambda q: partial(formulas.rect_pair_count_a, q.n, q.r), covers=_below_top, fallback="oracle"),
-        "formula-b": Route(lambda q: partial(formulas.rect_pair_count_b, q.n, q.r), covers=_below_top, fallback="oracle"),
-        "series": Route(_rect_series, bound=12),
-        "oracle": Route(lambda q: oracle.rect_pair_table(q.n, q.r).get, bound=12),
+        "formula-a": Route(
+            "formulas", lambda formulas, q: partial(formulas.rect_pair_count_a, q.n, q.r),
+            covers=_below_top, fallback="oracle",
+        ),
+        "formula-b": Route(
+            "formulas", lambda formulas, q: partial(formulas.rect_pair_count_b, q.n, q.r),
+            covers=_below_top, fallback="oracle",
+        ),
+        "series": Route("series", _rect_series, bound=12),
+        "oracle": Route("oracle", lambda oracle, q: oracle.rect_pair_table(q.n, q.r).get, bound=12),
     },
     "mrs": {
-        "formula": Route(lambda q: partial(formulas.endpoint_pair_count, q.n, q.r, q.s)),
-        "oracle": Route(lambda q: oracle.endpoint_pair_table(q.n, q.r, q.s).get, bound=12),
+        "formula": Route("formulas", lambda formulas, q: partial(formulas.endpoint_pair_count, q.n, q.r, q.s)),
+        "oracle": Route("oracle", lambda oracle, q: oracle.endpoint_pair_table(q.n, q.r, q.s).get, bound=12),
     },
     "fnk": {
-        "formula": Route(lambda q: partial(formulas.free_pair_count, q.n)),
-        "oracle": Route(lambda q: oracle.free_pair_table(q.n).get, bound=9),
+        "formula": Route("formulas", lambda formulas, q: partial(formulas.free_pair_count, q.n)),
+        "oracle": Route("oracle", lambda oracle, q: oracle.free_pair_table(q.n).get, bound=9),
     },
     "pnk": {
-        "formula": Route(lambda q: lambda k: (
+        "formula": Route("formulas", lambda formulas, q: lambda k: (
             formulas.same_endpoint_meet_prob(q.n, k), formulas.same_endpoint_pair_count(q.n, k)
         )),
-        "oracle": Route(_same_endpoint_oracle, bound=10),
+        "oracle": Route("oracle", _same_endpoint_oracle, bound=10),
     },
     "barrier": {
-        "dp": Route(lambda c: lambda _: oracle.barrier_meet_prob(c), bound=120),
-        "single-walker": Route(lambda c: lambda _: oracle.endpoint_probability(
+        "dp": Route("oracle", lambda oracle, c: lambda _: oracle.barrier_meet_prob(c), bound=120),
+        "single-walker": Route("oracle", lambda oracle, c: lambda _: oracle.endpoint_probability(
             (c.a, c.b + c.x + 1), c.a + c.b + c.x, [(-t, 1 + t) for t in range(c.x + 1)], c.rate
         ), bound=120),
         "formula": Route(
-            lambda c: lambda _: formulas.barrier_meet_formula(c.a, c.b, c.x, c.rate.p),
-            covers=lambda c, _: isinstance(c.rate, oracle.ConstantRate),
+            "formulas", lambda formulas, c: lambda _: formulas.barrier_meet_formula(c.a, c.b, c.x, c.rate.p),
+            covers=_constant_rate,
         ),
     },
     "bijection": {
-        "replay": Route(lambda q: lambda _: bijection.verify_correspondence(q.r, q.s), bound=12),
+        "replay": Route(
+            "bijection", lambda bijection, q: lambda _: bijection.verify_correspondence(q.r, q.s), bound=12,
+        ),
     },
 }
 
@@ -136,7 +153,12 @@ def plan(command: str, method: str, query, k: int | None = None) -> dict:
 
 def tabulate(command: str, query, planned: dict) -> dict:
     """The planned values, as ``{k: [(route name, value), ...]}``; each route
-    is built once, in table order, and read at every k it answers."""
+    is built once, in table order, from its module, and read at every k it
+    answers."""
     used = {name for names in planned.values() for name in names}
-    value_at = {name: route.build(query) for name, route in ROUTES[command].items() if name in used}
+    value_at = {
+        name: route.build(import_module(f"{__package__}.{route.module}"), query)
+        for name, route in ROUTES[command].items()
+        if name in used
+    }
     return {k: [(name, value_at[name](k)) for name in names] for k, names in planned.items()}

@@ -37,7 +37,8 @@ Core claims:
       bounds the query by its own bound, and is held to the others by the
       verify routes suite, with no edit to the CLI
     - a golden set of invocations keeps its exit code, stdout bytes and
-      stderr text exactly
+      stderr text exactly, in process and, for one row of each command, in
+      a fresh interpreter
     - the correspondence table of every rectangle with r + s <= 10 keeps its
       stdout bytes, rows in the order the enumerated pairs come in
 """
@@ -51,7 +52,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -624,8 +625,8 @@ def test_each_route_is_built_once_per_query(capsys, monkeypatch):
 def _off_by_one(build):
     """A route builder whose values are one more than ``build``'s."""
 
-    def built(query):
-        route = build(query)
+    def built(module, query):
+        route = build(module, query)
 
         def value(k):
             v = route(k)
@@ -649,7 +650,7 @@ def _off_by_one(build):
 def test_disagreeing_routes_exit_1(capsys, monkeypatch, argv, route):
     command = argv.split()[0]
     table = routes.ROUTES[command]
-    monkeypatch.setitem(table, route, replace(table[route], build=_off_by_one(table[route].build)))
+    monkeypatch.setitem(table, route, table[route]._replace(build=_off_by_one(table[route].build)))
     code, out, err = run(capsys, *argv.split())
     assert code == 1
     assert f"{command}: the routes disagree" in err
@@ -660,7 +661,7 @@ def test_disagreeing_routes_exit_1(capsys, monkeypatch, argv, route):
 
 def _register_nkr_route(monkeypatch, build):
     """Add a route to nkr under a new name, with its own bound of 8."""
-    monkeypatch.setitem(routes.ROUTES["nkr"], "oracle-8", routes.Route(build, bound=8))
+    monkeypatch.setitem(routes.ROUTES["nkr"], "oracle-8", routes.Route("oracle", build, bound=8))
 
 
 def test_a_registered_route_is_printed_bounded_and_checked(capsys, monkeypatch):
@@ -730,7 +731,8 @@ def test_size_cap_table(capsys, monkeypatch, command):
     table = routes.ROUTES[command]
     for name, route in table.items():
         if route.bound is not None:
-            monkeypatch.setitem(table, name, replace(route, build=lambda q: built.append(q) or (lambda k: value)))
+            stub = route._replace(build=lambda module, q: built.append(q) or (lambda k: value))
+            monkeypatch.setitem(table, name, stub)
     code, _, err = run(capsys, *costly.split(), "--unsafe-nmax", str(size))
     assert (code, err, len(built)) == (0, "", 1)
     if cheap is not None:
@@ -957,15 +959,64 @@ GOLDEN = [
 ]
 
 
+def _write_level_files(directory: Path) -> None:
+    """The level files the GOLDEN rows read, by the names they echo."""
+    (directory / "levels.txt").write_text("1/2\n1/3\n2/7\n")
+    (directory / "bad.txt").write_text("1/2\nnot-a-rational\n")
+
+
 @pytest.mark.parametrize("line, code, digest, err", GOLDEN, ids=[row[0] for row in GOLDEN])
 def test_golden_output(capsys, monkeypatch, tmp_path, line, code, digest, err):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to the terminal width
-    (tmp_path / "levels.txt").write_text("1/2\n1/3\n2/7\n")
-    (tmp_path / "bad.txt").write_text("1/2\nnot-a-rational\n")
+    _write_level_files(tmp_path)
     try:
         got_code = main(line.split())
     except SystemExit as exc:  # argparse rejects before main's handlers run
         got_code = exc.code
     out = capsys.readouterr()
     assert (got_code, hashlib.sha256(out.out.encode()).hexdigest(), out.err) == (code, digest, err)
+
+
+# --- golden rows in a fresh interpreter --------------------------------------------
+
+
+def golden_in_fresh_processes(lines: list[str], workdir: Path) -> list[tuple[int, str, str]]:
+    """(exit code, stdout sha256, stderr) of each GOLDEN row run by ``python
+    -m pathpairs.cli`` in a new interpreter, four at a time, in ``workdir``
+    with the level files. A new interpreter holds only the modules the row
+    loads itself, so a command that misses a deferred import fails here,
+    though it passes in process."""
+    _write_level_files(workdir)
+    env = {**os.environ, "PYTHONPATH": str(Path(pathpairs.__file__).parents[1]), "COLUMNS": "80"}
+
+    def fresh(line):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pathpairs.cli", *line.split()], capture_output=True, cwd=workdir, env=env,
+            timeout=120,
+        )
+        return proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), proc.stderr.decode()
+
+    with ThreadPoolExecutor(4) as pool:
+        return list(pool.map(fresh, lines))
+
+
+# One GOLDEN row per command, each run in a fresh interpreter; CI runs every row.
+FRESH_GOLDEN = [
+    "nkr --n 7 --r 3 --method formula-a",
+    "mrs --n 5 --r 1 --s 3 --method all",
+    "fnk --n 5 --method all",
+    "pnk --n 6 --method all",
+    "diag --n 7",
+    "avg --n 12",
+    "barrier --a 1 --b 0 --x 1 --level-file levels.txt --method all",
+    "bijection --r 2 --s 3",
+    "verify --suite theorem1,legendre --nmax 4",
+]
+
+
+def test_a_golden_row_of_every_command_in_a_fresh_interpreter(tmp_path):
+    commands = sorted(name.removeprefix("cmd_") for name in vars(cli) if name.startswith("cmd_"))
+    assert sorted(line.split()[0] for line in FRESH_GOLDEN) == commands
+    pinned = {line: (code, digest, err) for line, code, digest, err in GOLDEN}
+    assert golden_in_fresh_processes(FRESH_GOLDEN, tmp_path) == [pinned[line] for line in FRESH_GOLDEN]

@@ -23,12 +23,18 @@ Core claims:
     - a path is a str of E and N steps, with no start of its own, and
       ``from_word`` rejects an invalid word on every call; the end counted
       from the steps is the last vertex
+    - two paths are equal and hash alike exactly when their words are, and
+      never equal another type; a path prints as ``PathNE(word=...)``,
+      cannot be assigned or deleted, copies and pickles to an equal path,
+      and computes its vertices and mask once
     - the memos under ``all_paths`` and ``meeting_census`` give what the
       unmemoized builders give, hand out fresh lists and dicts, never keep a
       family that raises, stay within their bounds, and keep no family of
       more than 924 paths or 12 steps
 """
 
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -84,6 +90,51 @@ def test_invalid_step_rejected():
         PathNE(("E", "X"))
     with pytest.raises(ValueError, match=re.escape("a path is a str of steps, got ('E', 'N')")):
         PathNE(("E", "N"))
+
+
+def test_paths_are_equal_and_hash_alike_by_word():
+    a, b, c = PathNE("ENN"), PathNE.from_word("ENN"), PathNE(word="NEN")
+    assert a is not b
+    assert a == b and hash(a) == hash(b) and not a != b
+    assert a != c and len({a, b, c}) == 2
+    for other in ("ENN", ("ENN",), None, 3):
+        assert a != other and other != a and not a == other
+    assert a.__eq__("ENN") is NotImplemented
+
+
+def test_repr_names_the_word():
+    assert repr(PathNE("EN")) == "PathNE(word='EN')"
+    assert repr(PathNE("")) == "PathNE(word='')"
+
+
+def test_a_path_can_be_neither_assigned_nor_deleted():
+    p = PathNE("ENE")
+    p.vertices, p.vertex_mask  # cached before the attempts, too
+    for name in ("word", "vertices", "vertex_mask", "n", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, "NEE")
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert (p.word, p.vertices, p) == ("ENE", ((0, 0), (1, 0), (1, 1), (2, 1)), PathNE("ENE"))
+
+
+def test_a_bad_word_raises_its_message():
+    _raises("invalid steps ['X', 'x']: only 'E' and 'N' are allowed", lambda: PathNE("EXNx"))
+    _raises("a path is a str of steps, got ['E']", lambda: PathNE(["E"]))
+    _raises("a path is a str of steps, got None", lambda: PathNE.from_word(None))
+
+
+def test_vertices_and_mask_are_computed_once_and_kept():
+    p = PathNE("E" * 20 + "N" * 20)
+    assert p.vertices is p.vertices
+    assert p.vertex_mask is p.vertex_mask
+    assert p.vertex_mask == sum(1 << x * 41 + y for x, y in p.vertices)
+
+
+def test_a_path_copies_and_pickles_to_an_equal_path():
+    p = PathNE("NEE")
+    for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert twin == p and twin.vertex_mask == p.vertex_mask
 
 
 def test_pair_requires_equal_lengths_and_starts():
