@@ -25,9 +25,16 @@ commands with a bounded route) raises it; a query that runs only closed
 forms is never capped.
 
 The argument parser is built once per process, by the first ``main`` call,
-and every later call parses with it. Commands are dispatched by name when
-``main`` runs: ``nkr`` calls whatever ``cmd_nkr`` is at that moment, so a
-patched or wrapped command function is the one that runs.
+and every later call parses with it. The same build keeps, for each
+command, a table from option string to the action its ``add_argument``
+call returned. A plain query, ``COMMAND (--flag VALUE | --switch)...`` with
+exact option strings, is read from that table through each action's own
+``type``, ``choices``, ``required`` and ``default`` into the namespace
+argparse would return, at about a tenth of argparse's cost; any other
+command line, help and every rejection included, goes to argparse, which
+alone writes help, usage and error text. Commands are dispatched by name
+when ``main`` runs: ``nkr`` calls whatever ``cmd_nkr`` is at that moment,
+so a patched or wrapped command function is the one that runs.
 
 A command loads only the modules it runs. This module imports ``paths`` and
 ``routes`` alone, and neither loads a route module, so parsing the arguments
@@ -425,10 +432,11 @@ def cmd_verify(args) -> int:
 # --- argument plumbing ------------------------------------------------------------
 
 
-# The one parser of this process, built by the first ``build_parser`` call.
-# It holds no command functions and parsing leaves it unchanged, so every
-# query can share it.
-_PARSER: argparse.ArgumentParser | None = None
+# The one parser of this process and each command's table from option
+# string to the action that ``add_argument`` returned for it, both built by
+# the first ``build_parser`` call. Neither holds a command function and
+# parsing changes neither, so every query can share them.
+_PARSER: tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]] | None = None
 
 
 def _forget_parser() -> None:
@@ -439,10 +447,11 @@ def _forget_parser() -> None:
 paths.MEMOS.setdefault("cli._PARSER", _forget_parser)
 
 
-def _add_choice(parser: argparse.ArgumentParser, flag: str, names: tuple, default: str) -> None:
-    """Add an option that takes one of ``names``. Its ``type`` rejects any
-    other value itself, quoting every choice, so the message is the same on
-    every Python version: newer argparse releases list the choices unquoted."""
+def _add_choice(add, flag: str, names: tuple, default: str) -> None:
+    """Add, through ``add``, an option that takes one of ``names``. Its
+    ``type`` rejects any other value itself, quoting every choice, so the
+    message is the same on every Python version: newer argparse releases
+    list the choices unquoted."""
 
     def choice(value: str) -> str:
         if value not in names:
@@ -450,85 +459,151 @@ def _add_choice(parser: argparse.ArgumentParser, flag: str, names: tuple, defaul
             raise argparse.ArgumentTypeError(f"invalid choice: {value!r} (choose from {listed})")
         return value
 
-    parser.add_argument(flag, choices=names, type=choice, default=default)
+    add(flag, choices=names, type=choice, default=default)
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and reused for the life of the
-    process; ``main`` picks each command's ``cmd_*`` by name when it runs."""
+    process; ``main`` picks each command's ``cmd_*`` by name when it runs.
+    The same call builds each command's option table, which ``main`` reads
+    through ``_parse_plain``."""
     global _PARSER
     if _PARSER is not None:
-        return _PARSER
+        return _PARSER[0]
     parser = argparse.ArgumentParser(
         prog="pathpairs",
         description="Exact counts and probabilities for pairs of lattice walks, by shared vertices.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    tables: dict[str, dict[str, argparse.Action]] = {}
+    adders = {}
 
-    p = subs.add_parser("nkr", help="corner-to-corner pair counts on a rectangle")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
-    _add_choice(p, "--method", (*routes.ROUTES["nkr"], "all"), "formula-a")
+    def command(name: str, help: str):
+        """Add the command ``name``; returns its ``add_argument`` for one
+        flag, which also enters the action in the command's table."""
+        sub, table = subs.add_parser(name, help=help), tables.setdefault(name, {})
 
-    p = subs.add_parser("mrs", help="pair counts with two prescribed endpoints")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
-    _add_choice(p, "--method", (*routes.ROUTES["mrs"], "all"), "formula")
+        def add(flag: str, **kwargs) -> None:
+            table[flag] = sub.add_argument(flag, **kwargs)
 
-    p = subs.add_parser("fnk", help="free pair counts by post-origin meetings")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
-    _add_choice(p, "--method", (*routes.ROUTES["fnk"], "all"), "formula")
+        adders[name] = add
+        return add
 
-    p = subs.add_parser("pnk", help="same-endpoint meeting probabilities")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
-    _add_choice(p, "--method", (*routes.ROUTES["pnk"], "all"), "formula")
+    add = command("nkr", "corner-to-corner pair counts on a rectangle")
+    add("--n", type=int, required=True)
+    add("--r", type=int, required=True)
+    add("--k", type=int, default=None)
+    _add_choice(add, "--method", (*routes.ROUTES["nkr"], "all"), "formula-a")
 
-    p = subs.add_parser("diag", help="same-endpoint pair counts (row sums over all splits)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
+    add = command("mrs", "pair counts with two prescribed endpoints")
+    add("--n", type=int, required=True)
+    add("--r", type=int, required=True)
+    add("--s", type=int, required=True)
+    add("--k", type=int, default=None)
+    _add_choice(add, "--method", (*routes.ROUTES["mrs"], "all"), "formula")
 
-    p = subs.add_parser("avg", help="mean crossing count of free pair walks")
-    p.add_argument("--n", type=int, required=True)
+    add = command("fnk", "free pair counts by post-origin meetings")
+    add("--n", type=int, required=True)
+    add("--k", type=int, default=None)
+    _add_choice(add, "--method", (*routes.ROUTES["fnk"], "all"), "formula")
 
-    p = subs.add_parser("barrier", help="probability two walkers first meet at the origin")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--p", type=str, default=None, help="constant West rate, e.g. 1/3")
-    p.add_argument("--level-file", type=str, default=None, help="one rate per line, level 1 first")
-    _add_choice(p, "--method", (*routes.ROUTES["barrier"], "all"), "all")
+    add = command("pnk", "same-endpoint meeting probabilities")
+    add("--n", type=int, required=True)
+    add("--k", type=int, default=None)
+    _add_choice(add, "--method", (*routes.ROUTES["pnk"], "all"), "formula")
 
-    p = subs.add_parser("bijection", help="replay the 2-to-1 correspondence on a rectangle")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    add = command("diag", "same-endpoint pair counts (row sums over all splits)")
+    add("--n", type=int, required=True)
+    add("--k", type=int, default=None)
 
-    p = subs.add_parser("verify", help="run identity-check suites")
-    p.add_argument("--all", action="store_true", help="run every suite (the default)")
-    p.add_argument("--suite", action="append", default=None, help="suite name, repeatable; 'none' for an empty run")
-    p.add_argument("--nmax", type=int, default=None, help="shrink sweep bounds for a quick run")
-    p.add_argument(
+    add = command("avg", "mean crossing count of free pair walks")
+    add("--n", type=int, required=True)
+
+    add = command("barrier", "probability two walkers first meet at the origin")
+    add("--a", type=int, required=True)
+    add("--b", type=int, required=True)
+    add("--x", type=int, required=True)
+    add("--p", type=str, default=None, help="constant West rate, e.g. 1/3")
+    add("--level-file", type=str, default=None, help="one rate per line, level 1 first")
+    _add_choice(add, "--method", (*routes.ROUTES["barrier"], "all"), "all")
+
+    add = command("bijection", "replay the 2-to-1 correspondence on a rectangle")
+    add("--r", type=int, required=True)
+    add("--s", type=int, required=True)
+
+    add = command("verify", "run identity-check suites")
+    add("--all", action="store_true", help="run every suite (the default)")
+    add("--suite", action="append", default=None, help="suite name, repeatable; 'none' for an empty run")
+    add("--nmax", type=int, default=None, help="shrink sweep bounds for a quick run")
+    add(
         "--timings", action="store_true", help="write one 'suite seconds' line per suite to stderr",
     )
 
     # added last, so they close every usage line
-    for name, sub in subs.choices.items():
-        _add_choice(sub, "--format", ("json", "csv"), "json")
+    for name, add in adders.items():
+        _add_choice(add, "--format", ("json", "csv"), "json")
         if any(route.bound is not None for route in routes.ROUTES.get(name, {}).values()):
-            sub.add_argument(
+            add(
                 "--unsafe-nmax", type=int, default=None,
                 help="raise the built-in size bound (expect long runtimes)",
             )
 
-    _PARSER = parser
+    _PARSER = parser, tables
     return parser
 
 
+def _parse_plain(tables: dict[str, dict[str, argparse.Action]], argv) -> argparse.Namespace | None:
+    """The namespace ``parse_args(argv)`` returns, read from the command's
+    table, for an ``argv`` of the plain form ``COMMAND (--flag VALUE |
+    --switch)...``: exact option strings, each given at most once, every
+    required flag present, and each value nonempty, not starting with
+    ``-`` and accepted by its action's ``type`` and ``choices``. None for
+    any other argv, such as help, ``--n=5``, an abbreviation, a repeat or
+    ``--suite``, which ``parse_args`` then parses itself, so argparse alone
+    writes every help, usage and error message."""
+    table = tables.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = table.get(token)
+        if action is None or action.dest in given:
+            return None
+        if action.nargs == 0:  # a switch stores its constant
+            given[action.dest] = action.const
+            continue
+        value = next(tokens, "")
+        # an option without a ``type`` is ``--suite``, which appends
+        if action.type is None or not value or value[0] == "-":
+            return None
+        try:
+            value = action.type(value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    args = argparse.Namespace(command=argv[0])
+    for action in table.values():
+        if action.dest in given:
+            value = given[action.dest]
+        elif action.required:
+            return None
+        else:
+            value = action.default
+            if isinstance(value, str) and action.type is not None:  # as argparse converts a string default
+                value = action.type(value)
+        setattr(args, action.dest, value)
+    return args
+
+
 def main(argv=None) -> int:
+    """Run one command line, ``argv`` or else ``sys.argv[1:]``, and return
+    its exit code. A plain query is parsed from its command's option table
+    by ``_parse_plain``; any other command line, help and every rejection
+    included, goes to argparse's ``parse_args``. Either gives the same
+    namespace, and the command it names runs."""
     parser = build_parser()
     # Exact results print in full, past the interpreter's default cap on
     # int-to-decimal conversion; the cap is restored on return because
@@ -536,7 +611,9 @@ def main(argv=None) -> int:
     digit_cap = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_plain(_PARSER[1], sys.argv[1:] if argv is None else argv)
+        if args is None:
+            args = parser.parse_args(argv)
         # looked up at call time, so a patched or traced command is the one run
         code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit

@@ -73,6 +73,14 @@ class _ReadOnlyDict(dict):
     clear = pop = popitem = setdefault = update = _read_only
 
 
+def _exact(c):
+    """``c`` as an int or a ``Fraction``. A float is refused:
+    ``Fraction(0.1)`` is the binary value, not the 1/10 meant."""
+    if isinstance(c, float):
+        raise ValueError(f"coefficient {c!r} is a float; give an int, a Fraction or a 'p/q' string")
+    return c if isinstance(c, int) else Fraction(c)
+
+
 class BiSeries:
     """Series in x and y truncated by total degree; a one-variable series
     is one with no y terms.
@@ -93,7 +101,7 @@ class BiSeries:
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent pair {(i, j)}")
             if i + j <= degree:
-                kept[(i, j)] = c if isinstance(c, int) else Fraction(c)
+                kept[(i, j)] = _exact(c)
         den = lcm(*(c.denominator for c in kept.values()))
         self._store(degree, {key: c.numerator * (den // c.denominator) for key, c in kept.items()}, den)
 
@@ -176,7 +184,7 @@ class BiSeries:
 
     def __mul__(self, other) -> "BiSeries":
         if not isinstance(other, BiSeries):
-            c = Fraction(other)
+            c = _exact(other)
             num = {key: v * c.numerator for key, v in self._num.items()}
             return self._of(self._degree, num, self._den * c.denominator)
         o = self._coerce(other)
@@ -468,10 +476,10 @@ def lagrange_coefficient(phi_coeffs, g_coeffs, n: int) -> Fraction:
     polynomial coefficient sequences: (1/n) [t^(n-1)] phi'(t) g(t)^n."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    g = [Fraction(c) for c in g_coeffs]
+    g = [_exact(c) for c in g_coeffs]
     if not g or g[0] == 0:
         raise ValueError("g must have a nonzero constant term")
     cap = n - 1
-    dphi = BiSeries(cap, {(i - 1, 0): i * Fraction(c) for i, c in enumerate(phi_coeffs) if i})
+    dphi = BiSeries(cap, {(i - 1, 0): i * _exact(c) for i, c in enumerate(phi_coeffs) if i})
     gn = BiSeries(cap, {(i, 0): c for i, c in enumerate(g)}).pow(n)
     return (dphi * gn).coeff(cap) / n

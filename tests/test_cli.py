@@ -27,6 +27,10 @@ Core claims:
     - the parser is built once per process: a rejected query leaves it as
       new, help text is unchanged, and each command is looked up when main
       runs, so a patched cmd_* is the one called
+    - a plain query is parsed from its command's option table into the
+      namespace argparse gives, value types included, for any argv list or
+      tuple; help, --n=5, abbreviations, repeats, negative or empty values,
+      --suite, unknown tokens and failed conversions are left to argparse
     - a failing correspondence replay exits 1, prints each image's stored
       words, and gives a failed image no group label
     - every command with a bounded route in routes.ROUTES refuses a costly
@@ -37,12 +41,14 @@ Core claims:
       bounds the query by its own bound, and is held to the others by the
       verify routes suite, with no edit to the CLI
     - a golden set of invocations keeps its exit code, stdout bytes and
-      stderr text exactly, in process and, for one row of each command, in
-      a fresh interpreter
+      stderr text exactly, in process, with every argv left to argparse
+      and, for one row of each command, in a fresh interpreter; every
+      golden row that exits 0 without --suite is served without argparse
     - the correspondence table of every rectangle with r + s <= 10 keeps its
       stdout bytes, rows in the order the enumerated pairs come in
 """
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -816,6 +822,99 @@ def test_help_is_unchanged_after_earlier_queries(capsys, monkeypatch, argv):
     assert capsys.readouterr().out == _fresh_process(*argv)[1]
 
 
+def _tables():
+    cli.build_parser()
+    return cli._PARSER[1]
+
+
+# Tokens that are no option string of any command, or a form argparse alone
+# parses: help, an attached value, an abbreviation, an appending option.
+_NOISE = st.sampled_from(["-h", "--help", "--n=5", "--meth", "--suite", "--bogus", "--", "-n", "nkr", "5"])
+_INTS = st.one_of(
+    st.integers(0, 10**4).map(str),
+    st.sampled_from(["+3", "+0", " 7", "7 ", "1_000", "\u0663", "\u0661\u0662"]),
+)
+_TEXT = st.text(min_size=1, max_size=4)
+_JUNK = st.sampled_from(["", "-1", "-0", " ", "x", "1/3", "0.5", "1e3", "--n", "\u00e9", "all", "csv"])
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of one command, as a list or a tuple: its required flags and
+    some others, in any order, with fitting values, and at times one fault:
+    a dropped flag, a repeated flag, a noise token or a junk value."""
+    tables = _tables()
+    command = sorted(tables)[draw(st.integers(0, len(tables) - 1))]
+    table = tables[command]
+    order, keep = draw(st.permutations(list(table))), draw(st.integers(0, 2 ** len(table) - 1))
+    flags = [flag for i, flag in enumerate(order) if table[flag].required or keep >> i & 1]
+    fault = draw(st.integers(0, 7))
+    if fault == 0 and flags:
+        del flags[draw(st.integers(0, len(flags) - 1))]
+    elif fault == 1 and flags:
+        flags.insert(draw(st.integers(0, len(flags))), flags[draw(st.integers(0, len(flags) - 1))])
+    junk = draw(st.integers(0, len(flags))) if fault == 2 else None
+    argv = [command]
+    for i, flag in enumerate(flags):
+        action = table[flag]
+        argv.append(flag)
+        if action.nargs == 0:
+            pass
+        elif i == junk:
+            argv.append(draw(_JUNK))
+        elif action.choices is not None:
+            argv.append(action.choices[draw(st.integers(0, len(action.choices) - 1))])
+        else:
+            argv.append(draw(_INTS if action.type is int else _TEXT))
+    if fault == 3:
+        argv.insert(draw(st.integers(1, len(argv))), draw(_NOISE))
+    return tuple(argv) if draw(st.booleans()) else argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=_argvs())
+@example(argv=("verify", "--timings", "--nmax", "\u0663", "--all"))
+@example(argv=["barrier", "--a", "+1", "--b", " 2 ", "--x", "1_0", "--level-file", "a b", "--method", "dp"])
+def test_the_table_parse_equals_argparse(argv):
+    got = cli._parse_plain(_tables(), argv)
+    if got is not None:
+        want = cli.build_parser().parse_args(argv)
+        assert vars(got) == vars(want)
+        assert {key: type(value) for key, value in vars(got).items()} == {
+            key: type(value) for key, value in vars(want).items()
+        }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param([], id="no command"),
+        pytest.param(["--help"], id="top-level help"),
+        pytest.param(["nope", "--n", "5"], id="unknown command"),
+        pytest.param(["nkr", "-h"], id="short help"),
+        pytest.param(["nkr", "--n", "5", "--r", "2", "--help"], id="long help"),
+        pytest.param(["nkr", "--n=5", "--r", "2"], id="attached value"),
+        pytest.param(["nkr", "--n", "5", "--r", "2", "--meth", "all"], id="abbreviation"),
+        pytest.param(["nkr", "--n", "5", "--r", "2", "--n", "6"], id="repeat"),
+        pytest.param(["verify", "--all", "--all"], id="repeated switch"),
+        pytest.param(["nkr", "--n", "-1", "--r", "0"], id="negative value"),
+        pytest.param(["nkr", "--n", "", "--r", "2"], id="empty value"),
+        pytest.param(["avg", "--n"], id="missing value"),
+        pytest.param(["avg", "--", "--n", "5"], id="double dash"),
+        pytest.param(["verify", "--suite", "theorem1"], id="suite"),
+        pytest.param(["nkr", "--n", "5", "--r", "2", "--q", "1"], id="unknown flag"),
+        pytest.param(["avg", "--n", "5", "6"], id="stray value"),
+        pytest.param(["verify", "--all", "yes"], id="switch with a value"),
+        pytest.param(["nkr", "--n", "x", "--r", "2"], id="failed conversion"),
+        pytest.param(["nkr", "--n", "5", "--r", "2", "--method", "bogus"], id="failed choice"),
+        pytest.param(["nkr", "--n", "5"], id="missing required flag"),
+    ],
+)
+def test_the_table_parse_declines_all_but_plain_queries(argv):
+    assert cli._parse_plain(_tables(), argv) is None
+    assert cli._parse_plain(_tables(), tuple(argv)) is None
+
+
 # --- golden outputs -------------------------------------------------------------
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -965,17 +1064,43 @@ def _write_level_files(directory: Path) -> None:
     (directory / "bad.txt").write_text("1/2\nnot-a-rational\n")
 
 
-@pytest.mark.parametrize("line, code, digest, err", GOLDEN, ids=[row[0] for row in GOLDEN])
-def test_golden_output(capsys, monkeypatch, tmp_path, line, code, digest, err):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to the terminal width
-    _write_level_files(tmp_path)
+def _golden(capsys, line):
+    """(exit code, stdout sha256, stderr) of one GOLDEN row run in process."""
     try:
         got_code = main(line.split())
     except SystemExit as exc:  # argparse rejects before main's handlers run
         got_code = exc.code
     out = capsys.readouterr()
-    assert (got_code, hashlib.sha256(out.out.encode()).hexdigest(), out.err) == (code, digest, err)
+    return got_code, hashlib.sha256(out.out.encode()).hexdigest(), out.err
+
+
+@pytest.fixture
+def golden_dir(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to the terminal width
+    _write_level_files(tmp_path)
+
+
+@pytest.mark.parametrize("line, code, digest, err", GOLDEN, ids=[row[0] for row in GOLDEN])
+def test_golden_output(capsys, golden_dir, line, code, digest, err):
+    assert _golden(capsys, line) == (code, digest, err)
+
+
+@pytest.mark.parametrize("line, code, digest, err", GOLDEN, ids=[row[0] for row in GOLDEN])
+def test_golden_output_with_every_argv_left_to_argparse(capsys, monkeypatch, golden_dir, line, code, digest, err):
+    monkeypatch.setattr(cli, "_parse_plain", lambda tables, argv: None)
+    assert _golden(capsys, line) == (code, digest, err)
+
+
+def test_every_plain_golden_row_is_served_without_argparse(capsys, monkeypatch, golden_dir):
+    calls = []
+    parse_args = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "parse_args", lambda self, *args: calls.append(args) or parse_args(self, *args),
+    )
+    for line, *pinned in (row for row in GOLDEN if row[1] == 0 and "--suite" not in row[0]):
+        assert _golden(capsys, line) == tuple(pinned), line
+    assert calls == []
 
 
 # --- golden rows in a fresh interpreter --------------------------------------------

@@ -23,6 +23,8 @@ Core claims:
       kernel-shaped ones), obeys the ring laws, hands out Fractions, and
       keeps a canonical form: equal values give equal, equally hashed series
     - a series never changes once built: its degree is read-only
+    - a float coefficient, scalar or Lagrange input is refused by name, and
+      a 'p/q' string is read exactly
     - each chain of degree <= 24 (twice the series route's bound) is kept once
       per process: in any request order, from any number of threads, every
       kept term equals the term a fresh chain steps, repeated calls share one
@@ -475,6 +477,28 @@ def test_coeffs_is_a_read_only_fraction_dict():
     with pytest.raises(TypeError):
         s.coeffs.update({(0, 1): 1})
     assert s.coeff(0, 1) == 0
+
+
+def test_every_coefficient_argument_refuses_a_float():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not the 1/10 meant
+    message = "^coefficient 0.1 is a float; give an int, a Fraction or a 'p/q' string$"
+    s = BiSeries(2, {(0, 0): 1, (1, 0): 2})
+    calls = [
+        lambda: BiSeries(2, {(0, 0): 0.1}),
+        lambda: s * 0.1,
+        lambda: 0.1 * s,
+        lambda: s + 0.1,
+        lambda: 0.1 + s,
+        lambda: s - 0.1,
+        lambda: 0.1 - s,
+        lambda: series.lagrange_coefficient([0, 0.1], [1, 1], 2),
+        lambda: series.lagrange_coefficient([0, 1], [1, 0.1], 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert BiSeries(2, {(0, 0): "1/10"}).coeff(0) == (s * "1/10").coeff(0) == Fraction(1, 10)
+    assert series.lagrange_coefficient([0, "1/2"], [1, "1/4"], 2) == Fraction(1, 8)
 
 
 def test_degree_is_read_only():
