@@ -91,7 +91,7 @@ class _RectMasks(dict):
             and len(word) == self.r + self.s
         ):
             return 0
-        mask = self[word] = PathNE.from_word(word).vertex_mask
+        mask = self[word] = PathNE(word).vertex_mask
         return mask
 
 

@@ -30,7 +30,7 @@ ratio.
 
 Binomials follow the factorial convention used throughout: a term whose
 denominator would contain the factorial of a negative integer vanishes.
-``binom`` implements that reading for nonnegative upper arguments; the
+``binom`` implements that convention for nonnegative upper arguments; the
 separate ``binom_gen`` is the falling-factorial binomial, defined for any
 integer upper argument and read off ``comb`` by upper negation, which the
 two convolution identities in ``vandermonde_a``/``vandermonde_b`` need to
@@ -38,8 +38,7 @@ hold without restrictions.
 
 No other route is imported here, only ``paths``, for its probability
 check, its memo registry and ``IntegralityError``: every comparison with
-enumeration, including the table that tells the readings of the
-two-endpoint formula apart, lives in ``verify``.
+enumeration lives in ``verify``.
 """
 
 from __future__ import annotations
@@ -237,34 +236,22 @@ def narayana(n: int, r: int) -> int:
 
 # --- pairs with two prescribed endpoints ------------------------------------
 
-#: Readings (c, e) of the typographically ambiguous leading fraction
-#: (s-j-r+c+2et)/(n-1-j-2t) of the two-endpoint count. "printed" is the one
-#: displayed and the one the enumeration oracle confirms; the others are the
-#: plausible mis-groupings it rules out.
-ENDPOINT_COUNT_READINGS = {"printed": (1, 1), "minus-2t": (1, -1), "r-plus-1": (-1, 1)}
-
-RESOLVED_ENDPOINT_READING = "printed"
-
-
-def endpoint_pair_expression(n: int, r: int, s: int, k: int, reading: str) -> Fraction:
+def endpoint_pair_expression(n: int, r: int, s: int, k: int) -> Fraction:
     """Two-term expression for pairs ending at (r, n-r) and (s, n-s) that
-    share exactly k vertices beyond the start, under one reading of its
-    leading fraction. Valid for r <= s; at r = s the second term vanishes
-    and the double sum reduces to the same-endpoint count. Not reduced to
-    an integer: a wrong reading may give a fraction."""
-    return Fraction(*_endpoint_pair_terms(n, r, s, k, reading))
+    share exactly k vertices beyond the start, with the printed leading
+    fraction (s-j-r+1+2t)/(n-1-j-2t). Valid for r <= s; at r = s the second
+    term vanishes and the double sum reduces to the same-endpoint count. Not
+    reduced to an integer."""
+    return Fraction(*_endpoint_pair_terms(n, r, s, k))
 
 
-def _endpoint_pair_terms(n: int, r: int, s: int, k: int, reading: str) -> tuple[int, int]:
+def _endpoint_pair_terms(n: int, r: int, s: int, k: int) -> tuple[int, int]:
     """``endpoint_pair_expression`` as one integer numerator over one
     denominator, unreduced. The double sum runs in integers, one numerator
     per denominator n-1-j-2t; those numerators and the second term's
     (s-r) tot over n-k are taken over the lcm of their denominators. A zero
     denominator raises ``ZeroDivisionError``, as the Fraction it stands for
     would."""
-    if reading not in ENDPOINT_COUNT_READINGS:
-        raise ValueError(f"unknown reading {reading!r}")
-    c, e = ENDPOINT_COUNT_READINGS[reading]
     by_den: dict[int, int] = {}
     if k < n:
         # C(n-k, r-j) and C(n-k, s-j) are nonzero for j in lo..hi; each step
@@ -290,7 +277,7 @@ def _endpoint_pair_terms(n: int, r: int, s: int, k: int, reading: str) -> tuple[
         term = binom(k, 2 * t + 1) * binom(n - 1 - 2 * t, s) * binom(n - 1 - 2 * t, q)
         for j in range(hi + 1):
             den = n - 1 - j - 2 * t
-            signed = 2 * (s - j - r + c + 2 * e * t) * term
+            signed = 2 * (s - j - r + 1 + 2 * t) * term
             by_den[den] = by_den.get(den, 0) + (-signed if j % 2 else signed)
             if j < hi:
                 term = term * ((k - 1 - 2 * t - j) * (s - j) * (den - q)) // ((j + 1) * den * den)
@@ -304,8 +291,8 @@ def endpoint_pair_count(n: int, r: int, s: int, k: int) -> int:
 
     For r == s the shared final vertex always contributes, and the count is
     by definition the rectangle count at k-1 meetings. For r < s it is the
-    closed form under the resolved reading; ``verify.check_mrs`` holds it to
-    the enumeration oracle.
+    closed form ``endpoint_pair_expression``; ``verify.check_mrs`` holds it
+    to the enumeration oracle.
     """
     if not 0 <= r <= s <= n:
         raise ValueError(f"need 0 <= r <= s <= n, got r={r}, s={s}, n={n}")
@@ -319,9 +306,7 @@ def endpoint_pair_count(n: int, r: int, s: int, k: int) -> int:
         return rect_pair_count_a(n, r, k - 1)
     if not 0 <= k <= n - 1:
         raise ValueError(f"distinct endpoints need 0 <= k <= n-1, got k={k}")
-    return _as_count(
-        *_endpoint_pair_terms(n, r, s, k, RESOLVED_ENDPOINT_READING), f"endpoint_pair_count{(n, r, s, k)}"
-    )
+    return _as_count(*_endpoint_pair_terms(n, r, s, k), f"endpoint_pair_count{(n, r, s, k)}")
 
 
 def endpoint_pair_count_k0(n: int, r: int, s: int) -> int:

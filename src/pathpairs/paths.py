@@ -34,8 +34,10 @@ inclusion-exclusion. ``meeting_points`` reads each path's ``vertex_mask``,
 one int with a bit per vertex, so a pair's shared vertices are the set bits
 of the AND of its two masks, inside the window. ``all_paths`` is the one
 enumerator, in the fixed order of the E-step positions as combinations.
-``PathNE.vertices``, ``from_word`` and ``column_heights`` stay as public
-views of a path, though the census reads none of them.
+``PathNE.from_word``, ``column_heights`` and the ``vertices`` it reads stay
+as public views of a path only because the benchmark's tracer,
+``bench/spans.py``, wraps the first two; nothing in the package calls them,
+and the bench rewrite (ROADMAP item 4) deletes them.
 
 Both ``all_paths`` and ``meeting_census`` are memoized behind their
 signatures, so every table, the 2-to-1 replay and the command line share

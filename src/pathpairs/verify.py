@@ -117,30 +117,6 @@ def _table(build, *args) -> oracle.CountTable:
 paths.MEMOS.setdefault("verify._table", _table.cache_clear)
 
 
-def endpoint_reading_discrepancies(reading: str, n_max: int = 8) -> list[dict[str, str]]:
-    """Machine-readable mismatch table for one reading of the two-endpoint
-    formula against the enumeration oracle and the equal-endpoint boundary.
-
-    Empty means the reading reproduces every instance with n <= n_max.
-    """
-    out: list[dict[str, str]] = []
-    for n in range(1, n_max + 1):
-        for r in range(n + 1):
-            for s in range(r, n + 1):
-                if r == s:
-                    table = _table(oracle.rect_pair_table, n, r)
-                    expected = {k: table.get(k - 1) for k in range(1, n)}
-                else:
-                    table = _table(oracle.endpoint_pair_table, n, r, s)
-                    expected = {k: table.get(k) for k in range(n)}
-                for k, want in expected.items():
-                    got = formulas.endpoint_pair_expression(n, r, s, k, reading)
-                    if got != want:
-                        row = dict(n=n, r=r, s=s, k=k, formula=got, oracle=want, reading=reading)
-                        out.append({key: str(value) for key, value in row.items()})
-    return out
-
-
 # --- formula-level checks -----------------------------------------------------
 
 
@@ -287,17 +263,23 @@ def check_bijection(n_max: int | None = None) -> CheckReport:
 def check_mrs(n_max: int | None = None) -> CheckReport:
     """The two-endpoint closed form reproduces the enumerated tables, its
     k = 0 specialization matches both, and the equal-endpoint boundary
-    reduces to the rectangle counts. A reading that failed resolution would
-    surface here as a nonempty discrepancy table."""
+    reduces to the rectangle counts. One instance holds the expression
+    itself, which ``endpoint_pair_count`` bypasses at r = s, to the
+    rectangle table at k - 1 on every (n, r, k) and names the first that
+    differs."""
     rec = _Recorder("mrs")
     n_max = min(8, _cap(n_max))
-    discrepancies = endpoint_reading_discrepancies(formulas.RESOLVED_ENDPOINT_READING, n_max)
-    rec.expect(
-        not discrepancies,
-        reading=formulas.RESOLVED_ENDPOINT_READING,
-        mismatches=len(discrepancies),
-        first=discrepancies[0] if discrepancies else "none",
+    boundary = next(
+        (
+            (n, r, k)
+            for n in range(1, n_max + 1)
+            for r in range(n + 1)
+            for k in range(1, n)
+            if formulas.endpoint_pair_expression(n, r, r, k) != _table(oracle.rect_pair_table, n, r).get(k - 1)
+        ),
+        None,
     )
+    rec.expect(boundary is None, first=boundary or "none", sides="expression at r = s vs rectangle table")
     for n in range(1, n_max + 1):
         for r in range(n + 1):
             for s in range(r + 1, n + 1):

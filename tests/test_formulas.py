@@ -4,10 +4,11 @@ Core claims:
     - both rectangle-count forms give the documented small values, agree on
       the big frozen instance (n=17, r=9, k=5), and equal the enumerated
       counts on a sweep
-    - the two-endpoint formula's ambiguous reading resolves to the printed
-      grouping: it alone has an empty discrepancy table (built in verify),
-      and a wrong reading yields a structured, nonempty one that names wrong
-      and non-integer values
+    - the two-endpoint formula's leading fraction is read as printed: of
+      three readings, termwise references kept below, only the printed one
+      matches the enumerated tables, a wrong one gives wrong and non-integer
+      values, and the mrs suite alone rejects both wrong readings and a
+      broken equal-endpoint boundary
     - the free-pair, meeting-probability, same-endpoint-count, and average
       formulas match their oracles and special values
     - counts that fail to reduce to integers raise IntegralityError, an
@@ -35,10 +36,10 @@ Core claims:
       module has registered resets of its own
     - the ratio-stepped sums equal the one-binom-per-factor references kept
       below: both rectangle forms on every instance with n <= 30 and on a
-      sparse grid at n = 100 and 301, the two-endpoint expression under
-      every reading to n = 9 and at n = 60 and 150, and the barrier closed
-      form, one integer numerator, equals its one-Fraction-per-term sum for
-      every a, b, x <= 8 at five rates and at a = b = x = 200
+      sparse grid at n = 100 and 301, the two-endpoint expression to n = 9
+      and at n = 60 and 150, and the barrier closed form, one integer
+      numerator, equals its one-Fraction-per-term sum for every a, b, x <= 8
+      at five rates and at a = b = x = 200
     - at k = 0, far past enumeration, both rectangle forms and the
       two-endpoint count equal the Lindstrom-Gessel-Viennot 2x2
       determinants of nonintersecting path pairs
@@ -269,30 +270,10 @@ def test_endpoint_count_matches_oracle_sweep():
                     assert formulas.endpoint_pair_count(n, r, s, k) == table.get(k)
 
 
-def test_endpoint_reading_resolution():
-    tables = {
-        reading: verify.endpoint_reading_discrepancies(reading, 6)
-        for reading in formulas.ENDPOINT_COUNT_READINGS
-    }
-    accepted = [reading for reading, table in tables.items() if not table]
-    assert accepted == [formulas.RESOLVED_ENDPOINT_READING] == ["printed"]
-    # the rejected readings produce structured, machine-readable mismatches
-    bad = tables["minus-2t"] + tables["r-plus-1"]
-    assert bad
-    assert {"n", "r", "s", "k", "formula", "oracle", "reading"} <= set(bad[0])
-
-
-def test_endpoint_wrong_reading_fails_loudly():
-    # the discrepancy table names each instance a wrong reading gets wrong,
-    # whether its value is a wrong integer or not an integer at all
-    table = verify.endpoint_reading_discrepancies("minus-2t", 7)
-    rows = {(row["n"], row["r"], row["s"], row["k"]): (row["formula"], row["oracle"]) for row in table}
-    assert rows[("7", "3", "4", "3")] == ("248", "250")
-    assert rows[("7", "3", "4", "4")] == ("518/3", "170")
-
-
-# The two-endpoint expression as printed, one Fraction per term: the
-# reference the library's integer sum, grouped by denominator, must equal.
+# The two-endpoint expression, one Fraction per term, under the printed
+# reading of its leading fraction and under two plausible mis-groupings of
+# it: the printed one is the reference the library's integer sum, grouped by
+# denominator, must equal, and the enumeration oracle rejects the other two.
 _READING_PREFACTORS = {
     "printed": lambda n, r, s, j, t: Fraction(s - j - r + 1 + 2 * t, n - 1 - j - 2 * t),
     "minus-2t": lambda n, r, s, j, t: Fraction(s - j - r + 1 - 2 * t, n - 1 - j - 2 * t),
@@ -300,7 +281,7 @@ _READING_PREFACTORS = {
 }
 
 
-def _termwise_endpoint_expression(n, r, s, k, reading):
+def _termwise_endpoint_expression(n, r, s, k, reading="printed"):
     binom = formulas.binom
     second = Fraction(0)
     if k < n:
@@ -316,6 +297,66 @@ def _termwise_endpoint_expression(n, r, s, k, reading):
             if c:
                 first += (-1) ** j * _READING_PREFACTORS[reading](n, r, s, j, t) * c
     return 2 * first + second
+
+
+def _reading_mismatches(reading, n_max):
+    """Every (n, r, s, k) with n <= n_max where one reading differs from the
+    enumerated tables, mapped to (expression, oracle): the two-endpoint table
+    at k for r < s, the rectangle table at k - 1 for r = s."""
+    out = {}
+    for n in range(1, n_max + 1):
+        for r in range(n + 1):
+            for s in range(r, n + 1):
+                if r == s:
+                    table = oracle.rect_pair_table(n, r)
+                    expected = {k: table.get(k - 1) for k in range(1, n)}
+                else:
+                    table = oracle.endpoint_pair_table(n, r, s)
+                    expected = {k: table.get(k) for k in range(n)}
+                for k, want in expected.items():
+                    got = _termwise_endpoint_expression(n, r, s, k, reading)
+                    if got != want:
+                        out[(n, r, s, k)] = (got, want)
+    return out
+
+
+def test_endpoint_reading_resolution():
+    tables = {reading: _reading_mismatches(reading, 6) for reading in _READING_PREFACTORS}
+    assert [reading for reading, table in tables.items() if not table] == ["printed"]
+
+
+def test_endpoint_wrong_reading_fails_loudly():
+    # a wrong reading gets some instances wrong by an integer and others by
+    # a value that is not an integer at all
+    table = _reading_mismatches("minus-2t", 7)
+    assert table[(7, 3, 4, 3)] == (248, 250)
+    assert table[(7, 3, 4, 4)] == (Fraction(518, 3), 170)
+
+
+@pytest.mark.parametrize("reading", ["minus-2t", "r-plus-1"])
+def test_mrs_suite_rejects_a_retired_reading(monkeypatch, cold_memos, reading):
+    def terms(n, r, s, k):
+        value = _termwise_endpoint_expression(n, r, s, k, reading)
+        return value.numerator, value.denominator
+
+    monkeypatch.setattr(formulas, "_endpoint_pair_terms", terms)
+    try:
+        assert not verify.check_mrs(6).passed
+    except formulas.IntegralityError:
+        pass  # a non-integer count is rejected as loudly as a wrong one
+
+
+def test_mrs_suite_rejects_a_broken_boundary(monkeypatch, cold_memos):
+    # endpoint_pair_count answers r = s from the rectangle form, so only the
+    # suite's boundary instance reads the expression there
+    expression = formulas.endpoint_pair_expression
+    monkeypatch.setattr(
+        formulas, "endpoint_pair_expression",
+        lambda n, r, s, k: expression(n, r, s, k) + ((n, r, s, k) == (5, 2, 2, 3)),
+    )
+    report = verify.check_mrs(6)
+    assert not report.passed
+    assert report.first_failure["first"] == "(5, 2, 3)"
 
 
 def _value_or_zero_division(fn, *args):
@@ -336,17 +377,13 @@ def test_endpoint_expression_equals_termwise_reference():
     # rows whose denominators n-1-j-2t and n-k share factors, so the lcm
     # they are taken over is far below their product
     shared = [(60, 20, 35, k) for k in (4, 11, 20, 36, 48)] + [(150, 60, 85, k) for k in (29, 74)]
-    assert list(formulas.ENDPOINT_COUNT_READINGS) == list(_READING_PREFACTORS)
     raised = 0
     for args in small + large + shared:
-        for reading in _READING_PREFACTORS:
-            want = _value_or_zero_division(_termwise_endpoint_expression, *args, reading)
-            got = _value_or_zero_division(formulas.endpoint_pair_expression, *args, reading)
-            assert got == want, (args, reading)
-            raised += want is ZeroDivisionError
+        want = _value_or_zero_division(_termwise_endpoint_expression, *args)
+        got = _value_or_zero_division(formulas.endpoint_pair_expression, *args)
+        assert got == want, args
+        raised += want is ZeroDivisionError
     assert raised  # some instances divide by n-1-j-2t = 0, on both sides
-    with pytest.raises(ValueError, match="unknown reading"):
-        formulas.endpoint_pair_expression(4, 1, 2, 1, "bogus")
 
 
 def test_endpoint_count_range_checks():
