@@ -11,13 +11,15 @@ failing report always carries the first counterexample in scan order, with
 every input and both computed values. A report also carries the suite's
 wall time, ``elapsed_s``, which report equality ignores.
 
+A passing instance costs one compare and a count: rationals are compared
+by cross-multiplying integer numerators and denominators, and a context
+dict or ``Fraction`` is built only for a failure.
+
 Each ``check_<suite>`` states its own sweep sizes once: ``n_max`` None runs
 its default grid, and a given ``n_max`` shrinks it, never below the suite's
 smallest meaningful size. Every enumerated table, from any of the four
 ``oracle.*_pair_table`` functions, is read through one memo, ``_table``.
-The barrier suite runs one single-walker distribution per level and rate,
-and compares it with the pair walk in integers, by cross-multiplying the
-two walker DPs' masses and denominators.
+The barrier suite runs one single-walker distribution per level and rate.
 
 The ``routes`` suite reads the route table, ``routes.ROUTES``, through the
 same ``routes.plan`` and ``routes.tabulate`` steps the command line runs,
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate
-from math import comb, inf
+from math import comb, inf, lcm
 from time import perf_counter
 from types import SimpleNamespace
 
@@ -58,13 +60,24 @@ class CheckReport:
 
 
 class _Recorder:
-    """Collects instance counts and the first failing comparison."""
+    """Collects instance counts and the first failing comparison.
+
+    ``passes`` counts a passing instance after one compare, rationals
+    cross-multiplied; only a failure builds its context dict and
+    ``Fraction``s, recorded by ``expect_equal`` or ``expect``."""
 
     def __init__(self, check_id: str):
         self.check_id = check_id
         self.instances = 0
         self.failure: dict | None = None
         self.started = perf_counter()
+
+    def passes(self, left, right=True) -> bool:
+        """True, counting the instance, if ``left == right``; else False."""
+        if left == right:
+            self.instances += 1
+            return True
+        return False
 
     def expect_equal(self, left, right, **context) -> None:
         self.instances += 1
@@ -74,16 +87,6 @@ class _Recorder:
                 "right": str(right),
                 **{k: str(v) for k, v in context.items()},
             }
-
-    def expect_equal_ratio(self, left: tuple[int, int], right: tuple[int, int], **context) -> None:
-        """``expect_equal`` on two exact probabilities given as integer
-        ``(mass, den)`` pairs: the masses are cross-multiplied, and the
-        reduced ``Fraction``s are built only to record a failure."""
-        (left_mass, left_den), (right_mass, right_den) = left, right
-        if left_mass * right_den == right_mass * left_den:
-            self.instances += 1
-        else:
-            self.expect_equal(Fraction(left_mass, left_den), Fraction(right_mass, right_den), **context)
 
     def expect(self, ok: bool, **context) -> None:
         self.instances += 1
@@ -127,11 +130,9 @@ def check_theorem1(n_max: int | None = None) -> CheckReport:
     for n in range(2, n_max + 1):
         for r in range(n + 1):
             for k in range(n - 1):
-                rec.expect_equal(
-                    formulas.rect_pair_count_a(n, r, k),
-                    formulas.rect_pair_count_b(n, r, k),
-                    n=n, r=r, k=k, sides="form a vs form b",
-                )
+                a, b = formulas.rect_pair_count_a(n, r, k), formulas.rect_pair_count_b(n, r, k)
+                if not rec.passes(a, b):
+                    rec.expect_equal(a, b, n=n, r=r, k=k, sides="form a vs form b")
     return rec.report()
 
 
@@ -149,7 +150,8 @@ def check_recurrence(n_max: int | None = None) -> CheckReport:
                 for m in range(1, n):
                     for q in range(max(0, r - (n - m)), min(r, m) + 1):
                         conv += rect(m, q).get(k - 1) * rect(n - m, r - q).get(0)
-                rec.expect_equal(table.get(k), conv, n=n, r=r, k=k, sides="oracle vs convolution")
+                if not rec.passes(table.get(k), conv):
+                    rec.expect_equal(table.get(k), conv, n=n, r=r, k=k, sides="oracle vs convolution")
     return rec.report()
 
 
@@ -164,38 +166,62 @@ def check_eq8(n_max: int | None = None) -> CheckReport:
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
             conv = sum(same(j).get(k - 1) * free(n - j).get(0) for j in range(k, n + 1))
-            rec.expect_equal(free(n).get(k), conv, n=n, k=k, sides="oracle table vs convolution")
+            if not rec.passes(free(n).get(k), conv):
+                rec.expect_equal(free(n).get(k), conv, n=n, k=k, sides="oracle table vs convolution")
             closed = sum(
                 formulas.same_endpoint_pair_count(j, k - 1) * formulas.free_pair_count(n - j, 0)
                 for j in range(k, n + 1)
             )
-            rec.expect_equal(
-                formulas.free_pair_count(n, k), closed, n=n, k=k, sides="closed forms"
-            )
+            count = formulas.free_pair_count(n, k)
+            if not rec.passes(count, closed):
+                rec.expect_equal(count, closed, n=n, k=k, sides="closed forms")
     return rec.report()
 
 
 def check_wz(n_max: int | None = None) -> CheckReport:
     """Telescoping certificate for the meeting-probability distribution:
     p(n+1,k) - p(n,k) = g(n,k+1) - g(n,k) exactly, the k-sums are exactly 1,
-    and p(n,1) = 2 p(n,0)."""
+    and p(n,1) = 2 p(n,0).
+
+    Each row p(n, .) is evaluated once and serves the differences at n - 1
+    and n, its total (one numerator over the lcm of its denominators) and
+    its doubling; those two are recorded after the differences, in scan
+    order. The companion row g(n, .) is asked for alongside p(n, .): g(n, k)
+    reads p(n, k - 1), the value asked for just before it, which the
+    one-slot memo of ``same_endpoint_meet_prob`` returns as it is."""
     rec = _Recorder("wz")
     sum_n_max = min(60, _cap(n_max))
     n_max = min(40, _cap(n_max))
-    for n in range(1, n_max + 1):
-        for k in range(n + 2):
-            lhs = formulas.meet_prob_or_zero(n + 1, k) - formulas.meet_prob_or_zero(n, k)
-            rhs = formulas.telescoping_companion(n, k + 1) - formulas.telescoping_companion(n, k)
-            rec.expect_equal(lhs, rhs, n=n, k=k, sides="difference vs companion")
-    for n in range(1, sum_n_max + 1):
-        total = sum(formulas.same_endpoint_meet_prob(n, k) for k in range(n))
-        rec.expect_equal(total, Fraction(1), n=n, sides="probability total")
-    for n in range(2, n_max + 1):
-        rec.expect_equal(
-            formulas.same_endpoint_meet_prob(n, 1),
-            2 * formulas.same_endpoint_meet_prob(n, 0),
-            n=n, sides="k=1 vs twice k=0",
-        )
+    meet, companion = formulas.same_endpoint_meet_prob, formulas.telescoping_companion
+    totals, doublings, row, g = [], [], [], []
+    for n in range(1, max(sum_n_max, n_max + 1) + 1):
+        below, g_below, row, g = row, g, [], []
+        for k in range(n + 3):
+            if n <= n_max:
+                g.append(companion(n, k).as_integer_ratio())
+            if k < n:
+                row.append(meet(n, k).as_integer_ratio())
+        if 1 < n <= n_max + 1:
+            # for k = 0..n, p(n, k) - p(n - 1, k) = a/b - c/d, p zero past
+            # its row, against g(n - 1, k + 1) - g(n - 1, k) = h/i - e/f
+            terms = zip(row + [(0, 1)], below + [(0, 1)] * 2, g_below, g_below[1:])
+            for k, ((a, b), (c, d), (e, f), (h, i)) in enumerate(terms):
+                if not rec.passes((a * d - c * b) * f * i, (h * f - e * i) * b * d):
+                    rec.expect_equal(
+                        Fraction(a, b) - Fraction(c, d), Fraction(h, i) - Fraction(e, f),
+                        n=n - 1, k=k, sides="difference vs companion",
+                    )
+        if n <= sum_n_max:
+            common = lcm(*(den for _, den in row))
+            totals.append((sum(num * (common // den) for num, den in row), common))
+        if 1 < n <= n_max:
+            doublings.append((n, row[0], row[1]))
+    for n, (total, common) in enumerate(totals, 1):
+        if not rec.passes(total, common):
+            rec.expect_equal(Fraction(total, common), 1, n=n, sides="probability total")
+    for n, (a, b), (c, d) in doublings:
+        if not rec.passes(c * b, 2 * a * d):
+            rec.expect_equal(Fraction(c, d), 2 * Fraction(a, b), n=n, sides="k=1 vs twice k=0")
     return rec.report()
 
 
@@ -210,18 +236,19 @@ def check_nkr(n_max: int | None = None) -> CheckReport:
     for n in range(2, n_max + 1):
         for r in range(n + 1):
             table = _table(oracle.rect_pair_table, n, r)
-            rec.expect_equal(table.total, comb(n, r) ** 2, n=n, r=r, sides="total")
-            rec.expect_equal(
-                table.entries, _table(oracle.rect_pair_table, n, n - r).entries, n=n, r=r, sides="reflection"
-            )
+            if not rec.passes(table.total, comb(n, r) ** 2):
+                rec.expect_equal(table.total, comb(n, r) ** 2, n=n, r=r, sides="total")
+            reflected = _table(oracle.rect_pair_table, n, n - r).entries
+            if not rec.passes(table.entries, reflected):
+                rec.expect_equal(table.entries, reflected, n=n, r=r, sides="reflection")
             for k in range(n - 1):
                 count = table.get(k)
-                rec.expect_equal(
-                    formulas.rect_pair_count_a(n, r, k), count, n=n, r=r, k=k, sides="form a vs oracle"
-                )
-                rec.expect_equal(
-                    formulas.rect_pair_count_b(n, r, k), count, n=n, r=r, k=k, sides="form b vs oracle"
-                )
+                form_a = formulas.rect_pair_count_a(n, r, k)
+                if not rec.passes(form_a, count):
+                    rec.expect_equal(form_a, count, n=n, r=r, k=k, sides="form a vs oracle")
+                form_b = formulas.rect_pair_count_b(n, r, k)
+                if not rec.passes(form_b, count):
+                    rec.expect_equal(form_b, count, n=n, r=r, k=k, sides="form b vs oracle")
     return rec.report()
 
 
@@ -232,16 +259,12 @@ def check_doubling(n_max: int | None = None) -> CheckReport:
     n_max = max(3, min(10, _cap(n_max)))
     for n in range(3, n_max + 1):
         for r in range(1, n):
-            rec.expect_equal(
-                formulas.rect_pair_count_a(n, r, 1),
-                2 * formulas.rect_pair_count_a(n, r, 0),
-                n=n, r=r, sides="k=1 vs twice k=0",
-            )
-            rec.expect_equal(
-                2 * formulas.narayana(n, r),
-                formulas.rect_pair_count_a(n, r, 0),
-                n=n, r=r, sides="half count",
-            )
+            one, none = formulas.rect_pair_count_a(n, r, 1), formulas.rect_pair_count_a(n, r, 0)
+            if not rec.passes(one, 2 * none):
+                rec.expect_equal(one, 2 * none, n=n, r=r, sides="k=1 vs twice k=0")
+            half = formulas.narayana(n, r)
+            if not rec.passes(2 * half, none):
+                rec.expect_equal(2 * half, none, n=n, r=r, sides="half count")
     return rec.report()
 
 
@@ -252,11 +275,8 @@ def check_bijection(n_max: int | None = None) -> CheckReport:
     for total in range(2, total_max + 1):
         for r in range(1, total):
             report = bijection.verify_correspondence(r, total - r)
-            rec.expect(
-                report.passed,
-                r=r, s=total - r,
-                failures="; ".join(report.failures[:3]) or "none",
-            )
+            if not rec.passes(report.passed):
+                rec.expect(False, r=r, s=total - r, failures="; ".join(report.failures[:3]) or "none")
     return rec.report()
 
 
@@ -279,27 +299,26 @@ def check_mrs(n_max: int | None = None) -> CheckReport:
         ),
         None,
     )
-    rec.expect(boundary is None, first=boundary or "none", sides="expression at r = s vs rectangle table")
+    if not rec.passes(boundary is None):
+        rec.expect(False, first=boundary, sides="expression at r = s vs rectangle table")
     for n in range(1, n_max + 1):
         for r in range(n + 1):
             for s in range(r + 1, n + 1):
                 table = _table(oracle.endpoint_pair_table, n, r, s)
-                rec.expect_equal(table.total, comb(n, r) * comb(n, s), n=n, r=r, s=s, sides="total")
-                rec.expect_equal(
-                    formulas.endpoint_pair_count_k0(n, r, s), table.get(0),
-                    n=n, r=r, s=s, sides="k0 form vs oracle",
-                )
+                if not rec.passes(table.total, comb(n, r) * comb(n, s)):
+                    rec.expect_equal(table.total, comb(n, r) * comb(n, s), n=n, r=r, s=s, sides="total")
+                k0 = formulas.endpoint_pair_count_k0(n, r, s)
+                if not rec.passes(k0, table.get(0)):
+                    rec.expect_equal(k0, table.get(0), n=n, r=r, s=s, sides="k0 form vs oracle")
                 for k in range(n):
-                    rec.expect_equal(
-                        formulas.endpoint_pair_count(n, r, s, k), table.get(k),
-                        n=n, r=r, s=s, k=k, sides="formula vs oracle",
-                    )
+                    count = formulas.endpoint_pair_count(n, r, s, k)
+                    if not rec.passes(count, table.get(k)):
+                        rec.expect_equal(count, table.get(k), n=n, r=r, s=s, k=k, sides="formula vs oracle")
             for k in range(1, n):
-                rec.expect_equal(
-                    formulas.endpoint_pair_count(n, r, r, k),
-                    _table(oracle.rect_pair_table, n, r).get(k - 1),
-                    n=n, r=r, s=r, k=k, sides="equal endpoints vs rectangle table",
-                )
+                count = formulas.endpoint_pair_count(n, r, r, k)
+                want = _table(oracle.rect_pair_table, n, r).get(k - 1)
+                if not rec.passes(count, want):
+                    rec.expect_equal(count, want, n=n, r=r, s=r, k=k, sides="equal endpoints vs rectangle table")
     return rec.report()
 
 
@@ -309,21 +328,22 @@ def check_fnk(n_max: int | None = None) -> CheckReport:
     rec = _Recorder("fnk")
     identity_n_max = min(40, _cap(n_max))
     n_max = min(8, _cap(n_max))
+    rows = [[formulas.free_pair_count(n, k) for k in range(n + 1)] for n in range(identity_n_max + 1)]
     for n in range(n_max + 1):
         table = _table(oracle.free_pair_table, n)
-        rec.expect_equal(table.total, 4 ** n, n=n, sides="total")
-        for k in range(n + 1):
+        if not rec.passes(table.total, 4 ** n):
+            rec.expect_equal(table.total, 4 ** n, n=n, sides="total")
+        for k, count in enumerate(rows[n]):
+            if not rec.passes(count, table.get(k)):
+                rec.expect_equal(count, table.get(k), n=n, k=k, sides="formula vs oracle")
+    for n, row in enumerate(rows):
+        if not rec.passes(sum(row), 4 ** n):
+            rec.expect_equal(sum(row), 4 ** n, n=n, sides="sum vs 4^n")
+        # both probabilities are over 4^n, so their numerators decide
+        if not rec.passes(row[0], comb(2 * n, n)):
             rec.expect_equal(
-                formulas.free_pair_count(n, k), table.get(k), n=n, k=k, sides="formula vs oracle"
+                Fraction(row[0], 4 ** n), Fraction(comb(2 * n, n), 4 ** n), n=n, sides="nonmeeting probability"
             )
-    for n in range(identity_n_max + 1):
-        total = sum(formulas.free_pair_count(n, k) for k in range(n + 1))
-        rec.expect_equal(total, 4 ** n, n=n, sides="sum vs 4^n")
-        rec.expect_equal(
-            Fraction(formulas.free_pair_count(n, 0), 4 ** n),
-            Fraction(comb(2 * n, n), 4 ** n),
-            n=n, sides="nonmeeting probability",
-        )
     return rec.report()
 
 
@@ -335,15 +355,12 @@ def check_pnk(n_max: int | None = None) -> CheckReport:
         table = _table(oracle.same_endpoint_pair_table, n)
         denom = comb(2 * n, n)
         for k in range(n):
-            rec.expect_equal(
-                formulas.same_endpoint_meet_prob(n, k),
-                Fraction(table.get(k), denom),
-                n=n, k=k, sides="formula vs oracle",
-            )
-            rec.expect_equal(
-                formulas.same_endpoint_pair_count(n, k), table.get(k),
-                n=n, k=k, sides="count form vs oracle",
-            )
+            p, count = formulas.same_endpoint_meet_prob(n, k), table.get(k)
+            if not rec.passes(p.numerator * denom, count * p.denominator):
+                rec.expect_equal(p, Fraction(count, denom), n=n, k=k, sides="formula vs oracle")
+            closed = formulas.same_endpoint_pair_count(n, k)
+            if not rec.passes(closed, count):
+                rec.expect_equal(closed, count, n=n, k=k, sides="count form vs oracle")
     return rec.report()
 
 
@@ -356,16 +373,15 @@ def check_diag(n_max: int | None = None) -> CheckReport:
     for n in range(2, n_max + 1):
         for k in range(n - 1):
             row = sum(formulas.rect_pair_count_a(n, r, k) for r in range(n + 1))
-            rec.expect_equal(
-                formulas.same_endpoint_pair_count(n, k), row, n=n, k=k, sides="closed form vs row sum"
-            )
+            closed = formulas.same_endpoint_pair_count(n, k)
+            if not rec.passes(closed, row):
+                rec.expect_equal(closed, row, n=n, k=k, sides="closed form vs row sum")
     for n in range(1, oracle_n_max + 1):
         table = _table(oracle.same_endpoint_pair_table, n)
         for k in range(n):
-            rec.expect_equal(
-                formulas.same_endpoint_pair_count(n, k), table.get(k),
-                n=n, k=k, sides="closed form vs oracle",
-            )
+            closed = formulas.same_endpoint_pair_count(n, k)
+            if not rec.passes(closed, table.get(k)):
+                rec.expect_equal(closed, table.get(k), n=n, k=k, sides="closed form vs oracle")
     return rec.report()
 
 
@@ -375,16 +391,13 @@ def check_avg(n_max: int | None = None) -> CheckReport:
     a relative 2%."""
     rec = _Recorder("avg")
     for n in range(min(8, _cap(n_max)) + 1):
-        rec.expect_equal(
-            formulas.average_crossings(n),
-            _table(oracle.free_pair_table, n).mean,
-            n=n, sides="closed form vs oracle mean",
-        )
+        mean, want = formulas.average_crossings(n), _table(oracle.free_pair_table, n).mean
+        if not rec.passes(mean, want):
+            rec.expect_equal(mean, want, n=n, sides="closed form vs oracle mean")
     exact = float(formulas.average_crossings(1000))
     approx = formulas.average_crossings_asymptote(1000)
-    rec.expect(
-        abs(exact - approx) <= 0.02 * abs(approx), n=1000, exact=exact, asymptote=approx, rel_tol=0.02
-    )
+    if not rec.passes(abs(exact - approx) <= 0.02 * abs(approx)):
+        rec.expect(False, n=1000, exact=exact, asymptote=approx, rel_tol=0.02)
     return rec.report()
 
 
@@ -440,8 +453,15 @@ def _walker_checks(rec, a: int, b: int, x: int, pair: tuple[int, int], levels) -
     # w = a + x - t, t <= a + x.
     first_x = running[a + x + 1] - running[a]
     upper, lower = den - running[a], running[a + x + 1]
-    rec.expect_equal_ratio(pair, (first_x, den), a=a, b=b, x=x, sides="pair walk vs single walker")
-    rec.expect_equal_ratio(pair, (upper + lower - den, den), a=a, b=b, x=x, sides="pair walk vs u + l - 1")
+    mass, pair_den = pair
+    if not rec.passes(mass * den, first_x * pair_den):
+        rec.expect_equal(
+            Fraction(*pair), Fraction(first_x, den), a=a, b=b, x=x, sides="pair walk vs single walker"
+        )
+    if not rec.passes(mass * den, (upper + lower - den) * pair_den):
+        rec.expect_equal(
+            Fraction(*pair), Fraction(upper + lower - den, den), a=a, b=b, x=x, sides="pair walk vs u + l - 1"
+        )
 
 
 def check_barrier(n_max: int | None = None, seed: int = 20114) -> CheckReport:
@@ -455,8 +475,12 @@ def check_barrier(n_max: int | None = None, seed: int = 20114) -> CheckReport:
     single walker is one distribution per level and rate,
     ``_walker_levels``, shared by every configuration on that level and
     never fed to the pair DP. Both walker DPs carry integer masses over one
-    denominator, and the single-walker comparisons cross-multiply them; a
-    ``Fraction`` is built only for the closed form and for a failure.
+    denominator.
+
+    Under one distribution per level, u + l - 1 = (den - R[a]) + R[a+x+1] -
+    den = R[a+x+1] - R[a] (R the running West-step masses), so the
+    "u + l - 1" row reads the same integer as the "single walker" row. It
+    stays for its pinned count, not as evidence of its own.
 
     A full sweep answers every start pair up to its top level at once, so it
     suits this suite, which asks for every pair; a single query (the CLI,
@@ -474,10 +498,11 @@ def check_barrier(n_max: int | None = None, seed: int = 20114) -> CheckReport:
             for b in range(const_limit + 1):
                 for x in range(const_limit + 1):
                     pair = _pair_walk(table, a, b, x)
-                    rec.expect_equal(
-                        Fraction(*pair), formulas.barrier_meet_formula(a, b, x, p),
-                        a=a, b=b, x=x, p=p, sides="pair walk vs closed form",
-                    )
+                    closed = formulas.barrier_meet_formula(a, b, x, p)
+                    if not rec.passes(pair[0] * closed.denominator, closed.numerator * pair[1]):
+                        rec.expect_equal(
+                            Fraction(*pair), closed, a=a, b=b, x=x, p=p, sides="pair walk vs closed form"
+                        )
                     _walker_checks(rec, a, b, x, pair, levels)
     for rate in _level_rates(seed, 20, level_total + 2):
         table = oracle.barrier_survival_table(rate, level_total + 1)
@@ -497,11 +522,9 @@ def check_same_start(n_max: int | None = None) -> CheckReport:
     for p in _PROBS:
         for a in range(limit + 1):
             for b in range(limit + 1):
-                rec.expect_equal(
-                    oracle.same_start_meet_prob(a, b, p),
-                    formulas.same_start_meet_formula(a, b, p),
-                    a=a, b=b, p=p, sides="pair walk vs closed form",
-                )
+                walk, closed = oracle.same_start_meet_prob(a, b, p), formulas.same_start_meet_formula(a, b, p)
+                if not rec.passes(walk, closed):
+                    rec.expect_equal(walk, closed, a=a, b=b, p=p, sides="pair walk vs closed form")
     return rec.report()
 
 
@@ -516,8 +539,10 @@ def check_vandermonde(n_max: int | None = None) -> CheckReport:
     for a in range(-span // 2, span + 1):
         for b in range(-span // 2, span + 1):
             for m in range(span + 1):
-                rec.expect(formulas.vandermonde_a(a, b, m), a=a, b=b, m=m, identity="plain")
-                rec.expect(formulas.vandermonde_b(a, b, m), a=a, c=b, m=m, identity="alternating")
+                if not rec.passes(formulas.vandermonde_a(a, b, m)):
+                    rec.expect(False, a=a, b=b, m=m, identity="plain")
+                if not rec.passes(formulas.vandermonde_b(a, b, m)):
+                    rec.expect(False, a=a, c=b, m=m, identity="alternating")
     return rec.report()
 
 
@@ -535,7 +560,8 @@ def check_legendre(n_max: int | None = None) -> CheckReport:
     inv = (1 - series.rect_pair_base(degree)).inverse()
     for n in range(degree + 1):
         for r in range(degree + 1 - n):
-            rec.expect_equal(inv.coeff(n, r), comb(n, r) ** 2, n=n, r=r, sides="series vs C(n,r)^2")
+            if not rec.passes(inv.coeff(n, r), comb(n, r) ** 2):
+                rec.expect_equal(inv.coeff(n, r), comb(n, r) ** 2, n=n, r=r, sides="series vs C(n,r)^2")
     return rec.report()
 
 
@@ -549,13 +575,12 @@ def check_series_uk(n_max: int | None = None) -> CheckReport:
             for r in range(n + 1):
                 coeff = power.coeff(n, r)
                 if k <= n - 2:
-                    rec.expect_equal(
-                        coeff, formulas.rect_pair_count_a(n, r, k),
-                        n=n, r=r, k=k, sides="series vs closed form",
-                    )
-                rec.expect_equal(
-                    coeff, _table(oracle.rect_pair_table, n, r).get(k), n=n, r=r, k=k, sides="series vs oracle"
-                )
+                    closed = formulas.rect_pair_count_a(n, r, k)
+                    if not rec.passes(coeff, closed):
+                        rec.expect_equal(coeff, closed, n=n, r=r, k=k, sides="series vs closed form")
+                want = _table(oracle.rect_pair_table, n, r).get(k)
+                if not rec.passes(coeff, want):
+                    rec.expect_equal(coeff, want, n=n, r=r, k=k, sides="series vs oracle")
     return rec.report()
 
 
@@ -570,17 +595,16 @@ def check_series_f(n_max: int | None = None) -> CheckReport:
     residual = f - (y + f) * (z + f)
     for i in range(degree + 1):
         for j in range(degree + 1 - i):
-            rec.expect_equal(residual.coeff(i, j), Fraction(0), i=i, j=j, sides="residual")
+            if not rec.passes(residual.coeff(i, j), 0):
+                rec.expect_equal(residual.coeff(i, j), 0, i=i, j=j, sides="residual")
     for k in range(min(6, degree - 2) + 1):
         poly = series.meeting_poly_power(k, degree)
         for n in range(k + 2, degree + 1):
             for r in range(n + 1):
                 if k <= n - 2:
-                    rec.expect_equal(
-                        poly.coeff(r, n - r),
-                        formulas.rect_pair_count_a(n, r, k),
-                        n=n, r=r, k=k, sides="meeting polynomial vs closed form",
-                    )
+                    coeff, closed = poly.coeff(r, n - r), formulas.rect_pair_count_a(n, r, k)
+                    if not rec.passes(coeff, closed):
+                        rec.expect_equal(coeff, closed, n=n, r=r, k=k, sides="meeting polynomial vs closed form")
     return rec.report()
 
 
@@ -593,7 +617,8 @@ def check_series_fk(n_max: int | None = None) -> CheckReport:
         fk = series.free_pair_series(k, degree)
         for n in range(degree + 1):
             want = formulas.free_pair_count(n, k) if n >= k else 0
-            rec.expect_equal(fk.coeff(n), want, n=n, k=k, sides="series vs closed form")
+            if not rec.passes(fk.coeff(n), want):
+                rec.expect_equal(fk.coeff(n), want, n=n, k=k, sides="series vs closed form")
     return rec.report()
 
 
@@ -612,28 +637,29 @@ def check_lagrange(n_max: int | None = None) -> CheckReport:
 
     Over one common denominator, y0 = y_num/den and z0 = z_num/den, the
     direct row sum of the counts times y0^r z0^(n-r) is one integer
-    numerator, the sum of the counts times y_num^r z_num^(n-r), over den^n:
-    one ``Fraction`` per row."""
+    numerator, the sum of the counts times y_num^r z_num^(n-r), over den^n.
+    Each row of counts is evaluated once, and each phi once per point and k."""
     rec = _Recorder("lagrange")
     n_max = max(2, min(8, _cap(n_max)))
+    rows = {
+        (n, k): [formulas.rect_pair_count_a(n, r, k) for r in range(n + 1)]
+        for n in range(2, n_max + 1)
+        for k in range(n - 1)
+    }
     for y0, z0 in _LAGRANGE_POINTS:
         y_num, z_num = y0.numerator * z0.denominator, z0.numerator * y0.denominator
         den = y0.denominator * z0.denominator
         base = y0 + z0
         g = [y0 * z0, base, 1]
+        phis = [[comb(k + 1, m) * base ** (k + 1 - m) * 2 ** m for m in range(k + 2)] for k in range(n_max - 1)]
         for n in range(2, n_max + 1):
             for k in range(n - 1):
-                order = n - k - 1
-                phi = [comb(k + 1, m) * base ** (k + 1 - m) * 2 ** m for m in range(k + 2)]
-                extracted = series.lagrange_coefficient(phi, g, order)
-                direct = Fraction(
-                    sum(
-                        formulas.rect_pair_count_a(n, r, k) * y_num ** r * z_num ** (n - r)
-                        for r in range(n + 1)
-                    ),
-                    den ** n,
-                )
-                rec.expect_equal(extracted, direct, y=y0, z=z0, n=n, k=k, sides="extraction vs row")
+                extracted = series.lagrange_coefficient(phis[k], g, n - k - 1)
+                direct = sum(count * y_num ** r * z_num ** (n - r) for r, count in enumerate(rows[n, k]))
+                if not rec.passes(extracted.numerator * den ** n, direct * extracted.denominator):
+                    rec.expect_equal(
+                        extracted, Fraction(direct, den ** n), y=y0, z=z0, n=n, k=k, sides="extraction vs row"
+                    )
     return rec.report()
 
 
@@ -673,7 +699,8 @@ def check_routes(n_max: int | None = None) -> CheckReport:
         tabled = routes.tabulate(command, query, routes.plan(command, "all", query))
         for k, ((first, want), *others) in tabled.items():
             for name, got in others:
-                rec.expect_equal(want, got, query=query, k=k, sides=f"{first} vs {name}")
+                if not rec.passes(want, got):
+                    rec.expect_equal(want, got, query=query, k=k, sides=f"{first} vs {name}")
     return rec.report()
 
 

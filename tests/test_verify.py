@@ -20,15 +20,22 @@ Core claims:
       and both values shown as reduced probabilities
     - the routes suite runs every route the command line prints: a barrier
       route shifted by 10^-12 at every argument fails it, naming the route
+    - a passing instance is counted after one compare, rationals
+      cross-multiplied, yet one wrong value fails each such comparison with
+      the very counterexample it reported when every instance built its
+      context and its Fractions
+    - wz asks for each meeting probability once, bar the companion's own
+      reads, and lagrange for each rectangle row once for all its points
 """
 
 import inspect
 from collections import Counter
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
-from pathpairs import oracle, paths, series, verify
+from pathpairs import formulas, oracle, paths, series, verify
 from pathpairs.series import BiSeries
 from pathpairs.verify import CheckReport, VerifyConfig, _Recorder
 
@@ -228,3 +235,114 @@ def test_routes_suite_fails_on_a_shifted_barrier_route(monkeypatch, name, route)
     values = {left: Fraction(failure["left"]), right: Fraction(failure["right"])}
     (other,) = set(values) - {route}
     assert values[route] - values[other] == Fraction(1, 10**12)
+
+
+def _shift_at(point, delta):
+    """Patch maker: the function plus ``delta`` at the arguments ``point``."""
+    return lambda original: lambda *args: original(*args) + delta if args == point else original(*args)
+
+
+def _false_at(point):
+    """Patch maker: the predicate reads False at the arguments ``point``."""
+    return lambda original: lambda *args: original(*args) and args != point
+
+
+def _shift_at_call(call, delta):
+    """Patch maker: the function plus ``delta`` on its ``call``-th call."""
+
+    def patch(original):
+        calls = count(1)
+        return lambda *args: original(*args) + (delta if next(calls) == call else 0)
+
+    return patch
+
+
+ONE_WRONG_VALUE = {
+    "wz difference": (
+        "wz", formulas, "telescoping_companion", _shift_at((7, 4), Fraction(1, 10**9)),
+        {"left": "-8/429", "right": "-7999999571/429000000000", "n": "7", "k": "3",
+         "sides": "difference vs companion"},
+    ),
+    # n = 50 is past the difference rows, so only its total reads it
+    "wz total": (
+        "wz", formulas, "same_endpoint_meet_prob", _shift_at((50, 10), Fraction(1, 10**9)),
+        {"left": "1000000001/1000000000", "right": "1", "n": "50", "sides": "probability total"},
+    ),
+    "barrier closed form": (
+        "barrier", formulas, "barrier_meet_formula", _shift_at((2, 1, 3, Fraction(1, 3)), Fraction(1, 10**9)),
+        {"left": "472/729", "right": "472000000729/729000000000", "a": "2", "b": "1", "x": "3", "p": "1/3",
+         "sides": "pair walk vs closed form"},
+    ),
+    "vandermonde plain": (
+        "vandermonde", formulas, "vandermonde_a", _false_at((-2, 5, 3)),
+        {"a": "-2", "b": "5", "m": "3", "identity": "plain"},
+    ),
+    "vandermonde alternating": (
+        "vandermonde", formulas, "vandermonde_b", _false_at((3, -1, 4)),
+        {"a": "3", "c": "-1", "m": "4", "identity": "alternating"},
+    ),
+    # call 100 falls on the point (1/2, 3/4), whose row is over 8^n
+    "lagrange": (
+        "lagrange", series, "lagrange_coefficient", _shift_at_call(100, 1),
+        {"left": "41371/4096", "right": "37275/4096", "y": "1/2", "z": "3/4", "n": "7", "k": "0",
+         "sides": "extraction vs row"},
+    ),
+    "pnk probability": (
+        "pnk", formulas, "same_endpoint_meet_prob", _shift_at((6, 2), Fraction(1, 10**9)),
+        {"left": "8000000033/33000000000", "right": "8/33", "n": "6", "k": "2", "sides": "formula vs oracle"},
+    ),
+    # a wrong free_pair_count(n, 0) fails the row sum at n first, so the
+    # probability row is reached through its other side, C(2n, n)
+    "fnk probability": (
+        "fnk", verify, "comb", _shift_at((40, 20), 1),
+        {"left": "34461632205/274877906944", "right": "137846528821/1099511627776", "n": "20",
+         "sides": "nonmeeting probability"},
+    ),
+}
+
+
+@pytest.mark.parametrize("suite, module, name, patch, failure", ONE_WRONG_VALUE.values(), ids=ONE_WRONG_VALUE)
+def test_one_wrong_value_fails_its_comparison_as_before(monkeypatch, suite, module, name, patch, failure):
+    monkeypatch.setattr(module, name, patch(getattr(module, name)))
+    (report,) = verify.run_all(VerifyConfig(suites=(suite,)))
+    assert not report.passed
+    assert report.first_failure == failure
+
+
+def test_wz_doubling_fails_alone_on_rows_the_companion_still_telescopes(monkeypatch):
+    # under the true companion the differences and the n = 1 total imply
+    # p(n, 1) = 2 p(n, 0), so no one wrong value fails the doubling first:
+    # p(12, 0) and p(12, 1) trade places, which keeps the total, and the
+    # companion is the running sum of the patched differences
+    meet = formulas.same_endpoint_meet_prob
+
+    def swapped(n, k):
+        return meet(n, 1 - k) if n == 12 and k < 2 else meet(n, k)
+
+    def p(n, k):
+        return swapped(n, k) if 0 <= k < n else Fraction(0)
+
+    def companion(n, k):
+        return sum((p(n + 1, j) - p(n, j) for j in range(k)), Fraction(0))
+
+    monkeypatch.setattr(formulas, "same_endpoint_meet_prob", swapped)
+    monkeypatch.setattr(formulas, "telescoping_companion", companion)
+    report = verify.check_wz()
+    assert not report.passed
+    assert report.first_failure == {"left": "1/23", "right": "4/23", "n": "12", "sides": "k=1 vs twice k=0"}
+
+
+@pytest.mark.parametrize(
+    "suite, name, calls, distinct",
+    [("wz", "same_endpoint_meet_prob", 2650, 1830), ("lagrange", "rect_pair_count_a", 196, 196)],
+)
+def test_a_suite_evaluates_each_exact_value_once(monkeypatch, cold_memos, suite, name, calls, distinct):
+    # wz reads each row p(n, .), n <= 60, once (1,830 values), and the
+    # companion reads p(n, .) again for n <= 40 (820); lagrange reads the
+    # 196 rectangle counts once for its five points
+    asked = Counter()
+    original = getattr(formulas, name)
+    monkeypatch.setattr(formulas, name, lambda *args: asked.update([args]) or original(*args))
+    (report,) = verify.run_all(VerifyConfig(suites=(suite,)))
+    assert report.passed
+    assert (sum(asked.values()), len(asked)) == (calls, distinct)
