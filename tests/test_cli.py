@@ -21,7 +21,7 @@ Core claims:
     - a closed-form count that fails its integrality check, or a route that
       breaks its own postcondition, is a program bug and exits 3, not 2
     - verify --timings writes one line per selected suite to stderr and
-      leaves stdout unchanged
+      leaves stdout unchanged; verify --all keeps the stdout bytes CI pins
     - exact values print in full past the interpreter's digit limit, and
       main leaves that process-wide limit as it found it
     - the parser is built once per process: a rejected query leaves it as
@@ -427,6 +427,16 @@ def test_verify_all_smoke(capsys):
     assert [row["check"] for row in record["results"]] == list(SUITE_NAMES)
     assert all(row["status"] == "pass" for row in record["results"])
     assert record["consistency"] is True
+
+
+#: ``verify --all`` stdout, as CI pins it in plain, ``-O`` and warm, cold and
+#: emptied-memo runs; memos do not change the bytes
+VERIFY_ALL_SHA256 = "88e0853e831ac1a0c11815b9abbd88f9dadc62f325e809d2bd3fa5a9aa3832c9"
+
+
+def test_verify_all_stdout_is_pinned(capsys):
+    code, out, err = run(capsys, "verify", "--all")
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, VERIFY_ALL_SHA256, "")
 
 
 def test_verify_single_suite(capsys):

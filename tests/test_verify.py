@@ -2,7 +2,8 @@
 
 Core claims:
     - recorders count instances and keep only the first failure, with every
-      input and both values rendered as strings
+      input and both values rendered as strings; each instance is compared
+      once, so a refused one fails whatever values its failure shows
     - reports are reproducible: the same configuration yields identical
       report objects; the suite's wall time rides along outside equality
     - suite selection is honored in registry order, unknown names raise, an
@@ -21,41 +22,51 @@ Core claims:
     - the routes suite runs every route the command line prints: a barrier
       route shifted by 10^-12 at every argument fails it, naming the route
     - a passing instance is counted after one compare, rationals
-      cross-multiplied, yet one wrong value fails each such comparison with
-      the very counterexample it reported when every instance built its
-      context and its Fractions
+      cross-multiplied, yet one wrong value fails its comparison with the
+      very counterexample it reported when every instance built its context
+      and its Fractions; with the tests above, this runs every one of the
+      43 failure branches
     - wz asks for each meeting probability once, bar the companion's own
       reads, and lagrange for each rectangle row once for all its points
 """
 
 import inspect
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import count
 
 import pytest
 
-from pathpairs import formulas, oracle, paths, series, verify
+from pathpairs import bijection, formulas, oracle, paths, series, verify
 from pathpairs.series import BiSeries
 from pathpairs.verify import CheckReport, VerifyConfig, _Recorder
 
 
 def test_recorder_counts_and_first_failure():
     rec = _Recorder("demo")
-    rec.expect_equal(1, 1, n=1)
-    rec.expect_equal(2, 3, n=2, side="left vs right")
-    rec.expect_equal(4, 5, n=3)
+    assert rec.passes(1, 1)
+    assert not rec.passes(2, 3)
+    rec.fail(n=2, side="left vs right")
+    assert not rec.passes(4, 5)
+    rec.fail(n=3)
     report = rec.report()
     assert report.check_id == "demo"
     assert not report.passed
     assert report.instances == 3
     assert report.first_failure == {"left": "2", "right": "3", "n": "2", "side": "left vs right"}
+    # a refused instance fails whatever values its failure shows
+    rec = _Recorder("demo")
+    assert not rec.passes(1, 2)
+    rec.fail(left=5, right=5)
+    assert not rec.report().passed
 
 
 def test_recorder_predicate_form():
     rec = _Recorder("demo")
-    rec.expect(True, note="fine")
-    rec.expect(False, note="broken")
+    assert rec.passes(True)
+    assert not rec.passes(False)
+    rec.fail(note="broken")
     report = rec.report()
     assert not report.passed
     assert report.first_failure == {"note": "broken"}
@@ -237,14 +248,20 @@ def test_routes_suite_fails_on_a_shifted_barrier_route(monkeypatch, name, route)
     assert values[route] - values[other] == Fraction(1, 10**12)
 
 
+def _changed_at(point, change):
+    """Patch maker: the function's value passed through ``change`` at the
+    arguments ``point``."""
+    return lambda original: lambda *args: change(original(*args)) if args == point else original(*args)
+
+
 def _shift_at(point, delta):
     """Patch maker: the function plus ``delta`` at the arguments ``point``."""
-    return lambda original: lambda *args: original(*args) + delta if args == point else original(*args)
+    return _changed_at(point, lambda value: value + delta)
 
 
 def _false_at(point):
     """Patch maker: the predicate reads False at the arguments ``point``."""
-    return lambda original: lambda *args: original(*args) and args != point
+    return _changed_at(point, lambda ok: False)
 
 
 def _shift_at_call(call, delta):
@@ -255,6 +272,27 @@ def _shift_at_call(call, delta):
         return lambda *args: original(*args) + (delta if next(calls) == call else 0)
 
     return patch
+
+
+def _entry_shifted(k, delta):
+    """A count table's change: entry ``k`` plus ``delta``, its total with it."""
+    return lambda table: oracle.CountTable.from_entries({**table.entries, k: table.get(k) + delta})
+
+
+def _entries_swapped(i, j):
+    """A count table's change: entries ``i`` and ``j`` trade places, the
+    total kept."""
+    return lambda table: oracle.CountTable.from_entries({**table.entries, i: table.get(j), j: table.get(i)})
+
+
+def _replay_failed(report):
+    """A replay report's change: four failures, of which a suite shows three."""
+    return replace(report, passed=False, failures=("row 1", "row 2", "row 3", "row 4"))
+
+
+def _term_added(term):
+    """A series' change: one count added at ``term``."""
+    return lambda s: s + BiSeries(s.degree, {term: 1})
 
 
 ONE_WRONG_VALUE = {
@@ -298,11 +336,124 @@ ONE_WRONG_VALUE = {
         {"left": "34461632205/274877906944", "right": "137846528821/1099511627776", "n": "20",
          "sides": "nonmeeting probability"},
     ),
+    "theorem1": (
+        "theorem1", formulas, "rect_pair_count_b", _shift_at((5, 2, 1), 1),
+        {"left": "24", "right": "25", "n": "5", "r": "2", "k": "1", "sides": "form a vs form b"},
+    ),
+    # the convolution at n reads only smaller tables, so (4, 2) fails first
+    # where it is the oracle side
+    "recurrence": (
+        "recurrence", oracle, "rect_pair_table", _changed_at((4, 2), _entry_shifted(1, 1)),
+        {"left": "13", "right": "12", "n": "4", "r": "2", "k": "1", "sides": "oracle vs convolution"},
+    ),
+    "eq8 oracle": (
+        "eq8", oracle, "free_pair_table", _changed_at((5,), _entry_shifted(2, 1)),
+        {"left": "225", "right": "224", "n": "5", "k": "2", "sides": "oracle table vs convolution"},
+    ),
+    "eq8 closed forms": (
+        "eq8", formulas, "free_pair_count", _shift_at((6, 3), 1),
+        {"left": "673", "right": "672", "n": "6", "k": "3", "sides": "closed forms"},
+    ),
+    "nkr total": (
+        "nkr", oracle, "rect_pair_table", _changed_at((5, 2), _entry_shifted(1, 1)),
+        {"left": "101", "right": "100", "n": "5", "r": "2", "sides": "total"},
+    ),
+    "nkr reflection": (
+        "nkr", oracle, "rect_pair_table", _changed_at((5, 2), _entries_swapped(0, 1)),
+        {"left": "{0: 24, 1: 12, 2: 30, 3: 24, 4: 10}", "right": "{0: 12, 1: 24, 2: 30, 3: 24, 4: 10}", "n": "5",
+         "r": "2", "sides": "reflection"},
+    ),
+    "nkr form a": (
+        "nkr", formulas, "rect_pair_count_a", _shift_at((5, 2, 1), 1),
+        {"left": "25", "right": "24", "n": "5", "r": "2", "k": "1", "sides": "form a vs oracle"},
+    ),
+    "nkr form b": (
+        "nkr", formulas, "rect_pair_count_b", _shift_at((5, 2, 1), 1),
+        {"left": "25", "right": "24", "n": "5", "r": "2", "k": "1", "sides": "form b vs oracle"},
+    ),
+    "doubling": (
+        "doubling", formulas, "rect_pair_count_a", _shift_at((5, 2, 1), 1),
+        {"left": "25", "right": "24", "n": "5", "r": "2", "sides": "k=1 vs twice k=0"},
+    ),
+    "doubling half": (
+        "doubling", formulas, "narayana", _shift_at((5, 2), 1),
+        {"left": "14", "right": "12", "n": "5", "r": "2", "sides": "half count"},
+    ),
+    "bijection": (
+        "bijection", bijection, "verify_correspondence",
+        _changed_at((2, 3), _replay_failed),
+        {"r": "2", "s": "3", "failures": "row 1; row 2; row 3"},
+    ),
+    "mrs total": (
+        "mrs", oracle, "endpoint_pair_table", _changed_at((4, 1, 3), _entry_shifted(1, 1)),
+        {"left": "17", "right": "16", "n": "4", "r": "1", "s": "3", "sides": "total"},
+    ),
+    "mrs k0": (
+        "mrs", formulas, "endpoint_pair_count_k0", _shift_at((4, 1, 3), 1),
+        {"left": "9", "right": "8", "n": "4", "r": "1", "s": "3", "sides": "k0 form vs oracle"},
+    ),
+    # at r = s the count reads the rectangle form; the boundary instance
+    # reads endpoint_pair_expression, which is left alone
+    "mrs equal endpoints": (
+        "mrs", formulas, "endpoint_pair_count", _shift_at((4, 2, 2, 1), 1),
+        {"left": "7", "right": "6", "n": "4", "r": "2", "s": "2", "k": "1",
+         "sides": "equal endpoints vs rectangle table"},
+    ),
+    "fnk total": (
+        "fnk", oracle, "free_pair_table", _changed_at((5,), _entry_shifted(2, 1)),
+        {"left": "1025", "right": "1024", "n": "5", "sides": "total"},
+    ),
+    "fnk formula": (
+        "fnk", formulas, "free_pair_count", _shift_at((5, 2), 1),
+        {"left": "225", "right": "224", "n": "5", "k": "2", "sides": "formula vs oracle"},
+    ),
+    # past the oracle's n = 8 only the row sum reads the row
+    "fnk sum": (
+        "fnk", formulas, "free_pair_count", _shift_at((20, 3), 1),
+        {"left": "1099511627777", "right": "1099511627776", "n": "20", "sides": "sum vs 4^n"},
+    ),
+    "pnk count": (
+        "pnk", formulas, "same_endpoint_pair_count", _shift_at((6, 2), 1),
+        {"left": "225", "right": "224", "n": "6", "k": "2", "sides": "count form vs oracle"},
+    ),
+    "diag row sum": (
+        "diag", formulas, "same_endpoint_pair_count", _shift_at((6, 2), 1),
+        {"left": "225", "right": "224", "n": "6", "k": "2", "sides": "closed form vs row sum"},
+    ),
+    "diag oracle": (
+        "diag", oracle, "same_endpoint_pair_table", _changed_at((6,), _entry_shifted(2, 1)),
+        {"left": "224", "right": "225", "n": "6", "k": "2", "sides": "closed form vs oracle"},
+    ),
+    "avg mean": (
+        "avg", formulas, "average_crossings", _shift_at((5,), Fraction(1, 10**9)),
+        {"left": "1707031251/1000000000", "right": "437/256", "n": "5", "sides": "closed form vs oracle mean"},
+    ),
+    "avg asymptote": (
+        "avg", formulas, "average_crossings_asymptote", _shift_at((1000,), 1.0),
+        {"n": "1000", "exact": "34.695861302854496", "asymptote": "35.682482323055424", "rel_tol": "0.02"},
+    ),
+    "same-start": (
+        "same-start", formulas, "same_start_meet_formula", _shift_at((2, 3, Fraction(1, 3)), Fraction(1, 10**9)),
+        {"left": "320/2187", "right": "320000002187/2187000000000", "a": "2", "b": "3", "p": "1/3",
+         "sides": "pair walk vs closed form"},
+    ),
+    "legendre": (
+        "legendre", series, "rect_pair_base", _changed_at((12,), _term_added((3, 1))),
+        {"left": "10", "right": "9", "n": "3", "r": "1", "sides": "series vs C(n,r)^2"},
+    ),
+    "series-f residual": (
+        "series-f", series, "narayana_base", _changed_at((12,), _term_added((2, 1))),
+        {"left": "1", "right": "0", "i": "2", "j": "1", "sides": "residual"},
+    ),
 }
 
 
 @pytest.mark.parametrize("suite, module, name, patch, failure", ONE_WRONG_VALUE.values(), ids=ONE_WRONG_VALUE)
-def test_one_wrong_value_fails_its_comparison_as_before(monkeypatch, suite, module, name, patch, failure):
+def test_one_wrong_value_fails_its_comparison_as_before(
+    monkeypatch, cold_memos, suite, module, name, patch, failure
+):
+    # from cold memos, no memo over the patched function (the table memo,
+    # the series chains) hides the wrong value, or keeps it for later tests
     monkeypatch.setattr(module, name, patch(getattr(module, name)))
     (report,) = verify.run_all(VerifyConfig(suites=(suite,)))
     assert not report.passed
