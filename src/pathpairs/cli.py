@@ -7,7 +7,8 @@ explicitly ``*_float`` labeled ones. JSON output shares one shape across
 commands: ``{"command", "params", "results", "consistency"?}`` where each
 result row carries its value(s) and a ``provenance`` naming the computation
 route. It has exactly the bytes of ``json.dumps(record, indent=2)`` and a
-newline, written row by row rather than built as one string. CSV output
+newline, written row by row rather than built as one string: the writer
+lays out the lines, and ``json`` spells every key and value. CSV output
 emits the same rows with a header line.
 
 The commands with several routes (``nkr``, ``mrs``, ``fnk``, ``pnk`` and
@@ -95,12 +96,12 @@ def parse_probability(text: str) -> Fraction:
 def read_level_file(path: str):
     """The ``oracle.LevelRate`` a file holds: one rational per line; line m
     holds the West rate on level m = 1, 2, ... Levels beyond the last line
-    reuse its value."""
+    reuse its value. A leading UTF-8 byte-order mark is skipped."""
     from . import oracle
 
     values = []
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
@@ -116,35 +117,14 @@ def read_level_file(path: str):
     return oracle.LevelRate(tuple(values))
 
 
-def _json_scalar(value) -> str:
-    """``json.dumps(value)`` for all but a nonempty list, tuple or dict, by
-    ``json``'s checks in its order; ``TypeError`` where ``json`` fails."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
-    if isinstance(value, (list, tuple)):
-        return "[]"
-    if isinstance(value, dict):
-        return "{}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _write_json(value, write, pad: str = "\n") -> None:
     """Pass ``json.dumps(value, indent=2)`` to ``write`` in pieces, one per
     key or row; ``pad`` is the newline and indent of ``value``'s own line.
-    A list's rows that hold the first row's keys in its order, and only
-    strings, go out through one ``%`` template built for the list, each
-    value quoted by ``json``'s C string encoder."""
+    This function only lays out the lines: ``json`` spells every key and
+    value, strings through its C string encoder and any other leaf through
+    ``json.dumps``. A list's rows that hold the first row's keys in its
+    order, and only strings, go out through one ``%`` template built for
+    the list."""
     inner = pad + "  "
     if isinstance(value, dict) and value:
         sep = "{" + inner
@@ -178,7 +158,7 @@ def _write_json(value, write, pad: str = "\n") -> None:
             sep = "," + inner
         write(pad + "]")
     else:
-        write(_json_scalar(value))
+        write(encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value))
 
 
 def emit(record: dict, fmt_name: str, row_fields: list[str]) -> None:

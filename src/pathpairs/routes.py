@@ -37,7 +37,7 @@ class Route(NamedTuple):
     which runs at any size. ``covers(query, k)`` says whether the route
     reaches k: under ``--method all`` a route skips the k it misses, and as
     the one method asked for it hands that k to the route ``fallback``
-    names.
+    names; ``plan`` refuses a query at such a k when ``fallback`` is None.
     """
 
     module: str
@@ -142,13 +142,18 @@ def plan(command: str, method: str, query, k: int | None = None) -> dict:
     """Which routes answer each k a query asks for, as ``{k: [route name,
     ...]}``: under ``method`` "all", every route of ``command`` that covers
     k; otherwise the one method, or its fallback at a k it misses. ``k``
-    None asks for the command's whole k range."""
+    None asks for the command's whole k range. Raises ``ValueError`` when
+    the one method misses a k and names no fallback, so no plan names a
+    route that cannot answer."""
     ks = k_range(k, K_TOP[command](query)) if command in K_TOP else [None]
     table = ROUTES[command]
     if method == "all":
         return {k: [name for name, route in table.items() if route.covers(query, k)] for k in ks}
     route = table[method]
-    return {k: [method if route.covers(query, k) else route.fallback] for k in ks}
+    planned = {k: [method if route.covers(query, k) else route.fallback] for k in ks}
+    if [None] in planned.values():
+        raise ValueError(f"{command}: method {method!r} cannot answer this query and names no fallback")
+    return planned
 
 
 def tabulate(command: str, query, planned: dict) -> dict:

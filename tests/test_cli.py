@@ -7,7 +7,9 @@ Core claims:
     - CSV output carries the same rows under a header
     - probabilities must be rational strings; decimals and bad ranges exit 2
     - a level file that cannot be opened or is not UTF-8 exits 2 with a
-      message that names the file
+      message that names the file; one behind a byte-order mark reads as
+      the same file without it
+    - routes.plan refuses a method that misses a k and names no fallback
     - fnk's probability column prints exactly str(Fraction(value, 4**n))
     - verification failures and routes that disagree under --method all
       exit 1 (the record is still emitted), verify --suite none exits 0
@@ -68,7 +70,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pathpairs
-from pathpairs import bijection, cli, formulas, paths, routes, verify
+from pathpairs import bijection, cli, formulas, oracle, paths, routes, verify
 from pathpairs.cli import main
 
 
@@ -263,6 +265,25 @@ def test_barrier_level_file(capsys, tmp_path):
     # the closed form needs a constant rate, so only two routes appear
     assert [row["provenance"] for row in record["results"]] == ["dp", "single-walker"]
     assert record["consistency"] is True
+
+
+def test_barrier_level_file_with_a_byte_order_mark(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    argv = ("barrier", "--a", "1", "--b", "0", "--x", "1", "--level-file", "levels.txt", "--method", "all")
+    Path("levels.txt").write_text("1/2\n1/3\n2/7\n", encoding="utf-8")
+    plain = run(capsys, *argv)
+    assert plain[0] == 0
+    Path("levels.txt").write_text("1/2\n1/3\n2/7\n", encoding="utf-8-sig")
+    assert Path("levels.txt").read_bytes().startswith(b"\xef\xbb\xbf1/2")
+    assert run(capsys, *argv) == plain
+
+
+def test_plan_refuses_a_method_that_cannot_answer():
+    # the closed form covers a constant rate only and names no fallback
+    config = oracle.BarrierConfig(1, 0, 1, oracle.LevelRate((Fraction(1, 2),)))
+    with pytest.raises(ValueError, match="barrier: method 'formula' cannot answer"):
+        routes.plan("barrier", "formula", config)
+    assert routes.plan("barrier", "dp", config) == {None: ["dp"]}
 
 
 def test_barrier_level_file_diagnostics(capsys, tmp_path):
@@ -546,6 +567,12 @@ def _emitted(value) -> str:
 @example(value=[{"k": "1", "v": "\u00e9"}, {"v": "2", "k": "3"}, {"k": "4", "v": ["5", {"w": None}]}])
 @example(value=[{}, {}, {"k": "1"}])
 @example(value={"floats": [-0.0, 1e308, math.nan, math.inf, -math.inf], "rows": [{"x": math.nan}, {"x": ()}]})
+@example(
+    value={
+        "consistency": False, "count": 2**64 + 1, "failures": [], "params": {}, "words": (),
+        "results": [{"m": "1", "v": "2"}, {"m": None, "v": "3"}, {"m": "4", "v": -0.0}, {"m": math.nan, "v": "5"}],
+    }
+)
 def test_json_output_is_the_bytes_of_json_dumps(value):
     assert _emitted(value) == json.dumps(value, indent=2) + "\n"
 
