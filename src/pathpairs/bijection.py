@@ -84,12 +84,7 @@ class _RectMasks(dict):
         self.r, self.s = r, s
 
     def __missing__(self, word) -> int:
-        if not (
-            isinstance(word, str)
-            and word.count(EAST) == self.r
-            and word.count(NORTH) == self.s
-            and len(word) == self.r + self.s
-        ):
+        if not (word.count(EAST) == self.r and word.count(NORTH) == self.s and len(word) == self.r + self.s):
             return 0
         mask = self[word] = PathNE(word).vertex_mask
         return mask
@@ -104,9 +99,10 @@ def _rect_pair(a: str, b: str) -> tuple[str, str, _RectMasks, int]:
     """The canonical words of two paths across one r x s rectangle,
     r, s >= 1, that rectangle's masks and ``_interior(r, s)``; a
     ``ValueError`` for any other input."""
-    r, s = (a.count(EAST), a.count(NORTH)) if isinstance(a, str) else (0, 0)
+    words = isinstance(a, str) and isinstance(b, str)
+    r, s = (a.count(EAST), a.count(NORTH)) if words else (0, 0)
     masks = _RectMasks(r, s)
-    if not (masks[a] and masks[b]):
+    if not (words and masks[a] and masks[b]):
         raise ValueError(f"{a!r} and {b!r} are not two paths across one rectangle")
     if r == 0 or s == 0:
         raise ValueError("degenerate rectangle: need r >= 1 and s >= 1")

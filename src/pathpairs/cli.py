@@ -11,12 +11,17 @@ newline, written row by row rather than built as one string: the writer
 lays out the lines, and ``json`` spells every key and value. CSV output
 emits the same rows with a header line.
 
-The commands with several routes (``nkr``, ``mrs``, ``fnk``, ``pnk`` and
-``barrier``) each check their own arguments and ask ``routes.plan`` which
-routes answer each k; one runner checks the size, tabulates the plan
+Every command that computes a table or a value (``nkr``, ``mrs``, ``fnk``,
+``pnk``, ``diag``, ``avg`` and ``barrier``) checks its own arguments and
+hands them to one runner. The runner asks ``routes.plan`` which routes
+answer each k, under ``--method`` or, for ``diag`` and ``avg``, which have
+none, the command's one route; it checks the size, tabulates the plan
 through ``routes.tabulate``, sets the ``consistency`` flag under ``--method
 all`` and emits. The ``--method`` choices are the names in
-``routes.ROUTES``.
+``routes.ROUTES``. A record's params are the parsed options in option
+order, less the command, ``--format`` and ``--unsafe-nmax``, and its CSV
+header is its first row's keys; ``verify`` states both itself, as its
+empty run has no row.
 
 Cost is bounded here, at the one boundary that takes outside input, and
 nowhere in the library. Each route in ``routes.ROUTES`` carries its own
@@ -40,9 +45,8 @@ so a patched or wrapped command function is the one that runs.
 A command loads only the modules it runs. This module imports ``paths`` and
 ``routes`` alone, and neither loads a route module, so parsing the arguments
 loads none. ``routes.tabulate`` imports the modules of the routes a query
-runs, and ``diag``, ``avg``, ``barrier`` and ``verify`` import ``formulas``,
-``oracle`` or ``verify`` when they run. Both errors that exit 3 are defined
-in ``paths``.
+runs, and ``barrier`` and ``verify`` import ``oracle`` or ``verify`` when
+they run. Both errors that exit 3 are defined in ``paths``.
 
 Probabilities are accepted only as rational strings like ``1/3`` (or an
 integer); decimal notation and zero denominators are rejected so exactness
@@ -161,13 +165,17 @@ def _write_json(value, write, pad: str = "\n") -> None:
         write(encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value))
 
 
-def emit(record: dict, fmt_name: str, row_fields: list[str]) -> None:
+def emit(record: dict, fmt_name: str, row_fields: list[str] | None = None) -> None:
+    """Write ``record`` to stdout as JSON, or its rows as CSV under the
+    header ``row_fields``, by default the first row's keys."""
     if fmt_name == "json":
         write = sys.stdout.write
         _write_json(record, write)
         write("\n")
         return
     writer = csv.writer(sys.stdout)
+    if row_fields is None:
+        row_fields = list(record["results"][0])
     writer.writerow(row_fields)
     for row in record["results"]:
         writer.writerow([row.get(field, "") for field in row_fields])
@@ -185,9 +193,17 @@ def _check_size(command: str, planned: dict, unsafe: int | None, size: int, what
         raise UsageError(f"{what} exceeds the default bound {bound}; pass --unsafe-nmax {size} to allow it")
 
 
-def _record(command: str, params: dict, results: list[dict], consistency: bool | None = None) -> dict:
-    shown = {k: str(v) for k, v in params.items() if v is not None}
-    out = {"command": command, "params": shown, "results": results}
+def _record(args, results: list[dict], consistency: bool | None = None, params: dict | None = None) -> dict:
+    """The record of one query of ``args.command``. Its params are
+    ``params``, by default every parsed option of ``args`` but the command,
+    the output format and the size override, in option order; an option
+    that is None is left out."""
+    shown = {
+        key: str(value)
+        for key, value in (vars(args) if params is None else params).items()
+        if value is not None and key not in ("command", "format", "unsafe_nmax")
+    }
+    out = {"command": args.command, "params": shown, "results": results}
     if consistency is not None:
         out["consistency"] = consistency
     return out
@@ -200,25 +216,25 @@ def _value_row(k, value) -> dict:
     return {"k": str(k), "value": str(value)}
 
 
-def _run_routes(
-    command: str, args, query, planned: dict, params: dict, row=_value_row, size: tuple[str, int] | None = None,
-) -> int:
-    """Answer one query by its ``routes.plan``: check the size (``(label,
-    value)``, n by default), tabulate the planned routes, check that they
-    agree, and emit the record, whose fields are those of a ``row`` and the
-    provenance. Returns 1 when the routes disagree, after emitting it."""
+def _run_routes(args, query=None, row=_value_row, size: tuple[str, int] | None = None) -> int:
+    """Answer one query of ``args.command`` by its ``routes.plan``, read
+    from ``query`` (``args`` by default), under ``--method`` or else the
+    command's one route: check the size (``(label, value)``, n by
+    default), tabulate the planned routes, check that they agree, and emit
+    the record, whose fields are those of a ``row`` and the provenance.
+    Returns 1 when the routes disagree, after emitting it."""
+    command, query = args.command, args if query is None else query
+    method = getattr(args, "method", None) or next(iter(routes.ROUTES[command]))
+    planned = routes.plan(command, method, query, getattr(args, "k", None))
     label, value = size or ("n", args.n)
-    _check_size(command, planned, args.unsafe_nmax, value, f"{command}: {label}={value}")
+    _check_size(command, planned, getattr(args, "unsafe_nmax", None), value, f"{command}: {label}={value}")
     results = []
     disagree = []
     for k, values in routes.tabulate(command, query, planned).items():
         if len({value for _, value in values}) > 1:
             disagree.append(k)
         results += [{**row(k, value), "provenance": route} for route, value in values]
-    record = _record(
-        command, params, results, consistency=not disagree if args.method == "all" else None
-    )
-    emit(record, args.format, list(results[0]))
+    emit(_record(args, results, consistency=not disagree if method == "all" else None), args.format)
     if disagree:
         where = "" if disagree[0] is None else f" at k={disagree[0]}"
         print(
@@ -237,22 +253,17 @@ def cmd_nkr(args) -> int:
     n, r = args.n, args.r
     if not 0 <= r <= n or n < 1:
         raise UsageError(f"need n >= 1 and 0 <= r <= n, got n={n}, r={r}")
-    return _run_routes(
-        "nkr", args, args, routes.plan("nkr", args.method, args, args.k),
-        {"n": n, "r": r, "k": args.k, "method": args.method},
-    )
+    return _run_routes(args)
 
 
 def cmd_mrs(args) -> int:
     n, r, s = args.n, args.r, args.s
     if not 0 <= r <= s <= n or n < 1:
         raise UsageError(f"need n >= 1 and 0 <= r <= s <= n, got n={n}, r={r}, s={s}")
-    planned = routes.plan("mrs", args.method, args, args.k)
     if args.method in ("oracle", "all") and r == s:
+        routes.k_range(args.k, routes.K_TOP["mrs"](args))  # a k out of range is refused first
         raise UsageError("the enumeration route needs r < s; equal endpoints reduce to nkr")
-    return _run_routes(
-        "mrs", args, args, planned, {"n": n, "r": r, "s": s, "k": args.k, "method": args.method}
-    )
+    return _run_routes(args)
 
 
 def cmd_fnk(args) -> int:
@@ -260,8 +271,7 @@ def cmd_fnk(args) -> int:
     if n < 0:
         raise UsageError("n must be nonnegative")
     return _run_routes(
-        "fnk", args, args, routes.plan("fnk", args.method, args, args.k),
-        {"n": n, "k": args.k, "method": args.method},
+        args,
         row=lambda k, value: {"k": str(k), "value": str(value), "probability": _over_power_of_two(value, 2 * n)},
     )
 
@@ -279,36 +289,20 @@ def cmd_pnk(args) -> int:
     if n < 1:
         raise UsageError("n must be at least 1")
     return _run_routes(
-        "pnk", args, args, routes.plan("pnk", args.method, args, args.k),
-        {"n": n, "k": args.k, "method": args.method},
-        row=lambda k, value: {"k": str(k), "probability": str(value[0]), "count": str(value[1])},
+        args, row=lambda k, value: {"k": str(k), "probability": str(value[0]), "count": str(value[1])},
     )
 
 
 def cmd_diag(args) -> int:
-    n = args.n
-    if n < 2:
+    if args.n < 2:
         raise UsageError("n must be at least 2")
-    from . import formulas
-
-    results = [
-        {"k": str(k), "value": str(formulas.same_endpoint_pair_count(n, k)), "provenance": "formula"}
-        for k in routes.k_range(args.k, n - 2)
-    ]
-    emit(_record("diag", {"n": n, "k": args.k}, results), args.format, ["k", "value", "provenance"])
-    return 0
+    return _run_routes(args)
 
 
 def cmd_avg(args) -> int:
-    n = args.n
-    if n < 0:
+    if args.n < 0:
         raise UsageError("n must be nonnegative")
-    from . import formulas
-
-    exact = formulas.average_crossings(n)
-    results = [{"value": str(exact), "value_float": float(exact), "provenance": "formula"}]
-    emit(_record("avg", {"n": n}, results), args.format, ["value", "value_float", "provenance"])
-    return 0
+    return _run_routes(args, row=lambda _, value: {"value": str(value), "value_float": float(value)})
 
 
 # --- walker probabilities ------------------------------------------------------
@@ -327,10 +321,7 @@ def cmd_barrier(args) -> int:
     if args.method == "formula" and not isinstance(rate, oracle.ConstantRate):
         raise UsageError("the closed form needs a constant rate; use dp or single-walker")
     return _run_routes(
-        "barrier", args, config, routes.plan("barrier", args.method, config),
-        {"a": args.a, "b": args.b, "x": args.x, "p": args.p, "level_file": args.level_file, "method": args.method},
-        row=lambda _, value: {"value": str(value)},
-        size=("a+b+x", args.a + args.b + args.x),
+        args, config, row=lambda _, value: {"value": str(value)}, size=("a+b+x", args.a + args.b + args.x),
     )
 
 
@@ -360,14 +351,11 @@ def cmd_bijection(args) -> int:
                 "case": row.case,
             }
         )
-    record = _record("bijection", {"r": r, "s": s}, results, consistency=report.passed)
+    record = _record(args, results, consistency=report.passed)
     record["nonmeeting"] = report.nonmeeting_count
     record["one_meeting"] = report.one_meeting_count
     record["failures"] = list(report.failures)
-    emit(
-        record, args.format,
-        ["source", "image_1", "meeting_1", "tag_1", "image_2", "meeting_2", "tag_2", "case"],
-    )
+    emit(record, args.format)
     return 0 if report.passed else 1
 
 
@@ -401,7 +389,7 @@ def cmd_verify(args) -> int:
         results.append(row)
     shown = "all" if suites is None else (",".join(suites) or "none")
     ok = all(rep.passed for rep in reports)
-    record = _record("verify", {"suites": shown, "nmax": args.nmax}, results, consistency=ok)
+    record = _record(args, results, consistency=ok, params={"suites": shown, "nmax": args.nmax})
     emit(record, args.format, ["check", "status", "instances", "first_failure"])
     if args.timings:
         for rep in reports:

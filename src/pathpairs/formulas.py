@@ -302,10 +302,10 @@ def endpoint_pair_count(n: int, r: int, s: int, k: int) -> int:
     if r == s:
         if not 0 <= k <= n:
             raise ValueError(f"equal endpoints need 0 <= k <= n, got k={k}")
+        if k == n:
+            return binom(n, r)  # identical-path pairs, the one pair at n = 0 included
         if k == 0:
             return 0  # the shared endpoint alone already gives one meeting
-        if k == n:
-            return binom(n, r)  # identical-path pairs
         return rect_pair_count_a(n, r, k - 1)
     if not 0 <= k <= n - 1:
         raise ValueError(f"distinct endpoints need 0 <= k <= n-1, got k={k}")

@@ -11,8 +11,10 @@ module. No route module imports the table, so the routes stay independent
 of each other.
 
 A query is the object a route builder reads: the parsed arguments (n, r,
-s and k) for the counting commands, an ``oracle.BarrierConfig`` for
-``barrier`` and the parsed r and s for ``bijection``.
+s and k) for the counting commands, n and k for ``diag``, n for ``avg``, an
+``oracle.BarrierConfig`` for ``barrier`` and the parsed r and s for
+``bijection``. ``diag`` and ``avg`` have one route each, a closed form, and
+no ``--method``.
 """
 
 from __future__ import annotations
@@ -101,6 +103,12 @@ ROUTES = {
         )),
         "oracle": Route("oracle", _same_endpoint_oracle, bound=10),
     },
+    "diag": {
+        "formula": Route("formulas", lambda formulas, q: partial(formulas.same_endpoint_pair_count, q.n)),
+    },
+    "avg": {
+        "formula": Route("formulas", lambda formulas, q: lambda _: formulas.average_crossings(q.n)),
+    },
     "barrier": {
         "dp": Route("oracle", lambda oracle, c: lambda _: oracle.barrier_meet_prob(c), bound=120),
         "single-walker": Route("oracle", lambda oracle, c: lambda _: oracle.endpoint_probability(
@@ -125,6 +133,7 @@ K_TOP = {
     "mrs": lambda q: q.n if q.r == q.s else q.n - 1,
     "fnk": lambda q: q.n,
     "pnk": lambda q: q.n - 1,
+    "diag": lambda q: q.n - 2,
 }
 
 

@@ -73,6 +73,14 @@ def test_word_api_rejects_pairs_off_one_rectangle():
             api("ENEN", "ENEN")  # identical 4-step paths share 3 interior vertices
 
 
+@pytest.mark.parametrize("other", [["N", "E"], {"N": "E"}, {"N", "E"}], ids=["list", "dict", "set"])
+@pytest.mark.parametrize("api", [insert_meeting, remove_meeting])
+def test_word_api_rejects_unhashable_arguments(api, other):
+    for pair in (("EN", other), (other, "EN")):
+        with pytest.raises(ValueError, match="not two paths across one rectangle"):
+            api(*pair)
+
+
 def test_insert_meeting_unit_square():
     first, second = insert_meeting("NE", "EN")
     assert first == ("EN", "EN")

@@ -42,6 +42,8 @@ Core claims:
     - a route registered in routes.ROUTES is printed under --method all,
       bounds the query by its own bound, and is held to the others by the
       verify routes suite, with no edit to the CLI
+    - diag and avg print the value of their one route in routes.ROUTES, and
+      diag refuses a k past its table
     - a golden set of invocations keeps its exit code, stdout bytes and
       stderr text exactly, in process, with every argv left to argparse
       and, for one row of each command, in a fresh interpreter; every
@@ -700,6 +702,18 @@ def test_disagreeing_routes_exit_1(capsys, monkeypatch, argv, route):
     record = json.loads(out)  # the record is still emitted in full
     assert record["consistency"] is False
     assert route in {row["provenance"] for row in record["results"]}
+
+
+@pytest.mark.parametrize("argv, value", [("diag --n 3 --k 1", "9"), ("avg --n 1", "3/2")])
+def test_a_single_route_command_prints_the_route_in_the_table(capsys, monkeypatch, argv, value):
+    table = routes.ROUTES[argv.split()[0]]
+    monkeypatch.setitem(table, "formula", table["formula"]._replace(build=_off_by_one(table["formula"].build)))
+    record = run_json(capsys, *argv.split())
+    assert [(row["value"], row["provenance"]) for row in record["results"]] == [(value, "formula")]
+
+
+def test_diag_refuses_a_k_past_its_table(capsys):
+    assert run(capsys, "diag", "--n", "5", "--k", "4") == (2, "", "error: meeting count k must lie in [0, 3]\n")
 
 
 def _register_nkr_route(monkeypatch, build):

@@ -9,6 +9,8 @@ Core claims:
       matches the enumerated tables, a wrong one gives wrong and non-integer
       values, and the mrs suite alone rejects both wrong readings and a
       broken equal-endpoint boundary
+    - the equal-endpoint counts over every k sum to C(n, r)^2, n = 0
+      included
     - the free-pair, meeting-probability, same-endpoint-count, and average
       formulas match their oracles and special values
     - counts that fail to reduce to integers raise IntegralityError, an
@@ -241,6 +243,14 @@ def test_narayana_is_half_the_nonmeeting_count():
 def test_endpoint_count_examples():
     assert formulas.endpoint_pair_count(2, 0, 1, 0) == 1
     assert formulas.endpoint_pair_count(2, 0, 1, 1) == 1
+
+
+def test_equal_endpoint_counts_sum_to_every_pair():
+    # each ordered pair of paths to (r, n - r) shares some number of vertices
+    # past the origin, the one pair of empty walks at n = 0 none
+    for n in range(13):
+        for r in range(n + 1):
+            assert sum(formulas.endpoint_pair_count(n, r, r, k) for k in range(n + 1)) == comb(n, r) ** 2, (n, r)
 
 
 def test_endpoint_count_k0_examples():
