@@ -181,16 +181,21 @@ def emit(record: dict, fmt_name: str, row_fields: list[str] | None = None) -> No
         writer.writerow([row.get(field, "") for field in row_fields])
 
 
-def _check_size(command: str, planned: dict, unsafe: int | None, size: int, what: str) -> None:
-    """Validate ``--unsafe-nmax`` and refuse a ``size`` past the smallest
-    ``Route.bound`` among the routes ``planned`` runs, unless
+def _tabulate(args, query, method: str, size: int, what: str) -> dict:
+    """``routes.tabulate`` of the ``routes.plan`` by which ``method`` answers
+    ``query`` of ``args.command`` at the k ``args`` asks for, once the size
+    is checked: validate ``--unsafe-nmax`` and refuse a ``size`` past the
+    smallest ``Route.bound`` among the planned routes, unless
     ``--unsafe-nmax`` raises it; ``what`` names the size in the message."""
+    command, unsafe = args.command, getattr(args, "unsafe_nmax", None)
+    planned = routes.plan(command, method, query, getattr(args, "k", None))
     if unsafe is not None and unsafe < 0:
         raise UsageError(f"--unsafe-nmax must be nonnegative, got {unsafe}")
     bounds = [routes.ROUTES[command][name].bound for names in planned.values() for name in names]
     bound = min((b for b in bounds if b is not None), default=None)
     if bound is not None and size > max(bound, unsafe or 0):
         raise UsageError(f"{what} exceeds the default bound {bound}; pass --unsafe-nmax {size} to allow it")
+    return routes.tabulate(command, query, planned)
 
 
 def _record(args, results: list[dict], consistency: bool | None = None, params: dict | None = None) -> dict:
@@ -225,12 +230,10 @@ def _run_routes(args, query=None, row=_value_row, size: tuple[str, int] | None =
     Returns 1 when the routes disagree, after emitting it."""
     command, query = args.command, args if query is None else query
     method = getattr(args, "method", None) or next(iter(routes.ROUTES[command]))
-    planned = routes.plan(command, method, query, getattr(args, "k", None))
     label, value = size or ("n", args.n)
-    _check_size(command, planned, getattr(args, "unsafe_nmax", None), value, f"{command}: {label}={value}")
     results = []
     disagree = []
-    for k, values in routes.tabulate(command, query, planned).items():
+    for k, values in _tabulate(args, query, method, value, f"{command}: {label}={value}").items():
         if len({value for _, value in values}) > 1:
             disagree.append(k)
         results += [{**row(k, value), "provenance": route} for route, value in values]
@@ -332,9 +335,7 @@ def cmd_bijection(args) -> int:
     r, s = args.r, args.s
     if r < 1 or s < 1:
         raise UsageError("need r >= 1 and s >= 1")
-    planned = routes.plan("bijection", "replay", args)
-    _check_size("bijection", planned, args.unsafe_nmax, r + s, f"r + s = {r + s}")
-    ((_, report),) = routes.tabulate("bijection", args, planned)[None]
+    ((_, report),) = _tabulate(args, args, "replay", r + s, f"r + s = {r + s}")[None]
     results = []
     for row in report.rows:
         # a failed image has no meeting point: JSON null, an empty CSV cell

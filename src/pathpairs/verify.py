@@ -4,12 +4,12 @@ correspondence, and walker probabilities together.
 This is the one module that compares a route with another, so the routes
 import nothing from each other. Each check sweeps a bounded grid of
 instances, comparing two or more independently computed exact values, and
-returns one :class:`CheckReport`. Reports are reproducible: enumeration
-order is fixed and the pseudo-random level-rate sequences come from a fixed
-seed with denominators at most 16 so the walker arithmetic stays small. A
-failing report always carries the first counterexample in scan order, with
-every input and both computed values. A report also carries the suite's
-wall time, ``elapsed_s``, which report equality ignores.
+each suite yields one :class:`CheckReport`. Reports are reproducible:
+enumeration order is fixed and the pseudo-random level-rate sequences come
+from a fixed seed with denominators at most 16 so the walker arithmetic
+stays small. A failing report always carries the first counterexample in
+scan order, with every input and both computed values. A report also
+carries the suite's wall time, ``elapsed_s``, which report equality ignores.
 
 Each instance is stated once, as ``rec.passes(left, right)``, and compared
 once: a passing instance costs that compare and a count, rationals compared
@@ -17,9 +17,11 @@ by cross-multiplying integer numerators and denominators. Only a refused
 instance reaches ``rec.fail(**inputs)``, the one failure path, which builds
 the context dict and any ``Fraction``.
 
-Each ``check_<suite>`` states its own sweep sizes once: ``n_max`` None runs
-its default grid, and a given ``n_max`` shrinks it, never below the suite's
-smallest meaningful size. Every enumerated table, from any of the four
+A suite is its name in ``SUITE_NAMES`` and one ``check_<name>(rec, cap)``,
+which states its instances to the recorder ``rec`` and its sweep sizes once,
+each capped by ``cap``: ``inf`` for ``n_max`` None runs its default grid, and
+a given ``n_max`` shrinks it, never below the suite's smallest meaningful
+size. Every enumerated table, from any of the four
 ``oracle.*_pair_table`` functions, is read through one memo, ``_table``.
 The barrier suite runs one single-walker distribution per level and rate.
 
@@ -28,8 +30,11 @@ same ``routes.plan`` and ``routes.tabulate`` steps the command line runs,
 with ``--method all``, so every route the command line can print is held
 to the others; it is not pinned by the benchmark.
 
-``run_all`` executes a configurable selection of suites in a fixed order and
-is the engine behind the command line's ``verify`` subcommand.
+``run_all`` owns the harness and is the engine behind the command line's
+``verify`` subcommand. It runs a configurable selection of suites in
+``SUITE_NAMES`` order: for each, it builds the suite's recorder, hands it and
+the cap, resolved once from ``n_max``, to the check, and collects the
+recorder's report. A check returns nothing.
 """
 
 from __future__ import annotations
@@ -125,23 +130,20 @@ paths.MEMOS.setdefault("verify._table", _table.cache_clear)
 # --- formula-level checks -----------------------------------------------------
 
 
-def check_theorem1(n_max: int | None = None) -> CheckReport:
+def check_theorem1(rec: _Recorder, cap: int | float) -> None:
     """The two rectangle-count closed forms agree on their whole range."""
-    rec = _Recorder("theorem1")
-    n_max = max(2, min(9, _cap(n_max)))
+    n_max = max(2, min(9, cap))
     for n in range(2, n_max + 1):
         for r in range(n + 1):
             for k in range(n - 1):
                 if not rec.passes(formulas.rect_pair_count_a(n, r, k), formulas.rect_pair_count_b(n, r, k)):
                     rec.fail(n=n, r=r, k=k, sides="form a vs form b")
-    return rec.report()
 
 
-def check_recurrence(n_max: int | None = None) -> CheckReport:
+def check_recurrence(rec: _Recorder, cap: int | float) -> None:
     """Splitting pairs at their last meeting: the k-meeting count is the
     convolution of the (k-1)-meeting counts with the nonmeeting counts."""
-    rec = _Recorder("recurrence")
-    n_max = max(2, min(8, _cap(n_max)))
+    n_max = max(2, min(8, cap))
     rect = partial(_table, oracle.rect_pair_table)
     for n in range(2, n_max + 1):
         for r in range(n + 1):
@@ -153,15 +155,13 @@ def check_recurrence(n_max: int | None = None) -> CheckReport:
                         conv += rect(m, q).get(k - 1) * rect(n - m, r - q).get(0)
                 if not rec.passes(table.get(k), conv):
                     rec.fail(n=n, r=r, k=k, sides="oracle vs convolution")
-    return rec.report()
 
 
-def check_eq8(n_max: int | None = None) -> CheckReport:
+def check_eq8(rec: _Recorder, cap: int | float) -> None:
     """Free pairs with k meetings decompose over the first same-endpoint
     meeting: convolving same-endpoint tables against nonmeeting free counts
     reproduces the free table. Checked on oracle tables and on closed forms."""
-    rec = _Recorder("eq8")
-    n_max = min(8, _cap(n_max))
+    n_max = min(8, cap)
     free = partial(_table, oracle.free_pair_table)
     same = partial(_table, oracle.same_endpoint_pair_table)
     for n in range(1, n_max + 1):
@@ -175,10 +175,9 @@ def check_eq8(n_max: int | None = None) -> CheckReport:
             )
             if not rec.passes(formulas.free_pair_count(n, k), closed):
                 rec.fail(n=n, k=k, sides="closed forms")
-    return rec.report()
 
 
-def check_wz(n_max: int | None = None) -> CheckReport:
+def check_wz(rec: _Recorder, cap: int | float) -> None:
     """Telescoping certificate for the meeting-probability distribution:
     p(n+1,k) - p(n,k) = g(n,k+1) - g(n,k) exactly, the k-sums are exactly 1,
     and p(n,1) = 2 p(n,0).
@@ -189,9 +188,8 @@ def check_wz(n_max: int | None = None) -> CheckReport:
     order. The companion row g(n, .) is asked for alongside p(n, .): g(n, k)
     reads p(n, k - 1), the value asked for just before it, which the
     one-slot memo of ``same_endpoint_meet_prob`` returns as it is."""
-    rec = _Recorder("wz")
-    sum_n_max = min(60, _cap(n_max))
-    n_max = min(40, _cap(n_max))
+    sum_n_max = min(60, cap)
+    n_max = min(40, cap)
     meet, companion = formulas.same_endpoint_meet_prob, formulas.telescoping_companion
     totals, doublings, row, g = [], [], [], []
     for n in range(1, max(sum_n_max, n_max + 1) + 1):
@@ -222,17 +220,15 @@ def check_wz(n_max: int | None = None) -> CheckReport:
     for n, (a, b), (c, d) in doublings:
         if not rec.passes(c * b, 2 * a * d):
             rec.fail(left=Fraction(c, d), right=2 * Fraction(a, b), n=n, sides="k=1 vs twice k=0")
-    return rec.report()
 
 
 # --- oracle-vs-formula sweeps ---------------------------------------------------
 
 
-def check_nkr(n_max: int | None = None) -> CheckReport:
+def check_nkr(rec: _Recorder, cap: int | float) -> None:
     """Both closed forms reproduce the enumerated rectangle tables, and the
     tables total C(n, r)^2."""
-    rec = _Recorder("nkr")
-    n_max = max(2, min(9, _cap(n_max)))
+    n_max = max(2, min(9, cap))
     for n in range(2, n_max + 1):
         for r in range(n + 1):
             table = _table(oracle.rect_pair_table, n, r)
@@ -247,14 +243,12 @@ def check_nkr(n_max: int | None = None) -> CheckReport:
                     rec.fail(n=n, r=r, k=k, sides="form a vs oracle")
                 if not rec.passes(formulas.rect_pair_count_b(n, r, k), count):
                     rec.fail(n=n, r=r, k=k, sides="form b vs oracle")
-    return rec.report()
 
 
-def check_doubling(n_max: int | None = None) -> CheckReport:
+def check_doubling(rec: _Recorder, cap: int | float) -> None:
     """One-meeting pairs are exactly twice the nonmeeting pairs, on the
     closed forms."""
-    rec = _Recorder("doubling")
-    n_max = max(3, min(10, _cap(n_max)))
+    n_max = max(3, min(10, cap))
     for n in range(3, n_max + 1):
         for r in range(1, n):
             one, none = formulas.rect_pair_count_a(n, r, 1), formulas.rect_pair_count_a(n, r, 0)
@@ -262,30 +256,26 @@ def check_doubling(n_max: int | None = None) -> CheckReport:
                 rec.fail(n=n, r=r, sides="k=1 vs twice k=0")
             if not rec.passes(2 * formulas.narayana(n, r), none):
                 rec.fail(n=n, r=r, sides="half count")
-    return rec.report()
 
 
-def check_bijection(n_max: int | None = None) -> CheckReport:
+def check_bijection(rec: _Recorder, cap: int | float) -> None:
     """The correspondence verifies on every rectangle with r + s <= 9."""
-    rec = _Recorder("bijection")
-    total_max = max(2, min(9, _cap(n_max)))
+    total_max = max(2, min(9, cap))
     for total in range(2, total_max + 1):
         for r in range(1, total):
             report = bijection.verify_correspondence(r, total - r)
             if not rec.passes(report.passed):
                 rec.fail(r=r, s=total - r, failures="; ".join(report.failures[:3]) or "none")
-    return rec.report()
 
 
-def check_mrs(n_max: int | None = None) -> CheckReport:
+def check_mrs(rec: _Recorder, cap: int | float) -> None:
     """The two-endpoint closed form reproduces the enumerated tables, its
     k = 0 specialization matches both, and the equal-endpoint boundary
     reduces to the rectangle counts. One instance holds the expression
     itself, which ``endpoint_pair_count`` bypasses at r = s, to the
     rectangle table at k - 1 on every (n, r, k) and names the first that
     differs."""
-    rec = _Recorder("mrs")
-    n_max = min(8, _cap(n_max))
+    n_max = min(8, cap)
     boundary = next(
         (
             (n, r, k)
@@ -313,15 +303,13 @@ def check_mrs(n_max: int | None = None) -> CheckReport:
                 want = _table(oracle.rect_pair_table, n, r).get(k - 1)
                 if not rec.passes(formulas.endpoint_pair_count(n, r, r, k), want):
                     rec.fail(n=n, r=r, s=r, k=k, sides="equal endpoints vs rectangle table")
-    return rec.report()
 
 
-def check_fnk(n_max: int | None = None) -> CheckReport:
+def check_fnk(rec: _Recorder, cap: int | float) -> None:
     """Free-pair closed form versus enumeration; the powers-of-two totals
     sum to 4^n; the nonmeeting probability is C(2n,n)/4^n."""
-    rec = _Recorder("fnk")
-    identity_n_max = min(40, _cap(n_max))
-    n_max = min(8, _cap(n_max))
+    identity_n_max = min(40, cap)
+    n_max = min(8, cap)
     rows = [[formulas.free_pair_count(n, k) for k in range(n + 1)] for n in range(identity_n_max + 1)]
     for n in range(n_max + 1):
         table = _table(oracle.free_pair_table, n)
@@ -339,13 +327,11 @@ def check_fnk(n_max: int | None = None) -> CheckReport:
                 left=Fraction(row[0], 4 ** n), right=Fraction(comb(2 * n, n), 4 ** n), n=n,
                 sides="nonmeeting probability",
             )
-    return rec.report()
 
 
-def check_pnk(n_max: int | None = None) -> CheckReport:
+def check_pnk(rec: _Recorder, cap: int | float) -> None:
     """Meeting-probability closed form versus normalized enumeration."""
-    rec = _Recorder("pnk")
-    n_max = min(8, _cap(n_max))
+    n_max = min(8, cap)
     for n in range(1, n_max + 1):
         table = _table(oracle.same_endpoint_pair_table, n)
         denom = comb(2 * n, n)
@@ -355,15 +341,13 @@ def check_pnk(n_max: int | None = None) -> CheckReport:
                 rec.fail(left=p, right=Fraction(count, denom), n=n, k=k, sides="formula vs oracle")
             if not rec.passes(formulas.same_endpoint_pair_count(n, k), count):
                 rec.fail(n=n, k=k, sides="count form vs oracle")
-    return rec.report()
 
 
-def check_diag(n_max: int | None = None) -> CheckReport:
+def check_diag(rec: _Recorder, cap: int | float) -> None:
     """Summing the rectangle counts over every split r gives the
     same-endpoint count, in closed form and against enumeration."""
-    rec = _Recorder("diag")
-    oracle_n_max = max(1, min(9, _cap(n_max)))
-    n_max = max(2, min(12, _cap(n_max)))
+    oracle_n_max = max(1, min(9, cap))
+    n_max = max(2, min(12, cap))
     for n in range(2, n_max + 1):
         for k in range(n - 1):
             row = sum(formulas.rect_pair_count_a(n, r, k) for r in range(n + 1))
@@ -374,22 +358,19 @@ def check_diag(n_max: int | None = None) -> CheckReport:
         for k in range(n):
             if not rec.passes(formulas.same_endpoint_pair_count(n, k), table.get(k)):
                 rec.fail(n=n, k=k, sides="closed form vs oracle")
-    return rec.report()
 
 
-def check_avg(n_max: int | None = None) -> CheckReport:
+def check_avg(rec: _Recorder, cap: int | float) -> None:
     """Exact mean crossing count versus the enumerated mean, and the float
     value of the exact mean against its asymptotic form at n = 1000, within
     a relative 2%."""
-    rec = _Recorder("avg")
-    for n in range(min(8, _cap(n_max)) + 1):
+    for n in range(min(8, cap) + 1):
         if not rec.passes(formulas.average_crossings(n), _table(oracle.free_pair_table, n).mean):
             rec.fail(n=n, sides="closed form vs oracle mean")
     exact = float(formulas.average_crossings(1000))
     approx = formulas.average_crossings_asymptote(1000)
     if not rec.passes(abs(exact - approx) <= 0.02 * abs(approx)):
         rec.fail(n=1000, exact=exact, asymptote=approx, rel_tol=0.02)
-    return rec.report()
 
 
 # --- walker probability checks ---------------------------------------------------
@@ -422,6 +403,9 @@ def _walker_levels(rate: oracle.RateModel, top_level: int) -> dict[int, tuple[li
 
 #: The constant West rates of the walker suites.
 _PROBS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
+
+#: The seed of the level-rate tables the barrier and routes suites draw.
+_LEVEL_RATE_SEED = 20114
 
 
 def _pair_walk(table: dict, a: int, b: int, x: int) -> tuple[int, int]:
@@ -456,7 +440,7 @@ def _walker_checks(rec, a: int, b: int, x: int, pair: tuple[int, int], levels) -
         )
 
 
-def check_barrier(n_max: int | None = None, seed: int = 20114) -> CheckReport:
+def check_barrier(rec: _Recorder, cap: int | float, seed: int = _LEVEL_RATE_SEED) -> None:
     """Three-way agreement for the two-walker meeting probability.
 
     Constant rates: pair DP == binomial closed form == single-walker DP,
@@ -479,8 +463,7 @@ def check_barrier(n_max: int | None = None, seed: int = 20114) -> CheckReport:
     ``barrier_meet_prob``) runs the same sweep limited to the positions its
     own two walkers can reach.
     """
-    rec = _Recorder("barrier")
-    level_total = min(10, _cap(n_max))
+    level_total = min(10, cap)
     const_limit = min(4, level_total)
     for p in _PROBS:
         rate = oracle.ConstantRate(Fraction(p))
@@ -504,30 +487,26 @@ def check_barrier(n_max: int | None = None, seed: int = 20114) -> CheckReport:
             for b in range(level_total + 1 - a):
                 for x in range(level_total + 1 - a - b):
                     _walker_checks(rec, a, b, x, _pair_walk(table, a, b, x), levels)
-    return rec.report()
 
 
-def check_same_start(n_max: int | None = None) -> CheckReport:
+def check_same_start(rec: _Recorder, cap: int | float) -> None:
     """Two walkers released together: the DP equals 2 C(a+b, a) p^(a+1) q^(b+1)
     for a, b <= 4."""
-    rec = _Recorder("same-start")
-    limit = min(4, _cap(n_max))
+    limit = min(4, cap)
     for p in _PROBS:
         for a in range(limit + 1):
             for b in range(limit + 1):
                 if not rec.passes(oracle.same_start_meet_prob(a, b, p), formulas.same_start_meet_formula(a, b, p)):
                     rec.fail(a=a, b=b, p=p, sides="pair walk vs closed form")
-    return rec.report()
 
 
 # --- series checks -----------------------------------------------------------------
 
 
-def check_vandermonde(n_max: int | None = None) -> CheckReport:
+def check_vandermonde(rec: _Recorder, cap: int | float) -> None:
     """Both convolution identities over a grid including negative upper
     arguments (falling-factorial binomials)."""
-    rec = _Recorder("vandermonde")
-    span = min(8, _cap(n_max))
+    span = min(8, cap)
     for a in range(-span // 2, span + 1):
         for b in range(-span // 2, span + 1):
             for m in range(span + 1):
@@ -535,10 +514,9 @@ def check_vandermonde(n_max: int | None = None) -> CheckReport:
                     rec.fail(a=a, b=b, m=m, identity="plain")
                 if not rec.passes(formulas.vandermonde_b(a, b, m)):
                     rec.fail(a=a, c=b, m=m, identity="alternating")
-    return rec.report()
 
 
-def check_legendre(n_max: int | None = None) -> CheckReport:
+def check_legendre(rec: _Recorder, cap: int | float) -> None:
     """The reciprocal square root of the rectangle kernel expands to the
     squared binomials: 1/sqrt(kernel) = sum C(n,r)^2 x^n y^r.
 
@@ -547,21 +525,18 @@ def check_legendre(n_max: int | None = None) -> CheckReport:
     nonmeeting base series, so this is also the geometric sum of the base
     powers over every meeting count.
     """
-    rec = _Recorder("legendre")
-    degree = min(12, _cap(n_max))
+    degree = min(12, cap)
     inv = (1 - series.rect_pair_base(degree)).inverse()
     for n in range(degree + 1):
         for r in range(degree + 1 - n):
             if not rec.passes(inv.coeff(n, r), comb(n, r) ** 2):
                 rec.fail(n=n, r=r, sides="series vs C(n,r)^2")
-    return rec.report()
 
 
-def check_series_uk(n_max: int | None = None) -> CheckReport:
+def check_series_uk(rec: _Recorder, cap: int | float) -> None:
     """Three-way agreement: power-series coefficients == closed form ==
     enumeration, for every rectangle with n <= 9."""
-    rec = _Recorder("series-uk")
-    n_max = max(2, min(9, _cap(n_max)))
+    n_max = max(2, min(9, cap))
     for k, power in enumerate(series.rect_pair_powers(n_max - 2, 2 * n_max)):
         for n in range(k + 1, n_max + 1):
             for r in range(n + 1):
@@ -571,14 +546,12 @@ def check_series_uk(n_max: int | None = None) -> CheckReport:
                         rec.fail(n=n, r=r, k=k, sides="series vs closed form")
                 if not rec.passes(coeff, _table(oracle.rect_pair_table, n, r).get(k)):
                     rec.fail(n=n, r=r, k=k, sides="series vs oracle")
-    return rec.report()
 
 
-def check_series_f(n_max: int | None = None) -> CheckReport:
+def check_series_f(rec: _Recorder, cap: int | float) -> None:
     """The quadratic functional equation holds coefficientwise, and the
     meeting polynomial powers reproduce the rectangle counts."""
-    rec = _Recorder("series-f")
-    degree = max(3, min(12, _cap(n_max)))
+    degree = max(3, min(12, cap))
     f = series.narayana_base(degree)
     y = series.BiSeries(degree, {(1, 0): 1})
     z = series.BiSeries(degree, {(0, 1): 1})
@@ -593,20 +566,17 @@ def check_series_f(n_max: int | None = None) -> CheckReport:
             for r in range(n + 1):
                 if not rec.passes(poly.coeff(r, n - r), formulas.rect_pair_count_a(n, r, k)):
                     rec.fail(n=n, r=r, k=k, sides="meeting polynomial vs closed form")
-    return rec.report()
 
 
-def check_series_fk(n_max: int | None = None) -> CheckReport:
+def check_series_fk(rec: _Recorder, cap: int | float) -> None:
     """Free-pair generating series coefficients equal 2^k C(2n-k, n), and
     vanish below the k-th power."""
-    rec = _Recorder("series-fk")
-    degree = min(20, _cap(n_max))
+    degree = min(20, cap)
     for k in range(degree + 1):
         fk = series.free_pair_series(k, degree)
         for n in range(degree + 1):
             if not rec.passes(fk.coeff(n), formulas.free_pair_count(n, k) if n >= k else 0):
                 rec.fail(n=n, k=k, sides="series vs closed form")
-    return rec.report()
 
 
 _LAGRANGE_POINTS = (
@@ -618,7 +588,7 @@ _LAGRANGE_POINTS = (
 )
 
 
-def check_lagrange(n_max: int | None = None) -> CheckReport:
+def check_lagrange(rec: _Recorder, cap: int | float) -> None:
     """Coefficient extraction through f = x (y+f)(z+f) reproduces the first
     closed form, at rational specializations of (y, z).
 
@@ -626,8 +596,7 @@ def check_lagrange(n_max: int | None = None) -> CheckReport:
     direct row sum of the counts times y0^r z0^(n-r) is one integer
     numerator, the sum of the counts times y_num^r z_num^(n-r), over den^n.
     Each row of counts is evaluated once, and each phi once per point and k."""
-    rec = _Recorder("lagrange")
-    n_max = max(2, min(8, _cap(n_max)))
+    n_max = max(2, min(8, cap))
     rows = {
         (n, k): [formulas.rect_pair_count_a(n, r, k) for r in range(n + 1)]
         for n in range(2, n_max + 1)
@@ -648,7 +617,6 @@ def check_lagrange(n_max: int | None = None) -> CheckReport:
                         left=extracted, right=Fraction(direct, den ** n), y=y0, z=z0, n=n, k=k,
                         sides="extraction vs row",
                     )
-    return rec.report()
 
 
 # --- the route table -------------------------------------------------------------
@@ -658,7 +626,7 @@ def _route_queries(n_max: int, level_total: int):
     """The ``routes`` suite's grid as ``(command, query)``: every counting
     query with n <= n_max (and r < s for ``mrs``, whose enumeration needs
     it), and every barrier configuration with a + b + x <= level_total under
-    the constant rates and two level-rate tables from a fixed seed."""
+    the constant rates and two level-rate tables from ``_LEVEL_RATE_SEED``."""
     for n in range(n_max + 1):
         yield "fnk", SimpleNamespace(n=n, k=None)
     for n in range(1, n_max + 1):
@@ -667,7 +635,7 @@ def _route_queries(n_max: int, level_total: int):
             yield "nkr", SimpleNamespace(n=n, r=r, k=None)
             for s in range(r + 1, n + 1):
                 yield "mrs", SimpleNamespace(n=n, r=r, s=s, k=None)
-    rates = [oracle.ConstantRate(p) for p in _PROBS] + _level_rates(20114, 2, level_total + 2)
+    rates = [oracle.ConstantRate(p) for p in _PROBS] + _level_rates(_LEVEL_RATE_SEED, 2, level_total + 2)
     for rate in rates:
         for a in range(level_total + 1):
             for b in range(level_total + 1 - a):
@@ -675,7 +643,7 @@ def _route_queries(n_max: int, level_total: int):
                     yield "barrier", oracle.BarrierConfig(a, b, x, rate)
 
 
-def check_routes(n_max: int | None = None) -> CheckReport:
+def check_routes(rec: _Recorder, cap: int | float) -> None:
     """Every route in ``routes.ROUTES`` agrees with the first route that
     answers the same k, under the plan ``--method all`` runs, for n <= 5
     and a + b + x <= 3. This holds the barrier ``dp`` and ``single-walker``
@@ -684,14 +652,12 @@ def check_routes(n_max: int | None = None) -> CheckReport:
     grid holds the five commands with several: ``bijection``'s one route is
     replayed by the ``bijection`` suite, and ``diag``'s and ``avg``'s closed
     forms are held to enumeration by the ``diag`` and ``avg`` suites."""
-    rec = _Recorder("routes")
-    for command, query in _route_queries(min(5, _cap(n_max)), min(3, _cap(n_max))):
+    for command, query in _route_queries(min(5, cap), min(3, cap)):
         tabled = routes.tabulate(command, query, routes.plan(command, "all", query))
         for k, ((first, want), *others) in tabled.items():
             for name, got in others:
                 if not rec.passes(want, got):
                     rec.fail(query=query, k=k, sides=f"{first} vs {name}")
-    return rec.report()
 
 
 # --- the aggregate runner -----------------------------------------------------------
@@ -724,10 +690,15 @@ SUITE_NAMES = (
 
 def run_all(config: VerifyConfig = VerifyConfig()) -> list[CheckReport]:
     """Run the selected suites in registry order and return their reports.
-    Each suite's ``check_*`` function is looked up by name when it runs."""
+    Each suite gets a ``_Recorder`` named for it, built just before its
+    ``check_*`` function, which is looked up by name when it runs, and the
+    sweep-size cap; its report is read off the recorder."""
     selected = SUITE_NAMES if config.suites is None else config.suites
-    return [
-        globals()["check_" + name.replace("-", "_")](config.n_max)
-        for name in SUITE_NAMES
-        if name in selected
-    ]
+    cap = _cap(config.n_max)
+    reports = []
+    for name in SUITE_NAMES:
+        if name in selected:
+            rec = _Recorder(name)
+            globals()["check_" + name.replace("-", "_")](rec, cap)
+            reports.append(rec.report())
+    return reports

@@ -7,7 +7,7 @@ error at n = 1000. Stated runtime ceilings are asserted where given.
 
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 
 from pathpairs import bijection, formulas, oracle, series, verify
 
@@ -138,7 +138,8 @@ def test_criterion_8_series_routes():
             for r in range(min(n, degree - n) + 1):
                 if k <= n - 2:
                     ok = ok and power.coeff(n, r) == formulas.rect_pair_count_a(n, r, k)
-    ok = ok and verify.check_legendre(degree).passed
+    (legendre,) = verify.run_all(verify.VerifyConfig(suites=("legendre",), n_max=degree))
+    ok = ok and legendre.passed
     f = series.narayana_base(degree)
     y = series.BiSeries(degree, {(1, 0): 1})
     z = series.BiSeries(degree, {(0, 1): 1})
@@ -158,8 +159,10 @@ def test_criterion_8_series_routes():
 def test_criterion_9_walker_probabilities():
     # the verify suites with this criterion's pinned level-rate seed: pair DP
     # vs closed form, vs single walker and vs u + l - 1, and the same-start walk
-    barrier = verify.check_barrier(seed=90125)
-    same_start = verify.check_same_start()
+    rec = verify._Recorder("barrier")
+    verify.check_barrier(rec, inf, seed=90125)
+    barrier = rec.report()
+    (same_start,) = verify.run_all(verify.VerifyConfig(suites=("same-start",)))
     ok = barrier.passed and barrier.instances == 12565
     ok = ok and same_start.passed and same_start.instances == 75
     report("9", "walker probabilities: closed form, single-walker reduction, u+l-1, same start", ok)

@@ -351,7 +351,8 @@ def test_mrs_suite_rejects_a_retired_reading(monkeypatch, cold_memos, reading):
 
     monkeypatch.setattr(formulas, "_endpoint_pair_terms", terms)
     try:
-        assert not verify.check_mrs(6).passed
+        (report,) = verify.run_all(verify.VerifyConfig(suites=("mrs",), n_max=6))
+        assert not report.passed
     except formulas.IntegralityError:
         pass  # a non-integer count is rejected as loudly as a wrong one
 
@@ -364,7 +365,7 @@ def test_mrs_suite_rejects_a_broken_boundary(monkeypatch, cold_memos):
         formulas, "endpoint_pair_expression",
         lambda n, r, s, k: expression(n, r, s, k) + ((n, r, s, k) == (5, 2, 2, 3)),
     )
-    report = verify.check_mrs(6)
+    (report,) = verify.run_all(verify.VerifyConfig(suites=("mrs",), n_max=6))
     assert not report.passed
     assert report.first_failure["first"] == "(5, 2, 3)"
 

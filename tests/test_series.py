@@ -141,7 +141,7 @@ def test_rect_power_matches_oracle_including_top_key():
 
 
 def test_total_pairs_identity():
-    report = verify.check_legendre(8)
+    (report,) = verify.run_all(verify.VerifyConfig(suites=("legendre",), n_max=8))
     assert report.passed
     assert report.first_failure is None
     assert report.instances == 45

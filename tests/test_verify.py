@@ -8,8 +8,11 @@ Core claims:
       report objects; the suite's wall time rides along outside equality
     - suite selection is honored in registry order, unknown names raise, an
       empty selection runs nothing, an n_max below 1 is rejected
-    - each suite states its sizes once: its check takes only n_max (barrier
-      also its seed), and the runner looks each check up by name as it runs
+    - a suite is one name in SUITE_NAMES and one check_<name>(rec, cap)
+      (barrier also takes its seed): the runner builds the suite's
+      recorder, resolves the cap once, looks the check up by name as it
+      runs and reads the report, so adding a suite takes nothing more, and
+      a lone suite from cold memos reports what it reports in a full run
     - a shrunken n_max still passes every suite (smoke run)
     - every suite reads the four enumerated tables through one memo, so a
       full run builds each (function, arguments) table exactly once; under
@@ -109,22 +112,36 @@ def test_n_max_below_one_rejected():
             VerifyConfig(n_max=n_max)
     assert VerifyConfig(n_max=1).n_max == 1
     with pytest.raises(ValueError, match="n_max must be at least 1"):
-        verify.check_theorem1(0)
+        verify.run_all(VerifyConfig(suites=("theorem1",), n_max=0))
 
 
-def test_each_check_takes_only_n_max():
+def test_each_check_takes_only_rec_and_cap():
     for name in verify.SUITE_NAMES:
         check = getattr(verify, "check_" + name.replace("-", "_"))
-        expected = ["n_max", "seed"] if name == "barrier" else ["n_max"]
+        expected = ["rec", "cap", "seed"] if name == "barrier" else ["rec", "cap"]
         assert list(inspect.signature(check).parameters) == expected, name
 
 
 def test_run_all_looks_up_each_check_when_it_runs(monkeypatch):
     sizes = []
     stub = CheckReport("theorem1", True, 1)
-    monkeypatch.setattr(verify, "check_theorem1", lambda n_max: sizes.append(n_max) or stub)
+    monkeypatch.setattr(verify, "check_theorem1", lambda rec, cap: sizes.append(cap) or rec.passes(True))
     assert verify.run_all(VerifyConfig(suites=("theorem1",), n_max=4)) == [stub]
     assert sizes == [4]
+
+
+def test_adding_a_suite_takes_one_name_and_one_function(monkeypatch):
+    def check_demo(rec, cap):
+        for n, (left, right) in enumerate([(1, 1), (2, 2), (3, 4)]):
+            if not rec.passes(left, right):
+                rec.fail(n=n, sides="demo")
+
+    monkeypatch.setattr(verify, "SUITE_NAMES", (*verify.SUITE_NAMES, "demo"))
+    monkeypatch.setattr(verify, "check_demo", check_demo, raising=False)
+    (report,) = verify.run_all(VerifyConfig(suites=("demo",)))
+    assert (report.check_id, report.passed, report.instances) == ("demo", False, 3)
+    assert report.first_failure == {"left": "3", "right": "4", "n": "2", "sides": "demo"}
+    assert report.elapsed_s > 0
 
 
 def test_smoke_run_all_passes():
@@ -134,10 +151,17 @@ def test_smoke_run_all_passes():
     assert all(r.instances > 0 for r in reports)
 
 
+@pytest.fixture(scope="module")
+def full_run_at_6():
+    return {report.check_id: report for report in verify.run_all(VerifyConfig(n_max=6))}
+
+
 @pytest.mark.parametrize("name", verify.SUITE_NAMES)
-def test_each_suite_passes_at_moderate_size(name):
+def test_each_suite_passes_at_moderate_size(name, full_run_at_6, cold_memos):
     (report,) = verify.run_all(VerifyConfig(suites=(name,), n_max=6))
     assert report.passed, report.first_failure
+    # the runner carries nothing from one suite to the next
+    assert report == full_run_at_6[name]
 
 
 TABLE_SUITES = ("recurrence", "eq8", "nkr", "mrs", "fnk", "pnk", "diag", "avg", "series-uk")
@@ -203,7 +227,7 @@ def test_barrier_suite_fails_on_a_perturbed_single_walker(monkeypatch):
         return masses, den
 
     monkeypatch.setattr(oracle, "endpoint_distribution", perturbed)
-    report = verify.check_barrier()
+    (report,) = verify.run_all(VerifyConfig(suites=("barrier",)))
     assert not report.passed
     # the first configuration on level 5 whose targets include w = 0: the
     # pair walk from (0, 5) and (5, 0) meets at the origin surely
@@ -226,7 +250,7 @@ def test_barrier_suite_fails_on_a_perturbed_pair_mass(monkeypatch):
         return table
 
     monkeypatch.setattr(oracle, "barrier_survival_table", perturbed)
-    report = verify.check_barrier()
+    (report,) = verify.run_all(VerifyConfig(suites=("barrier",)))
     assert not report.passed
     # the x's 1 and 3 on level 4 are the configuration a = b = x = 1; the
     # single walker still shows the unperturbed pair-walk probability
@@ -478,7 +502,7 @@ def test_wz_doubling_fails_alone_on_rows_the_companion_still_telescopes(monkeypa
 
     monkeypatch.setattr(formulas, "same_endpoint_meet_prob", swapped)
     monkeypatch.setattr(formulas, "telescoping_companion", companion)
-    report = verify.check_wz()
+    (report,) = verify.run_all(VerifyConfig(suites=("wz",)))
     assert not report.passed
     assert report.first_failure == {"left": "1/23", "right": "4/23", "n": "12", "sides": "k=1 vs twice k=0"}
 
