@@ -13,11 +13,11 @@ emits the same rows with a header line.
 
 Every command that computes a table or a value (``nkr``, ``mrs``, ``fnk``,
 ``pnk``, ``diag``, ``avg`` and ``barrier``) checks its own arguments and
-hands them to one runner. The runner asks ``routes.plan`` which routes
-answer each k, under ``--method`` or, for ``diag`` and ``avg``, which have
-none, the command's one route; it checks the size, tabulates the plan
-through ``routes.tabulate``, sets the ``consistency`` flag under ``--method
-all`` and emits. The ``--method`` choices are the names in
+hands them to one runner. The runner has ``routes.answer`` answer the
+query, under ``--method`` or, for ``diag`` and ``avg``, which have none, the
+command's one route, with ``_check_size`` as its size check; it sets the
+``consistency`` flag under ``--method all`` from the routes ``answer``
+finds in disagreement, and emits. The ``--method`` choices are the names in
 ``routes.ROUTES``. A record's params are the parsed options in option
 order, less the command, ``--format`` and ``--unsafe-nmax``, and its CSV
 header is its first row's keys; ``verify`` states both itself, as its
@@ -44,7 +44,7 @@ so a patched or wrapped command function is the one that runs.
 
 A command loads only the modules it runs. This module imports ``paths`` and
 ``routes`` alone, and neither loads a route module, so parsing the arguments
-loads none. ``routes.tabulate`` imports the modules of the routes a query
+loads none. ``routes.answer`` imports the modules of the routes a query
 runs, and ``barrier`` and ``verify`` import ``oracle`` or ``verify`` when
 they run. Both errors that exit 3 are defined in ``paths``.
 
@@ -68,6 +68,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring_ascii
 
 from . import paths, routes
@@ -181,21 +182,17 @@ def emit(record: dict, fmt_name: str, row_fields: list[str] | None = None) -> No
         writer.writerow([row.get(field, "") for field in row_fields])
 
 
-def _tabulate(args, query, method: str, size: int, what: str) -> dict:
-    """``routes.tabulate`` of the ``routes.plan`` by which ``method`` answers
-    ``query`` of ``args.command`` at the k ``args`` asks for, once the size
-    is checked: validate ``--unsafe-nmax`` and refuse a ``size`` past the
-    smallest ``Route.bound`` among the planned routes, unless
-    ``--unsafe-nmax`` raises it; ``what`` names the size in the message."""
-    command, unsafe = args.command, getattr(args, "unsafe_nmax", None)
-    planned = routes.plan(command, method, query, getattr(args, "k", None))
+def _check_size(args, size: int, what: str, bound: int | None) -> None:
+    """Refuse a negative ``--unsafe-nmax``, and then a query whose ``size``
+    is past ``bound``, the smallest ``Route.bound`` among the routes it runs
+    (None for closed forms only), unless ``--unsafe-nmax`` raises it;
+    ``what`` names the size in the message. ``routes.answer`` calls it, as
+    its ``admit``, before it builds a route."""
+    unsafe = getattr(args, "unsafe_nmax", None)
     if unsafe is not None and unsafe < 0:
         raise UsageError(f"--unsafe-nmax must be nonnegative, got {unsafe}")
-    bounds = [routes.ROUTES[command][name].bound for names in planned.values() for name in names]
-    bound = min((b for b in bounds if b is not None), default=None)
     if bound is not None and size > max(bound, unsafe or 0):
         raise UsageError(f"{what} exceeds the default bound {bound}; pass --unsafe-nmax {size} to allow it")
-    return routes.tabulate(command, query, planned)
 
 
 def _record(args, results: list[dict], consistency: bool | None = None, params: dict | None = None) -> dict:
@@ -222,24 +219,23 @@ def _value_row(k, value) -> dict:
 
 
 def _run_routes(args, query=None, row=_value_row, size: tuple[str, int] | None = None) -> int:
-    """Answer one query of ``args.command`` by its ``routes.plan``, read
+    """Answer one query of ``args.command`` through ``routes.answer``, read
     from ``query`` (``args`` by default), under ``--method`` or else the
-    command's one route: check the size (``(label, value)``, n by
-    default), tabulate the planned routes, check that they agree, and emit
-    the record, whose fields are those of a ``row`` and the provenance.
-    Returns 1 when the routes disagree, after emitting it."""
+    command's one route, its size (``(label, value)``, n by default) checked
+    by ``_check_size``, and emit the record, whose fields are those of a
+    ``row`` and the provenance. Returns 1 when the routes disagree, after
+    emitting it."""
     command, query = args.command, args if query is None else query
     method = getattr(args, "method", None) or next(iter(routes.ROUTES[command]))
-    label, value = size or ("n", args.n)
-    results = []
-    disagree = []
-    for k, values in _tabulate(args, query, method, value, f"{command}: {label}={value}").items():
-        if len({value for _, value in values}) > 1:
-            disagree.append(k)
-        results += [{**row(k, value), "provenance": route} for route, value in values]
+    label, amount = size or ("n", args.n)
+    admit = partial(_check_size, args, amount, f"{command}: {label}={amount}")
+    answered, disagree = routes.answer(command, method, query, getattr(args, "k", None), admit)
+    results = [
+        {**row(k, value), "provenance": route} for k, values in answered.items() for route, value in values
+    ]
     emit(_record(args, results, consistency=not disagree if method == "all" else None), args.format)
     if disagree:
-        where = "" if disagree[0] is None else f" at k={disagree[0]}"
+        where = "" if disagree[0][0] is None else f" at k={disagree[0][0]}"
         print(
             f"error: {command}: the routes disagree{where} (consistency false); "
             "the record on stdout holds every value",
@@ -335,7 +331,8 @@ def cmd_bijection(args) -> int:
     r, s = args.r, args.s
     if r < 1 or s < 1:
         raise UsageError("need r >= 1 and s >= 1")
-    ((_, report),) = _tabulate(args, args, "replay", r + s, f"r + s = {r + s}")[None]
+    admit = partial(_check_size, args, r + s, f"r + s = {r + s}")
+    ((_, report),) = routes.answer("bijection", "replay", args, admit=admit)[0][None]
     results = []
     for row in report.rows:
         # a failed image has no meeting point: JSON null, an empty CSV cell

@@ -2,13 +2,16 @@
 the size bound and the k range that route covers, and the plan that says
 which routes answer each k of a query.
 
-The command line and ``verify`` both read this table: the CLI to pick,
-bound, build and tabulate the routes a query asks for, and ``verify``'s
-``routes`` suite to run every route of every command against the others.
-Each route names the module it computes in, and ``tabulate`` imports that
-module when it builds the route, so importing the table loads no route
-module. No route module imports the table, so the routes stay independent
-of each other.
+A query is answered one way, by ``answer``: it plans the routes, hands
+their smallest size bound to the caller's ``admit`` check, builds each
+route, reads it at every k it answers and compares each later route's
+value with the first route's. The command line answers every query it
+computes through ``answer``, and ``verify``'s ``routes`` suite answers
+every query of its grid there, under ``--method all``, so every route of
+every command is held to the others. Each route names the module it
+computes in, and ``answer`` imports that module when it builds the route,
+so importing the table loads no route module. No route module imports the
+table, so the routes stay independent of each other.
 
 A query is the object a route builder reads: the parsed arguments (n, r,
 s and k) for the counting commands, n and k for ``diag``, n for ``avg``, an
@@ -30,7 +33,7 @@ class Route(NamedTuple):
     """One route of a command.
 
     ``module`` names the package module the route computes in, which
-    ``tabulate`` imports and hands to ``build(module, query)``; that returns
+    ``answer`` imports and hands to ``build(module, query)``; that returns
     the route's value as a function of k (a command without k passes None).
     Builders look library functions up through the module when they run,
     so a patched or traced function is the one that gets called. ``bound`` is the largest query
@@ -165,14 +168,22 @@ def plan(command: str, method: str, query, k: int | None = None) -> dict:
     return planned
 
 
-def tabulate(command: str, query, planned: dict) -> dict:
-    """The planned values, as ``{k: [(route name, value), ...]}``; each route
-    is built once, in table order, from its module, and read at every k it
-    answers."""
-    used = {name for names in planned.values() for name in names}
+def answer(command: str, method: str, query, k: int | None = None, admit=lambda bound: None):
+    """Answer ``query`` of ``command`` by ``method`` at ``k`` (None for the
+    whole k range), as ``(values, disagree)``. ``values`` is ``{k: [(route
+    name, value), ...]}`` in ``plan`` order; ``disagree`` lists the ``(k,
+    route name)`` pairs, in the same order, whose value differs from the
+    first route's at that k. ``plan`` runs first, and then ``admit`` is
+    called with the smallest ``Route.bound`` among the planned routes (None
+    when all are closed forms), so a refusal it raises comes before any route
+    is built. Each planned route is then built once, in table order, from
+    its module, and read at every k it answers."""
+    planned = plan(command, method, query, k)
+    asked = {name for names in planned.values() for name in names}
+    used = {name: route for name, route in ROUTES[command].items() if name in asked}
+    admit(min((route.bound for route in used.values() if route.bound is not None), default=None))
     value_at = {
-        name: route.build(import_module(f"{__package__}.{route.module}"), query)
-        for name, route in ROUTES[command].items()
-        if name in used
+        name: route.build(import_module(f"{__package__}.{route.module}"), query) for name, route in used.items()
     }
-    return {k: [(name, value_at[name](k)) for name in names] for k, names in planned.items()}
+    values = {k: [(name, value_at[name](k)) for name in names] for k, names in planned.items()}
+    return values, [(k, name) for k, ((_, first), *rest) in values.items() for name, value in rest if value != first]

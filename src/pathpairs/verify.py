@@ -25,16 +25,16 @@ size. Every enumerated table, from any of the four
 ``oracle.*_pair_table`` functions, is read through one memo, ``_table``.
 The barrier suite runs one single-walker distribution per level and rate.
 
-The ``routes`` suite reads the route table, ``routes.ROUTES``, through the
-same ``routes.plan`` and ``routes.tabulate`` steps the command line runs,
-with ``--method all``, so every route the command line can print is held
-to the others; it is not pinned by the benchmark.
+The ``routes`` suite answers each query of its grid through
+``routes.answer``, the one step by which the command line answers, with
+``--method all``, so every route the command line can print is held to the
+others; it is not pinned by the benchmark.
 
 ``run_all`` owns the harness and is the engine behind the command line's
 ``verify`` subcommand. It runs a configurable selection of suites in
 ``SUITE_NAMES`` order: for each, it builds the suite's recorder, hands it and
-the cap, resolved once from ``n_max``, to the check, and collects the
-recorder's report. A check returns nothing.
+the cap, resolved once from ``n_max``, to the check ``suite_check`` finds
+for the name, and collects the recorder's report. A check returns nothing.
 """
 
 from __future__ import annotations
@@ -440,13 +440,14 @@ def _walker_checks(rec, a: int, b: int, x: int, pair: tuple[int, int], levels) -
         )
 
 
-def check_barrier(rec: _Recorder, cap: int | float, seed: int = _LEVEL_RATE_SEED) -> None:
+def check_barrier(rec: _Recorder, cap: int | float) -> None:
     """Three-way agreement for the two-walker meeting probability.
 
     Constant rates: pair DP == binomial closed form == single-walker DP,
     and u + l - 1, for a, b, x <= 4. Level-dependent rates: pair DP ==
-    single-walker DP and u + l - 1 over 20 rate tables drawn from ``seed``,
-    for a + b + x <= 10. The pair DP is one backward sweep per rate,
+    single-walker DP and u + l - 1 over 20 rate tables drawn from
+    ``_LEVEL_RATE_SEED``, read when the suite runs, for a + b + x <= 10.
+    The pair DP is one backward sweep per rate,
     ``oracle.barrier_survival_table``, read once per configuration. The
     single walker is one distribution per level and rate,
     ``_walker_levels``, shared by every configuration on that level and
@@ -480,7 +481,7 @@ def check_barrier(rec: _Recorder, cap: int | float, seed: int = _LEVEL_RATE_SEED
                             sides="pair walk vs closed form",
                         )
                     _walker_checks(rec, a, b, x, pair, levels)
-    for rate in _level_rates(seed, 20, level_total + 2):
+    for rate in _level_rates(_LEVEL_RATE_SEED, 20, level_total + 2):
         table = oracle.barrier_survival_table(rate, level_total + 1)
         levels = _walker_levels(rate, level_total + 1)
         for a in range(level_total + 1):
@@ -645,19 +646,20 @@ def _route_queries(n_max: int, level_total: int):
 
 def check_routes(rec: _Recorder, cap: int | float) -> None:
     """Every route in ``routes.ROUTES`` agrees with the first route that
-    answers the same k, under the plan ``--method all`` runs, for n <= 5
-    and a + b + x <= 3. This holds the barrier ``dp`` and ``single-walker``
+    answers the same k, as ``routes.answer`` finds under ``--method all``,
+    for n <= 5 and a + b + x <= 3. Each later route at each k is one
+    instance. This holds the barrier ``dp`` and ``single-walker``
     routes, which no other suite calls, and any route added to the table,
     to the others. A command with one route has nothing to compare, so the
     grid holds the five commands with several: ``bijection``'s one route is
     replayed by the ``bijection`` suite, and ``diag``'s and ``avg``'s closed
     forms are held to enumeration by the ``diag`` and ``avg`` suites."""
     for command, query in _route_queries(min(5, cap), min(3, cap)):
-        tabled = routes.tabulate(command, query, routes.plan(command, "all", query))
-        for k, ((first, want), *others) in tabled.items():
+        values, disagree = routes.answer(command, "all", query)
+        for k, ((first, want), *others) in values.items():
             for name, got in others:
-                if not rec.passes(want, got):
-                    rec.fail(query=query, k=k, sides=f"{first} vs {name}")
+                if not rec.passes((k, name) not in disagree):
+                    rec.fail(left=want, right=got, query=query, k=k, sides=f"{first} vs {name}")
 
 
 # --- the aggregate runner -----------------------------------------------------------
@@ -688,17 +690,23 @@ SUITE_NAMES = (
 )
 
 
+def suite_check(name: str):
+    """The ``check_*`` function of the suite ``name``, looked up when this
+    is called, so a patched or wrapped check is the one that runs."""
+    return globals()["check_" + name.replace("-", "_")]
+
+
 def run_all(config: VerifyConfig = VerifyConfig()) -> list[CheckReport]:
     """Run the selected suites in registry order and return their reports.
     Each suite gets a ``_Recorder`` named for it, built just before its
-    ``check_*`` function, which is looked up by name when it runs, and the
-    sweep-size cap; its report is read off the recorder."""
+    check, which ``suite_check`` finds when it runs, and the sweep-size
+    cap; its report is read off the recorder."""
     selected = SUITE_NAMES if config.suites is None else config.suites
     cap = _cap(config.n_max)
     reports = []
     for name in SUITE_NAMES:
         if name in selected:
             rec = _Recorder(name)
-            globals()["check_" + name.replace("-", "_")](rec, cap)
+            suite_check(name)(rec, cap)
             reports.append(rec.report())
     return reports

@@ -7,7 +7,7 @@ error at n = 1000. Stated runtime ceilings are asserted where given.
 
 import time
 from fractions import Fraction
-from math import comb, inf
+from math import comb
 
 from pathpairs import bijection, formulas, oracle, series, verify
 
@@ -156,13 +156,11 @@ def test_criterion_8_series_routes():
     report("8", "series coefficients (degree 12 / 20) and diagonal sums (n <= 12), exact", ok)
 
 
-def test_criterion_9_walker_probabilities():
+def test_criterion_9_walker_probabilities(monkeypatch):
     # the verify suites with this criterion's pinned level-rate seed: pair DP
     # vs closed form, vs single walker and vs u + l - 1, and the same-start walk
-    rec = verify._Recorder("barrier")
-    verify.check_barrier(rec, inf, seed=90125)
-    barrier = rec.report()
-    (same_start,) = verify.run_all(verify.VerifyConfig(suites=("same-start",)))
+    monkeypatch.setattr(verify, "_LEVEL_RATE_SEED", 90125)
+    barrier, same_start = verify.run_all(verify.VerifyConfig(suites=("barrier", "same-start")))
     ok = barrier.passed and barrier.instances == 12565
     ok = ok and same_start.passed and same_start.instances == 75
     report("9", "walker probabilities: closed form, single-walker reduction, u+l-1, same start", ok)

@@ -39,9 +39,13 @@ Core claims:
       query one past its bound with one exact message, runs it under
       --unsafe-nmax, and runs a closed-form-only query of that size;
       --unsafe-nmax exists on exactly those commands
-    - a route registered in routes.ROUTES is printed under --method all,
-      bounds the query by its own bound, and is held to the others by the
-      verify routes suite, with no edit to the CLI
+    - a route registered in routes.ROUTES, on nkr or on barrier, is printed
+      under --method all, bounds the query by its own bound, and is held to
+      the others by the verify routes suite, with no edit to the CLI
+    - routes.answer plans first, hands the smallest planned bound to its
+      admit check before building any route, builds each planned route
+      once in table order, and lists each (k, route) whose value differs
+      from the first route's at that k; the CLI names the first such k
     - diag and avg print the value of their one route in routes.ROUTES, and
       diag refuses a k past its table
     - a golden set of invocations keeps its exit code, stdout bytes and
@@ -721,32 +725,99 @@ def _register_nkr_route(monkeypatch, build):
     monkeypatch.setitem(routes.ROUTES["nkr"], "oracle-8", routes.Route("oracle", build, bound=8))
 
 
+def _register_barrier_route(monkeypatch, build):
+    """Add a route to barrier under a new name, with its own bound of 8."""
+    monkeypatch.setitem(routes.ROUTES["barrier"], "dp-8", routes.Route("oracle", build, bound=8))
+
+
+# Each command a test registers a route on: the registration, the route it
+# copies, a --method all query, the routes that query prints at its first
+# k before the new one, a query one past the new bound of 8 and the words
+# naming its size, the stderr words of a disagreement, and the comparisons
+# the new route adds to the routes suite: one per (n, r, k) of the nkr grid,
+# n <= 5, and one per barrier configuration, 20 with a + b + x <= 3 under
+# each of five rates.
+REGISTERED = {
+    "nkr": SimpleNamespace(
+        register=_register_nkr_route, copies="oracle", query="nkr --n 5 --r 2 --method all",
+        printed=["formula-a", "formula-b", "series", "oracle"], past="nkr --n 9 --r 3 --method all",
+        what="nkr: n=9", disagree="nkr: the routes disagree at k=0", added=sum(n * (n + 1) for n in range(1, 6)),
+    ),
+    "barrier": SimpleNamespace(
+        register=_register_barrier_route, copies="dp", query="barrier --a 1 --b 1 --x 1 --p 1/3 --method all",
+        printed=["dp", "single-walker", "formula"], past="barrier --a 9 --b 0 --x 0 --p 1/2 --method all",
+        what="barrier: a+b+x=9", disagree="barrier: the routes disagree (consistency false)", added=5 * 20,
+    ),
+}
+
+
 def test_a_registered_route_is_printed_bounded_and_checked(capsys, monkeypatch):
     (before,) = verify.run_all(verify.VerifyConfig(suites=("routes",)))
-    _register_nkr_route(monkeypatch, routes.ROUTES["nkr"]["oracle"].build)
-    record = run_json(capsys, "nkr", "--n", "5", "--r", "2", "--method", "all")
-    assert record["consistency"] is True
-    assert [row["provenance"] for row in record["results"] if row["k"] == "0"] == [
-        "formula-a", "formula-b", "series", "oracle", "oracle-8",
-    ]
-    assert run(capsys, "nkr", "--n", "9", "--r", "3", "--method", "all") == (
-        2, "", "error: nkr: n=9 exceeds the default bound 8; pass --unsafe-nmax 9 to allow it\n"
-    )
-    (report,) = verify.run_all(verify.VerifyConfig(suites=("routes",)))
-    assert report.passed, report.first_failure
-    # one more comparison for each (n, r, k) of the suite's nkr grid, n <= 5
-    assert report.instances - before.instances == sum(n * (n + 1) for n in range(1, 6))
+    for command, case in REGISTERED.items():
+        with monkeypatch.context() as patch:
+            case.register(patch, routes.ROUTES[command][case.copies].build)
+            (name,) = set(routes.ROUTES[command]) - set(case.printed)
+            record = run_json(capsys, *case.query.split())
+            assert record["consistency"] is True
+            first = record["results"][0].get("k")  # barrier rows have no k
+            assert [row["provenance"] for row in record["results"] if row.get("k") == first] == [*case.printed, name]
+            assert run(capsys, *case.past.split()) == (
+                2, "", f"error: {case.what} exceeds the default bound 8; pass --unsafe-nmax 9 to allow it\n"
+            )
+            (report,) = verify.run_all(verify.VerifyConfig(suites=("routes",)))
+            assert report.passed, report.first_failure
+            assert report.instances - before.instances == case.added, command
 
 
 def test_a_registered_route_that_is_off_fails_the_cli_and_the_routes_suite(capsys, monkeypatch):
-    _register_nkr_route(monkeypatch, _off_by_one(routes.ROUTES["nkr"]["oracle"].build))
-    code, out, err = run(capsys, "nkr", "--n", "5", "--r", "2", "--method", "all")
+    for command, case in REGISTERED.items():
+        with monkeypatch.context() as patch:
+            case.register(patch, _off_by_one(routes.ROUTES[command][case.copies].build))
+            (name,) = set(routes.ROUTES[command]) - set(case.printed)
+            code, out, err = run(capsys, *case.query.split())
+            assert code == 1
+            assert case.disagree in err
+            assert json.loads(out)["consistency"] is False
+            (report,) = verify.run_all(verify.VerifyConfig(suites=("routes",)))
+            assert not report.passed
+            assert report.first_failure["sides"].endswith(f" vs {name}")
+
+
+def test_answer_plans_admits_builds_and_lists_each_disagreement(capsys, monkeypatch):
+    oracle_build = routes.ROUTES["nkr"]["oracle"].build
+    query = SimpleNamespace(n=5, r=2, k=None)
+    _register_nkr_route(monkeypatch, _off_by_one(oracle_build))
+    assert routes.answer("nkr", "all", query)[1] == [(k, "oracle-8") for k in range(5)]
+
+    def wrong_at_two(module, q):
+        value = oracle_build(module, q)
+        return lambda k: value(k) + (k == 2)
+
+    _register_nkr_route(monkeypatch, wrong_at_two)
+    code, _, err = run(capsys, "nkr", "--n", "5", "--r", "2", "--method", "all")
     assert code == 1
-    assert "nkr: the routes disagree at k=0" in err
-    assert json.loads(out)["consistency"] is False
-    (report,) = verify.run_all(verify.VerifyConfig(suites=("routes",)))
-    assert not report.passed
-    assert report.first_failure["sides"].endswith(" vs oracle-8")
+    assert "nkr: the routes disagree at k=2" in err
+
+    built, admitted = [], []
+    for name, route in routes.ROUTES["nkr"].items():
+        def counted(module, q, name=name, build=route.build):
+            built.append(name)
+            return build(module, q)
+
+        monkeypatch.setitem(routes.ROUTES["nkr"], name, route._replace(build=counted))
+
+    def refuse(bound):
+        admitted.append(bound)
+        raise ValueError("refused")
+
+    with pytest.raises(ValueError, match="refused"):
+        routes.answer("nkr", "all", query, admit=refuse)
+    assert (admitted, built) == ([8], [])
+    values, disagree = routes.answer("nkr", "all", query, admit=admitted.append)
+    assert admitted == [8, 8]
+    assert built == ["formula-a", "formula-b", "series", "oracle", "oracle-8"]  # once each, in table order
+    assert disagree == [(2, "oracle-8")]
+    assert [name for name, _ in values[4]] == ["series", "oracle", "oracle-8"]
 
 
 # For each command with a bounded route, at size s: a query that runs a

@@ -8,11 +8,11 @@ Core claims:
       report objects; the suite's wall time rides along outside equality
     - suite selection is honored in registry order, unknown names raise, an
       empty selection runs nothing, an n_max below 1 is rejected
-    - a suite is one name in SUITE_NAMES and one check_<name>(rec, cap)
-      (barrier also takes its seed): the runner builds the suite's
-      recorder, resolves the cap once, looks the check up by name as it
-      runs and reads the report, so adding a suite takes nothing more, and
-      a lone suite from cold memos reports what it reports in a full run
+    - a suite is one name in SUITE_NAMES and one check_<name>(rec, cap):
+      the runner builds the suite's recorder, resolves the cap once, has
+      suite_check look the check up by name as it runs and reads the
+      report, so adding a suite takes nothing more, and a lone suite from
+      cold memos reports what it reports in a full run
     - a shrunken n_max still passes every suite (smoke run)
     - every suite reads the four enumerated tables through one memo, so a
       full run builds each (function, arguments) table exactly once; under
@@ -117,9 +117,7 @@ def test_n_max_below_one_rejected():
 
 def test_each_check_takes_only_rec_and_cap():
     for name in verify.SUITE_NAMES:
-        check = getattr(verify, "check_" + name.replace("-", "_"))
-        expected = ["rec", "cap", "seed"] if name == "barrier" else ["rec", "cap"]
-        assert list(inspect.signature(check).parameters) == expected, name
+        assert list(inspect.signature(verify.suite_check(name)).parameters) == ["rec", "cap"], name
 
 
 def test_run_all_looks_up_each_check_when_it_runs(monkeypatch):
