@@ -9,7 +9,9 @@ result row carries its value(s) and a ``provenance`` naming the computation
 route. It has exactly the bytes of ``json.dumps(record, indent=2)`` and a
 newline, written row by row rather than built as one string: the writer
 lays out the lines, and ``json`` spells every key and value. CSV output
-emits the same rows with a header line.
+emits the same rows with a header line. ``bijection`` has one row per
+replayed source, and renders each row only as the writer reaches it
+(``_LazyRows``), so its record never holds every row's dict at once.
 
 Every command that computes a table or a value (``nkr``, ``mrs``, ``fnk``,
 ``pnk``, ``diag``, ``avg`` and ``barrier``) checks its own arguments and
@@ -122,6 +124,25 @@ def read_level_file(path: str):
     return oracle.LevelRate(tuple(values))
 
 
+class _LazyRows:
+    """The rows ``render`` builds from ``items``, as a read-only sequence
+    whose row is built each time it is read, so a writer that reads them
+    in turn holds one at a time. ``emit`` takes it where it takes a list of
+    rows, and writes the same bytes."""
+
+    def __init__(self, items, render) -> None:
+        self._items, self._render = items, render
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, index: int) -> dict:
+        return self._render(self._items[index])
+
+    def __iter__(self):
+        return map(self._render, self._items)
+
+
 def _write_json(value, write, pad: str = "\n") -> None:
     """Pass ``json.dumps(value, indent=2)`` to ``write`` in pieces, one per
     key or row; ``pad`` is the newline and indent of ``value``'s own line.
@@ -140,7 +161,7 @@ def _write_json(value, write, pad: str = "\n") -> None:
             _write_json(item, write, inner)
             sep = "," + inner
         write(pad + "}")
-    elif isinstance(value, (list, tuple)) and value:
+    elif isinstance(value, (list, tuple, _LazyRows)) and value:
         first = value[0]
         keys = tuple(first) if type(first) is dict and first else None
         if keys is not None:
@@ -162,6 +183,8 @@ def _write_json(value, write, pad: str = "\n") -> None:
                 write(text)
             sep = "," + inner
         write(pad + "]")
+    elif isinstance(value, _LazyRows):  # one with no rows
+        write("[]")
     else:
         write(encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value))
 
@@ -327,29 +350,29 @@ def cmd_barrier(args) -> int:
 # --- correspondence and verification ---------------------------------------------
 
 
+def _bijection_row(row) -> dict:
+    """The output row of one ``bijection.CorrespondenceRow``."""
+    # a failed image has no meeting point: JSON null, an empty CSV cell
+    meeting = [None if point is None else str(point) for point in row.meeting_points]
+    return {
+        "source": "|".join(row.source_words),
+        "image_1": "|".join(row.image_words[0]),
+        "meeting_1": meeting[0],
+        "tag_1": row.tags[0],
+        "image_2": "|".join(row.image_words[1]),
+        "meeting_2": meeting[1],
+        "tag_2": row.tags[1],
+        "case": row.case,
+    }
+
+
 def cmd_bijection(args) -> int:
     r, s = args.r, args.s
     if r < 1 or s < 1:
         raise UsageError("need r >= 1 and s >= 1")
     admit = partial(_check_size, args, r + s, f"r + s = {r + s}")
     ((_, report),) = routes.answer("bijection", "replay", args, admit=admit)[0][None]
-    results = []
-    for row in report.rows:
-        # a failed image has no meeting point: JSON null, an empty CSV cell
-        meeting = [None if point is None else str(point) for point in row.meeting_points]
-        results.append(
-            {
-                "source": "|".join(row.source_words),
-                "image_1": "|".join(row.image_words[0]),
-                "meeting_1": meeting[0],
-                "tag_1": row.tags[0],
-                "image_2": "|".join(row.image_words[1]),
-                "meeting_2": meeting[1],
-                "tag_2": row.tags[1],
-                "case": row.case,
-            }
-        )
-    record = _record(args, results, consistency=report.passed)
+    record = _record(args, _LazyRows(report.rows, _bijection_row), consistency=report.passed)
     record["nonmeeting"] = report.nonmeeting_count
     record["one_meeting"] = report.one_meeting_count
     record["failures"] = list(report.failures)

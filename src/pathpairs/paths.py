@@ -15,7 +15,11 @@ silently use the wrong one:
 * ``EXCLUDING_ORIGIN`` -- shared vertices excluding the origin, steps 1..n;
   a shared final vertex counts.
 
-This module is the only place that knows a convention's window. The
+This module states each convention's window, with one exception: the
+2-to-1 replay states the ``INTERIOR`` window of an r x s rectangle as a
+vertex mask, ``bijection._RectMasks(r, s).interior``, and
+``tests/test_bijection.py`` holds that mask to ``meeting_points`` on every
+pair of paths of a few rectangles. Otherwise the
 enumeration oracle and the 2-to-1 correspondence pass the convention to
 ``meeting_census`` (a tally over a whole family of pairs) or
 ``meeting_points`` (the shared vertices of one pair). ``meeting_census``

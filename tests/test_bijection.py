@@ -20,7 +20,10 @@ Core claims:
       an image with another case's group; a passing
       replay never lists that set and validates no pair through the word
       API, and each row's words, meeting points and tags agree with the
-      word API and the vertex walk
+      word API and the vertex walk; every row word is the family's own str,
+      and the rows share their meeting-point objects
+    - the replay's interior vertex mask keeps exactly the meetings that
+      ``paths.meeting_points`` finds under ``INTERIOR``
     - the direct source walk yields exactly the nonmeeting pairs, in the
       order of ``paths.all_paths``, and as many as the Lindstrom-Gessel-Viennot
       determinant and the Narayana number give on every rectangle with
@@ -389,6 +392,33 @@ def test_rows_build_the_pairs_of_their_stored_words():
                 for image, point, tag in zip(row.image_words, row.meeting_points, row.tags):
                     assert meetings(image) == (point,)
                     assert remove_meeting(*image) == (row.source_words, tag)
+
+
+def test_rows_hold_the_familys_words_and_shared_points():
+    # every row word is the family's own str, and the points pairs share
+    # their point objects, so a replay keeps each value once
+    for r, s in ((1, 1), (3, 4), (5, 3)):
+        family = paths.all_paths(r + s, r)
+        own = {id(p.word) for p in family}
+        report = verify_correspondence(r, s)
+        assert report.passed, (r, s)
+        points = set()
+        for row in report.rows:
+            for word in (*row.source_words, *row.image_words[0], *row.image_words[1]):
+                assert id(word) in own, (r, s, word)
+            points.update(id(point) for point in row.meeting_points)
+        assert len(points) <= (r + 1) * (s + 1), (r, s)
+
+
+def test_interior_mask_counts_the_interior_meetings():
+    # the replay's INTERIOR window, a vertex mask, against paths.meeting_points
+    for r, s in ((1, 1), (1, 4), (2, 3), (3, 3), (4, 2)):
+        interior = bijection._RectMasks(r, s).interior
+        family = paths.all_paths(r + s, r)
+        for a in family:
+            for b in family:
+                common = a.vertex_mask & b.vertex_mask & interior
+                assert common.bit_count() == len(paths.meeting_points(a, b, paths.INTERIOR)), (a, b)
 
 
 def test_source_walk_yields_the_nonmeeting_pairs_in_path_order():

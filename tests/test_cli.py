@@ -34,7 +34,8 @@ Core claims:
       tuple; help, --n=5, abbreviations, repeats, negative or empty values,
       --suite, unknown tokens and failed conversions are left to argparse
     - a failing correspondence replay exits 1, prints each image's stored
-      words, and gives a failed image no group label
+      words, and gives a failed image no group label; its rows, rendered
+      one at a time as they are written, give the bytes of their list
     - every command with a bounded route in routes.ROUTES refuses a costly
       query one past its bound with one exact message, runs it under
       --unsafe-nmax, and runs a closed-form-only query of that size;
@@ -341,6 +342,25 @@ def test_bijection_correspondence_table(capsys):
     assert record["nonmeeting"] == 1 and record["one_meeting"] == 2
 
 
+def assert_lazy_rows_write_their_list(report):
+    """The rows ``cmd_bijection`` renders one at a time write the bytes of
+    the list of those rows, as JSON and as CSV."""
+    rows = cli._LazyRows(report.rows, cli._bijection_row)
+    listed = list(rows)
+    assert len(rows) == len(listed) == len(report.rows) and rows[-1] == listed[-1]
+    pieces = []
+    cli._write_json(rows, pieces.append)
+    assert "".join(pieces) == json.dumps(listed, indent=2)
+
+    def as_csv(results):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.emit({"results": results}, "csv")
+        return out.getvalue()
+
+    assert as_csv(rows) == as_csv(listed)
+
+
 def test_bijection_gives_a_failed_image_no_tag(capsys, monkeypatch):
     def refuse(up, lo, point, masks):
         raise paths.InvariantError("no source")
@@ -350,11 +370,13 @@ def test_bijection_gives_a_failed_image_no_tag(capsys, monkeypatch):
     record = json.loads(out)
     assert (code, record["consistency"]) == (1, False)
     assert [(row["tag_1"], row["tag_2"]) for row in record["results"]] == [(None, None)] * 3
+    assert out == json.dumps(record, indent=2) + "\n"
     code, out, _ = run(capsys, "bijection", "--r", "2", "--s", "2", "--format", "csv")
     assert code == 1
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [row["case"] for row in rows] == ["C", "A", "B"]
     assert [(row["tag_1"], row["tag_2"]) for row in rows] == [("", "")] * 3
+    assert_lazy_rows_write_their_list(bijection.verify_correspondence(2, 2))
 
 
 def test_bijection_prints_an_image_that_meets_twice(capsys, monkeypatch):
@@ -380,10 +402,12 @@ def test_bijection_prints_an_image_that_meets_twice(capsys, monkeypatch):
     assert [(row["image_2"], row["meeting_2"], row["tag_2"]) for row in record["results"]] == [(words, None, None)] * 3
     assert [row["tag_1"] for row in record["results"]] == ["I", "II", "III:aligned"]
     assert all(row["meeting_1"] not in (None, "None") for row in record["results"])
+    assert out == json.dumps(record, indent=2) + "\n"
     code, out, _ = run(capsys, "bijection", "--r", "2", "--s", "2", "--format", "csv")
     rows = list(csv.DictReader(io.StringIO(out)))
     assert code == 1
     assert [(row["meeting_2"], row["tag_2"]) for row in rows] == [("", "")] * 3
+    assert_lazy_rows_write_their_list(bijection.verify_correspondence(2, 2))
 
 
 # SHA-256 of `bijection --r R --s S` stdout, taken when the replay still
